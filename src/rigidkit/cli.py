@@ -117,6 +117,13 @@ def _scenario_spec(config: dict, args) -> ScenarioSpec:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
+def _require_fit_exponent(p: float) -> None:
+    """Rotation fits need p > 1; scenarios also admit p = 1, which the
+    energy-only commands (asymptotic, snapshot) accept."""
+    if not p > 1.0:
+        raise ConfigError(f"rigidity fits need an exponent p > 1, got {p}")
+
+
 def _build(spec: ScenarioSpec):
     try:
         return build_scenario(spec)
@@ -260,6 +267,7 @@ def cmd_rigidity(args) -> int:
             raise ConfigError(f"cannot load snapshot: {exc}") from exc
         spec = None
         p = args.p if args.p is not None else 2.0
+        _require_fit_exponent(p)
         seed = _seed_override(args.seed) or 0
         report = local_rigidity(u, metric, p=p, seed=seed)
         route = "local"
@@ -280,6 +288,7 @@ def cmd_rigidity(args) -> int:
             if len(args.eps) != 1:
                 raise ConfigError("rigidity takes a single --eps value")
             spec = spec.replace(epsilon=args.eps[0])
+        _require_fit_exponent(spec.p)
         bundle = _build(spec)
         report, route = _fit_report(bundle, spec.p, spec.seed)
         row = _report_row(spec, report)
@@ -319,6 +328,7 @@ def cmd_rigidity(args) -> int:
 def cmd_scaling(args) -> int:
     config = _load_config(args.config)
     spec = _scenario_spec(config, args)
+    _require_fit_exponent(spec.p)
     epsilons = _sweep_list(config, "epsilons", args.eps)
     if epsilons is None or len(epsilons) < 2:
         raise ConfigError("scaling needs at least two sweep points in 'epsilons' (or --eps)")
@@ -369,6 +379,7 @@ def cmd_scaling(args) -> int:
 def cmd_multiscale(args) -> int:
     config = _load_config(args.config)
     spec = _scenario_spec(config, args)
+    _require_fit_exponent(spec.p)
     t_values = _sweep_list(config, "t_values", None, kind=int) or [1, 2, 4, 8]
     shifts = _sweep_list(config, "shifts", args.eps)
     if shifts is None:

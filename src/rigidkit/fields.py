@@ -22,6 +22,12 @@ _RANK_TOL = 1e-12
 _ON_MANIFOLD_TOL = 1e-8
 _SYMMETRY_TOL = 1e-12
 _EIGENVALUE_FLOOR = 1e-14
+# Diameter pruning: the lower bound comes from at most this many
+# farthest-point sweeps, and the filter compares with this much relative
+# slack, which covers the round-off of the computed distances for up to
+# about thirty coordinates per point.
+_FARTHEST_POINT_SWEEPS = 4
+_PRUNE_SLACK = 64 * np.finfo(float).eps
 
 DIFF_MODES = ("forward", "central")
 
@@ -135,20 +141,55 @@ def corner_average(values: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _sq_distances(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from each row of `points` to `origin`."""
+    diff = points - origin
+    return np.einsum("...i,...i->...", diff, diff)
+
+
 def _max_pairwise_distance(points: np.ndarray) -> float:
-    """Exact maximum pairwise Euclidean distance, chunked to bound memory."""
+    """Exact maximum pairwise Euclidean distance (the diameter of a point set).
+
+    Farthest-point sweeps give a lower bound L attained by an actual pair.
+    With c the bounding-box centre and R = max |x - c|, any pair x, y with
+    |x - y| >= L satisfies |x - c| + R >= |x - c| + |y - c| >= |x - y| >= L,
+    so dropping every point with |x - c| + R < L keeps both ends of every
+    diametral pair (the exact filtering of Malandain & Boissonnat, "Computing
+    the diameter of a point set", 2002).  The comparison carries a few ulps
+    of slack, so rounding in |x - c|, R and L cannot drop an endpoint.
+
+    The distinct survivors are compared pairwise, in memory-bounded chunks,
+    from direct differences x - y, never from |x|^2 + |y|^2 - 2 x.y, which
+    cancels when the points lie close together.  The value is therefore
+    exact to round-off at any spread.  On grid-sampled metrics only a handful
+    of points survive, so the cost is linear in the point count.
+    """
     pts = points.reshape(points.shape[0], -1)
     n = pts.shape[0]
     if n <= 1 or (np.ptp(pts, axis=0) == 0.0).all():
         return 0.0
-    sq = np.einsum("ij,ij->i", pts, pts)
-    chunk = max(1, (1 << 22) // n)
-    best = 0.0
-    for start in range(0, n, chunk):
+    centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    radial = np.sqrt(_sq_distances(pts, centre))
+    reach = float(radial.max())
+    far = int(np.argmax(radial))
+    bound_sq = 0.0
+    for _ in range(_FARTHEST_POINT_SWEEPS):
+        d2 = _sq_distances(pts, pts[far])
+        far = int(np.argmax(d2))
+        if d2[far] <= bound_sq:
+            break
+        bound_sq = float(d2[far])
+
+    keep = radial + reach >= np.sqrt(bound_sq) * (1.0 - _PRUNE_SLACK)
+    pts = np.unique(pts[keep], axis=0)
+    m = pts.shape[0]
+    chunk = max(1, (1 << 20) // (m * pts.shape[1]))
+    best = bound_sq
+    for start in range(0, m, chunk):
         block = pts[start : start + chunk]
-        d2 = sq[start : start + chunk, None] + sq[None, :] - 2.0 * (block @ pts.T)
+        d2 = _sq_distances(block[:, None, :], pts[None, start:, :])
         best = max(best, float(d2.max()))
-    return float(np.sqrt(max(best, 0.0)))
+    return float(np.sqrt(best))
 
 
 class MetricField:
@@ -213,12 +254,6 @@ class MetricField:
         field = np.broadcast_to(gram, grid.node_shape + gram.shape).copy()
         return cls(grid, field)
 
-    @classmethod
-    def from_callable(cls, grid: GridDomain, fn, **kwargs) -> "MetricField":
-        coords = grid.node_coordinates().reshape(-1, grid.dim)
-        grams = np.stack([fn(x) for x in coords])
-        return cls(grid, grams.reshape(grid.node_shape + (grid.dim, grid.dim)), **kwargs)
-
     @cached_property
     def cell_grams(self) -> np.ndarray:
         """Cell-centered metric: arithmetic average of the corner Gram matrices."""
@@ -231,9 +266,6 @@ class MetricField:
     @cached_property
     def cell_sqrt_det(self) -> np.ndarray:
         return np.sqrt(np.linalg.det(self.cell_grams))
-
-    def gram_at_node(self, index: tuple[int, ...]) -> np.ndarray:
-        return self.gram[index]
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "MetricField":
         """Sub-field on the subcube of `resolution` cells at node `corner`."""
@@ -248,8 +280,11 @@ def oscillation_and_diameter(
     """Metric oscillation over a cell box and the box's Euclidean diameter.
 
     `cell_box` is one (lo, hi) half-open cell range per axis; the oscillation
-    is the exact maximum Frobenius distance between Gram matrices over the
-    nodes the box touches (lo..hi inclusive per axis).
+    is the maximum Frobenius distance between Gram matrices over the nodes
+    the box touches (lo..hi inclusive per axis).  It is exact to round-off:
+    `_max_pairwise_distance` prunes the nodes with a bound that provably
+    keeps both Gram matrices of every farthest pair, then compares the rest
+    by direct differences.  A constant metric returns 0 before any search.
     """
     grid = g.grid
     if len(cell_box) != grid.dim:
@@ -390,7 +425,6 @@ class ImmersionField:
             window = du
         else:
             radial = self.cell_points / np.linalg.norm(self.cell_points, axis=-1, keepdims=True)
-            self._cell_radial = radial
             window = np.concatenate([du, radial[..., :, None]], axis=-1)
             win_sing = np.linalg.svd(window, compute_uv=False)
             degenerate = degenerate | (win_sing[..., -1] <= _RANK_TOL * np.maximum(win_sing[..., 0], 1.0))
@@ -449,13 +483,6 @@ class ImmersionField:
     @property
     def degenerate_count(self) -> int:
         return int(self.degenerate.sum())
-
-    def cell_tangent_projection(self, index: tuple[int, ...]) -> np.ndarray:
-        """Tangent projection at one cell's (renormalized) center point."""
-        if self.target.kind == "euclidean":
-            return np.eye(self.target.ambient_dim)
-        unit = self._cell_radial[index]
-        return np.eye(self.target.ambient_dim) - np.outer(unit, unit)
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "ImmersionField":
         """Sub-immersion on the subcube of `resolution` cells at node `corner`."""

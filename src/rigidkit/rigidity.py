@@ -418,13 +418,6 @@ class RotationField:
     rotations: np.ndarray
     residual: float
 
-    def rotation_at(self, points: np.ndarray) -> np.ndarray:
-        """Value of the piecewise-constant field at arbitrary domain points."""
-        points = np.asarray(points, dtype=float)
-        side = self.grid.length / self.t
-        idx = np.clip((points // side).astype(int), 0, self.t - 1)
-        return self.rotations[tuple(np.moveaxis(idx, -1, 0))]
-
 
 def multiscale_fit(
     u: ImmersionField, g: MetricField, t: int, p: float = 2.0, seed: int = 0

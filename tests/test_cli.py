@@ -87,6 +87,23 @@ class TestRigidity:
         cfg = write_config(tmp_path, "cfg.json", {})
         assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_unit_exponent_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"scenario": {"family": "graph", "dim": 2, "resolution": 16}}
+        )
+        assert main(["rigidity", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
+        assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
+
+    def test_unit_exponent_on_snapshot_is_config_error(self, tmp_path, capsys):
+        grid = GridDomain(1, 1.0, 8)
+        t = grid.node_axis()
+        u = ImmersionField(grid, TargetSpace.euclidean(1), np.stack([t, 0.1 * t**2], axis=-1))
+        snap = tmp_path / "parabola.json"
+        snapshot_save(snap, u, build_metric(grid, "flat"))
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
+        assert main(["rigidity", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
+        assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
+
 
 class TestScaling:
     def base_config(self, tmp_path, **extra):
@@ -110,6 +127,11 @@ class TestScaling:
     def test_single_point_is_config_error(self, tmp_path):
         cfg = self.base_config(tmp_path, epsilons=[0.1])
         assert main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_unit_exponent_is_config_error(self, tmp_path, capsys):
+        cfg = self.base_config(tmp_path)
+        assert main(["scaling", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
+        assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
 
     def test_constant_scenario_warns_but_passes(self, tmp_path, capsys):
         cfg = write_config(
@@ -175,6 +197,15 @@ class TestMultiscale:
         )
         assert main(["multiscale", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_unit_exponent_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "multi.json",
+            {"scenario": {"family": "curve", "dim": 1, "resolution": 64}, "t_values": [1, 2]},
+        )
+        assert main(["multiscale", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
+        assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
+
 
 class TestAsymptotic:
     def base(self, tmp_path, **extra):
@@ -195,6 +226,14 @@ class TestAsymptotic:
         payload = json.loads((tmp_path / "asymptotic.json").read_text())
         assert payload["manifest"]["checks"]["stretch_decreasing"] is True
         assert payload["gaps"][-1] == 0.0
+
+    def test_unit_exponent_still_runs(self, tmp_path):
+        # Only the rotation fits need p > 1; the energies are defined at p = 1.
+        # At p = 1 the final defect is the unsquared one, about 0.019 here.
+        cfg = self.base(tmp_path, threshold=0.05)
+        assert main(["asymptotic", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "asymptotic.json").read_text())
+        assert payload["manifest"]["spec"]["scenario"]["p"] == 1.0
 
     def test_non_decreasing_schedule_is_config_error(self, tmp_path):
         cfg = self.base(tmp_path, epsilons=[0.125, 0.25])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigidkit.fields import (
     EnergyReport,
@@ -16,8 +18,10 @@ from rigidkit.fields import (
     reference_shape,
     snapshot_load,
     snapshot_save,
+    _max_pairwise_distance,
     tangent_projection,
 )
+from rigidkit.scenarios import build_metric
 
 import oracles
 
@@ -302,6 +306,32 @@ class TestMetricField:
         np.testing.assert_array_equal(sub.gram, grams[2:7, 4:9])
 
 
+def brute_diameter(points):
+    """Largest distance over all pairs of rows, each from the direct difference x - y."""
+    pts = np.asarray(points, dtype=float)
+    return max(float(np.sqrt(np.sum((pts - x) ** 2, axis=-1)).max()) for x in pts)
+
+
+_COORD = st.one_of(
+    st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+    st.floats(-1e3, 1e3, allow_subnormal=False).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+)
+
+
+@st.composite
+def point_sets(draw):
+    """Small point sets: coordinates from a short list (duplicates and ties),
+    arbitrary floats, or points on one line, in 1 to 4 coordinates."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.lists(_COORD, min_size=k, max_size=k), min_size=n, max_size=n)))
+    base = np.array(draw(st.lists(_COORD, min_size=k, max_size=k)))
+    step = np.array(draw(st.lists(_COORD, min_size=k, max_size=k)))
+    ts = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.0]), min_size=n, max_size=n)))
+    return base + ts[:, None] * step
+
+
 class TestOscillation:
     def test_constant_metric(self):
         grid = GridDomain(2, 1.0, 8)
@@ -326,6 +356,38 @@ class TestOscillation:
         g = MetricField.constant(GridDomain(1, 1.0, 4), np.eye(1))
         with pytest.raises(ValueError, match="outside grid"):
             oscillation_and_diameter(g, ((0, 5),))
+
+    @pytest.mark.parametrize("spread", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_tight_gram_cloud_matches_direct_differences(self, spread):
+        # Gram matrices this close together defeat |x|^2 + |y|^2 - 2 x.y.
+        grid = GridDomain(2, 1.0, 15)
+        rng = np.random.default_rng(11)
+        noise = rng.uniform(-1.0, 1.0, size=grid.node_shape + (2, 2))
+        g = MetricField(grid, np.eye(2) + spread * (noise + np.swapaxes(noise, -1, -2)))
+        osc, _ = oscillation_and_diameter(g, ((0, 15), (0, 15)))
+        assert osc == pytest.approx(brute_diameter(g.gram.reshape(-1, g.grid.dim**2)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["random", "linear"])
+    @pytest.mark.parametrize("dim, n", [(1, 512), (2, 32)])
+    def test_scenario_metrics_match_direct_differences(self, kind, dim, n):
+        g = build_metric(GridDomain(dim, 1.0, n), kind, seed=4)
+        osc, _ = oscillation_and_diameter(g, tuple((0, n) for _ in range(dim)))
+        assert osc == pytest.approx(brute_diameter(g.gram.reshape(-1, g.grid.dim**2)), rel=1e-12, abs=0.0)
+        box = tuple((n // 4, n // 2) for _ in range(dim))
+        corner = tuple(slice(lo, hi + 1) for lo, hi in box)
+        osc_box, _ = oscillation_and_diameter(g, box)
+        assert osc_box == pytest.approx(brute_diameter(g.gram[corner].reshape(-1, dim**2)), rel=1e-12, abs=0.0)
+
+    @settings(deadline=None)
+    @given(point_sets())
+    @example(np.array([[0.3, -1.0]]))
+    @example(np.full((6, 3), 2.5))
+    @example(np.array([[0.0], [1.0], [1.0], [-2.0], [-2.0]]))
+    @example(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [0.0, 0.0]]))
+    @example(np.array([[0.0, 0.0], [3.0, 1.0], [3.0, -1.0]]))
+    def test_kernel_matches_direct_differences(self, points):
+        value = _max_pairwise_distance(points)
+        assert value == pytest.approx(brute_diameter(points), rel=1e-12, abs=0.0)
 
 
 class TestReferenceShape:
