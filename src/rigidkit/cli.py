@@ -35,9 +35,9 @@ from .fields import (
     snapshot_save,
 )
 from .lemma_suite import LemmaConfig, run_all
-from .metric_algebra import isometry_defect
 from .reports import RunManifest, write_csv, write_gnuplot_data, write_json_report
 from .rigidity import (
+    _lebesgue_isometry_defect,
     asymptotic_sequence_run,
     local_rigidity,
     metric_rigidity,
@@ -54,6 +54,8 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 _SLOPE_FLOOR = 1e-15
+# Rigidity report terms in printed order; the CSV row has all but plane_variation.
+_REPORT_TERMS = ("lhs", "osc_term", "stretch", "bend_scale", "plane_variation", "constant")
 
 
 class ConfigError(ValueError):
@@ -124,6 +126,13 @@ def _require_fit_exponent(p: float) -> None:
         raise ConfigError(f"rigidity fits need an exponent p > 1, got {p}")
 
 
+def _replace(spec: ScenarioSpec, **changes) -> ScenarioSpec:
+    try:
+        return spec.replace(**changes)
+    except ValueError as exc:
+        raise ConfigError(f"bad scenario: {exc}") from exc
+
+
 def _build(spec: ScenarioSpec):
     try:
         return build_scenario(spec)
@@ -153,18 +162,12 @@ def _fit_report(bundle, p: float, seed: int):
     return local_rigidity(bundle.u, bundle.metric, p=p, seed=seed), "local"
 
 
-def _report_row(spec: ScenarioSpec, report) -> dict:
-    return {
-        "scenario": spec.family,
-        "p": float(report.p),
-        "n": int(spec.resolution),
-        "epsilon": float(spec.epsilon),
-        "lhs": float(report.lhs),
-        "osc_term": float(report.osc_term),
-        "stretch": float(report.stretch),
-        "bend_scale": float(report.bend_scale),
-        "constant": float(report.constant),
-    }
+def _report_row(report, scenario: str, n: int, epsilon: float | None = None) -> dict:
+    """CSV row of one rigidity report; snapshot rows carry no epsilon."""
+    row = {"scenario": scenario, "p": float(report.p), "n": int(n)}
+    if epsilon is not None:
+        row["epsilon"] = float(epsilon)
+    return row | {k: float(getattr(report, k)) for k in _REPORT_TERMS if k != "plane_variation"}
 
 
 def _emit(out_dir: Path, name: str, manifest: RunManifest, payload: dict, rows=None, plot_columns=None):
@@ -271,36 +274,23 @@ def cmd_rigidity(args) -> int:
         seed = _seed_override(args.seed) or 0
         report = local_rigidity(u, metric, p=p, seed=seed)
         route = "local"
-        row = {
-            "scenario": "snapshot",
-            "p": float(p),
-            "n": int(u.grid.resolution),
-            "lhs": float(report.lhs),
-            "osc_term": float(report.osc_term),
-            "stretch": float(report.stretch),
-            "bend_scale": float(report.bend_scale),
-            "constant": float(report.constant),
-        }
+        row = _report_row(report, "snapshot", u.grid.resolution)
         spec_echo = {"snapshot": str(config["snapshot"])}
     else:
         spec = _scenario_spec(config, args)
         if args.eps is not None:
             if len(args.eps) != 1:
                 raise ConfigError("rigidity takes a single --eps value")
-            spec = spec.replace(epsilon=args.eps[0])
+            spec = _replace(spec, epsilon=args.eps[0])
         _require_fit_exponent(spec.p)
         bundle = _build(spec)
         report, route = _fit_report(bundle, spec.p, spec.seed)
-        row = _report_row(spec, report)
+        row = _report_row(report, spec.family, spec.resolution, spec.epsilon)
         spec_echo = {"scenario": spec.to_dict()}
 
     print(f"route: {route}")
-    print(f"lhs              {report.lhs:.6e}")
-    print(f"osc_term         {report.osc_term:.6e}")
-    print(f"stretch          {report.stretch:.6e}")
-    print(f"bend_scale       {report.bend_scale:.6e}")
-    print(f"plane_variation  {report.plane_variation:.6e}")
-    print(f"constant         {report.constant:.6e}")
+    for name in _REPORT_TERMS:
+        print(f"{name:17s}{getattr(report, name):.6e}")
 
     manifest = RunManifest(
         command="rigidity",
@@ -313,12 +303,7 @@ def cmd_rigidity(args) -> int:
         "report": {
             "p": report.p,
             "base_index": list(report.base_index),
-            "lhs": report.lhs,
-            "osc_term": report.osc_term,
-            "stretch": report.stretch,
-            "bend_scale": report.bend_scale,
-            "plane_variation": report.plane_variation,
-            "constant": report.constant,
+            **{name: getattr(report, name) for name in _REPORT_TERMS},
         },
     }
     _emit(Path(args.out), "rigidity", manifest, payload, rows=[row])
@@ -338,16 +323,16 @@ def cmd_scaling(args) -> int:
     if resolutions is None:
         resolutions = [spec.resolution]
 
+    sweep = {n: [_replace(spec, epsilon=e, resolution=n) for e in epsilons] for n in resolutions}
     rows = []
     slopes = {}
-    for n in resolutions:
+    for n, members in sweep.items():
         lhs_roots = []
         defect_roots = []
-        for eps in epsilons:
-            member = spec.replace(epsilon=eps, resolution=n)
+        for member in members:
             bundle = _build(member)
             report, _ = _fit_report(bundle, member.p, member.seed)
-            rows.append(_report_row(member, report))
+            rows.append(_report_row(report, member.family, n, member.epsilon))
             lhs_roots.append(report.lhs ** (1.0 / member.p))
             defect_roots.append(report.stretch ** (1.0 / member.p))
         slope_eps = _log_slope(epsilons, lhs_roots)
@@ -458,11 +443,14 @@ def cmd_asymptotic(args) -> int:
     reference = config.get("reference", "curvature")
     if reference not in ("curvature", "none"):
         raise ConfigError("'reference' must be 'curvature' or 'none'")
-    threshold = float(config.get("threshold", 1e-4))
+    try:
+        threshold = float(config.get("threshold", 1e-4))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'threshold' must be a number: {exc}") from exc
     if threshold <= 0.0:
         raise ConfigError("'threshold' must be positive")
 
-    first = _build(spec.replace(epsilon=epsilons[0]))
+    first = _build(_replace(spec, epsilon=epsilons[0]))
     ref = None
     if reference == "curvature":
         ref = ReferenceShape(first.u.grid, spec.kappa * first.metric.gram)
@@ -471,11 +459,7 @@ def cmd_asymptotic(args) -> int:
     if len(epsilons) == 1:
         # Single-member schedule: the discretization oracle (typically eps=0).
         report = energies(first.u, first.metric, ref, p=spec.p)
-        grid = first.u.grid
-        mask = ~first.u.degenerate.reshape(-1)
-        du = first.u.differential.reshape(-1, first.u.target.ambient_dim, grid.dim)[mask]
-        inv_sqrt = first.metric.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[mask]
-        defect = float(grid.cell_volume * np.sum(isometry_defect(du @ inv_sqrt) ** spec.p))
+        defect = _lebesgue_isometry_defect(first.u, first.metric, spec.p)
         recovery = report.bending_ref if ref is not None else None
         stretches = [report.stretch]
         recoveries = [recovery]
@@ -483,7 +467,7 @@ def cmd_asymptotic(args) -> int:
         checks = {"final_defect": defect <= threshold}
         shape_norm = None if recovery is None else recovery ** (1.0 / spec.p)
     else:
-        specs = [spec.replace(epsilon=e) for e in epsilons]
+        specs = [_replace(spec, epsilon=e) for e in epsilons]
         try:
             run = asymptotic_sequence_run(specs, ref=ref, p=spec.p)
         except ValueError as exc:

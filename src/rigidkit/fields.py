@@ -16,12 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric_algebra import isometry_defect, spd_inv_sqrt
+from .metric_algebra import _EIGENVALUE_FLOOR, _SYMMETRY_TOL, isometry_defect, spd_inv_sqrt
 
 _RANK_TOL = 1e-12
 _ON_MANIFOLD_TOL = 1e-8
-_SYMMETRY_TOL = 1e-12
-_EIGENVALUE_FLOOR = 1e-14
 # Diameter pruning: the lower bound comes from at most this many
 # farthest-point sweeps, and the filter compares with this much relative
 # slack, which covers the round-off of the computed distances for up to
@@ -98,6 +96,14 @@ class GridDomain:
         axis = (np.arange(self.resolution) + 0.5) * self.spacing
         axes = np.meshgrid(*([axis] * self.dim), indexing="ij")
         return np.stack(axes, axis=-1)
+
+
+def _subcube(
+    grid: GridDomain, corner: tuple[int, ...], resolution: int
+) -> tuple[GridDomain, tuple[slice, ...]]:
+    """Sub-grid of `resolution` cells at node `corner`, and the node slices it covers."""
+    slices = tuple(slice(c, c + resolution + 1) for c in corner)
+    return GridDomain(grid.dim, grid.spacing * resolution, resolution), slices
 
 
 def grid_differential(grid: GridDomain, values: np.ndarray, mode: str = "forward") -> np.ndarray:
@@ -269,8 +275,7 @@ class MetricField:
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "MetricField":
         """Sub-field on the subcube of `resolution` cells at node `corner`."""
-        slices = tuple(slice(c, c + resolution + 1) for c in corner)
-        sub = GridDomain(self.grid.dim, self.grid.spacing * resolution, resolution)
+        sub, slices = _subcube(self.grid, corner, resolution)
         return MetricField(sub, self.gram[slices], lam=self.lam)
 
 
@@ -371,8 +376,7 @@ class GridMap:
         return grid_differential(self.grid, self.values, self.mode)
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "GridMap":
-        slices = tuple(slice(c, c + resolution + 1) for c in corner)
-        sub = GridDomain(self.grid.dim, self.grid.spacing * resolution, resolution)
+        sub, slices = _subcube(self.grid, corner, resolution)
         return GridMap(sub, self.values[slices], self.mode)
 
 
@@ -486,8 +490,7 @@ class ImmersionField:
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "ImmersionField":
         """Sub-immersion on the subcube of `resolution` cells at node `corner`."""
-        slices = tuple(slice(c, c + resolution + 1) for c in corner)
-        sub = GridDomain(self.grid.dim, self.grid.spacing * resolution, resolution)
+        sub, slices = _subcube(self.grid, corner, resolution)
         return ImmersionField(sub, self.target, self.values[slices], self.mode)
 
 
@@ -506,11 +509,6 @@ class ReferenceShape:
         if np.abs(form - np.swapaxes(form, -1, -2)).max() > _SYMMETRY_TOL:
             raise ValueError("reference form must be symmetric at every node")
         object.__setattr__(self, "form", form)
-
-    def restrict(self, corner: tuple[int, ...], resolution: int) -> "ReferenceShape":
-        slices = tuple(slice(c, c + resolution + 1) for c in corner)
-        sub = GridDomain(self.grid.dim, self.grid.spacing * resolution, resolution)
-        return ReferenceShape(sub, self.form[slices])
 
 
 def reference_shape(ref: ReferenceShape, g: MetricField) -> np.ndarray:
@@ -638,6 +636,8 @@ def snapshot_load(path) -> tuple[ImmersionField, MetricField]:
         gram = np.array(doc["gram"], dtype=float).reshape(grid.node_shape + (grid.dim, grid.dim))
     except KeyError as missing:
         raise ValueError(f"snapshot is missing field {missing}") from None
+    except TypeError:
+        raise ValueError("snapshot must be a JSON object in the snapshot_save layout") from None
     if grid.resolution < 2:
         raise ValueError("snapshot grids need at least two cells per axis")
     return ImmersionField(grid, target, values), MetricField(grid, gram)

@@ -57,8 +57,7 @@ class SpdMetric:
     @cached_property
     def inv_sqrt(self) -> np.ndarray:
         """Inverse of the positive square root of the Gram matrix."""
-        w, v = np.linalg.eigh(self.gram)
-        return (v / np.sqrt(w)) @ v.T
+        return spd_inv_sqrt(self.gram)
 
     def sandwich_bound(self) -> float:
         """Smallest lam >= 1 with I/lam <= gram <= lam*I in the quadratic-form order."""
@@ -229,6 +228,19 @@ def nearest_isometry(
     return r, float(np.sqrt(np.sum((s - 1.0) ** 2)))
 
 
+def _plane_coordinates(
+    t: np.ndarray, plane: OrientedSubspace, g: SpdMetric, abs_tol: float, rel_tol: float
+) -> np.ndarray:
+    """Frame coordinates of a map t from (R^d, g) into the plane, checked to stay in it."""
+    if t.shape != (plane.ambient_dim, g.dim):
+        raise ValueError(f"map shape {t.shape} does not match plane/metric dimensions")
+    coords = plane.frame.T @ t
+    leak = np.linalg.norm(t - plane.frame @ coords)
+    if leak > max(abs_tol, rel_tol * np.linalg.norm(t)):
+        raise ValueError(f"map image leaves the plane by {leak:.3e}")
+    return coords
+
+
 def nearest_isometry_into_plane(
     t: np.ndarray,
     g: SpdMetric,
@@ -247,12 +259,7 @@ def nearest_isometry_into_plane(
     t = np.asarray(t, dtype=float)
     if plane.dim != g.dim:
         raise ValueError("plane dimension does not match metric dimension")
-    if t.shape != (plane.ambient_dim, g.dim):
-        raise ValueError(f"map shape {t.shape} does not match plane/metric dimensions")
-    coords = plane.frame.T @ t
-    leak = np.linalg.norm(t - plane.frame @ coords)
-    if leak > max(abs_tol, rel_tol * np.linalg.norm(t)):
-        raise ValueError(f"map image leaves the plane by {leak:.3e}")
+    coords = _plane_coordinates(t, plane, g, abs_tol, rel_tol)
     r_plane, dist = nearest_isometry(coords, g, oriented=oriented)
     return plane.frame @ r_plane, dist
 
@@ -342,12 +349,7 @@ def projection_error_bound_check(
     t = np.asarray(t, dtype=float)
     if p0.ambient_dim != p.ambient_dim or p0.dim != p.dim:
         raise ValueError("planes must share ambient space and dimension")
-    if t.shape != (p.ambient_dim, g.dim):
-        raise ValueError(f"map shape {t.shape} does not match plane/metric dimensions")
-    coords = p.frame.T @ t
-    leak = np.linalg.norm(t - p.frame @ coords)
-    if leak > max(abs_tol, rel_tol * np.linalg.norm(t)):
-        raise ValueError(f"map image leaves the plane by {leak:.3e}")
+    _plane_coordinates(t, p, g, abs_tol, rel_tol)
 
     projected = project_onto(p0, t)
     gap = subspace_distance(oriented_complement(p0), oriented_complement(p))

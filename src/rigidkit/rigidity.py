@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    _RANK_TOL,
     DegenerateFieldError,
     EnergyReport,
     GridDomain,
@@ -22,13 +23,13 @@ from .fields import (
     MetricField,
     ReferenceShape,
     energies,
+    grid_differential,
     oscillation_and_diameter,
 )
 from .metric_algebra import OrientedSubspace, isometry_defect, rotation_align, spd_sqrt
 
 RHS_GUARD = 1e-14
 CANDIDATE_CAP = 4096
-_RANK_TOL = 1e-12
 _DESCENT_REL_TOL = 1e-10
 
 
@@ -52,6 +53,14 @@ def _as_cell_index(grid: GridDomain, index) -> tuple[int, ...]:
         if not 0 <= i < n:
             raise ValueError(f"cell index {index} outside grid of {grid.cell_shape} cells")
     return index
+
+
+def _cell_mask(mask: np.ndarray | None, count: int) -> np.ndarray:
+    """Flat boolean selection of `count` cells; None selects every cell."""
+    mask = np.ones(count, bool) if mask is None else np.asarray(mask, dtype=bool).reshape(-1)
+    if mask.shape[0] != count:
+        raise ValueError("mask length does not match the number of cells")
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +131,7 @@ def euclidean_best_rotation(
         raise ValueError("exponent p must exceed 1")
     d = du.shape[-1]
     du = du.reshape(-1, d, d)
-    if mask is None:
-        mask = np.ones(du.shape[0], dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
-        if mask.shape[0] != du.shape[0]:
-            raise ValueError("mask length does not match the number of cells")
-    used = du[mask]
+    used = du[_cell_mask(mask, du.shape[0])]
     if used.size == 0:
         raise DegenerateFieldError("no cells available for rotation fitting")
     sing = np.linalg.svd(used, compute_uv=False)
@@ -164,9 +167,20 @@ class RigidityReport:
     plane_variation: float
     constant: float
 
-    @property
-    def rhs_total(self) -> float:
-        return self.osc_term + self.stretch + self.bend_scale
+
+def _metric_frame_fit(
+    du: np.ndarray, g: MetricField, base_index: tuple[int, ...], p: float, mask: np.ndarray
+) -> np.ndarray:
+    """The frame fit of `metric_rigidity` on (N, d, d) cell maps; `local_rigidity` shares it."""
+    t_mat = spd_sqrt(g.cell_grams[base_index])
+    fit = euclidean_best_rotation(du @ np.linalg.inv(t_mat), g.grid.cell_volume, p, mask)
+    return fit.rotation @ t_mat
+
+
+def _oscillation_term(g: MetricField, p: float) -> float:
+    """Domain volume times the p-th power of the metric oscillation over the grid."""
+    osc, _ = oscillation_and_diameter(g, tuple((0, n) for n in g.grid.cell_shape))
+    return g.grid.volume * osc**p
 
 
 def metric_rigidity(
@@ -192,16 +206,10 @@ def metric_rigidity(
         base_index = tuple(c // 2 for c in grid.cell_shape)
     base_index = _as_cell_index(grid, base_index)
 
-    base_gram = g.cell_grams[base_index]
-    t_mat = spd_sqrt(base_gram)
     du = u.differential.reshape(-1, grid.dim, grid.dim)
-    fit = euclidean_best_rotation(du @ np.linalg.inv(t_mat), grid.cell_volume, p, mask)
-    rotation = fit.rotation @ t_mat
+    mask = _cell_mask(mask, du.shape[0])
+    rotation = _metric_frame_fit(du, g, base_index, p, mask)
 
-    if mask is None:
-        mask = np.ones(du.shape[0], dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
     inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[mask]
     deviation = (du[mask] - rotation) @ inv_sqrt
     lhs = float(grid.cell_volume * np.sum(_flat_norms(deviation) ** p))
@@ -209,8 +217,7 @@ def metric_rigidity(
         grid.cell_volume
         * np.sum(isometry_defect(du[mask] @ inv_sqrt, oriented=True) ** p)
     )
-    osc, _ = oscillation_and_diameter(g, tuple((0, n) for n in grid.cell_shape))
-    osc_term = grid.volume * osc**p
+    osc_term = _oscillation_term(g, p)
     constant = _guarded_ratio(lhs, osc_term + stretch)
     return RigidityReport(
         p=p,
@@ -347,10 +354,12 @@ def local_rigidity(
 
     Planes are fitted per cell, a base cell is chosen by the summed
     oriented-gap criterion, the immersion is flattened through the base
-    plane's frame, the equidimensional fit runs there, and the result is
-    pushed back into the target.  The right-hand side carries the metric
-    oscillation, the stretch energy, and the diameter-scaled excess energy;
-    the plane-variation statistic is reported alongside.
+    plane's frame, the frame fit of `metric_rigidity` runs there, and the
+    result is pushed back into the target.  The right-hand side carries the
+    metric oscillation, the stretch energy, and the diameter-scaled excess
+    energy; the plane-variation statistic is reported alongside.  The lhs
+    integrates with Lebesgue measure, but the stretch and excess terms use
+    Riemannian weights sqrt(det gram); with a flat metric the two coincide.
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
@@ -362,13 +371,12 @@ def local_rigidity(
         if planes.degenerate[base_index]:
             raise ValueError("requested base cell is degenerate")
 
-    frame = planes.frames[base_index]
-    flattened = GridMap(u.grid, u.values @ frame, u.mode)
-    mask = ~u.degenerate.reshape(-1)
-    inner = metric_rigidity(flattened, g, base_index, p, mask)
-    rotation = frame @ inner.rotation
-
     grid = u.grid
+    frame = planes.frames[base_index]
+    flat_du = grid_differential(grid, u.values @ frame, u.mode).reshape(-1, grid.dim, grid.dim)
+    mask = ~u.degenerate.reshape(-1)
+    rotation = frame @ _metric_frame_fit(flat_du, g, base_index, p, mask)
+
     du = u.differential.reshape(-1, u.target.ambient_dim, grid.dim)
     inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)
     deviation = (du[mask] - rotation) @ inv_sqrt[mask]
@@ -380,13 +388,14 @@ def local_rigidity(
     gaps_sq = _oriented_gap_sq(comps[mask], planes.complements[base_index])
     plane_variation = float(grid.cell_volume * np.sum(gaps_sq ** (p / 2.0)))
 
-    constant = _guarded_ratio(lhs, inner.osc_term + report.stretch + bend_scale)
+    osc_term = _oscillation_term(g, p)
+    constant = _guarded_ratio(lhs, osc_term + report.stretch + bend_scale)
     return RigidityReport(
         p=p,
         base_index=base_index,
         rotation=rotation,
         lhs=lhs,
-        osc_term=inner.osc_term,
+        osc_term=osc_term,
         stretch=report.stretch,
         bend_scale=bend_scale,
         plane_variation=plane_variation,
@@ -526,6 +535,15 @@ class AsymptoticReport:
         return self.shape_error ** (1.0 / self.p)
 
 
+def _lebesgue_isometry_defect(u: ImmersionField, g: MetricField, p: float) -> float:
+    """Lebesgue integral of dist^p of Du to the cell metric's isometries, off degenerate cells."""
+    grid = u.grid
+    mask = ~u.degenerate.reshape(-1)
+    du = u.differential.reshape(-1, u.target.ambient_dim, grid.dim)[mask]
+    inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[mask]
+    return float(grid.cell_volume * np.sum(isometry_defect(du @ inv_sqrt, oriented=False) ** p))
+
+
 def asymptotic_sequence_run(
     specs, ref: ReferenceShape | None = None, p: float | None = None
 ) -> AsymptoticReport:
@@ -568,12 +586,7 @@ def asymptotic_sequence_run(
         )
         for m in members
     )
-    mask = ~final.degenerate.reshape(-1)
-    du = final.differential.reshape(-1, final.target.ambient_dim, grid.dim)[mask]
-    inv_sqrt = metric.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[mask]
-    final_defect = float(
-        grid.cell_volume * np.sum(isometry_defect(du @ inv_sqrt, oriented=False) ** p)
-    )
+    final_defect = _lebesgue_isometry_defect(final, metric, p)
     shape_error = reports[-1].bending_ref if ref is not None else None
     return AsymptoticReport(
         p=p,

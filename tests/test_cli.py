@@ -104,6 +104,12 @@ class TestRigidity:
         assert main(["rigidity", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
         assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
 
+    def test_non_object_snapshot_is_config_error(self, tmp_path, capsys):
+        snap = write_config(tmp_path, "list.json", [1, 2, 3])
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": snap})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "error: cannot load snapshot: snapshot must be a JSON object" in capsys.readouterr().err
+
 
 class TestScaling:
     def base_config(self, tmp_path, **extra):
@@ -132,6 +138,12 @@ class TestScaling:
         cfg = self.base_config(tmp_path)
         assert main(["scaling", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
         assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
+
+    def test_single_cell_resolution_is_config_error(self, tmp_path, capsys):
+        cfg = self.base_config(tmp_path, resolutions=[1, 16])
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "error: bad scenario: scenario grids need at least two cells" in capsys.readouterr().err
+        assert not (tmp_path / "scaling.csv").exists()
 
     def test_constant_scenario_warns_but_passes(self, tmp_path, capsys):
         cfg = write_config(
@@ -248,6 +260,11 @@ class TestAsymptotic:
         # the perturbed members produce.
         assert payload["final_defect"] < 1e-9
 
+    def test_non_numeric_threshold_is_config_error(self, tmp_path, capsys):
+        cfg = self.base(tmp_path, threshold="abc")
+        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "error: 'threshold' must be a number" in capsys.readouterr().err
+
     def test_wrong_family_is_config_error(self, tmp_path):
         cfg = self.base(tmp_path)
         parsed = json.loads(open(cfg).read())
@@ -273,6 +290,11 @@ class TestSnapshotAndPlumbing:
     def test_snapshot_read_missing_path(self, tmp_path):
         assert main(["snapshot", "read"]) == 2
         assert main(["snapshot", "read", str(tmp_path / "absent.json")]) == 2
+
+    def test_snapshot_read_non_object_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "list.json", [1, 2, 3])
+        assert main(["snapshot", "read", path]) == 2
+        assert "error: cannot load snapshot: snapshot must be a JSON object" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(

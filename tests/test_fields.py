@@ -439,6 +439,13 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="missing field"):
             snapshot_load(path)
 
+    @pytest.mark.parametrize("text", ["[1, 2, 3]", '{"grid": [1], "target": {}}'])
+    def test_mistyped_document_rejected(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="JSON object"):
+            snapshot_load(path)
+
 
 class TestValidation:
     def test_sphere_values_checked(self):
