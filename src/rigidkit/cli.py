@@ -120,10 +120,10 @@ def _scenario_spec(config: dict, args) -> ScenarioSpec:
 
 
 def _require_fit_exponent(p: float) -> None:
-    """Rotation fits need p > 1; scenarios also admit p = 1, which the
-    energy-only commands (asymptotic, snapshot) accept."""
-    if not p > 1.0:
-        raise ConfigError(f"rigidity fits need an exponent p > 1, got {p}")
+    """Rotation fits need a finite p > 1; scenarios also admit p = 1, which
+    the energy-only commands (asymptotic, snapshot) accept."""
+    if not 1.0 < p < np.inf:
+        raise ConfigError(f"rigidity fits need an exponent p > 1 and finite, got {p}")
 
 
 def _replace(spec: ScenarioSpec, **changes) -> ScenarioSpec:

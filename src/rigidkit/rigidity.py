@@ -31,6 +31,9 @@ from .metric_algebra import OrientedSubspace, isometry_defect, rotation_align, s
 RHS_GUARD = 1e-14
 CANDIDATE_CAP = 4096
 _DESCENT_REL_TOL = 1e-10
+# Candidate-pool pairs below which `choose_base_point` scores every candidate:
+# the bound's fixed cost exceeds the direct scan there.
+_BOUND_MIN_PAIRS = 2**13
 
 
 def _flat_norms(mats: np.ndarray) -> np.ndarray:
@@ -296,12 +299,130 @@ def _oriented_gap_sq(comps: np.ndarray, base: np.ndarray) -> np.ndarray:
     raise ValueError("complement codimension above 2 is not supported")
 
 
+def _gap_scores(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
+    """Summed oriented-gap p-power of each complement frame in `rows` over `pool`.
+
+    The r = 1 and r = 2 forms are written out here, not taken from
+    `_oriented_gap_sq`: mirror-image cells tie in exact arithmetic, so the
+    base cell between them is decided by the round-off of these operations.
+    """
+    r = pool.shape[-1]
+    flat_pool = pool.reshape(pool.shape[0], -1)
+    if r == 2:
+        spun_pool = np.stack([pool[:, :, 1], -pool[:, :, 0]], axis=-1)
+        spun_flat = spun_pool.reshape(pool.shape[0], -1)
+    scores = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], 512):
+        block = rows[lo : lo + 512].reshape(-1, flat_pool.shape[1])
+        if r == 1:
+            gap_sq = np.clip(2.0 - 2.0 * block @ flat_pool.T, 0.0, None)
+        else:
+            a = block @ flat_pool.T
+            b = block @ spun_flat.T
+            gap_sq = np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
+        scores[lo : lo + 512] = np.sum(gap_sq ** (p / 2.0), axis=-1)
+    return scores
+
+
+def _gap_directions(comps: np.ndarray) -> np.ndarray | None:
+    """Unit vectors w with |w_c - w_y|^2 equal to the oriented gap^2, or None.
+
+    For r = 1 the column itself; for orthonormal 2-frames in R^3 the cross
+    product c1 x c2, since hypot(a, b) = 1 + <w_c, w_y> there.  Other shapes
+    have no such embedding here.
+    """
+    if comps.shape[-1] == 1:
+        return comps[:, :, 0]
+    if comps.shape[-2:] == (3, 2):
+        return np.cross(comps[:, :, 0], comps[:, :, 1])
+    return None
+
+
+def _unit(vec: np.ndarray) -> np.ndarray | None:
+    norm = np.linalg.norm(vec)
+    return vec / norm if np.isfinite(norm) and norm > 0.0 else None
+
+
+def _score_bounds(w_rows: np.ndarray, w_pool: np.ndarray, p: float):
+    """Lower bounds on S(c) = sum_y |w_c - w_y|^p for each row, for p >= 2.
+
+    t -> t^(p/2) is convex, so its tangent at |x0 - w_y|^2, applied to
+    |w_c - w_y|^2 = |x0 - w_y|^2 + 2 (x0 - w_y).(w_c - x0) + |w_c - x0|^2,
+    gives, with a_y = |x0 - w_y|^(p-2), the bound
+        S(c) >= sum a_y |x0 - w_y|^2 + p (w_c - x0).sum a_y (x0 - w_y)
+                + (p/2) |w_c - x0|^2 sum a_y,
+    exact at p = 2 and O(1) per row once the three sums are taken.  The
+    anchor x0 is the normalised mean of the pool.  Returns the bounds and the
+    first sum, or None when the mean has no direction.
+    """
+    anchor = _unit(w_pool.sum(axis=0))
+    if anchor is None:
+        return None
+    diff = anchor - w_pool
+    dist_sq = np.einsum("nd,nd->n", diff, diff)
+    weights = dist_sq ** (p / 2.0 - 1.0)
+    base = float(weights @ dist_sq)
+    step = w_rows - anchor
+    curvature = 0.5 * p * float(weights.sum())
+    bound = base + p * (step @ (weights @ diff)) + curvature * np.einsum("md,md->m", step, step)
+    return bound, base
+
+
+def _bound_slack(best, base: float, n: int, p: float):
+    """Round-off allowance of the keep-test `bound <= best + slack`.
+
+    With u = 2^-53 and orthonormal frames: a computed gap^2 is within 64u of
+    |w_c - w_y|^2 (dot products of at most 6 terms, hypot, the frames' own
+    orthonormality error); raising it to p/2 makes that at most
+    32 p u (1 + term), and the pairwise sum adds (log2 N + 2) u S, so a score
+    is off by at most 2^6 p u (S + N).  In the bound, a_y carries a relative
+    error of about 4 p u; the slope and curvature terms multiply it by up to
+    6 p, and sum a_y <= base + N (a_y <= 1 where |x0 - w_y| <= 1,
+    a_y <= |x0 - w_y|^p elsewhere), so a bound is off by at most
+    2^8 p^2 u (base + N) for N < 2^40.  The cell with the least score in the
+    full scan has bound <= best + three score errors + one bound error
+    <= best + 2^9 p^2 u (best + base + N); 2^-40 p^2 leaves a factor 16.
+    """
+    return 2.0**-40 * p * p * (best + base + n)
+
+
+def _bound_survivors(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
+    """Mask of the rows whose summed gap p-power can still be the smallest.
+
+    The rows' scores are bounded below through `_gap_directions` and
+    `_score_bounds`; one exact score, of the row with the lowest bound, sets
+    the threshold.  Every row is kept for p < 2, without an embedding, and
+    with an undefined anchor.
+    """
+    keep = np.ones(rows.shape[0], dtype=bool)
+    if not p >= 2.0:
+        return keep
+    w_pool = _gap_directions(pool)
+    bounds = None if w_pool is None else _score_bounds(_gap_directions(rows), w_pool, p)
+    if bounds is None:
+        return keep
+    bound, base = bounds
+    first = int(np.argmin(bound))
+    best = float(_gap_scores(rows[first : first + 1], pool, p)[0])
+    # `not >` keeps a row whose bound is NaN, for instance after overflow
+    return ~(bound > best + _bound_slack(best, base, pool.shape[0], p))
+
+
 def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tuple[int, ...]:
     """Cell whose complement minimizes the summed oriented-gap p-power.
 
     The sum always runs over every non-degenerate cell; only the candidate
     set is subsampled (seeded, without replacement) once the grid exceeds
-    4096 cells.  Ties break to the lowest linear cell index.
+    4096 cells.  Ties among equal computed scores break to the lowest linear
+    cell index; mirror-image cells, tied in exact arithmetic, can differ by
+    round-off, which then picks one of them.
+
+    For p >= 2, complements that are unit lines or 2-frames in R^3 map to
+    unit vectors whose distances are the gaps, and a convexity lower bound
+    on each candidate's score (see `_bound_survivors`) discards, before any
+    scoring, the candidates that cannot win.  For p < 2, for 2-frames in
+    other dimensions, when those unit vectors sum to zero, and on small grids
+    every candidate is scored.
     """
     good = ~planes.degenerate.reshape(-1)
     if not good.any():
@@ -322,20 +443,11 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
         total = pool[:, :, 0].sum(axis=0)
         scores = -(comps[candidates][:, :, 0] @ total)
     elif r in (1, 2):
-        scores = np.empty(candidates.size)
-        flat_pool = pool.reshape(pool.shape[0], -1)
-        if r == 2:
-            spun_pool = np.stack([pool[:, :, 1], -pool[:, :, 0]], axis=-1)
-            spun_flat = spun_pool.reshape(pool.shape[0], -1)
-        for lo in range(0, candidates.size, 512):
-            block = comps[candidates[lo : lo + 512]].reshape(-1, shape[-2] * shape[-1])
-            if r == 1:
-                gap_sq = np.clip(2.0 - 2.0 * block @ flat_pool.T, 0.0, None)
-            else:
-                a = block @ flat_pool.T
-                b = block @ spun_flat.T
-                gap_sq = np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
-            scores[lo : lo + 512] = np.sum(gap_sq ** (p / 2.0), axis=-1)
+        rows = comps[candidates]
+        if candidates.size * pool.shape[0] >= _BOUND_MIN_PAIRS:
+            keep = _bound_survivors(rows, pool, p)
+            candidates, rows = candidates[keep], rows[keep]
+        scores = _gap_scores(rows, pool, p)
     else:
         raise ValueError("complement codimension above 2 is not supported")
 

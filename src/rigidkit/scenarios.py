@@ -287,8 +287,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown metric kind {self.metric_kind!r}")
         if self.resolution < 2:
             raise ValueError("scenario grids need at least two cells per axis")
-        if not self.p >= 1.0:
-            raise ValueError("exponent p must be at least 1")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError(f"exponent p must be finite and at least 1, got {self.p}")
 
     def replace(self, **changes) -> "ScenarioSpec":
         data = asdict(self)

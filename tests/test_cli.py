@@ -104,6 +104,31 @@ class TestRigidity:
         assert main(["rigidity", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
         assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_exponent_is_config_error(self, tmp_path, capsys, source):
+        scenario = {"family": "graph", "dim": 2, "resolution": 16}
+        if source == "config":
+            # json reads 1e400 as inf
+            path = tmp_path / "cfg.json"
+            path.write_text('{"scenario": {"family": "graph", "dim": 2, "resolution": 16, "p": 1e400}}')
+            argv = ["rigidity", "--config", str(path), "--out", str(tmp_path)]
+        else:
+            cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
+            argv = ["rigidity", "--config", cfg, "--p", "inf", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "error: bad scenario: exponent p must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rigidity.json").exists()
+
+    def test_infinite_exponent_on_snapshot_is_config_error(self, tmp_path, capsys):
+        grid = GridDomain(1, 1.0, 8)
+        t = grid.node_axis()
+        u = ImmersionField(grid, TargetSpace.euclidean(1), np.stack([t, 0.1 * t**2], axis=-1))
+        snap = tmp_path / "parabola.json"
+        snapshot_save(snap, u, build_metric(grid, "flat"))
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
+        assert main(["rigidity", "--config", cfg, "--p", "inf", "--out", str(tmp_path)]) == 2
+        assert "error: rigidity fits need an exponent p > 1 and finite" in capsys.readouterr().err
+
     def test_non_object_snapshot_is_config_error(self, tmp_path, capsys):
         snap = write_config(tmp_path, "list.json", [1, 2, 3])
         cfg = write_config(tmp_path, "cfg.json", {"snapshot": snap})
@@ -138,6 +163,11 @@ class TestScaling:
         cfg = self.base_config(tmp_path)
         assert main(["scaling", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
         assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
+
+    def test_infinite_exponent_is_config_error(self, tmp_path, capsys):
+        cfg = self.base_config(tmp_path)
+        assert main(["scaling", "--config", cfg, "--p", "inf", "--out", str(tmp_path)]) == 2
+        assert "error: bad scenario: exponent p must be finite" in capsys.readouterr().err
 
     def test_single_cell_resolution_is_config_error(self, tmp_path, capsys):
         cfg = self.base_config(tmp_path, resolutions=[1, 16])
@@ -218,6 +248,15 @@ class TestMultiscale:
         assert main(["multiscale", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 2
         assert "error: rigidity fits need an exponent p > 1" in capsys.readouterr().err
 
+    def test_infinite_exponent_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "multi.json",
+            {"scenario": {"family": "curve", "dim": 1, "resolution": 64}, "t_values": [1, 2]},
+        )
+        assert main(["multiscale", "--config", cfg, "--p", "inf", "--out", str(tmp_path)]) == 2
+        assert "error: bad scenario: exponent p must be finite" in capsys.readouterr().err
+
 
 class TestAsymptotic:
     def base(self, tmp_path, **extra):
@@ -246,6 +285,11 @@ class TestAsymptotic:
         assert main(["asymptotic", "--config", cfg, "--p", "1.0", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "asymptotic.json").read_text())
         assert payload["manifest"]["spec"]["scenario"]["p"] == 1.0
+
+    def test_infinite_exponent_is_config_error(self, tmp_path, capsys):
+        cfg = self.base(tmp_path)
+        assert main(["asymptotic", "--config", cfg, "--p", "inf", "--out", str(tmp_path)]) == 2
+        assert "error: bad scenario: exponent p must be finite" in capsys.readouterr().err
 
     def test_non_decreasing_schedule_is_config_error(self, tmp_path):
         cfg = self.base(tmp_path, epsilons=[0.125, 0.25])

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidkit import rigidity
 from rigidkit.fields import (
     DegenerateFieldError,
     GridDomain,
@@ -12,7 +17,12 @@ from rigidkit.fields import (
 )
 from rigidkit.metric_algebra import OrientedSubspace, subspace_distance
 from rigidkit.rigidity import (
+    _bound_slack,
+    _bound_survivors,
+    _gap_directions,
+    _gap_scores,
     _oriented_gap_sq,
+    _score_bounds,
     asymptotic_sequence_run,
     choose_base_point,
     euclidean_best_rotation,
@@ -45,6 +55,91 @@ def flat_inclusion(n=8, length=1.0):
     coords = grid.node_coordinates()
     values = np.concatenate([coords, np.zeros(grid.node_shape + (1,))], axis=-1)
     return ImmersionField(grid, TargetSpace.euclidean(2), values)
+
+
+def unfiltered_base_point(planes, p, seed=0):
+    """The base-point scan with no bound filter: every candidate scored against
+    the whole pool in 512-row blocks, argmin taking the lowest index on ties."""
+    good = ~planes.degenerate.reshape(-1)
+    shape = planes.complements.shape
+    comps = planes.complements.reshape(-1, shape[-2], shape[-1])
+    good_idx = np.nonzero(good)[0]
+    if good_idx.size > 4096:
+        rng = np.random.default_rng(seed)
+        candidates = np.sort(rng.choice(good_idx, 4096, replace=False))
+    else:
+        candidates = good_idx
+    pool = comps[good]
+    r = shape[-1]
+    if r == 1 and p == 2.0:
+        scores = -(comps[candidates][:, :, 0] @ pool[:, :, 0].sum(axis=0))
+    else:
+        scores = np.empty(candidates.size)
+        flat_pool = pool.reshape(pool.shape[0], -1)
+        if r == 2:
+            spun_flat = np.stack([pool[:, :, 1], -pool[:, :, 0]], axis=-1).reshape(pool.shape[0], -1)
+        for lo in range(0, candidates.size, 512):
+            block = comps[candidates[lo : lo + 512]].reshape(-1, shape[-2] * shape[-1])
+            if r == 1:
+                gap_sq = np.clip(2.0 - 2.0 * block @ flat_pool.T, 0.0, None)
+            else:
+                a = block @ flat_pool.T
+                b = block @ spun_flat.T
+                gap_sq = np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
+            scores[lo : lo + 512] = np.sum(gap_sq ** (p / 2.0), axis=-1)
+    winner = int(candidates[int(np.argmin(scores))])
+    return tuple(int(i) for i in np.unravel_index(winner, planes.grid.cell_shape))
+
+
+def clifford_patch(n):
+    """Patch of the Clifford torus in the unit 3-sphere: complements are 2-frames in R^4."""
+    grid = GridDomain(2, 1.0, n)
+    x = grid.node_coordinates() * 1.5
+    values = np.stack(
+        [np.cos(x[..., 0]), np.sin(x[..., 0]), np.cos(x[..., 1]), np.sin(x[..., 1])], axis=-1
+    ) / np.sqrt(2.0)
+    return ImmersionField(grid, TargetSpace.sphere(2, 1.0), values)
+
+
+def family_planes(family):
+    if family == "graph":
+        u = graph_surface(GridDomain(2, 1.0, 24), 0.08)
+    elif family == "curve_constant":
+        u = curvature_curve(GridDomain(1, 1.0, 300), kappa=1.7)
+    elif family == "curve_wave":
+        u = curvature_curve(GridDomain(1, 1.0, 300), kappa=1.3, profile="wave")
+    elif family == "latitude":
+        u = latitude_circle(GridDomain(1, 1.5, 300), 1.0, 1.1)
+    elif family == "perturbed_sheet":
+        u = perturbed_inclusion(GridDomain(2, 1.0, 24), 0.05, seed=3)
+    else:
+        u = perturbed_inclusion(GridDomain(1, 1.0, 300), 0.05, kappa=1.0, seed=4)
+    return tangent_plane_field(u)
+
+
+@st.composite
+def complement_clouds(draw):
+    """Complement frames for the bound: unit lines in R^2..R^4 or orthonormal
+    2-frames in R^3, spread over the sphere or bunched near one direction,
+    optionally with duplicated rows, antipodal partners, or a single row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    spread = draw(st.sampled_from([1e-6, 1e-3, 0.3, 10.0]))
+    if draw(st.booleans()):
+        dim = rng.integers(2, 5)
+        vecs = rng.normal(size=dim) + spread * rng.normal(size=(n, dim))
+        frames = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True))[:, :, None]
+        flipped = -frames
+    else:
+        mats = rng.normal(size=(3, 2)) + spread * rng.normal(size=(n, 3, 2))
+        q, r = np.linalg.qr(mats)
+        frames = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+        flipped = frames[:, :, ::-1]
+    if draw(st.booleans()):
+        frames = np.concatenate([frames, frames[rng.integers(0, n, size=n)]])
+    if draw(st.booleans()):
+        frames = np.concatenate([frames, flipped[: draw(st.integers(1, n))]])
+    return np.ascontiguousarray(frames)
 
 
 class TestEuclideanBestRotation:
@@ -258,6 +353,79 @@ class TestChooseBasePoint:
         u = ImmersionField(grid, TargetSpace.euclidean(1), np.zeros((5, 2)))
         with pytest.raises(DegenerateFieldError):
             choose_base_point(tangent_plane_field(u))
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0])
+    @pytest.mark.parametrize(
+        "family",
+        ["graph", "curve_constant", "curve_wave", "latitude", "perturbed_sheet", "perturbed_curve"],
+    )
+    def test_filter_matches_unfiltered_scan(self, family, p):
+        planes = family_planes(family)
+        assert choose_base_point(planes, p) == unfiltered_base_point(planes, p)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("kind", ["latitude", "constant_curve"])
+    def test_mirror_twins_resolve_as_in_unfiltered_scan(self, kind, p):
+        # Even cell counts on symmetric arcs: the two middle cells tie in exact
+        # arithmetic and round-off picks the winner.
+        if kind == "latitude":
+            planes = tangent_plane_field(latitude_circle(GridDomain(1, 1.2, 512), 1.0, 1.0))
+        else:
+            planes = tangent_plane_field(curvature_curve(GridDomain(1, 1.0, 512), kappa=1.4))
+        comps = planes.complements.reshape(-1, *planes.complements.shape[-2:])
+        twins = _gap_scores(comps[255:257], comps, p)
+        assert twins[0] == pytest.approx(twins[1], rel=1e-13)
+        expected = unfiltered_base_point(planes, p)
+        assert expected in ((255,), (256,))
+        assert choose_base_point(planes, p) == expected
+
+    def test_full_circle_normals_summing_to_zero(self):
+        planes = tangent_plane_field(curvature_curve(GridDomain(1, 2.0 * np.pi, 400), kappa=1.0))
+        comps = planes.complements.reshape(-1, 2, 1)
+        assert np.linalg.norm(comps[:, :, 0].sum(axis=0)) < 1e-9
+        for p in (2.5, 3.0):
+            assert choose_base_point(planes, p) == unfiltered_base_point(planes, p)
+        # an exactly cancelling pool has no anchor direction: every row is kept
+        ring = np.concatenate([comps[:100], -comps[:100]])
+        assert _bound_survivors(ring, ring, 3.0).all()
+
+    def test_keep_everything_cases(self):
+        r4 = tangent_plane_field(clifford_patch(12))
+        comps = r4.complements.reshape(-1, 4, 2)
+        assert comps.shape[0] ** 2 >= rigidity._BOUND_MIN_PAIRS
+        assert _gap_directions(comps) is None
+        assert _bound_survivors(comps, comps, 3.0).all()
+        assert choose_base_point(r4, 3.0) == unfiltered_base_point(r4, 3.0)
+        planes = family_planes("latitude")
+        comps = planes.complements.reshape(-1, 3, 2)
+        assert _bound_survivors(comps, comps, 1.5).all()
+        assert choose_base_point(planes, 1.5) == unfiltered_base_point(planes, 1.5)
+        assert not _bound_survivors(comps, comps, 3.0).all()
+        small = tangent_plane_field(latitude_circle(GridDomain(1, 0.3, 64), 1.0, 1.1))
+        assert 64**2 < rigidity._BOUND_MIN_PAIRS
+        with mock.patch.object(rigidity, "_bound_survivors", side_effect=AssertionError):
+            assert choose_base_point(small, 3.0) == unfiltered_base_point(small, 3.0)
+
+    def test_subsampled_candidates_match_unfiltered_scan(self):
+        planes = tangent_plane_field(curvature_curve(GridDomain(1, 1.0, 5000), kappa=1.2))
+        assert choose_base_point(planes, 3.0, seed=11) == unfiltered_base_point(planes, 3.0, seed=11)
+
+    @settings(max_examples=300, deadline=None)
+    @given(frames=complement_clouds(), p=st.one_of(st.just(2.0), st.floats(2.0, 12.0)))
+    def test_bound_stays_below_score(self, frames, p):
+        w = _gap_directions(frames)
+        # the embedding the bound rests on: |w_c - w_y|^2 is the oriented gap^2
+        gap_sq = _oriented_gap_sq(frames, frames[0])
+        assert np.abs(gap_sq - np.sum((w - w[0]) ** 2, axis=1)).max() <= 64 * 2.0**-53
+        scores = _gap_scores(frames, frames, p)
+        keep = _bound_survivors(frames, frames, p)
+        assert keep[scores == scores.min()].all()
+        bounds = _score_bounds(w, w, p)
+        if bounds is None:
+            assert keep.all()
+            return
+        bound, base = bounds
+        assert np.all(bound <= scores + _bound_slack(scores, base, frames.shape[0], p))
 
 
 class TestLocalRigidity:
