@@ -92,12 +92,15 @@ def _seed_override(flag_seed) -> int | None:
 
 
 def _parse_eps(text: str) -> list[float]:
+    """argparse type of --eps; argparse turns its errors into exit 2 with an `error:` line."""
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ConfigError(f"--eps expects comma-separated floats, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expects comma-separated floats, got {text!r}") from exc
     if not values:
-        raise ConfigError("--eps is empty")
+        raise argparse.ArgumentTypeError("needs at least one value")
+    if not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
     return values
 
 
@@ -140,6 +143,20 @@ def _build(spec: ScenarioSpec):
         raise ConfigError(f"scenario cannot be built: {exc}") from exc
 
 
+def _sweep_entry(value, kind):
+    """A config sweep entry as a finite float, or for kind int as an integral number."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("not finite")
+    if kind is int:
+        if not number.is_integer():
+            raise ValueError("not integral")
+        return int(number)
+    return number
+
+
 def _sweep_list(config: dict, key: str, override, kind=float) -> list | None:
     if override is not None:
         return [kind(v) for v in override]
@@ -149,9 +166,10 @@ def _sweep_list(config: dict, key: str, override, kind=float) -> list | None:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"'{key}' must be a nonempty list")
     try:
-        return [kind(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' entries must be {kind.__name__}s") from exc
+        return [_sweep_entry(v, kind) for v in raw]
+    except (TypeError, ValueError, OverflowError) as exc:
+        kinds = "integers" if kind is int else "finite numbers"
+        raise ConfigError(f"'{key}' entries must be {kinds}, got {raw!r}") from exc
 
 
 def _fit_report(bundle, p: float, seed: int):

@@ -100,10 +100,25 @@ class GridDomain:
 
 def _subcube(
     grid: GridDomain, corner: tuple[int, ...], resolution: int
-) -> tuple[GridDomain, tuple[slice, ...]]:
-    """Sub-grid of `resolution` cells at node `corner`, and the node slices it covers."""
-    slices = tuple(slice(c, c + resolution + 1) for c in corner)
-    return GridDomain(grid.dim, grid.spacing * resolution, resolution), slices
+) -> tuple[GridDomain, tuple[slice, ...], tuple[slice, ...]]:
+    """Sub-grid of `resolution` cells at node `corner`, and the node and cell slices it covers.
+
+    Raises ValueError unless the subcube lies inside the grid: a slice past
+    the grid's edge would silently come back short.
+    """
+    corner = tuple(corner)
+    if (
+        len(corner) != grid.dim
+        or resolution < 1
+        or not all(0 <= c <= grid.resolution - resolution for c in corner)
+    ):
+        raise ValueError(
+            f"subcube of {resolution} cells at node {corner} lies outside the grid of "
+            f"{grid.resolution} cells per axis in dimension {grid.dim}"
+        )
+    nodes = tuple(slice(c, c + resolution + 1) for c in corner)
+    cells = tuple(slice(c, c + resolution) for c in corner)
+    return GridDomain(grid.dim, grid.spacing * resolution, resolution), nodes, cells
 
 
 def grid_differential(grid: GridDomain, values: np.ndarray, mode: str = "forward") -> np.ndarray:
@@ -273,10 +288,31 @@ class MetricField:
     def cell_sqrt_det(self) -> np.ndarray:
         return np.sqrt(np.linalg.det(self.cell_grams))
 
+    @cached_property
+    def _oscillation(self) -> float:
+        """Metric oscillation over the whole grid (see `oscillation_and_diameter`)."""
+        return oscillation_and_diameter(self, tuple((0, n) for n in self.grid.cell_shape))[0]
+
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "MetricField":
-        """Sub-field on the subcube of `resolution` cells at node `corner`."""
-        sub, slices = _subcube(self.grid, corner, resolution)
-        return MetricField(sub, self.gram[slices], lam=self.lam)
+        """Sub-field on the subcube of `resolution` cells at node `corner`.
+
+        The node Gram matrices and the cell data (`cell_grams`,
+        `cell_inv_sqrt`, `cell_sqrt_det`) are views of this field's, which
+        computes its own first if it has not yet; every entry equals what a
+        fresh field on the sliced nodes would compute.  The nodes were
+        validated here, so they are not checked again.  `lam` is kept and
+        `lipschitz` is measured on the sub-grid.
+        """
+        sub, nodes, cells = _subcube(self.grid, corner, resolution)
+        field = MetricField.__new__(MetricField)
+        field.grid = sub
+        field.gram = self.gram[nodes]
+        field.lam = self.lam
+        field.lipschitz = field._discrete_lipschitz()
+        field.cell_grams = self.cell_grams[cells]
+        field.cell_inv_sqrt = self.cell_inv_sqrt[cells]
+        field.cell_sqrt_det = self.cell_sqrt_det[cells]
+        return field
 
 
 def oscillation_and_diameter(
@@ -376,18 +412,20 @@ class GridMap:
         return grid_differential(self.grid, self.values, self.mode)
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "GridMap":
-        sub, slices = _subcube(self.grid, corner, resolution)
-        return GridMap(sub, self.values[slices], self.mode)
+        sub, nodes, _ = _subcube(self.grid, corner, resolution)
+        return GridMap(sub, self.values[nodes], self.mode)
 
 
 class ImmersionField:
     """Discrete immersion of the grid cube into a codimension-one target.
 
-    All derived cell data is computed once at construction: the differential,
-    the oriented unit normal, its difference field, and the shape operator
-    solving  differential @ S = P (normal differential)  in least squares.
-    Cells where the differential drops rank get a zero normal and are flagged
-    degenerate; energies skip them and report the count.
+    A field built from node values computes all derived cell data at
+    construction: the differential, the oriented unit normal, its difference
+    field, and the shape operator solving  differential @ S = P (normal
+    differential)  in least squares.  A field made by `restrict` takes the
+    per-cell part of that data from its parent instead.  Cells where the
+    differential drops rank get a zero normal and are flagged degenerate;
+    energies skip them and report the count.
     """
 
     def __init__(
@@ -413,13 +451,17 @@ class ImmersionField:
         self.mode = mode
         self.differential = grid_differential(grid, values, mode)
         self.cell_points = corner_average(values, grid.dim)
-        self._build_normal_data()
+        self._build_normals()
+        self._build_shape_data()
 
-    def _build_normal_data(self) -> None:
+    def _radial(self) -> np.ndarray:
+        """Outward unit radial direction at every cell point (sphere targets)."""
+        return self.cell_points / np.linalg.norm(self.cell_points, axis=-1, keepdims=True)
+
+    def _build_normals(self) -> None:
+        """Per-cell rank test and oriented unit normal; each cell reads only its own data."""
         du = self.differential
-        d = self.grid.dim
         big = self.target.ambient_dim
-        h = self.grid.spacing
 
         sing = np.linalg.svd(du, compute_uv=False)
         scale = np.maximum(sing[..., 0], 1.0)
@@ -428,7 +470,7 @@ class ImmersionField:
         if self.target.kind == "euclidean":
             window = du
         else:
-            radial = self.cell_points / np.linalg.norm(self.cell_points, axis=-1, keepdims=True)
+            radial = self._radial()
             window = np.concatenate([du, radial[..., :, None]], axis=-1)
             win_sing = np.linalg.svd(window, compute_uv=False)
             degenerate = degenerate | (win_sing[..., -1] <= _RANK_TOL * np.maximum(win_sing[..., 0], 1.0))
@@ -451,11 +493,23 @@ class ImmersionField:
 
         self.degenerate = degenerate
         self.normal = normal
-        self.normal_differential = self._cell_gradient(normal, h)
+
+    def _build_shape_data(self) -> None:
+        """Normal differential, its tangential projection and the shape solve.
+
+        The normal differential differences neighbouring cells and repeats
+        the last difference at the trailing face, so this part depends on
+        where the grid ends; `restrict` recomputes it, and only it.
+        """
+        du = self.differential
+        d = self.grid.dim
+        degenerate = self.degenerate
+        self.normal_differential = self._cell_gradient(self.normal, self.grid.spacing)
 
         if self.target.kind == "euclidean":
             projected = self.normal_differential
         else:
+            radial = self._radial()
             coeff = np.einsum("...i,...ij->...j", radial, self.normal_differential)
             projected = self.normal_differential - radial[..., :, None] * coeff[..., None, :]
         self.projected_normal_differential = projected
@@ -489,9 +543,32 @@ class ImmersionField:
         return int(self.degenerate.sum())
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "ImmersionField":
-        """Sub-immersion on the subcube of `resolution` cells at node `corner`."""
-        sub, slices = _subcube(self.grid, corner, resolution)
-        return ImmersionField(sub, self.target, self.values[slices], self.mode)
+        """Sub-immersion on the subcube of `resolution` cells at node `corner`.
+
+        The node values, differential, cell points, normals and degenerate
+        flags are views of this field's; only the data `_build_shape_data`
+        derives across the subcube's trailing face is recomputed.  Every
+        attribute equals, bit for bit, what a fresh field on the sliced nodes
+        would compute.  That needs the sub-grid's spacing (its length over
+        its resolution) to round to this grid's; where it does not, the
+        differential would differ in the last bit, so the subcube is built
+        afresh instead.
+        """
+        sub, nodes, cells = _subcube(self.grid, corner, resolution)
+        values = self.values[nodes]
+        if sub.spacing != self.grid.spacing:
+            return ImmersionField(sub, self.target, values, self.mode)
+        field = ImmersionField.__new__(ImmersionField)
+        field.grid = sub
+        field.target = self.target
+        field.values = values
+        field.mode = self.mode
+        field.differential = self.differential[cells]
+        field.cell_points = self.cell_points[cells]
+        field.normal = self.normal[cells]
+        field.degenerate = self.degenerate[cells]
+        field._build_shape_data()
+        return field
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,15 +67,33 @@ def _cell_mask(mask: np.ndarray | None, count: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True, eq=False)
 class EuclideanFit:
-    """Best single rotation for a field of square cell differentials."""
+    """Best single rotation for a field of square cell differentials.
 
-    p: float
-    rotation: np.ndarray
-    lhs: float
-    rhs: float
-    constant: float
+    `lhs` integrates |Du - R|^p over the fitted cells, `rhs` their oriented
+    isometry defect dist^p(Du, SO(d)), and `constant` is the guarded ratio
+    lhs / rhs.  Each is integrated on first access: the rotation fit itself
+    needs none of them.
+    """
+
+    def __init__(self, p: float, rotation: np.ndarray, cells: np.ndarray, cell_volume: float):
+        self.p = p
+        self.rotation = rotation
+        self._cells = cells
+        self._cell_volume = cell_volume
+
+    @cached_property
+    def lhs(self) -> float:
+        return float(self._cell_volume * np.sum(_flat_norms(self._cells - self.rotation) ** self.p))
+
+    @cached_property
+    def rhs(self) -> float:
+        defect = isometry_defect(self._cells, oriented=True)
+        return float(self._cell_volume * np.sum(defect**self.p))
+
+    @cached_property
+    def constant(self) -> float:
+        return _guarded_ratio(self.lhs, self.rhs)
 
 
 def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray:
@@ -120,12 +139,13 @@ def euclidean_best_rotation(
     p: float = 2.0,
     mask: np.ndarray | None = None,
 ) -> EuclideanFit:
-    """Fit one rotation to per-cell square differentials and integrate both sides.
+    """Fit one rotation to per-cell square differentials.
 
     For p = 2 the cell average's oriented Procrustes factor is the exact
     minimizer of sum |Du - R|^2 over rotations; for other exponents that
     closed form seeds a descent over rotation angles.  `mask` selects the
-    cells entering the integrals (callers exclude flagged degenerate cells).
+    cells entering the fit and the integrals (callers exclude flagged
+    degenerate cells); the returned fit integrates both sides on demand.
     """
     du = np.asarray(du_cells, dtype=float)
     if du.ndim < 2 or du.shape[-1] != du.shape[-2]:
@@ -146,9 +166,7 @@ def euclidean_best_rotation(
     if p != 2.0:
         rotation = _rotation_descent(used, p, rotation)
 
-    lhs = float(cell_volume * np.sum(_flat_norms(used - rotation) ** p))
-    rhs = float(cell_volume * np.sum(isometry_defect(used, oriented=True) ** p))
-    return EuclideanFit(p, rotation, lhs, rhs, _guarded_ratio(lhs, rhs))
+    return EuclideanFit(p, rotation, used, cell_volume)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +200,7 @@ def _metric_frame_fit(
 
 def _oscillation_term(g: MetricField, p: float) -> float:
     """Domain volume times the p-th power of the metric oscillation over the grid."""
-    osc, _ = oscillation_and_diameter(g, tuple((0, n) for n in g.grid.cell_shape))
-    return g.grid.volume * osc**p
+    return g.grid.volume * g._oscillation**p
 
 
 def metric_rigidity(
@@ -475,7 +492,13 @@ def local_rigidity(
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
-    planes = tangent_plane_field(u)
+    return _local_rigidity(u, g, tangent_plane_field(u), p, seed, base_index)
+
+
+def _local_rigidity(
+    u: ImmersionField, g: MetricField, planes: PlaneField, p: float, seed: int, base_index=None
+) -> RigidityReport:
+    """`local_rigidity` on fields sharing one grid, given the immersion's tangent planes."""
     if base_index is None:
         base_index = choose_base_point(planes, p, seed)
     else:
@@ -547,13 +570,19 @@ def multiscale_fit(
 
     Each subcube runs the full local pipeline on the restricted fields; the
     per-subcube lhs values integrate over disjoint subcubes, so their sum is
-    the global residual of the assembled piecewise-constant field.
+    the global residual of the assembled piecewise-constant field.  Per-cell
+    data (differentials, normals, tangent planes, cell metrics) is computed
+    once on the whole grid and sliced, and each subcube's oscillation is the
+    one its restricted metric caches for its oscillation term, so the
+    results equal those of fitting freshly built subcube fields.
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
         raise ValueError(f"partition parameter {t} does not divide resolution {grid.resolution}")
     block = grid.resolution // t
     d = grid.dim
+    diam = float(np.linalg.norm([block * grid.spacing] * d))
+    planes = tangent_plane_field(u)
 
     fits = []
     rotations = np.zeros((t,) * d + (u.target.ambient_dim, d))
@@ -561,14 +590,20 @@ def multiscale_fit(
         corner = tuple(block * i for i in index)
         sub_u = u.restrict(corner, block)
         sub_g = g.restrict(corner, block)
-        rep = local_rigidity(sub_u, sub_g, p, seed)
-        box = tuple((c, c + block) for c in corner)
-        osc, diam = oscillation_and_diameter(g, box)
+        if sub_u.grid.spacing == grid.spacing:
+            cells = tuple(slice(c, c + block) for c in corner)
+            sub_planes = PlaneField(
+                sub_u.grid, planes.frames[cells], planes.complements[cells], planes.degenerate[cells]
+            )
+        else:
+            # `restrict` rebuilt this subcube, so its planes are rebuilt too
+            sub_planes = tangent_plane_field(sub_u)
+        rep = _local_rigidity(sub_u, sub_g, sub_planes, p, seed)
         tripled = tuple(
             (max(0, c - block), min(grid.resolution, c + 2 * block)) for c in corner
         )
         osc3, _ = oscillation_and_diameter(g, tripled)
-        fits.append(SubcubeFit(index, corner, rep, osc, osc3, diam))
+        fits.append(SubcubeFit(index, corner, rep, sub_g._oscillation, osc3, diam))
         rotations[index] = rep.rotation
 
     residual = float(sum(f.report.lhs for f in fits))

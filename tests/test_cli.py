@@ -192,6 +192,12 @@ class TestScaling:
         payload = json.loads((tmp_path / "scaling.json").read_text())
         assert payload["slopes"]["32"]["vs_epsilon"] is None
 
+    def test_non_integral_resolution_is_config_error(self, tmp_path, capsys):
+        cfg = self.base_config(tmp_path, resolutions=[8.7])
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "error: 'resolutions' entries must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "scaling.csv").exists()
+
     def test_eps_flag_overrides_file(self, tmp_path):
         cfg = self.base_config(tmp_path, epsilons=[0.5])
         code = main(["scaling", "--config", cfg, "--eps", "0.1,0.03", "--out", str(tmp_path)])
@@ -256,6 +262,37 @@ class TestMultiscale:
         )
         assert main(["multiscale", "--config", cfg, "--p", "inf", "--out", str(tmp_path)]) == 2
         assert "error: bad scenario: exponent p must be finite" in capsys.readouterr().err
+
+
+    # Written as raw JSON text: NaN and 1e400 (which JSON reads as infinity)
+    # are what a hand-written config can hold.
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"shifts": [NaN]', "'shifts' entries must be finite numbers"),
+            ('"shifts": [1e400]', "'shifts' entries must be finite numbers"),
+            ('"t_values": [2.5]', "'t_values' entries must be integers"),
+            ('"t_values": [true]', "'t_values' entries must be integers"),
+        ],
+    )
+    def test_bad_sweep_entry_is_config_error(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "multi.json"
+        path.write_text('{"scenario": {"family": "curve", "dim": 1, "resolution": 64}, ' + entry + "}")
+        assert main(["multiscale", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "multiscale.json").exists()
+
+    def test_non_finite_eps_flag_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "multi.json",
+            {"scenario": {"family": "curve", "dim": 1, "resolution": 64}, "t_values": [1, 2]},
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["multiscale", "--config", cfg, "--eps", "nan", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error: argument --eps: values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "multiscale.json").exists()
 
 
 class TestAsymptotic:

@@ -21,7 +21,7 @@ from rigidkit.fields import (
     _max_pairwise_distance,
     tangent_projection,
 )
-from rigidkit.scenarios import build_metric
+from rigidkit.scenarios import ScenarioSpec, build_metric, build_scenario
 
 import oracles
 
@@ -405,6 +405,50 @@ class TestReferenceShape:
             ReferenceShape(grid, form)
 
 
+_IMMERSION_DATA = (
+    "values",
+    "differential",
+    "cell_points",
+    "normal",
+    "degenerate",
+    "normal_differential",
+    "projected_normal_differential",
+    "shape_operator",
+    "shape_residual",
+)
+_METRIC_CELL_DATA = ("gram", "cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
+
+
+def assert_restrict_equals_fresh_build(u, corner, resolution):
+    """u.restrict equals an ImmersionField built on the sliced nodes, attribute by attribute."""
+    sub = u.restrict(corner, resolution)
+    nodes = tuple(slice(c, c + resolution + 1) for c in corner)
+    fresh = ImmersionField(sub.grid, u.target, u.values[nodes], u.mode)
+    assert sub.grid == GridDomain(u.grid.dim, u.grid.spacing * resolution, resolution)
+    assert (sub.target, sub.mode) == (fresh.target, fresh.mode)
+    for name in _IMMERSION_DATA:
+        np.testing.assert_array_equal(getattr(sub, name), getattr(fresh, name), err_msg=name)
+    return sub
+
+
+def assert_metric_restrict_equals_fresh_build(g, corner, resolution):
+    """g.restrict equals a validated MetricField on the sliced nodes with g's lam."""
+    sub = g.restrict(corner, resolution)
+    nodes = tuple(slice(c, c + resolution + 1) for c in corner)
+    fresh = MetricField(sub.grid, g.gram[nodes], lam=g.lam)
+    for name in _METRIC_CELL_DATA:
+        np.testing.assert_array_equal(getattr(sub, name), getattr(fresh, name), err_msg=name)
+    assert (sub.lam, sub.lipschitz) == (fresh.lam, fresh.lipschitz)
+    assert sub._oscillation == fresh._oscillation
+
+
+def subcube_corners(n, dim, block):
+    """First, last and one interior subcube corner of the block partition."""
+    last = n - block
+    middle = block * ((n // block) // 2)
+    return sorted({(0,) * dim, (last,) * dim, (middle,) * dim, (0,) * (dim - 1) + (last,)})
+
+
 class TestRestriction:
     def test_differential_commutes_with_restriction(self):
         u = flat_inclusion(n=8)
@@ -417,6 +461,66 @@ class TestRestriction:
         m = GridMap(grid, values)
         sub = m.restrict((2,), 4)
         np.testing.assert_array_equal(sub.differential, m.differential[2:6])
+
+    @pytest.mark.parametrize("length", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("mode", ["forward", "central"])
+    @pytest.mark.parametrize(
+        "family, dim, n", [("curve", 1, 48), ("latitude", 1, 96), ("graph", 2, 24), ("perturbed", 2, 18)]
+    )
+    def test_sliced_restrict_equals_fresh_build(self, family, dim, n, mode, length):
+        for metric_kind in ("flat", "random", "linear"):
+            spec = ScenarioSpec(
+                family, dim, length, n, mode=mode, metric_kind=metric_kind, seed=11, epsilon=0.05,
+                kappa=0.0 if family == "perturbed" else 1.2,
+            )
+            bundle = build_scenario(spec)
+            for block in (n, n // 2, n // 3, n // 6, 1):
+                for corner in subcube_corners(n, dim, block):
+                    if metric_kind == "flat":
+                        assert_restrict_equals_fresh_build(bundle.u, corner, block)
+                    assert_metric_restrict_equals_fresh_build(bundle.metric, corner, block)
+
+    def test_rank_deficient_cells_slice_like_a_fresh_build(self):
+        sheet = flat_inclusion(n=8)
+        values = sheet.values.copy()
+        values[4, :, 0] = values[3, :, 0]  # the row of cells at 3 loses its first column
+        sheet = ImmersionField(sheet.grid, sheet.target, values)
+        assert sheet.degenerate[3].all() and sheet.degenerate.sum() == 8
+        for corner, block in (((2, 0), 4), ((2, 2), 2), ((3, 5), 1), ((0, 0), 8)):
+            sub = assert_restrict_equals_fresh_build(sheet, corner, block)
+            assert sub.degenerate.any()
+
+        arc = latitude_circle(n=32)
+        values = arc.values.copy()
+        values[17] = values[16]  # a zero-length cell on the sphere
+        arc = ImmersionField(arc.grid, arc.target, values)
+        assert arc.degenerate[16] and arc.degenerate_count == 1
+        for corner, block in (((16,), 8), ((8,), 16), ((16,), 1)):
+            sub = assert_restrict_equals_fresh_build(arc, corner, block)
+            assert sub.degenerate.any()
+
+    def test_subgrid_spacing_that_rounds_differently_is_rebuilt(self):
+        # length / 18 * 3 / 3 rounds one ulp away from length / 18 here, so the
+        # parent's differential would not equal the subcube's own.
+        grid = GridDomain(1, 0.5056378869683275, 18)
+        assert GridDomain(1, grid.spacing * 3, 3).spacing != grid.spacing
+        spec = ScenarioSpec("curve", 1, grid.length, 18, metric_kind="random")
+        bundle = build_scenario(spec)
+        for corner in subcube_corners(18, 1, 3):
+            assert_restrict_equals_fresh_build(bundle.u, corner, 3)
+            assert_metric_restrict_equals_fresh_build(bundle.metric, corner, 3)
+
+    @pytest.mark.parametrize(
+        "corner, resolution",
+        [((-1, 0), 2), ((0, -2), 2), ((7, 0), 2), ((0, 0), 9), ((0, 0), 0), ((0,), 2), ((0, 0, 0), 2)],
+    )
+    def test_subcube_outside_grid_rejected(self, corner, resolution):
+        u = flat_inclusion(n=8)
+        g = MetricField.constant(u.grid, np.eye(2))
+        m = GridMap(u.grid, u.values)
+        for field in (u, g, m):
+            with pytest.raises(ValueError, match="outside the grid"):
+                field.restrict(corner, resolution)
 
 
 class TestSnapshot:

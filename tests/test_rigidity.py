@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from rigidkit.fields import (
     MetricField,
     TargetSpace,
     energies,
+    oscillation_and_diameter,
 )
 from rigidkit.metric_algebra import OrientedSubspace, subspace_distance
 from rigidkit.rigidity import (
@@ -35,6 +37,7 @@ from rigidkit.rigidity import (
 from rigidkit.scenarios import (
     ScenarioSpec,
     build_metric,
+    build_scenario,
     curvature_curve,
     graph_surface,
     latitude_circle,
@@ -192,6 +195,27 @@ class TestEuclideanBestRotation:
             scaled.differential.reshape(-1, 2, 2), scaled_grid.cell_volume
         )
         assert other.constant == pytest.approx(base.constant, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_lazy_integrals_equal_eager_formulas(self, p):
+        rng = np.random.default_rng(5)
+        du = np.stack([rotation2(a) for a in rng.uniform(-0.6, 0.6, 40)])
+        du += 0.2 * rng.standard_normal(du.shape)
+        du[3] = np.diag([1.0, -1.0])  # a reflected cell, where the oriented defect differs
+        mask = np.ones(40, dtype=bool)
+        mask[7] = False
+        with mock.patch.object(rigidity, "isometry_defect", wraps=rigidity.isometry_defect) as spy:
+            fit = euclidean_best_rotation(du, cell_volume=0.025, p=p, mask=mask)
+            assert spy.call_count == 0
+            used = du[mask]
+            diff = used - fit.rotation
+            lhs = float(0.025 * np.sum(np.sqrt(np.sum(diff * diff, axis=(-2, -1))) ** p))
+            sing = np.linalg.svd(used, compute_uv=False)
+            sing[:, -1] = np.where(np.linalg.det(used) < 0, -sing[:, -1], sing[:, -1])
+            rhs = float(0.025 * np.sum(np.sqrt(np.sum((sing - 1.0) ** 2, axis=-1)) ** p))
+            assert fit.constant == lhs / rhs
+            assert (fit.lhs, fit.rhs) == (lhs, rhs)
+            assert spy.call_count == 1
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateFieldError):
@@ -568,6 +592,57 @@ class TestMultiscaleFit:
             assert fit.tripled_oscillation <= slope * 3.0 * (1.0 / 4) + 1e-12
             assert fit.oscillation <= fit.tripled_oscillation + 1e-15
             assert fit.diameter == pytest.approx(1.0 / 4)
+
+
+    @pytest.mark.parametrize(
+        "family, dim, length, n, t, p, mode",
+        [
+            ("curve", 1, 1.0, 48, 4, 2.0, "forward"),
+            ("curve", 1, 1.3, 48, 6, 3.0, "central"),
+            ("latitude", 1, 0.7, 96, 8, 2.0, "forward"),
+            ("latitude", 1, 1.0, 96, 3, 3.0, "central"),
+            ("graph", 2, 1.0, 24, 3, 2.0, "forward"),
+            ("graph", 2, 0.7, 24, 2, 3.0, "central"),
+            ("perturbed", 2, 1.3, 18, 3, 2.0, "forward"),
+            # 0.5056... / 18 * 3 / 3 rounds away from 0.5056... / 18: the
+            # subcubes are built afresh instead of sliced
+            ("curve", 1, 0.5056378869683275, 18, 6, 2.0, "forward"),
+        ],
+    )
+    def test_equals_a_loop_over_rebuilt_subcubes(self, family, dim, length, n, t, p, mode):
+        spec = ScenarioSpec(
+            family, dim, length, n, p=p, mode=mode, seed=9, metric_kind="random", epsilon=0.05,
+            kappa=0.0 if family == "perturbed" else 1.2,
+        )
+        bundle = build_scenario(spec)
+        u, g = bundle.u, bundle.metric
+        field = multiscale_fit(u, g, t, p=p, seed=4)
+
+        block = n // t
+        assert len(field.fits) == t**dim
+        residual = 0.0
+        for fit, index in zip(field.fits, itertools.product(range(t), repeat=dim)):
+            corner = tuple(block * i for i in index)
+            nodes = tuple(slice(c, c + block + 1) for c in corner)
+            sub = GridDomain(dim, u.grid.spacing * block, block)
+            sub_u = ImmersionField(sub, u.target, u.values[nodes], u.mode)
+            sub_g = MetricField(sub, g.gram[nodes], lam=g.lam)
+            report = local_rigidity(sub_u, sub_g, p, 4)
+            box = tuple((c, c + block) for c in corner)
+            osc, diam = oscillation_and_diameter(g, box)
+            tripled = tuple((max(0, c - block), min(n, c + 2 * block)) for c in corner)
+            osc3, _ = oscillation_and_diameter(g, tripled)
+
+            assert (fit.index, fit.corner) == (index, corner)
+            assert (fit.oscillation, fit.tripled_oscillation, fit.diameter) == (osc, osc3, diam)
+            assert fit.report.base_index == report.base_index
+            np.testing.assert_array_equal(fit.report.rotation, report.rotation)
+            np.testing.assert_array_equal(field.rotations[index], report.rotation)
+            for name in ("p", "lhs", "osc_term", "stretch", "bend_scale", "plane_variation", "constant"):
+                assert getattr(fit.report, name) == getattr(report, name), name
+            residual += report.lhs
+        assert max(fit.oscillation for fit in field.fits) > 0.0
+        assert field.residual == residual
 
 
 class TestTranslationModulus:

@@ -1,0 +1,118 @@
+"""Check that two rigidkit checkouts produce the same reports.
+
+Runs the CLI on the first N ops of a benchmark workload in each checkout and
+compares, op by op, the exit code, the printed output and every file the op
+writes: JSON reports with their `manifest` removed (it records output hashes
+and the tool version), every other file byte for byte.  Exits 1 on any
+difference, 0 when every op matches.
+
+    python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
+
+Ops come from the `perfbench/workloads.py` of the checkout holding this
+script, so both trees see the same configs.  Each tree runs in its own
+Python process on its own `src/`, with one BLAS thread, a pinned
+RIGIDITY_CLOCK and RIGIDITY_SEED unset, so both runs round alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CLOCK = "1970-01-01T00:00:00+00:00"
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_tree(src: str, ops_path: str, work_dir: str, results_path: str) -> None:
+    """Run every op of `ops_path` on the rigidkit in `src` and dump what each produced."""
+    sys.path.insert(0, src)
+    from rigidkit import cli
+
+    results = []
+    for index, (command, config) in enumerate(json.loads(Path(ops_path).read_text())):
+        op_dir = Path(work_dir) / f"op{index}"
+        op_dir.mkdir()
+        (op_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+        out = op_dir / "out"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main([command, "--config", str(op_dir / "config.json"), "--out", str(out)])
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+        files = {}
+        for path in sorted(out.rglob("*")) if out.is_dir() else ():
+            if path.suffix == ".json":
+                report = json.loads(path.read_text())
+                report.pop("manifest", None)
+                files[path.name] = json.dumps(report, sort_keys=True)
+            elif path.is_file():
+                files[path.name] = path.read_text()
+        results.append({"code": code, "stdout": sink.getvalue(), "files": files})
+    Path(results_path).write_text(json.dumps(results))
+
+
+def _tree_results(tree: Path, ops_path: Path, scratch: Path) -> list:
+    src = tree / "src"
+    if not (src / "rigidkit").is_dir():
+        sys.exit(f"error: {src / 'rigidkit'} not found; TREE must be a rigidkit checkout")
+    work = Path(tempfile.mkdtemp(dir=scratch))
+    results_path = work / "results.json"
+    env = {k: v for k, v in os.environ.items() if k not in ("RIGIDITY_SEED", "PYTHONPATH")}
+    env.update({name: "1" for name in _BLAS_THREADS}, RIGIDITY_CLOCK=CLOCK)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import same_reports; "
+        "same_reports.run_tree(*sys.argv[2:])"
+    )
+    args = [str(Path(__file__).parent), str(src), str(ops_path), str(work), str(results_path)]
+    subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=work, check=True)
+    return json.loads(results_path.read_text())
+
+
+def _differences(a: dict, b: dict) -> list[str]:
+    found = [key for key in ("code", "stdout") if a[key] != b[key]]
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(name) != b["files"].get(name):
+            found.append(name)
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--ops", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    ops = workloads.first_ops(args.workload, args.seed, args.ops)
+    with tempfile.TemporaryDirectory(prefix="same_reports-") as scratch:
+        ops_path = Path(scratch) / "ops.json"
+        ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))
+        side_a = _tree_results(args.tree_a.resolve(), ops_path, Path(scratch))
+        side_b = _tree_results(args.tree_b.resolve(), ops_path, Path(scratch))
+
+    differing = 0
+    for op, a, b in zip(ops, side_a, side_b):
+        found = _differences(a, b)
+        if found:
+            differing += 1
+            print(f"op {op.index} ({op.command} {json.dumps(op.config)}): differs in {', '.join(found)}")
+    print(f"{args.workload} seed {args.seed}: {differing} of {len(ops)} ops differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
