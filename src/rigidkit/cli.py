@@ -44,7 +44,7 @@ from .rigidity import (
     multiscale_fit,
     translation_modulus,
 )
-from .scenarios import ScenarioSpec, build_scenario
+from .scenarios import ScenarioSpec, build_scenario, config_number
 
 SEED_ENV = "RIGIDITY_SEED"
 
@@ -143,20 +143,6 @@ def _build(spec: ScenarioSpec):
         raise ConfigError(f"scenario cannot be built: {exc}") from exc
 
 
-def _sweep_entry(value, kind):
-    """A config sweep entry as a finite float, or for kind int as an integral number."""
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError("not finite")
-    if kind is int:
-        if not number.is_integer():
-            raise ValueError("not integral")
-        return int(number)
-    return number
-
-
 def _sweep_list(config: dict, key: str, override, kind=float) -> list | None:
     if override is not None:
         return [kind(v) for v in override]
@@ -166,7 +152,7 @@ def _sweep_list(config: dict, key: str, override, kind=float) -> list | None:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"'{key}' must be a nonempty list")
     try:
-        return [_sweep_entry(v, kind) for v in raw]
+        return [config_number(v, kind) for v in raw]
     except (TypeError, ValueError, OverflowError) as exc:
         kinds = "integers" if kind is int else "finite numbers"
         raise ConfigError(f"'{key}' entries must be {kinds}, got {raw!r}") from exc

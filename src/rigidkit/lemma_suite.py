@@ -6,10 +6,29 @@ that the statement under test reads ``slack >= -tolerance``: for a bound
 ``lhs <= rhs`` the slack is ``rhs - lhs``, for an equality it is minus the
 absolute difference.  ``run_all`` returns one result per property in a
 fixed order so the JSON summary is stable.
+
+Draw, then evaluate.  The sampled runners make their generator calls one
+instance at a time, with the same sizes and in the same order as a loop
+that evaluates each instance before drawing the next, so a seed names the
+same instances (and leaves the generator at the same position) whether
+instances are evaluated one by one or together.  The raw draws are then
+grouped by shape (``dim``, or ``(dim, ambient)``) and each group is
+evaluated by the stacked `metric_algebra` kernels in one call per kernel,
+with every validation of the one-instance path applied to the whole stack.
+
+`run_orientation_stability` keeps the stop rule of its sequential loop:
+attempt after attempt until ``samples`` pairs are kept or ``20 * samples``
+attempts are made.  It draws attempts in chunks a little larger than the
+number of pairs still needed (never past the attempt budget), evaluates a
+chunk at once, and counts its attempts only up to the one where the kept
+count reaches ``samples``.  Draws past that attempt come from the runner's
+own stream and are discarded, so its generator, unlike the others', may end
+further along than the sequential loop's.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,20 +36,26 @@ import numpy as np
 from .fields import GridDomain
 from .metric_algebra import (
     OrientedSubspace,
-    SpdMetric,
-    metric_distance,
-    nearest_isometry,
-    nearest_isometry_into_plane,
-    orientation_preserved_under_projection,
-    oriented_complement,
-    projection_error_bound_check,
-    so_set_distance,
-    subspace_distance,
+    checked_grams,
+    checked_spanning_frames,
+    complement_frames,
+    frame_distance,
+    frames_orthonormal,
+    isometry_defect,
+    metric_norm,
+    plane_coordinates,
+    projection_keeps_orientation,
+    projection_terms,
+    rotation_set_distance,
+    spanning_frames,
+    spd_inv_sqrt,
+    spd_sqrt,
 )
-from .scenarios import latitude_circle
+from .scenarios import config_field, latitude_arc_fits, latitude_circle
 
 DEFAULT_TOLERANCE = 1e-10
 NORMAL_BOUND_TOLERANCE = 1e-8
+_ARC_LENGTH = 1.0  # of the latitude arc in the sphere check
 
 PROPERTY_ORDER = (
     "norm_equivalence",
@@ -49,7 +74,11 @@ class LemmaConfig:
 
     `samples` is the instance count per property; zero is allowed and makes
     every property vacuously pass.  The sphere check ignores `samples` and
-    instead visits every cell of an arc at `curve_resolution`.
+    instead visits every cell of a unit-length latitude arc at
+    `curve_resolution`, so the arc must fit on its circle of latitude.
+    Counts and the seed must be integers (an integral float is taken as
+    one, a boolean is not), the other knobs finite numbers, and
+    `max_ambient` must exceed `max_dim`.
     """
 
     samples: int = 10_000
@@ -64,10 +93,17 @@ class LemmaConfig:
     polar_angle: float = np.pi / 3.0
 
     def __post_init__(self) -> None:
+        for name in ("samples", "max_dim", "max_ambient", "seed", "curve_resolution"):
+            object.__setattr__(self, name, config_field(self, name, int))
+        for name in ("lam_max", "tolerance", "normal_tolerance", "sphere_radius", "polar_angle"):
+            config_field(self, name, float)
         if self.samples < 0:
             raise ValueError("sample count must be nonnegative")
-        if not 1 <= self.max_dim <= self.max_ambient:
-            raise ValueError("need 1 <= max_dim <= max_ambient")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        # The planar properties draw an ambient dimension above dim.
+        if not 1 <= self.max_dim < self.max_ambient:
+            raise ValueError("need 1 <= max_dim < max_ambient")
         if self.lam_max < 1.0:
             raise ValueError("lam_max must be at least 1")
         if self.tolerance <= 0.0 or self.normal_tolerance <= 0.0:
@@ -76,6 +112,8 @@ class LemmaConfig:
             raise ValueError("curve resolution must be at least 2")
         if self.sphere_radius <= 0.0 or not 0.0 < self.polar_angle < np.pi:
             raise ValueError("sphere scenario parameters out of range")
+        if not latitude_arc_fits(_ARC_LENGTH, self.sphere_radius, self.polar_angle):
+            raise ValueError("the latitude arc is longer than its circle of latitude")
 
 
 @dataclass(frozen=True)
@@ -123,31 +161,68 @@ def _rng(config: LemmaConfig, stream: int) -> np.random.Generator:
     return np.random.default_rng([stream, config.seed])
 
 
+def _log_spectrum_range(lam_max: float) -> tuple[float, float]:
+    return -np.log(lam_max), np.log(lam_max)
+
+
 def _random_eigenvalues(rng, count: int, dim: int, lam_max: float) -> np.ndarray:
     """Spectra drawn log-uniformly inside [1/lam_max, lam_max]."""
-    lo, hi = -np.log(lam_max), np.log(lam_max)
-    return np.exp(rng.uniform(lo, hi, size=(count, dim)))
+    return np.exp(rng.uniform(*_log_spectrum_range(lam_max), size=(count, dim)))
 
 
-def _random_rotations(rng, count: int, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+def _rotations(normals: np.ndarray) -> np.ndarray:
+    """Rotations (..., d, d) from standard normal draws of the same shape."""
+    q, r = np.linalg.qr(normals)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     det = np.linalg.det(q)
     q[det < 0, :, 0] *= -1.0
     return q
 
 
-def _random_gram(rng, dim: int, lam_max: float) -> tuple[np.ndarray, float]:
-    """One SPD Gram matrix plus its exact sandwich constant."""
-    w = _random_eigenvalues(rng, 1, dim, lam_max)[0]
-    q = _random_rotations(rng, 1, dim)[0]
-    gram = (q * w) @ q.T
-    lam = float(max(w.max(), 1.0 / w.min(), 1.0))
-    return 0.5 * (gram + gram.T), lam
+def _draw_gram(rng, dim: int, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raw draws of one random Gram matrix: log-spectrum, then rotation normals."""
+    return rng.uniform(*_log_spectrum_range(lam_max), size=dim), rng.standard_normal((dim, dim))
 
 
-def _random_plane(rng, ambient: int, dim: int) -> OrientedSubspace:
-    return OrientedSubspace.from_spanning(rng.standard_normal((ambient, dim)))
+def _grams(log_spectra: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SPD Gram matrices from stacked `_draw_gram` draws, plus each exact sandwich constant."""
+    w = np.exp(log_spectra)
+    q = _rotations(normals)
+    gram = (q * w[..., None, :]) @ np.swapaxes(q, -1, -2)
+    lam = np.maximum(np.maximum(w.max(axis=-1), 1.0 / w.min(axis=-1)), 1.0)
+    return checked_grams(0.5 * (gram + np.swapaxes(gram, -1, -2))), lam
+
+
+class _ShapeGroups:
+    """Per-instance draws collected by shape key, one flat float buffer per column.
+
+    Holding the raw values, rather than one small array per draw until the
+    evaluation, keeps a run's memory at the size of its numbers.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+        self._shapes: dict = {}
+        self._counts: dict = {}
+
+    def add(self, key, *draws) -> None:
+        if key not in self._buffers:
+            self._buffers[key] = [array("d") for _ in draws]
+            self._shapes[key] = [np.shape(draw) for draw in draws]
+            self._counts[key] = 0
+        for buffer, draw in zip(self._buffers[key], draws):
+            buffer.frombytes(np.asarray(draw, dtype=float).tobytes())
+        self._counts[key] += 1
+
+    def columns(self):
+        """(key, count, column, ...) per key, each column flat, in draw order."""
+        for key, buffers in self._buffers.items():
+            yield key, self._counts[key], *(np.frombuffer(buffer) for buffer in buffers)
+
+    def stacks(self):
+        """(key, stack, ...) per key, a stack shaped (count, *shape of the key's first draw)."""
+        for key, count, *columns in self.columns():
+            yield key, *(column.reshape(count, *shape) for column, shape in zip(columns, self._shapes[key]))
 
 
 def run_norm_equivalence(config: LemmaConfig) -> PropertyResult:
@@ -163,7 +238,7 @@ def run_norm_equivalence(config: LemmaConfig) -> PropertyResult:
     for dim in range(1, config.max_dim + 1):
         count = config.samples // config.max_dim + (dim == 1) * (config.samples % config.max_dim)
         w = _random_eigenvalues(rng, count, dim, config.lam_max)
-        q = _random_rotations(rng, count, dim)
+        q = _rotations(rng.standard_normal((count, dim, dim)))
         inv_sqrt = (q / np.sqrt(w)[:, None, :]) @ np.swapaxes(q, -1, -2)
         lam = np.maximum(w.max(axis=-1), 1.0 / w.min(axis=-1))
         lam = np.maximum(lam, 1.0)
@@ -172,7 +247,7 @@ def run_norm_equivalence(config: LemmaConfig) -> PropertyResult:
         t = rng.standard_normal((count, config.max_ambient, dim))
         rows = rng.integers(dim, config.max_ambient, endpoint=True, size=count)
         t[np.arange(config.max_ambient)[None, :] >= rows[:, None]] = 0.0
-        fn_g = np.linalg.norm(t @ inv_sqrt, axis=(-2, -1))
+        fn_g = metric_norm(t, inv_sqrt)
         eu = np.linalg.norm(t, axis=(-2, -1))
         root = np.sqrt(lam)
         slack = np.minimum(eu - fn_g / root, root * fn_g - eu)
@@ -191,19 +266,21 @@ def run_so_set_distance_bound(config: LemmaConfig) -> PropertyResult:
     if config.samples == 0:
         return _vacuous("so_set_distance_bound", config.tolerance)
     rng = _rng(config, 2)
-    worst = np.inf
+    draws = _ShapeGroups()
     for _ in range(config.samples):
         dim = int(rng.integers(1, config.max_dim, endpoint=True))
-        gram_x, lam_x = _random_gram(rng, dim, config.lam_max)
-        gram_y, lam_y = _random_gram(rng, dim, config.lam_max)
-        gx, gy = SpdMetric(gram_x), SpdMetric(gram_y)
-        lam = max(lam_x, lam_y)
-        bound = 0.5 * np.sqrt(lam) * metric_distance(gx, gy)
-        worst = min(worst, bound - so_set_distance(gx, gy))
+        draws.add(dim, *_draw_gram(rng, dim, config.lam_max), *_draw_gram(rng, dim, config.lam_max))
+    worst = np.inf
+    for _, log_x, normals_x, log_y, normals_y in draws.stacks():
+        gram_x, lam_x = _grams(log_x, normals_x)
+        gram_y, lam_y = _grams(log_y, normals_y)
+        bound = 0.5 * np.sqrt(np.maximum(lam_x, lam_y)) * np.linalg.norm(gram_x - gram_y, axis=(-2, -1))
+        slack = bound - rotation_set_distance(spd_sqrt(gram_x), spd_sqrt(gram_y))
+        worst = min(worst, float(slack.min()))
     return PropertyResult(
         name="so_set_distance_bound",
         samples=config.samples,
-        min_slack=float(worst),
+        min_slack=worst,
         tolerance=config.tolerance,
         passed=worst >= -config.tolerance,
     )
@@ -219,24 +296,29 @@ def run_projection_error_bound(config: LemmaConfig) -> PropertyResult:
     if config.samples == 0:
         return _vacuous("projection_error_bound", config.tolerance)
     rng = _rng(config, 3)
-    worst = np.inf
-    ratio = 0.0
+    draws = _ShapeGroups()
     for _ in range(config.samples):
         dim = int(rng.integers(1, config.max_dim, endpoint=True))
         ambient = int(rng.integers(dim + 1, config.max_ambient, endpoint=True))
-        base = _random_plane(rng, ambient, dim)
-        plane = _random_plane(rng, ambient, dim)
-        gram, _ = _random_gram(rng, dim, config.lam_max)
-        t = plane.frame @ rng.standard_normal((dim, dim))
-        report = projection_error_bound_check(t, SpdMetric(gram), base, plane)
-        worst = min(worst, report.projection_slack)
-        if report.complement_gap > 1e-8:
-            over = (report.oriented_lhs - report.unoriented_dist) / report.complement_gap
-            ratio = max(ratio, over)
+        base = rng.standard_normal((ambient, dim))
+        plane = rng.standard_normal((ambient, dim))
+        gram = _draw_gram(rng, dim, config.lam_max)
+        draws.add((dim, ambient), base, plane, *gram, rng.standard_normal((dim, dim)))
+    worst = np.inf
+    ratio = 0.0
+    for _, base, plane, log_spectra, normals, coeffs in draws.stacks():
+        base = checked_spanning_frames(base)
+        plane = checked_spanning_frames(plane)
+        inv_sqrt = spd_inv_sqrt(_grams(log_spectra, normals)[0])
+        lhs, rhs, oriented_lhs, unoriented, gap = projection_terms(plane @ coeffs, inv_sqrt, base, plane)
+        worst = min(worst, float((rhs - lhs).min()))
+        wide = gap > 1e-8
+        over = (oriented_lhs[wide] - unoriented[wide]) / gap[wide]
+        ratio = max(ratio, float(over.max(initial=0.0)))
     return PropertyResult(
         name="projection_error_bound",
         samples=config.samples,
-        min_slack=float(worst),
+        min_slack=worst,
         tolerance=config.tolerance,
         passed=worst >= -config.tolerance,
         note=f"oriented-bound constant observed <= {ratio:.3f} (reported, not asserted)",
@@ -248,23 +330,32 @@ def run_volume_comparison(config: LemmaConfig) -> PropertyResult:
     if config.samples == 0:
         return _vacuous("volume_comparison", config.tolerance)
     rng = _rng(config, 4)
-    worst = np.inf
+    lo, hi = _log_spectrum_range(config.lam_max)
+    draws = _ShapeGroups()
     for _ in range(config.samples):
         dim = int(rng.integers(1, config.max_dim, endpoint=True))
         cells = int(rng.integers(2, 32, endpoint=True))
         weights = rng.uniform(0.0, 1.0, size=cells)
-        spectra = _random_eigenvalues(rng, cells, dim, config.lam_max)
-        lam = max(spectra.max(), 1.0 / spectra.min(), 1.0)
+        draws.add(dim, cells, weights, rng.uniform(lo, hi, size=(cells, dim)))
+    worst = np.inf
+    for dim, _, cells, weights, log_spectra in draws.columns():
+        # Instances have different cell counts, so each group is one flat
+        # run of cells cut at `starts`.
+        starts = np.concatenate([[0], np.cumsum(cells[:-1])]).astype(int)
+        spectra = np.exp(log_spectra.reshape(-1, dim))
+        top = np.maximum.reduceat(spectra.max(axis=-1), starts)
+        bottom = np.minimum.reduceat(spectra.min(axis=-1), starts)
+        lam = np.maximum(np.maximum(top, 1.0 / bottom), 1.0)
         sqrt_det = np.sqrt(np.prod(spectra, axis=-1))
-        flat = weights.sum()
-        weighted = float(weights @ sqrt_det)
+        flat = np.add.reduceat(weights, starts)
+        weighted = np.add.reduceat(weights * sqrt_det, starts)
         scale = lam ** (dim / 2.0)
-        slack = min(scale * flat - weighted, weighted - flat / scale)
-        worst = min(worst, slack)
+        slack = np.minimum(scale * flat - weighted, weighted - flat / scale)
+        worst = min(worst, float(slack.min()))
     return PropertyResult(
         name="volume_comparison",
         samples=config.samples,
-        min_slack=float(worst),
+        min_slack=worst,
         tolerance=config.tolerance,
         passed=worst >= -config.tolerance,
     )
@@ -279,24 +370,26 @@ def run_in_plane_equality(config: LemmaConfig) -> PropertyResult:
     if config.samples == 0:
         return _vacuous("in_plane_equality", config.tolerance)
     rng = _rng(config, 5)
-    worst = np.inf
+    draws = _ShapeGroups()
     for _ in range(config.samples):
         dim = int(rng.integers(1, config.max_dim, endpoint=True))
         ambient = int(rng.integers(dim, config.max_ambient, endpoint=True))
-        plane = _random_plane(rng, ambient, dim)
+        plane = rng.standard_normal((ambient, dim))
         coords = rng.standard_normal((dim, dim))
-        if np.linalg.det(coords) < 0.0:
-            coords[:, 0] *= -1.0
-        gram, _ = _random_gram(rng, dim, config.lam_max)
-        g = SpdMetric(gram)
-        t = plane.frame @ coords
-        full = nearest_isometry(t, g, oriented=False)[1]
-        planar = nearest_isometry_into_plane(t, g, plane, oriented=True)[1]
-        worst = min(worst, -abs(full - planar))
+        draws.add((dim, ambient), plane, coords, *_draw_gram(rng, dim, config.lam_max))
+    worst = np.inf
+    for _, plane, coords, log_spectra, normals in draws.stacks():
+        plane = checked_spanning_frames(plane)
+        coords[np.linalg.det(coords) < 0.0, :, 0] *= -1.0
+        inv_sqrt = spd_inv_sqrt(_grams(log_spectra, normals)[0])
+        t = plane @ coords
+        full = isometry_defect(t @ inv_sqrt)
+        planar = isometry_defect(plane_coordinates(t, plane) @ inv_sqrt, oriented=True)
+        worst = min(worst, float((-np.abs(full - planar)).min()))
     return PropertyResult(
         name="in_plane_equality",
         samples=config.samples,
-        min_slack=float(worst),
+        min_slack=worst,
         tolerance=config.tolerance,
         passed=worst >= -config.tolerance,
     )
@@ -308,7 +401,7 @@ def run_normal_derivative_bound(config: LemmaConfig) -> PropertyResult:
     Exercised on the latitude-circle scenario, where the target projection
     is genuinely nontrivial; the cell count stands in for the sample count.
     """
-    grid = GridDomain(1, 1.0, config.curve_resolution)
+    grid = GridDomain(1, _ARC_LENGTH, config.curve_resolution)
     u = latitude_circle(grid, config.sphere_radius, config.polar_angle)
     dnu = np.linalg.norm(u.normal_differential, axis=-2) ** 2
     proj = np.linalg.norm(u.projected_normal_differential, axis=-2) ** 2
@@ -325,6 +418,35 @@ def run_normal_derivative_bound(config: LemmaConfig) -> PropertyResult:
     )
 
 
+def _gap_threshold(dim: int) -> float:
+    """Complement gap below which a pair counts as nearby: the heuristic 0.5/(2d)."""
+    return 0.5 / (2.0 * dim)
+
+
+def _orientation_attempts(draws: _ShapeGroups, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Per attempt, in draw order: pair kept, orientation flipped; and the failed bases.
+
+    The last is {attempt: spanning vectors} for attempts whose base plane
+    cannot be built, which the sequential loop would have raised on.
+    """
+    kept, flipped = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    failed = {}
+    for (dim, _), attempt, vectors, wiggle, noise in draws.stacks():
+        attempt = attempt.astype(int)
+        base, independent = spanning_frames(vectors)
+        base_ok = independent & frames_orthonormal(base)
+        failed.update(zip(attempt[~base_ok].tolist(), vectors[~base_ok]))
+        plane, independent = spanning_frames(base + wiggle[:, None, None] * noise)
+        # An attempt whose plane does not span, or whose frame fails the
+        # orthonormality check, is skipped, as the sequential loop skipped it.
+        valid = base_ok & independent & frames_orthonormal(plane)
+        base, plane, attempt = base[valid], plane[valid], attempt[valid]
+        gap = frame_distance(complement_frames(base), complement_frames(plane))
+        kept[attempt] = ~(gap >= _gap_threshold(dim))
+        flipped[attempt] = kept[attempt] & ~projection_keeps_orientation(base, plane)
+    return kept, flipped, failed
+
+
 def run_orientation_stability(config: LemmaConfig) -> PropertyResult:
     """Sample nearby planes and count orientation flips under projection.
 
@@ -335,28 +457,29 @@ def run_orientation_stability(config: LemmaConfig) -> PropertyResult:
     if config.samples == 0:
         return _vacuous("orientation_stability", config.tolerance)
     rng = _rng(config, 6)
-    kept = 0
-    flips = 0
-    attempts = 0
-    while kept < config.samples and attempts < 20 * config.samples:
-        attempts += 1
-        dim = int(rng.integers(1, config.max_dim, endpoint=True))
-        ambient = int(rng.integers(dim + 1, config.max_ambient, endpoint=True))
-        threshold = 0.5 / (2.0 * dim)
-        base = _random_plane(rng, ambient, dim)
-        wiggle = rng.uniform(0.0, 0.4 * threshold)
-        try:
-            plane = OrientedSubspace.from_spanning(
-                base.frame + wiggle * rng.standard_normal((ambient, dim))
-            )
-        except ValueError:
-            continue
-        gap = subspace_distance(oriented_complement(base), oriented_complement(plane))
-        if gap >= threshold:
-            continue
-        kept += 1
-        if not orientation_preserved_under_projection(base, plane):
-            flips += 1
+    budget = 20 * config.samples
+    kept = flips = attempts = 0
+    while kept < config.samples and attempts < budget:
+        need = config.samples - kept
+        # About nine attempts in ten are kept, so a chunk of need * 9/8 + 2
+        # usually ends the loop in one round.
+        chunk = min(need + need // 8 + 2, budget - attempts)
+        draws = _ShapeGroups()
+        for attempt in range(chunk):
+            dim = int(rng.integers(1, config.max_dim, endpoint=True))
+            ambient = int(rng.integers(dim + 1, config.max_ambient, endpoint=True))
+            base = rng.standard_normal((ambient, dim))
+            wiggle = rng.uniform(0.0, 0.4 * _gap_threshold(dim))
+            draws.add((dim, ambient), attempt, base, wiggle, rng.standard_normal((ambient, dim)))
+        accepted, flipped, failed = _orientation_attempts(draws, chunk)
+        hits = np.flatnonzero(accepted)
+        cut = hits[need - 1] + 1 if hits.size >= need else chunk
+        bad = [attempt for attempt in failed if attempt < cut]
+        if bad:
+            OrientedSubspace.from_spanning(failed[min(bad)])  # raises that attempt's error
+        kept += int(accepted[:cut].sum())
+        flips += int(flipped[:cut].sum())
+        attempts += cut
     return PropertyResult(
         name="orientation_stability",
         samples=kept,

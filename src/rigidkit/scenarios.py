@@ -19,6 +19,36 @@ FAMILIES = ("curve", "graph", "latitude", "perturbed", "perturbed_identity")
 METRIC_KINDS = ("flat", "linear", "random")
 
 
+def config_number(value, kind=float):
+    """A config entry as a finite float, or for kind int as an int of integral value.
+
+    Booleans are rejected although Python counts them as integers.  Raises
+    TypeError, ValueError or OverflowError on anything else that does not fit.
+    """
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    if kind is int and isinstance(value, (int, np.integer)):
+        return int(value)
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("not finite")
+    if kind is int:
+        if not number.is_integer():
+            raise ValueError("not integral")
+        return int(number)
+    return number
+
+
+def config_field(config, name: str, kind=float):
+    """Field `name` of a config dataclass through `config_number`, as a ValueError naming it."""
+    value = getattr(config, name)
+    try:
+        return config_number(value, kind)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kinds = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {kinds}, got {value!r}") from exc
+
+
 def smooth_bump(s: np.ndarray) -> np.ndarray:
     """C-infinity bump supported on (-1, 1), normalized to 1 at the center."""
     s = np.asarray(s, dtype=float)
@@ -151,6 +181,11 @@ def graph_surface(grid: GridDomain, epsilon: float, mode: str = "forward") -> Im
     return ImmersionField(grid, TargetSpace.euclidean(2), values, mode)
 
 
+def latitude_arc_fits(length: float, rho: float, polar: float) -> bool:
+    """Whether an arc of `length` fits on the circle of latitude at `polar` (up to 1e-12)."""
+    return length <= 2.0 * np.pi * (rho * np.sin(polar)) + 1e-12
+
+
 def latitude_circle(
     grid: GridDomain, rho: float, polar: float, mode: str = "forward"
 ) -> ImmersionField:
@@ -159,9 +194,9 @@ def latitude_circle(
         raise ValueError("latitude circles need a one-dimensional grid")
     if not 0.0 < polar < np.pi:
         raise ValueError("polar angle must lie strictly between 0 and pi")
-    r = rho * np.sin(polar)
-    if grid.length > 2.0 * np.pi * r + 1e-12:
+    if not latitude_arc_fits(grid.length, rho, polar):
         raise ValueError("arc length exceeds the full circle of latitude")
+    r = rho * np.sin(polar)
     t = grid.node_axis()
     values = np.stack(
         [r * np.cos(t / r), r * np.sin(t / r), np.full_like(t, rho * np.cos(polar))],
@@ -281,6 +316,8 @@ class ScenarioSpec:
     metric_lam: float = 2.0
 
     def __post_init__(self) -> None:
+        for name in ("dim", "resolution", "seed"):
+            object.__setattr__(self, name, config_field(self, name, int))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown scenario family {self.family!r}")
         if self.metric_kind not in METRIC_KINDS:

@@ -45,6 +45,36 @@ class TestLemmas:
         cfg = write_config(tmp_path, "cfg.json", {"smaples": 10})
         assert main(["lemmas", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    # Raw JSON text, so 1e400 (which JSON reads as infinity) can be written.
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"max_dim": 3, "max_ambient": 3', "need 1 <= max_dim < max_ambient"),
+            ('"samples": 1.5', "samples must be an integer, got 1.5"),
+            ('"samples": true', "samples must be an integer, got True"),
+            ('"max_dim": 2.5', "max_dim must be an integer, got 2.5"),
+            ('"max_ambient": 6.5', "max_ambient must be an integer, got 6.5"),
+            ('"seed": 1.5', "seed must be an integer, got 1.5"),
+            ('"seed": -1', "seed must be nonnegative"),
+            ('"curve_resolution": 64.5', "curve_resolution must be an integer, got 64.5"),
+            ('"lam_max": 1e400', "lam_max must be a finite number, got inf"),
+            ('"sphere_radius": 1e-3', "the latitude arc is longer than its circle of latitude"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"samples": 4, ' + entry + "}")
+        assert main(["lemmas", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"error: bad lemma config: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "lemmas.json").exists()
+
+    def test_integral_float_counts_are_integers(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {"samples": 4.0, "curve_resolution": 32.0})
+        assert main(["lemmas", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "lemmas.json").read_text())
+        assert payload["manifest"]["spec"]["lemma_config"]["samples"] == 4
+        assert [p["samples"] for p in payload["properties"]] == [4, 4, 4, 4, 4, 32, 4]
+
 
 class TestRigidity:
     def test_graph_scenario_reports_all_fields(self, tmp_path, capsys):
@@ -82,6 +112,29 @@ class TestRigidity:
         snapshot_save(snap, u, build_metric(grid, "flat"))
         cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
         assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"family": "perturbed", "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"family": "curve", "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"family": "curve", "resolution": 16.5}, "resolution must be an integer, got 16.5"),
+            ({"family": "curve", "dim": 1.5}, "dim must be an integer, got 1.5"),
+            ({"family": "curve", "dim": True}, "dim must be an integer, got True"),
+        ],
+    )
+    def test_non_integral_scenario_field_is_config_error(self, tmp_path, capsys, scenario, message):
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": {"dim": 1, "resolution": 16, **scenario}})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"error: bad scenario: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "rigidity.json").exists()
+
+    def test_integral_float_dim_is_an_integer(self, tmp_path):
+        scenario = {"family": "curve", "dim": 1.0, "resolution": 16}
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 0
+        spec = json.loads((tmp_path / "rigidity.json").read_text())["manifest"]["spec"]["scenario"]
+        assert spec["dim"] == 1 and isinstance(spec["dim"], int)
 
     def test_missing_scenario_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {})

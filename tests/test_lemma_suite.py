@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rigidkit import lemma_suite
 from rigidkit.lemma_suite import (
     PROPERTY_ORDER,
     LemmaConfig,
@@ -9,6 +10,18 @@ from rigidkit.lemma_suite import (
     run_norm_equivalence,
     run_normal_derivative_bound,
     run_orientation_stability,
+)
+from rigidkit.metric_algebra import (
+    OrientedSubspace,
+    SpdMetric,
+    metric_distance,
+    nearest_isometry,
+    nearest_isometry_into_plane,
+    orientation_preserved_under_projection,
+    oriented_complement,
+    projection_error_bound_check,
+    so_set_distance,
+    subspace_distance,
 )
 
 
@@ -31,7 +44,14 @@ class TestConfig:
             {"normal_tolerance": -1e-8},
             {"lam_max": 0.5},
             {"max_dim": 7, "max_ambient": 6},
+            {"max_dim": 6, "max_ambient": 6},
             {"max_dim": 0},
+            {"samples": 1.5},
+            {"samples": True},
+            {"seed": -1},
+            {"lam_max": np.inf},
+            {"tolerance": np.nan},
+            {"sphere_radius": 1e-3},
             {"curve_resolution": 1},
             {"sphere_radius": 0.0},
             {"polar_angle": 0.0},
@@ -101,3 +121,224 @@ class TestIndividualRunners:
     def test_norm_equivalence_sample_budget_is_exact(self):
         result = run_norm_equivalence(LemmaConfig(samples=101))
         assert result.samples == 101
+
+
+# --- batched runners against a per-sample reference -------------------------
+#
+# The references below are the runners' sequential loops as they were before
+# the draws were grouped by shape: one instance drawn, built as objects and
+# measured through the one-instance functions before the next is drawn.
+
+
+def _ref_gram(rng, dim, lam_max):
+    lo, hi = -np.log(lam_max), np.log(lam_max)
+    w = np.exp(rng.uniform(lo, hi, size=(1, dim)))[0]
+    q, r = np.linalg.qr(rng.standard_normal((1, dim, dim)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    q = q[0]
+    gram = (q * w) @ q.T
+    return 0.5 * (gram + gram.T), float(max(w.max(), 1.0 / w.min(), 1.0))
+
+
+def _ref_plane(rng, ambient, dim):
+    return OrientedSubspace.from_spanning(rng.standard_normal((ambient, dim)))
+
+
+def ref_so_set_distance_bound(cfg, rng):
+    worst = np.inf
+    for _ in range(cfg.samples):
+        dim = int(rng.integers(1, cfg.max_dim, endpoint=True))
+        gram_x, lam_x = _ref_gram(rng, dim, cfg.lam_max)
+        gram_y, lam_y = _ref_gram(rng, dim, cfg.lam_max)
+        gx, gy = SpdMetric(gram_x), SpdMetric(gram_y)
+        bound = 0.5 * np.sqrt(max(lam_x, lam_y)) * metric_distance(gx, gy)
+        worst = min(worst, bound - so_set_distance(gx, gy))
+    return cfg.samples, worst, ""
+
+
+def ref_projection_error_bound(cfg, rng):
+    worst, ratio = np.inf, 0.0
+    for _ in range(cfg.samples):
+        dim = int(rng.integers(1, cfg.max_dim, endpoint=True))
+        ambient = int(rng.integers(dim + 1, cfg.max_ambient, endpoint=True))
+        base = _ref_plane(rng, ambient, dim)
+        plane = _ref_plane(rng, ambient, dim)
+        gram, _ = _ref_gram(rng, dim, cfg.lam_max)
+        t = plane.frame @ rng.standard_normal((dim, dim))
+        report = projection_error_bound_check(t, SpdMetric(gram), base, plane)
+        worst = min(worst, report.projection_slack)
+        if report.complement_gap > 1e-8:
+            ratio = max(ratio, (report.oriented_lhs - report.unoriented_dist) / report.complement_gap)
+    return cfg.samples, worst, f"oriented-bound constant observed <= {ratio:.3f} (reported, not asserted)"
+
+
+def ref_volume_comparison(cfg, rng):
+    worst = np.inf
+    lo, hi = -np.log(cfg.lam_max), np.log(cfg.lam_max)
+    for _ in range(cfg.samples):
+        dim = int(rng.integers(1, cfg.max_dim, endpoint=True))
+        cells = int(rng.integers(2, 32, endpoint=True))
+        weights = rng.uniform(0.0, 1.0, size=cells)
+        spectra = np.exp(rng.uniform(lo, hi, size=(cells, dim)))
+        lam = max(spectra.max(), 1.0 / spectra.min(), 1.0)
+        weighted = float(weights @ np.sqrt(np.prod(spectra, axis=-1)))
+        scale = lam ** (dim / 2.0)
+        worst = min(worst, scale * weights.sum() - weighted, weighted - weights.sum() / scale)
+    return cfg.samples, worst, ""
+
+
+def ref_in_plane_equality(cfg, rng):
+    worst = np.inf
+    for _ in range(cfg.samples):
+        dim = int(rng.integers(1, cfg.max_dim, endpoint=True))
+        ambient = int(rng.integers(dim, cfg.max_ambient, endpoint=True))
+        plane = _ref_plane(rng, ambient, dim)
+        coords = rng.standard_normal((dim, dim))
+        if np.linalg.det(coords) < 0.0:
+            coords[:, 0] *= -1.0
+        g = SpdMetric(_ref_gram(rng, dim, cfg.lam_max)[0])
+        t = plane.frame @ coords
+        full = nearest_isometry(t, g, oriented=False)[1]
+        planar = nearest_isometry_into_plane(t, g, plane, oriented=True)[1]
+        worst = min(worst, -abs(full - planar))
+    return cfg.samples, worst, ""
+
+
+def ref_orientation_stability(cfg, rng):
+    kept = flips = attempts = 0
+    while kept < cfg.samples and attempts < 20 * cfg.samples:
+        attempts += 1
+        dim = int(rng.integers(1, cfg.max_dim, endpoint=True))
+        ambient = int(rng.integers(dim + 1, cfg.max_ambient, endpoint=True))
+        threshold = 0.5 / (2.0 * dim)
+        base = _ref_plane(rng, ambient, dim)
+        wiggle = rng.uniform(0.0, 0.4 * threshold)
+        try:
+            plane = OrientedSubspace.from_spanning(base.frame + wiggle * rng.standard_normal((ambient, dim)))
+        except ValueError:
+            continue
+        if subspace_distance(oriented_complement(base), oriented_complement(plane)) >= threshold:
+            continue
+        kept += 1
+        flips += not orientation_preserved_under_projection(base, plane)
+    return kept, 0.0, f"{flips} orientation flips in {kept} pairs below gap 0.5/(2d); observational only"
+
+
+# runner name -> (stream, reference); the stream is the runner's `_rng` stream.
+REFERENCES = {
+    "so_set_distance_bound": (2, ref_so_set_distance_bound),
+    "projection_error_bound": (3, ref_projection_error_bound),
+    "volume_comparison": (4, ref_volume_comparison),
+    "in_plane_equality": (5, ref_in_plane_equality),
+    "orientation_stability": (6, ref_orientation_stability),
+}
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 6), (4, 6)])
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_batched_runner_equals_per_sample_reference(monkeypatch, name, dims):
+    stream, reference = REFERENCES[name]
+    generators = []
+
+    def recording_rng(config, stream):
+        generators.append(np.random.default_rng([stream, config.seed]))
+        return generators[-1]
+
+    monkeypatch.setattr(lemma_suite, "_rng", recording_rng)
+    for samples in (1, 2, 3, 50, 400):
+        for seed in range(10):
+            cfg = LemmaConfig(samples=samples, seed=seed, max_dim=dims[0], max_ambient=dims[1])
+            result = lemma_suite._RUNNERS[name](cfg)
+            rng = np.random.default_rng([stream, seed])
+            ref_samples, ref_slack, ref_note = reference(cfg, rng)
+            label = f"{name} samples={samples} seed={seed} dims={dims}"
+            assert result.samples == ref_samples, label
+            assert result.note == ref_note, label
+            assert result.passed == (ref_slack >= -cfg.tolerance), label
+            assert abs(result.min_slack - ref_slack) <= 1e-8 * abs(ref_slack) + 1e-12, label
+            if name != "orientation_stability":
+                # Same draws in the same order: the stream ends where the loop's did.
+                assert generators[-1].random() == rng.random(), label
+
+
+def test_orientation_attempts_equal_per_attempt_reference():
+    # Attempts drawn as the runner draws them, judged one at a time by the
+    # object path: the batched verdicts must agree attempt by attempt.
+    rng = np.random.default_rng(113)
+    draws = []
+    for attempt in range(300):
+        dim = int(rng.integers(1, 3, endpoint=True))
+        ambient = int(rng.integers(dim + 1, 6, endpoint=True))
+        base = rng.standard_normal((ambient, dim))
+        # Wider wiggles than the runner's, so that both verdicts occur.
+        wiggle = rng.uniform(0.0, 3.0 * lemma_suite._gap_threshold(dim))
+        draws.append(((dim, ambient), attempt, base, wiggle, rng.standard_normal((ambient, dim))))
+    groups = lemma_suite._ShapeGroups()
+    for draw in draws:
+        groups.add(*draw)
+    kept, flipped, failed = lemma_suite._orientation_attempts(groups, len(draws))
+    assert failed == {}
+    for (dim, _), attempt, vectors, wiggle, noise in draws:
+        base = OrientedSubspace.from_spanning(vectors)
+        plane = OrientedSubspace.from_spanning(base.frame + wiggle * noise)
+        gap = subspace_distance(oriented_complement(base), oriented_complement(plane))
+        near = gap < 0.5 / (2.0 * dim)
+        assert kept[attempt] == near, attempt
+        assert flipped[attempt] == (near and not orientation_preserved_under_projection(base, plane)), attempt
+    assert 0 < kept.sum() < len(draws)
+
+
+def test_orientation_stops_at_attempt_budget(monkeypatch):
+    # With every attempt rejected the loop makes exactly 20 * samples
+    # attempts: the stream ends where that many sequential attempts end.
+    def reject_all(draws, count):
+        none = np.zeros(count, dtype=bool)
+        return none, none, {}
+
+    generators = []
+
+    def recording_rng(config, stream):
+        generators.append(np.random.default_rng([stream, config.seed]))
+        return generators[-1]
+
+    monkeypatch.setattr(lemma_suite, "_orientation_attempts", reject_all)
+    monkeypatch.setattr(lemma_suite, "_rng", recording_rng)
+    cfg = LemmaConfig(samples=7, seed=3, max_dim=3, max_ambient=5)
+    result = run_orientation_stability(cfg)
+    assert result.samples == 0
+    assert result.note.startswith("0 orientation flips in 0 pairs")
+    rng = np.random.default_rng([6, cfg.seed])
+    for _ in range(20 * cfg.samples):
+        dim = int(rng.integers(1, cfg.max_dim, endpoint=True))
+        ambient = int(rng.integers(dim + 1, cfg.max_ambient, endpoint=True))
+        rng.standard_normal((ambient, dim))
+        rng.uniform(0.0, 0.4 * (0.5 / (2.0 * dim)))
+        rng.standard_normal((ambient, dim))
+    assert generators[-1].random() == rng.random()
+
+
+def test_orientation_raises_only_for_failed_bases_before_the_cut(monkeypatch):
+    dependent = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+    groups = lemma_suite._ShapeGroups()
+    groups.add((2, 3), 0, dependent, 0.01, np.zeros((3, 2)))
+    kept, flipped, failed = lemma_suite._orientation_attempts(groups, 1)
+    assert not kept[0] and not flipped[0]
+    np.testing.assert_array_equal(failed[0], dependent)
+
+    def failing_at(index):
+        def verdicts(draws, count):
+            kept = np.arange(count) != index
+            return kept, np.zeros(count, dtype=bool), {index: dependent}
+
+        return verdicts
+
+    # Five samples draw a first chunk of seven attempts and every attempt but
+    # the failed one is kept, so the loop stops within the first six: a
+    # failure at attempt 6 lies past the cut, one at attempt 3 does not.
+    cfg = LemmaConfig(samples=5, seed=1)
+    monkeypatch.setattr(lemma_suite, "_orientation_attempts", failing_at(6))
+    assert run_orientation_stability(cfg).samples == 5
+    monkeypatch.setattr(lemma_suite, "_orientation_attempts", failing_at(3))
+    with pytest.raises(ValueError, match="spanning columns are linearly dependent"):
+        run_orientation_stability(cfg)

@@ -6,17 +6,30 @@ from hypothesis import strategies as st
 from rigidkit.metric_algebra import (
     OrientedSubspace,
     SpdMetric,
+    checked_frames,
+    checked_grams,
+    checked_spanning_frames,
+    complement_frames,
+    frame_distance,
+    frames_orthonormal,
     frobenius_norm,
     isometry_defect,
     metric_distance,
+    metric_norm,
     nearest_isometry,
     nearest_isometry_into_plane,
     oriented_complement,
     orientation_preserved_under_projection,
+    plane_coordinates,
     project_onto,
     projection_error_bound_check,
+    projection_keeps_orientation,
+    projection_terms,
     rotation_align,
+    rotation_set_distance,
     so_set_distance,
+    spanning_frames,
+    spd_inv_sqrt,
     spd_sqrt,
     subspace_distance,
 )
@@ -413,3 +426,152 @@ class TestHelpers:
 
     def test_isometry_defect_oriented_flip(self):
         assert isometry_defect(np.diag([1.0, -1.0]), oriented=True) == pytest.approx(2.0)
+
+
+# --- stacked kernels against loops over their one-instance forms -----------
+
+SHAPES = [(2, 1), (3, 1), (3, 2), (4, 2), (6, 3), (3, 3)]  # (ambient, dim)
+
+
+def _grams(rng, count, dim):
+    return np.stack([oracles.random_spd(rng, dim) for _ in range(count)])
+
+
+def _frames(rng, count, ambient, dim):
+    return np.stack([oracles.random_frame(rng, ambient, dim) for _ in range(count)])
+
+
+class TestStackedKernels:
+    COUNT = 7
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_metric_kernels_equal_loops(self, dim):
+        rng = np.random.default_rng(71 + dim)
+        grams, others = _grams(rng, self.COUNT, dim), _grams(rng, self.COUNT, dim)
+        ts = rng.standard_normal((self.COUNT, dim + 2, dim))
+        metrics = [SpdMetric(g) for g in grams]
+        np.testing.assert_allclose(checked_grams(grams), [g.gram for g in metrics], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(spd_sqrt(grams), [g.sqrt for g in metrics], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(spd_inv_sqrt(grams), [g.inv_sqrt for g in metrics], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            metric_norm(ts, spd_inv_sqrt(grams)),
+            [frobenius_norm(t, g) for t, g in zip(ts, metrics)],
+            rtol=1e-14,
+        )
+        np.testing.assert_allclose(
+            rotation_set_distance(spd_sqrt(grams), spd_sqrt(others)),
+            [so_set_distance(g, SpdMetric(h)) for g, h in zip(metrics, others)],
+            rtol=1e-14,
+            atol=1e-14,
+        )
+        squares = rng.standard_normal((self.COUNT, dim, dim))
+        np.testing.assert_allclose(rotation_align(squares), [rotation_align(m) for m in squares], atol=1e-14)
+        for oriented in (False, True):
+            x = (squares if oriented else ts) @ spd_inv_sqrt(grams)
+            maps = squares if oriented else ts
+            np.testing.assert_allclose(
+                isometry_defect(x, oriented=oriented),
+                [nearest_isometry(t, g, oriented=oriented)[1] for t, g in zip(maps, metrics)],
+                rtol=1e-14,
+                atol=1e-14,
+            )
+
+    @pytest.mark.parametrize("ambient, dim", SHAPES)
+    def test_frame_kernels_equal_loops(self, ambient, dim):
+        rng = np.random.default_rng(89 + 7 * ambient + dim)
+        vectors = rng.standard_normal((self.COUNT, ambient, dim))
+        frames, independent = spanning_frames(vectors)
+        assert independent.shape == (self.COUNT,) and independent.all()
+        singles = [OrientedSubspace.from_spanning(v) for v in vectors]
+        np.testing.assert_allclose(frames, [p.frame for p in singles], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(checked_spanning_frames(vectors), frames)
+        assert frames_orthonormal(frames).all()
+        np.testing.assert_array_equal(checked_frames(frames), frames)
+        others = _frames(rng, self.COUNT, ambient, dim)
+        pairs = list(zip(singles, [OrientedSubspace(f) for f in others]))
+        np.testing.assert_allclose(
+            frame_distance(frames, others),
+            [subspace_distance(a, b) for a, b in pairs],
+            rtol=1e-14,
+            atol=1e-14,
+        )
+        np.testing.assert_array_equal(
+            projection_keeps_orientation(frames, others),
+            [orientation_preserved_under_projection(a, b) for a, b in pairs],
+        )
+        coeffs = rng.standard_normal((self.COUNT, dim, dim))
+        np.testing.assert_allclose(
+            plane_coordinates(frames @ coeffs, frames),
+            [plane_coordinates(f @ c, f) for f, c in zip(frames, coeffs)],
+            rtol=0,
+            atol=1e-14,
+        )
+        if ambient == dim:
+            return
+        np.testing.assert_allclose(
+            complement_frames(frames), [oriented_complement(p).frame for p in singles], rtol=0, atol=1e-14
+        )
+        grams = _grams(rng, self.COUNT, dim)
+        t = others @ coeffs
+        terms = projection_terms(t, spd_inv_sqrt(grams), frames, others)
+        for k, (p0, p) in enumerate(pairs):
+            report = projection_error_bound_check(t[k], SpdMetric(grams[k]), p0, p)
+            single = (
+                report.projection_lhs,
+                report.projection_rhs,
+                report.oriented_lhs,
+                report.unoriented_dist,
+                report.complement_gap,
+            )
+            np.testing.assert_allclose([term[k] for term in terms], single, rtol=1e-14, atol=1e-14)
+
+
+def _raises_alike(scalar_call, stacked_call):
+    with pytest.raises(ValueError) as scalar:
+        scalar_call()
+    with pytest.raises(ValueError) as stacked:
+        stacked_call()
+    assert str(stacked.value) == str(scalar.value)
+
+
+class TestStackedValidation:
+    """One bad matrix in the middle of a stack raises what the one-instance path raises."""
+
+    def _stack_with(self, good, bad):
+        return np.concatenate([good[:3], bad[None], good[3:]])
+
+    def test_asymmetric_gram(self):
+        grams = _grams(np.random.default_rng(97), 6, 2)
+        bad = np.array([[1.0, 0.5], [0.2, 1.0]])
+        _raises_alike(lambda: SpdMetric(bad), lambda: checked_grams(self._stack_with(grams, bad)))
+
+    def test_non_positive_definite_gram(self):
+        grams = _grams(np.random.default_rng(101), 6, 2)
+        bad = np.diag([1.0, -1e-3])
+        _raises_alike(lambda: SpdMetric(bad), lambda: checked_grams(self._stack_with(grams, bad)))
+
+    def test_non_orthonormal_frame(self):
+        frames = _frames(np.random.default_rng(103), 6, 4, 2)
+        bad = frames[0] * (1.0 + 1e-6)
+        stack = self._stack_with(frames, bad)
+        _raises_alike(lambda: OrientedSubspace(bad), lambda: checked_frames(stack))
+        assert frames_orthonormal(stack).tolist() == [True] * 3 + [False] + [True] * 3
+
+    def test_dependent_spanning_columns(self):
+        vectors = np.random.default_rng(107).standard_normal((6, 4, 2))
+        bad = np.stack([vectors[0, :, 0], 2.0 * vectors[0, :, 0]], axis=-1)
+        stack = self._stack_with(vectors, bad)
+        _raises_alike(lambda: OrientedSubspace.from_spanning(bad), lambda: checked_spanning_frames(stack))
+        assert spanning_frames(stack)[1].tolist() == [True] * 3 + [False] + [True] * 3
+
+    def test_leaking_map(self):
+        rng = np.random.default_rng(109)
+        frames = _frames(rng, 6, 3, 2)
+        maps = frames @ rng.standard_normal((6, 2, 2))
+        plane = OrientedSubspace.coordinate(3, (0, 1))
+        bad = plane.frame @ np.eye(2)
+        bad[2, 0] = 1e-6
+        _raises_alike(
+            lambda: nearest_isometry_into_plane(bad, E2, plane),
+            lambda: plane_coordinates(self._stack_with(maps, bad), self._stack_with(frames, plane.frame)),
+        )
