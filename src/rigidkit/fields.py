@@ -219,7 +219,8 @@ class MetricField:
     `lam` is the smallest constant with I/lam <= gram <= lam*I at every node;
     `lipschitz` is the discrete Lipschitz quotient measured over axis-adjacent
     node pairs.  Either can be passed in as a certified bound, in which case
-    it must not undercut the measured value.
+    it must not undercut the measured value.  The Gram entries must be
+    finite, symmetric and positive definite at every node.
     """
 
     def __init__(
@@ -233,11 +234,14 @@ class MetricField:
         expected = grid.node_shape + (grid.dim, grid.dim)
         if gram.shape != expected:
             raise ValueError(f"gram field shape {gram.shape}, expected {expected}")
-        sym_defect = np.abs(gram - np.swapaxes(gram, -1, -2)).max()
-        if sym_defect > _SYMMETRY_TOL:
-            raise ValueError("gram field is not symmetric at every node")
+        # Written as `not ... <=` so that a NaN or infinite entry, which makes
+        # the symmetry defect NaN, fails the test instead of slipping past it.
+        with np.errstate(invalid="ignore"):
+            sym_defect = np.abs(gram - np.swapaxes(gram, -1, -2)).max()
+        if not sym_defect <= _SYMMETRY_TOL:
+            raise ValueError("gram field is not finite and symmetric at every node")
         eigs = np.linalg.eigvalsh(gram)
-        if eigs.min() < _EIGENVALUE_FLOOR:
+        if not eigs.min() >= _EIGENVALUE_FLOOR:
             raise ValueError("gram field is not positive definite at every node")
         self.grid = grid
         self.gram = gram
@@ -373,20 +377,6 @@ class TargetSpace:
         return cls("sphere", base_dim, radius)
 
 
-def tangent_projection(target: TargetSpace, q: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the target's tangent space at the point q."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (target.ambient_dim,):
-        raise ValueError(f"point shape {q.shape} does not match ambient R^{target.ambient_dim}")
-    if target.kind == "euclidean":
-        return np.eye(target.ambient_dim)
-    off = abs(np.linalg.norm(q) - target.radius)
-    if off > _ON_MANIFOLD_TOL * max(1.0, target.radius):
-        raise ValueError(f"point is off the sphere by {off:.3e}")
-    unit = q / np.linalg.norm(q)
-    return np.eye(target.ambient_dim) - np.outer(unit, unit)
-
-
 @dataclass(frozen=True)
 class GridMap:
     """Plain node-sampled map from the grid cube into R^D (no target structure)."""
@@ -420,12 +410,14 @@ class ImmersionField:
     """Discrete immersion of the grid cube into a codimension-one target.
 
     A field built from node values computes all derived cell data at
-    construction: the differential, the oriented unit normal, its difference
-    field, and the shape operator solving  differential @ S = P (normal
-    differential)  in least squares.  A field made by `restrict` takes the
-    per-cell part of that data from its parent instead.  Cells where the
-    differential drops rank get a zero normal and are flagged degenerate;
-    energies skip them and report the count.
+    construction: the differential, the rank test, the oriented unit normal,
+    the tangent frame and its oriented complement (see `_build_normals`),
+    the normal's difference field, and the shape operator solving
+    differential @ S = P (normal differential)  in least squares.  A field
+    made by `restrict` takes the per-cell part of that data from its parent
+    instead.  Cells where the differential drops rank get a zero normal and
+    placeholder frames and are flagged degenerate; energies skip them and
+    report the count.
     """
 
     def __init__(
@@ -459,23 +451,36 @@ class ImmersionField:
         return self.cell_points / np.linalg.norm(self.cell_points, axis=-1, keepdims=True)
 
     def _build_normals(self) -> None:
-        """Per-cell rank test and oriented unit normal; each cell reads only its own data."""
-        du = self.differential
-        big = self.target.ambient_dim
+        """Per-cell rank test, oriented unit normal, tangent frame and complement.
 
-        sing = np.linalg.svd(du, compute_uv=False)
-        scale = np.maximum(sing[..., 0], 1.0)
-        degenerate = sing[..., -1] <= _RANK_TOL * scale
+        One full SVD per cell of the window (the differential, with the
+        outward radial direction appended on spheres) gives both the rank
+        test and the normal: a cell is degenerate when the window's least
+        singular value is at most 1e-12 times max(1, its largest).  On
+        spheres that covers the test on the differential alone: appending a
+        column interlaces the singular values, so the window's least one is
+        at most the differential's and its largest at least theirs.
+
+        `frames` is the differential's QR factor with the signs fixed so
+        that R has a nonnegative diagonal, an orthonormal basis of the
+        tangent plane.  `complements` completes it to the target: the normal,
+        or (normal, radial) on spheres, with its last column flipped where
+        [frame | complement] would have negative determinant.  Degenerate
+        cells get a zero normal and coordinate placeholder frames, so the
+        arrays stay rectangular; they remain flagged and every consumer
+        skips them.  Each cell reads only its own data.
+        """
+        du = self.differential
+        d = self.grid.dim
+        big = self.target.ambient_dim
 
         if self.target.kind == "euclidean":
             window = du
         else:
             radial = self._radial()
             window = np.concatenate([du, radial[..., :, None]], axis=-1)
-            win_sing = np.linalg.svd(window, compute_uv=False)
-            degenerate = degenerate | (win_sing[..., -1] <= _RANK_TOL * np.maximum(win_sing[..., 0], 1.0))
-
-        left = np.linalg.svd(window, full_matrices=True)[0]
+        left, sing, _ = np.linalg.svd(window, full_matrices=True)
+        degenerate = sing[..., -1] <= _RANK_TOL * np.maximum(sing[..., 0], 1.0)
         normal = left[..., :, big - 1].copy()
 
         # Sign convention: the normal completes the differential's columns to a
@@ -491,8 +496,25 @@ class ImmersionField:
         normal[flip] = -normal[flip]
         normal[degenerate] = 0.0
 
+        q, r = np.linalg.qr(du)
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs = np.where(signs == 0.0, 1.0, signs)
+        frames = q * signs[..., None, :]
+
+        if self.target.kind == "euclidean":
+            comp = normal[..., :, None].copy()
+        else:
+            comp = np.stack([normal, radial], axis=-1)
+        flip = np.linalg.det(np.concatenate([frames, comp], axis=-1)) < 0
+        comp[flip, :, -1] = -comp[flip, :, -1]
+
+        frames[degenerate] = np.eye(big)[:, :d]
+        comp[degenerate] = np.eye(big)[:, d:]
+
         self.degenerate = degenerate
         self.normal = normal
+        self.frames = frames
+        self.complements = comp
 
     def _build_shape_data(self) -> None:
         """Normal differential, its tangential projection and the shape solve.
@@ -545,14 +567,14 @@ class ImmersionField:
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "ImmersionField":
         """Sub-immersion on the subcube of `resolution` cells at node `corner`.
 
-        The node values, differential, cell points, normals and degenerate
-        flags are views of this field's; only the data `_build_shape_data`
-        derives across the subcube's trailing face is recomputed.  Every
-        attribute equals, bit for bit, what a fresh field on the sliced nodes
-        would compute.  That needs the sub-grid's spacing (its length over
-        its resolution) to round to this grid's; where it does not, the
-        differential would differ in the last bit, so the subcube is built
-        afresh instead.
+        The node values, differential, cell points, normals, degenerate
+        flags, tangent frames and complements are views of this field's;
+        only the data `_build_shape_data` derives across the subcube's
+        trailing face is recomputed.  Every attribute equals, bit for bit,
+        what a fresh field on the sliced nodes would compute.  That needs the
+        sub-grid's spacing (its length over its resolution) to round to this
+        grid's; where it does not, the differential would differ in the last
+        bit, so the subcube is built afresh instead.
         """
         sub, nodes, cells = _subcube(self.grid, corner, resolution)
         values = self.values[nodes]
@@ -567,6 +589,8 @@ class ImmersionField:
         field.cell_points = self.cell_points[cells]
         field.normal = self.normal[cells]
         field.degenerate = self.degenerate[cells]
+        field.frames = self.frames[cells]
+        field.complements = self.complements[cells]
         field._build_shape_data()
         return field
 
@@ -586,13 +610,6 @@ class ReferenceShape:
         if np.abs(form - np.swapaxes(form, -1, -2)).max() > _SYMMETRY_TOL:
             raise ValueError("reference form must be symmetric at every node")
         object.__setattr__(self, "form", form)
-
-
-def reference_shape(ref: ReferenceShape, g: MetricField) -> np.ndarray:
-    """Per-node shape operator of the reference form: solves gram @ S = form."""
-    if ref.grid != g.grid:
-        raise ValueError("reference form and metric live on different grids")
-    return np.linalg.solve(g.gram, ref.form)
 
 
 @dataclass(frozen=True)

@@ -454,9 +454,6 @@ class ProjectionBoundReport:
     unoriented_dist: float
     complement_gap: float
 
-    def oriented_slack(self, constant: float) -> float:
-        return self.unoriented_dist + constant * self.complement_gap - self.oriented_lhs
-
 
 def projection_error_bound_check(
     t: np.ndarray,

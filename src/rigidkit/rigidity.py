@@ -269,32 +269,14 @@ class PlaneField:
 
 
 def tangent_plane_field(u: ImmersionField) -> PlaneField:
-    """Oriented span of the differential columns at every cell.
+    """Oriented tangent planes and complements of every cell, as `u` built them.
 
-    Degenerate cells get placeholder coordinate frames so the arrays stay
+    The arrays are views shared with `u` (`u.frames`, `u.complements`,
+    `u.degenerate`; see `ImmersionField._build_normals`), not copies.
+    Degenerate cells carry placeholder coordinate frames so the arrays stay
     rectangular; they remain flagged and every consumer skips them.
     """
-    du = u.differential
-    d = u.grid.dim
-    big = u.target.ambient_dim
-
-    q, r = np.linalg.qr(du)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    frames = q * signs[..., None, :]
-
-    if u.target.kind == "euclidean":
-        comp = u.normal[..., :, None]
-    else:
-        radial = u.cell_points / np.linalg.norm(u.cell_points, axis=-1, keepdims=True)
-        comp = np.stack([u.normal, radial], axis=-1)
-    comp = comp.copy()
-    flip = np.linalg.det(np.concatenate([frames, comp], axis=-1)) < 0
-    comp[flip, :, -1] = -comp[flip, :, -1]
-
-    frames[u.degenerate] = np.eye(big)[:, :d]
-    comp[u.degenerate] = np.eye(big)[:, d:]
-    return PlaneField(u.grid, frames, comp, u.degenerate.copy())
+    return PlaneField(u.grid, u.frames, u.complements, u.degenerate)
 
 
 def _oriented_gap_sq(comps: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -481,7 +463,8 @@ def local_rigidity(
 ) -> RigidityReport:
     """Full constructive pipeline for an immersed cube patch.
 
-    Planes are fitted per cell, a base cell is chosen by the summed
+    The per-cell tangent planes the immersion built are read (see
+    `tangent_plane_field`), a base cell is chosen by the summed
     oriented-gap criterion, the immersion is flattened through the base
     plane's frame, the frame fit of `metric_rigidity` runs there, and the
     result is pushed back into the target.  The right-hand side carries the
@@ -492,13 +475,7 @@ def local_rigidity(
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
-    return _local_rigidity(u, g, tangent_plane_field(u), p, seed, base_index)
-
-
-def _local_rigidity(
-    u: ImmersionField, g: MetricField, planes: PlaneField, p: float, seed: int, base_index=None
-) -> RigidityReport:
-    """`local_rigidity` on fields sharing one grid, given the immersion's tangent planes."""
+    planes = tangent_plane_field(u)
     if base_index is None:
         base_index = choose_base_point(planes, p, seed)
     else:
@@ -570,11 +547,12 @@ def multiscale_fit(
 
     Each subcube runs the full local pipeline on the restricted fields; the
     per-subcube lhs values integrate over disjoint subcubes, so their sum is
-    the global residual of the assembled piecewise-constant field.  Per-cell
-    data (differentials, normals, tangent planes, cell metrics) is computed
-    once on the whole grid and sliced, and each subcube's oscillation is the
-    one its restricted metric caches for its oscillation term, so the
-    results equal those of fitting freshly built subcube fields.
+    the global residual of the assembled piecewise-constant field.  The
+    subcube fields come from `restrict`, which slices the per-cell data
+    (differentials, normals, tangent frames, cell metrics) computed once on
+    the whole grid, and each subcube's oscillation is the one its restricted
+    metric caches for its oscillation term, so every subcube report equals
+    what `local_rigidity` gives on freshly built subcube fields.
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
@@ -582,23 +560,13 @@ def multiscale_fit(
     block = grid.resolution // t
     d = grid.dim
     diam = float(np.linalg.norm([block * grid.spacing] * d))
-    planes = tangent_plane_field(u)
 
     fits = []
     rotations = np.zeros((t,) * d + (u.target.ambient_dim, d))
     for index in itertools.product(range(t), repeat=d):
         corner = tuple(block * i for i in index)
-        sub_u = u.restrict(corner, block)
         sub_g = g.restrict(corner, block)
-        if sub_u.grid.spacing == grid.spacing:
-            cells = tuple(slice(c, c + block) for c in corner)
-            sub_planes = PlaneField(
-                sub_u.grid, planes.frames[cells], planes.complements[cells], planes.degenerate[cells]
-            )
-        else:
-            # `restrict` rebuilt this subcube, so its planes are rebuilt too
-            sub_planes = tangent_plane_field(sub_u)
-        rep = _local_rigidity(sub_u, sub_g, sub_planes, p, seed)
+        rep = local_rigidity(u.restrict(corner, block), sub_g, p, seed)
         tripled = tuple(
             (max(0, c - block), min(grid.resolution, c + 2 * block)) for c in corner
         )

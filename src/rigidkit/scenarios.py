@@ -159,16 +159,6 @@ def curvature_curve(
     return ImmersionField(grid, TargetSpace.euclidean(1), values, mode)
 
 
-def curvature_profile(grid: GridDomain, kappa: float, profile: str, wave_amplitude: float) -> np.ndarray:
-    """Node values of the prescribed curvature for the curve family."""
-    t = grid.node_axis()
-    if profile == "constant":
-        return np.full_like(t, kappa)
-    if profile == "wave":
-        return kappa + wave_amplitude * np.sin(2.0 * np.pi * t / grid.length)
-    raise ValueError(f"unknown curvature profile {profile!r}")
-
-
 def graph_surface(grid: GridDomain, epsilon: float, mode: str = "forward") -> ImmersionField:
     """Graph immersion (x, epsilon * sin(pi x1 / l) sin(pi x2 / l)) over the square."""
     if grid.dim != 2:
@@ -293,9 +283,20 @@ def build_metric(
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
+_FLOAT_FIELDS = (
+    "length", "p", "kappa", "wave_amplitude", "epsilon", "rho", "polar", "rotation",
+    "metric_slope", "metric_lam",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete, serializable description of one scenario instance."""
+    """Complete, serializable description of one scenario instance.
+
+    `dim`, `resolution` and `seed` must be integers (an integral float is
+    taken as one, a boolean is not).  Every other numeric field must be a
+    finite number; it is checked but kept as given, so the manifest echoes it.
+    """
 
     family: str
     dim: int = 1
@@ -326,6 +327,8 @@ class ScenarioSpec:
             raise ValueError("scenario grids need at least two cells per axis")
         if not 1.0 <= self.p < np.inf:
             raise ValueError(f"exponent p must be finite and at least 1, got {self.p}")
+        for name in _FLOAT_FIELDS:
+            config_field(self, name, float)
 
     def replace(self, **changes) -> "ScenarioSpec":
         data = asdict(self)

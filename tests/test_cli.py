@@ -129,6 +129,40 @@ class TestRigidity:
         assert f"error: bad scenario: {message}" in capsys.readouterr().err
         assert not (tmp_path / "rigidity.json").exists()
 
+    # Raw JSON text: NaN and 1e400 (which JSON reads as infinity) are what a
+    # hand-written config can hold.
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"family": "curve", "metric_kind": "random", "metric_lam": NaN', "metric_lam must be a finite number, got nan"),
+            ('"family": "perturbed", "epsilon": NaN', "epsilon must be a finite number, got nan"),
+            ('"family": "perturbed", "kappa": NaN', "kappa must be a finite number, got nan"),
+            ('"family": "curve", "length": 1e400', "length must be a finite number, got inf"),
+            ('"family": "curve", "rho": true', "rho must be a finite number, got True"),
+        ],
+    )
+    def test_non_finite_scenario_field_is_config_error(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": {"dim": 1, "resolution": 16, ' + entry + "}}")
+        assert main(["rigidity", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"error: bad scenario: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "rigidity.json").exists()
+
+    def test_snapshot_with_nan_gram_is_config_error(self, tmp_path, capsys):
+        grid = GridDomain(1, 1.0, 8)
+        t = grid.node_axis()
+        u = ImmersionField(grid, TargetSpace.euclidean(1), np.stack([t, 0.1 * t**2], axis=-1))
+        snap = tmp_path / "parabola.json"
+        snapshot_save(snap, u, build_metric(grid, "flat"))
+        doc = json.loads(snap.read_text())
+        doc["gram"][3][0][0] = float("nan")
+        snap.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot load snapshot: gram field is not finite and symmetric" in err
+        assert not (tmp_path / "rigidity.json").exists()
+
     def test_integral_float_dim_is_an_integer(self, tmp_path):
         scenario = {"family": "curve", "dim": 1.0, "resolution": 16}
         cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})

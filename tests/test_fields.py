@@ -15,11 +15,9 @@ from rigidkit.fields import (
     energies,
     grid_differential,
     oscillation_and_diameter,
-    reference_shape,
     snapshot_load,
     snapshot_save,
     _max_pairwise_distance,
-    tangent_projection,
 )
 from rigidkit.scenarios import ScenarioSpec, build_metric, build_scenario
 
@@ -158,27 +156,6 @@ class TestUnitNormal:
         np.testing.assert_array_equal(u.normal[1], 0.0)
 
 
-class TestTangentProjection:
-    def test_euclidean_identity(self):
-        np.testing.assert_array_equal(
-            tangent_projection(TargetSpace.euclidean(2), np.ones(3)), np.eye(3)
-        )
-
-    def test_sphere_pole(self):
-        p = tangent_projection(TargetSpace.sphere(1, 2.0), np.array([0.0, 0.0, 2.0]))
-        np.testing.assert_allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
-
-    def test_off_sphere_rejected(self):
-        with pytest.raises(ValueError, match="off the sphere"):
-            tangent_projection(TargetSpace.sphere(1, 1.0), np.array([0.0, 0.0, 1.1]))
-
-    def test_projection_identities(self):
-        q = np.array([1.0, 2.0, 2.0]) / 3.0
-        p = tangent_projection(TargetSpace.sphere(1, 1.0), q)
-        np.testing.assert_allclose(p @ p, p, atol=1e-14)
-        np.testing.assert_allclose(p @ q, 0.0, atol=1e-14)
-
-
 class TestShapeOperator:
     def test_circle_curvature(self):
         for radius in (1.0, 2.0):
@@ -295,6 +272,16 @@ class TestMetricField:
             sloped = (1.0 + coords[..., 0])[..., None, None] * np.eye(1)
             MetricField(grid, sloped, lipschitz=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_non_finite_entries_rejected(self, bad, entry):
+        grid = GridDomain(2, 1.0, 2)
+        grams = np.broadcast_to(np.eye(2), grid.node_shape + (2, 2)).copy()
+        grams[1, 2][entry] = bad
+        grams[1, 2][entry[::-1]] = bad
+        with pytest.raises(ValueError, match="not finite and symmetric"):
+            MetricField(grid, grams)
+
     def test_restriction_matches_slice(self):
         grid = GridDomain(2, 1.0, 8)
         coords = grid.node_coordinates()
@@ -391,12 +378,6 @@ class TestOscillation:
 
 
 class TestReferenceShape:
-    def test_proportional_form(self):
-        grid = GridDomain(1, 1.0, 4)
-        g = MetricField.constant(grid, np.eye(1) * 4.0)
-        ref = ReferenceShape(grid, np.full(grid.node_shape + (1, 1), 2.0))
-        np.testing.assert_allclose(reference_shape(ref, g), 0.5)
-
     def test_asymmetric_rejected(self):
         grid = GridDomain(2, 1.0, 2)
         form = np.zeros(grid.node_shape + (2, 2))
@@ -411,6 +392,8 @@ _IMMERSION_DATA = (
     "cell_points",
     "normal",
     "degenerate",
+    "frames",
+    "complements",
     "normal_differential",
     "projected_normal_differential",
     "shape_operator",

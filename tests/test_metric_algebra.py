@@ -382,7 +382,7 @@ class TestProjectionErrorBound:
         assert report.projection_lhs == pytest.approx(0.0, abs=1e-12)
         assert report.complement_gap == pytest.approx(0.0, abs=1e-12)
         # with zero gap the oriented distance collapses to the unoriented one
-        assert report.oriented_slack(0.0) == pytest.approx(0.0, abs=1e-10)
+        assert report.oriented_lhs == pytest.approx(report.unoriented_dist, abs=1e-10)
 
     def test_random_instances_stay_nonnegative(self):
         rng = np.random.default_rng(53)

@@ -104,7 +104,7 @@ def clifford_patch(n):
     return ImmersionField(grid, TargetSpace.sphere(2, 1.0), values)
 
 
-def family_planes(family):
+def family_field(family):
     if family == "graph":
         u = graph_surface(GridDomain(2, 1.0, 24), 0.08)
     elif family == "curve_constant":
@@ -117,7 +117,73 @@ def family_planes(family):
         u = perturbed_inclusion(GridDomain(2, 1.0, 24), 0.05, seed=3)
     else:
         u = perturbed_inclusion(GridDomain(1, 1.0, 300), 0.05, kappa=1.0, seed=4)
-    return tangent_plane_field(u)
+    return u
+
+
+def family_planes(family):
+    return tangent_plane_field(family_field(family))
+
+
+def pinned_fields(name):
+    """The immersions the plane and rank-test formulas are pinned on: a
+    `family_field` family, the Clifford patch, or (for "rank_deficient") a
+    sheet whose row of cells at 3 loses a column, a latitude arc with a
+    zero-length cell, and a segment whose cells 2 and 5 have differentials of
+    length 0.75e-12 and 1.5e-12, either side of the rank tolerance."""
+    if name == "clifford":
+        return [clifford_patch(12)]
+    if name != "rank_deficient":
+        return [family_field(name)]
+    sheet = flat_inclusion(8)
+    values = sheet.values.copy()
+    values[4, :, 0] = values[3, :, 0]
+    arc = latitude_circle(GridDomain(1, 1.2, 32), 1.0, 1.0)
+    arc_values = arc.values.copy()
+    arc_values[17] = arc_values[16]
+    grid = GridDomain(1, 1.0, 8)
+    steps = np.full(8, grid.spacing)
+    steps[[2, 5]] = [0.75e-12 * grid.spacing, 1.5e-12 * grid.spacing]
+    x = np.concatenate([[0.0], np.cumsum(steps)])
+    return [
+        ImmersionField(sheet.grid, sheet.target, values),
+        ImmersionField(arc.grid, arc.target, arc_values),
+        ImmersionField(grid, TargetSpace.euclidean(1), np.stack([x, np.zeros(9)], axis=-1)),
+    ]
+
+
+def singular_value_degenerate(u):
+    """The rank test as two value-only SVDs: of the differential and, on
+    spheres, of the differential with the radial direction appended."""
+    du = u.differential
+    sing = np.linalg.svd(du, compute_uv=False)
+    degenerate = sing[..., -1] <= 1e-12 * np.maximum(sing[..., 0], 1.0)
+    if u.target.kind == "sphere":
+        radial = u.cell_points / np.linalg.norm(u.cell_points, axis=-1, keepdims=True)
+        window = np.concatenate([du, radial[..., :, None]], axis=-1)
+        win_sing = np.linalg.svd(window, compute_uv=False)
+        degenerate = degenerate | (win_sing[..., -1] <= 1e-12 * np.maximum(win_sing[..., 0], 1.0))
+    return degenerate
+
+
+def qr_tangent_planes(u):
+    """Sign-fixed QR frames of the differential and the normal (radial) complement,
+    its last column flipped to a positive [frame | complement] determinant."""
+    d, big = u.grid.dim, u.target.ambient_dim
+    q, r = np.linalg.qr(u.differential)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.where(signs == 0.0, 1.0, signs)
+    frames = q * signs[..., None, :]
+    if u.target.kind == "euclidean":
+        comp = u.normal[..., :, None]
+    else:
+        radial = u.cell_points / np.linalg.norm(u.cell_points, axis=-1, keepdims=True)
+        comp = np.stack([u.normal, radial], axis=-1)
+    comp = comp.copy()
+    flip = np.linalg.det(np.concatenate([frames, comp], axis=-1)) < 0
+    comp[flip, :, -1] = -comp[flip, :, -1]
+    frames[u.degenerate] = np.eye(big)[:, :d]
+    comp[u.degenerate] = np.eye(big)[:, d:]
+    return frames, comp, flip
 
 
 @st.composite
@@ -327,6 +393,35 @@ class TestTangentPlaneField:
         assert planes.degenerate[3]
         np.testing.assert_allclose(planes.frames[3], [[1.0], [0.0]])
         np.testing.assert_allclose(planes.complements[3], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize(
+        "name", ["curve_wave", "latitude", "graph", "perturbed_sheet", "clifford", "rank_deficient"]
+    )
+    def test_planes_equal_the_qr_formula(self, name):
+        for u in pinned_fields(name):
+            planes = tangent_plane_field(u)
+            frames, comp, flip = qr_tangent_planes(u)
+            np.testing.assert_array_equal(planes.frames, frames)
+            np.testing.assert_array_equal(planes.complements, comp)
+            np.testing.assert_array_equal(planes.degenerate, u.degenerate)
+            assert planes.frames is u.frames and planes.complements is u.complements
+            if name == "clifford":
+                # the determinant fix turns the radial column inward on every cell
+                assert flip.all()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["graph", "curve_constant", "curve_wave", "latitude", "perturbed_sheet", "perturbed_curve",
+         "rank_deficient"],
+    )
+    def test_degenerate_equals_the_singular_value_rule(self, name):
+        for u in pinned_fields(name):
+            np.testing.assert_array_equal(u.degenerate, singular_value_degenerate(u))
+        if name == "rank_deficient":
+            sheet, arc, segment = pinned_fields(name)
+            assert sheet.degenerate.sum() == 8 and sheet.degenerate[3].all()
+            assert arc.degenerate_count == 1 and arc.degenerate[16]
+            assert segment.degenerate.tolist() == [i == 2 for i in range(8)]
 
 
 class TestOrientedGapClosedForm:
@@ -576,6 +671,18 @@ class TestMultiscaleFit:
         assert residuals[0] > residuals[1] > residuals[2] > residuals[3]
         finest = multiscale_fit(u, g, 64)
         assert 0.0 < finest.residual < residuals[0]
+
+    def test_each_subcube_runs_the_public_pipeline(self):
+        u = graph_surface(GridDomain(2, 1.0, 12), 0.08)
+        g = build_metric(u.grid, "flat")
+        with mock.patch.object(rigidity, "local_rigidity", wraps=rigidity.local_rigidity) as spy:
+            field = multiscale_fit(u, g, 3)
+        assert spy.call_count == len(field.fits) == 9
+        for call in spy.call_args_list:
+            sub_u, sub_g = call.args[:2]
+            assert sub_u.grid == sub_g.grid == GridDomain(2, u.grid.spacing * 4, 4)
+            # the subcube's tangent frames are sliced from the parent's, not rebuilt
+            assert np.shares_memory(sub_u.frames, u.frames)
 
     def test_partition_parameter_must_divide(self):
         u = flat_inclusion(8)

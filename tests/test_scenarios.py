@@ -7,7 +7,6 @@ from rigidkit.scenarios import (
     build_metric,
     build_scenario,
     curvature_curve,
-    curvature_profile,
     graph_surface,
     latitude_circle,
     perturbation_field,
@@ -83,13 +82,6 @@ class TestCurveFamily:
         assert np.abs(u.shape_operator[..., 0, 0] - target).max() < 0.02
         report = energies(u, flat_metric(grid))
         assert report.stretch < 1e-7
-
-    def test_profile_helper_matches_family(self):
-        grid = GridDomain(1, 2.0, 8)
-        np.testing.assert_allclose(curvature_profile(grid, 1.5, "constant", 0.3), 1.5)
-        wave = curvature_profile(grid, 1.0, "wave", 0.25)
-        t = grid.node_axis()
-        np.testing.assert_allclose(wave, 1.0 + 0.25 * np.sin(np.pi * t))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
