@@ -272,7 +272,6 @@ def cmd_rigidity(args) -> int:
             u, metric = snapshot_load(config["snapshot"])
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError(f"cannot load snapshot: {exc}") from exc
-        spec = None
         p = args.p if args.p is not None else 2.0
         _require_fit_exponent(p)
         seed = _seed_override(args.seed) or 0
@@ -288,7 +287,8 @@ def cmd_rigidity(args) -> int:
             spec = _replace(spec, epsilon=args.eps[0])
         _require_fit_exponent(spec.p)
         bundle = _build(spec)
-        report, route = _fit_report(bundle, spec.p, spec.seed)
+        seed = spec.seed
+        report, route = _fit_report(bundle, spec.p, seed)
         row = _report_row(report, spec.family, spec.resolution, spec.epsilon)
         spec_echo = {"scenario": spec.to_dict()}
 
@@ -299,7 +299,7 @@ def cmd_rigidity(args) -> int:
     manifest = RunManifest(
         command="rigidity",
         spec=spec_echo,
-        seed=spec.seed if spec is not None else 0,
+        seed=seed,
         checks={"completed": True},
     )
     payload = {
@@ -392,7 +392,6 @@ def cmd_multiscale(args) -> int:
         )
         print(f"t={t}: residual {field.residual:.6e}")
 
-    finest = fields[t_values[-1]]
     moduli = []
     for shift in shifts:
         zeta = np.zeros(spec.dim)
@@ -412,8 +411,8 @@ def cmd_multiscale(args) -> int:
                     "covered_fraction": float(tm.covered_fraction),
                 }
             )
-        last = translation_modulus(finest, zeta)
-        print(f"zeta={shift:g}: modulus {last.value:.6e} covered {last.covered_fraction:.3f}")
+        # `tm` is the modulus of the last (finest) t, which the loop just measured.
+        print(f"zeta={shift:g}: modulus {tm.value:.6e} covered {tm.covered_fraction:.3f}")
 
     residual_ok = _strictly_decreasing(residuals) if len(residuals) > 1 else True
     modulus_ok = _strictly_decreasing(moduli) if len(moduli) > 1 else True

@@ -55,6 +55,8 @@ class GridDomain:
             raise ValueError("grid side length must be positive")
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError(f"grid spacing {self.spacing!r} is not positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -216,20 +218,14 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
 class MetricField:
     """Node-sampled SPD metric on a grid, with sandwich and Lipschitz data.
 
-    `lam` is the smallest constant with I/lam <= gram <= lam*I at every node;
-    `lipschitz` is the discrete Lipschitz quotient measured over axis-adjacent
-    node pairs.  Either can be passed in as a certified bound, in which case
-    it must not undercut the measured value.  The Gram entries must be
-    finite, symmetric and positive definite at every node.
+    The constructor checks that the Gram entries are finite, symmetric and
+    positive definite at every node.  `lam` is the smallest constant with
+    I/lam <= gram <= lam*I at every node, or a declared bound, which must
+    not undercut that measured value.  Everything else (`lipschitz` and the
+    cell data) is derived on first read.
     """
 
-    def __init__(
-        self,
-        grid: GridDomain,
-        gram: np.ndarray,
-        lam: float | None = None,
-        lipschitz: float | None = None,
-    ):
+    def __init__(self, grid: GridDomain, gram: np.ndarray, lam: float | None = None):
         gram = np.asarray(gram, dtype=float)
         expected = grid.node_shape + (grid.dim, grid.dim)
         if gram.shape != expected:
@@ -254,17 +250,11 @@ class MetricField:
                     f"declared sandwich constant {lam} is below the measured {measured_lam}"
                 )
             self.lam = float(lam)
-        measured_lip = self._discrete_lipschitz()
-        if lipschitz is None:
-            self.lipschitz = measured_lip
-        else:
-            if measured_lip > lipschitz * (1.0 + 1e-6) + 1e-15:
-                raise ValueError(
-                    f"measured Lipschitz quotient {measured_lip} exceeds declared {lipschitz}"
-                )
-            self.lipschitz = float(lipschitz)
 
-    def _discrete_lipschitz(self) -> float:
+    @cached_property
+    def lipschitz(self) -> float:
+        """Discrete Lipschitz quotient: the largest Frobenius jump between
+        axis-adjacent nodes, over the spacing."""
         worst = 0.0
         for axis in range(self.grid.dim):
             step = np.diff(self.gram, axis=axis)
@@ -304,15 +294,14 @@ class MetricField:
         `cell_inv_sqrt`, `cell_sqrt_det`) are views of this field's, which
         computes its own first if it has not yet; every entry equals what a
         fresh field on the sliced nodes would compute.  The nodes were
-        validated here, so they are not checked again.  `lam` is kept and
-        `lipschitz` is measured on the sub-grid.
+        validated here, so the child skips the constructor and its checks.
+        `lam` is kept; `lipschitz` is measured on the sub-grid if read.
         """
         sub, nodes, cells = _subcube(self.grid, corner, resolution)
         field = MetricField.__new__(MetricField)
         field.grid = sub
         field.gram = self.gram[nodes]
         field.lam = self.lam
-        field.lipschitz = field._discrete_lipschitz()
         field.cell_grams = self.cell_grams[cells]
         field.cell_inv_sqrt = self.cell_inv_sqrt[cells]
         field.cell_sqrt_det = self.cell_sqrt_det[cells]
@@ -406,79 +395,77 @@ class GridMap:
         return GridMap(sub, self.values[nodes], self.mode)
 
 
+# Cell data that reads only the cell's own nodes, which `restrict` slices.
+_CELL_LOCAL_DATA = ("differential", "cell_points", "normal", "degenerate", "frames", "complements")
+
+
 class ImmersionField:
     """Discrete immersion of the grid cube into a codimension-one target.
 
-    A field built from node values computes all derived cell data at
-    construction: the differential, the rank test, the oriented unit normal,
-    the tangent frame and its oriented complement (see `_build_normals`),
-    the normal's difference field, and the shape operator solving
-    differential @ S = P (normal differential)  in least squares.  A field
-    made by `restrict` takes the per-cell part of that data from its parent
-    instead.  Cells where the differential drops rank get a zero normal and
-    placeholder frames and are flagged degenerate; energies skip them and
-    report the count.
+    The constructor checks the node values (finite, of the target's shape,
+    on the sphere for sphere targets) and computes the differential, which
+    must be finite too.  Every other cell quantity is derived on first read
+    and then kept: the cell points, the rank test and oriented unit normal,
+    the tangent frames and their oriented complements, the normal's
+    difference field, and the shape operator solving
+    differential @ S = P (normal differential)  in least squares.  Cells
+    where the differential drops rank get a zero normal and placeholder
+    frames and are flagged degenerate; energies skip them and report the
+    count.
     """
 
-    def __init__(
-        self,
-        grid: GridDomain,
-        target: TargetSpace,
-        values: np.ndarray,
-        mode: str = "forward",
-    ):
+    def __init__(self, grid: GridDomain, target: TargetSpace, values: np.ndarray, mode: str = "forward"):
         values = np.asarray(values, dtype=float)
         if target.base_dim != grid.dim:
             raise ValueError("target base dimension does not match the grid")
         expected = grid.node_shape + (target.ambient_dim,)
         if values.shape != expected:
             raise ValueError(f"value field shape {values.shape}, expected {expected}")
+        if not np.isfinite(values).all():
+            raise ValueError("node values are not finite at every node")
         if target.kind == "sphere":
             off = np.abs(np.linalg.norm(values, axis=-1) - target.radius).max()
             if off > _ON_MANIFOLD_TOL * max(1.0, target.radius):
                 raise ValueError(f"node values leave the sphere by up to {off:.3e}")
+        with np.errstate(over="ignore"):
+            differential = grid_differential(grid, values, mode)
+        if not np.isfinite(differential).all():
+            raise ValueError("differential is not finite at every cell: node differences overflow")
         self.grid = grid
         self.target = target
         self.values = values
         self.mode = mode
-        self.differential = grid_differential(grid, values, mode)
-        self.cell_points = corner_average(values, grid.dim)
-        self._build_normals()
-        self._build_shape_data()
+        self.differential = differential
 
-    def _radial(self) -> np.ndarray:
+    @cached_property
+    def cell_points(self) -> np.ndarray:
+        """Each cell's point: the average of its corner values."""
+        return corner_average(self.values, self.grid.dim)
+
+    @cached_property
+    def radial(self) -> np.ndarray:
         """Outward unit radial direction at every cell point (sphere targets)."""
         return self.cell_points / np.linalg.norm(self.cell_points, axis=-1, keepdims=True)
 
-    def _build_normals(self) -> None:
-        """Per-cell rank test, oriented unit normal, tangent frame and complement.
+    @cached_property
+    def _degenerate_and_normal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell rank test and oriented unit normal, from one full SVD of
+        the window: the differential, with the outward radial direction
+        appended on spheres.
 
-        One full SVD per cell of the window (the differential, with the
-        outward radial direction appended on spheres) gives both the rank
-        test and the normal: a cell is degenerate when the window's least
-        singular value is at most 1e-12 times max(1, its largest).  On
-        spheres that covers the test on the differential alone: appending a
-        column interlaces the singular values, so the window's least one is
-        at most the differential's and its largest at least theirs.
-
-        `frames` is the differential's QR factor with the signs fixed so
-        that R has a nonnegative diagonal, an orthonormal basis of the
-        tangent plane.  `complements` completes it to the target: the normal,
-        or (normal, radial) on spheres, with its last column flipped where
-        [frame | complement] would have negative determinant.  Degenerate
-        cells get a zero normal and coordinate placeholder frames, so the
-        arrays stay rectangular; they remain flagged and every consumer
-        skips them.  Each cell reads only its own data.
+        A cell is degenerate when the window's least singular value is at
+        most 1e-12 times max(1, its largest).  On spheres that covers the
+        test on the differential alone: appending a column interlaces the
+        singular values, so the window's least one is at most the
+        differential's and its largest at least theirs.
         """
         du = self.differential
-        d = self.grid.dim
         big = self.target.ambient_dim
 
         if self.target.kind == "euclidean":
             window = du
         else:
-            radial = self._radial()
-            window = np.concatenate([du, radial[..., :, None]], axis=-1)
+            window = np.concatenate([du, self.radial[..., :, None]], axis=-1)
         left, sing, _ = np.linalg.svd(window, full_matrices=True)
         degenerate = sing[..., -1] <= _RANK_TOL * np.maximum(sing[..., 0], 1.0)
         normal = left[..., :, big - 1].copy()
@@ -490,75 +477,94 @@ class ImmersionField:
             stacked = np.concatenate([du, normal[..., :, None]], axis=-1)
         else:
             stacked = np.concatenate(
-                [radial[..., :, None], du, normal[..., :, None]], axis=-1
+                [self.radial[..., :, None], du, normal[..., :, None]], axis=-1
             )
         flip = np.linalg.det(stacked) < 0
         normal[flip] = -normal[flip]
         normal[degenerate] = 0.0
+        return degenerate, normal
 
-        q, r = np.linalg.qr(du)
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        """Cells where the differential drops rank (see `_degenerate_and_normal`)."""
+        return self._degenerate_and_normal[0]
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """Oriented unit normal per cell, zero on degenerate cells."""
+        return self._degenerate_and_normal[1]
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        """Orthonormal basis of each tangent plane: the differential's QR
+        factor, signs fixed so that R has a nonnegative diagonal.  Degenerate
+        cells get coordinate placeholders, so the array stays rectangular;
+        they remain flagged and every consumer skips them."""
+        q, r = np.linalg.qr(self.differential)
         signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         signs = np.where(signs == 0.0, 1.0, signs)
         frames = q * signs[..., None, :]
+        frames[self.degenerate] = np.eye(self.target.ambient_dim)[:, : self.grid.dim]
+        return frames
 
+    @cached_property
+    def complements(self) -> np.ndarray:
+        """Oriented complement of each frame in the target: the normal, or
+        (normal, radial) on spheres, with its last column flipped where
+        [frame | complement] would have negative determinant.  Degenerate
+        cells get coordinate placeholders, like `frames`."""
         if self.target.kind == "euclidean":
-            comp = normal[..., :, None].copy()
+            comp = self.normal[..., :, None].copy()
         else:
-            comp = np.stack([normal, radial], axis=-1)
-        flip = np.linalg.det(np.concatenate([frames, comp], axis=-1)) < 0
+            comp = np.stack([self.normal, self.radial], axis=-1)
+        flip = np.linalg.det(np.concatenate([self.frames, comp], axis=-1)) < 0
         comp[flip, :, -1] = -comp[flip, :, -1]
+        comp[self.degenerate] = np.eye(self.target.ambient_dim)[:, self.grid.dim :]
+        return comp
 
-        frames[degenerate] = np.eye(big)[:, :d]
-        comp[degenerate] = np.eye(big)[:, d:]
-
-        self.degenerate = degenerate
-        self.normal = normal
-        self.frames = frames
-        self.complements = comp
-
-    def _build_shape_data(self) -> None:
-        """Normal differential, its tangential projection and the shape solve.
-
-        The normal differential differences neighbouring cells and repeats
-        the last difference at the trailing face, so this part depends on
-        where the grid ends; `restrict` recomputes it, and only it.
-        """
-        du = self.differential
-        d = self.grid.dim
-        degenerate = self.degenerate
-        self.normal_differential = self._cell_gradient(self.normal, self.grid.spacing)
-
-        if self.target.kind == "euclidean":
-            projected = self.normal_differential
-        else:
-            radial = self._radial()
-            coeff = np.einsum("...i,...ij->...j", radial, self.normal_differential)
-            projected = self.normal_differential - radial[..., :, None] * coeff[..., None, :]
-        self.projected_normal_differential = projected
-
-        gram = np.swapaxes(du, -1, -2) @ du
-        rhs = np.swapaxes(du, -1, -2) @ projected
-        safe = np.where(degenerate[..., None, None], np.eye(d), gram)
-        shape = np.linalg.solve(safe, rhs)
-        shape[degenerate] = 0.0
-        self.shape_operator = shape
-        self.shape_residual = np.linalg.norm(du @ shape - projected, axis=(-2, -1))
-        self.shape_residual[degenerate] = 0.0
-
-    @staticmethod
-    def _cell_gradient(field: np.ndarray, h: float) -> np.ndarray:
-        """Forward differences of a cell field, repeating the last difference
-        at the trailing cell of each axis; single-cell axes contribute zero."""
-        d = field.ndim - 1
+    @cached_property
+    def normal_differential(self) -> np.ndarray:
+        """Forward differences of the normal, repeating the last difference at
+        the trailing cell of each axis; single-cell axes contribute zero."""
+        normal = self.normal
         cols = []
-        for axis in range(d):
-            if field.shape[axis] == 1:
-                cols.append(np.zeros_like(field))
+        for axis in range(self.grid.dim):
+            if normal.shape[axis] == 1:
+                cols.append(np.zeros_like(normal))
                 continue
-            diff = np.diff(field, axis=axis) / h
+            diff = np.diff(normal, axis=axis) / self.grid.spacing
             last = np.take(diff, [-1], axis=axis)
             cols.append(np.concatenate([diff, last], axis=axis))
         return np.stack(cols, axis=-1)
+
+    @cached_property
+    def projected_normal_differential(self) -> np.ndarray:
+        """The normal differential with its radial part removed on spheres."""
+        if self.target.kind == "euclidean":
+            return self.normal_differential
+        radial = self.radial
+        coeff = np.einsum("...i,...ij->...j", radial, self.normal_differential)
+        return self.normal_differential - radial[..., :, None] * coeff[..., None, :]
+
+    @cached_property
+    def shape_operator(self) -> np.ndarray:
+        """Least-squares S with differential @ S = projected normal differential."""
+        du = self.differential
+        degenerate = self.degenerate
+        gram = np.swapaxes(du, -1, -2) @ du
+        rhs = np.swapaxes(du, -1, -2) @ self.projected_normal_differential
+        safe = np.where(degenerate[..., None, None], np.eye(self.grid.dim), gram)
+        shape = np.linalg.solve(safe, rhs)
+        shape[degenerate] = 0.0
+        return shape
+
+    @cached_property
+    def shape_residual(self) -> np.ndarray:
+        """Frobenius residual of the shape solve, zero on degenerate cells."""
+        misfit = self.differential @ self.shape_operator - self.projected_normal_differential
+        residual = np.linalg.norm(misfit, axis=(-2, -1))
+        residual[self.degenerate] = 0.0
+        return residual
 
     @property
     def degenerate_count(self) -> int:
@@ -567,11 +573,13 @@ class ImmersionField:
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "ImmersionField":
         """Sub-immersion on the subcube of `resolution` cells at node `corner`.
 
-        The node values, differential, cell points, normals, degenerate
-        flags, tangent frames and complements are views of this field's;
-        only the data `_build_shape_data` derives across the subcube's
-        trailing face is recomputed.  Every attribute equals, bit for bit,
-        what a fresh field on the sliced nodes would compute.  That needs the
+        The node values and the cell-local data (differential, cell points,
+        degenerate flags, normals, tangent frames and complements) are views
+        of this field's, which computes its own first if it has not yet.
+        The nodes were validated here, so the child skips the constructor;
+        it derives its shape data, which crosses the subcube's trailing face,
+        when something reads it.  Every attribute equals, bit for bit, what
+        a fresh field on the sliced nodes would compute.  That needs the
         sub-grid's spacing (its length over its resolution) to round to this
         grid's; where it does not, the differential would differ in the last
         bit, so the subcube is built afresh instead.
@@ -585,13 +593,8 @@ class ImmersionField:
         field.target = self.target
         field.values = values
         field.mode = self.mode
-        field.differential = self.differential[cells]
-        field.cell_points = self.cell_points[cells]
-        field.normal = self.normal[cells]
-        field.degenerate = self.degenerate[cells]
-        field.frames = self.frames[cells]
-        field.complements = self.complements[cells]
-        field._build_shape_data()
+        for name in _CELL_LOCAL_DATA:
+            setattr(field, name, getattr(self, name)[cells])
         return field
 
 

@@ -191,29 +191,22 @@ def projection_keeps_orientation(frames0: np.ndarray, frames: np.ndarray) -> np.
     return np.linalg.det(_swap(frames0) @ frames) > 0.0
 
 
-def plane_coordinates(
-    t: np.ndarray, frames: np.ndarray, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL
-) -> np.ndarray:
+def plane_coordinates(t: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Frame coordinates of maps t (..., D, d), checked to stay in their planes.
 
     Raises when some map leaves its plane by more than
-    max(abs_tol, rel_tol * |t|) in the Frobenius norm.
+    max(ABS_TOL, REL_TOL * |t|) in the Frobenius norm.
     """
     coords = _swap(frames) @ t
     leak = np.linalg.norm(t - frames @ coords, axis=(-2, -1))
-    bad = leak > np.maximum(abs_tol, rel_tol * np.linalg.norm(t, axis=(-2, -1)))
+    bad = leak > np.maximum(ABS_TOL, REL_TOL * np.linalg.norm(t, axis=(-2, -1)))
     if np.any(bad):
         raise ValueError(f"map image leaves the plane by {np.extract(bad, leak)[0]:.3e}")
     return coords
 
 
 def projection_terms(
-    t: np.ndarray,
-    inv_sqrt: np.ndarray,
-    frames0: np.ndarray,
-    frames: np.ndarray,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
+    t: np.ndarray, inv_sqrt: np.ndarray, frames0: np.ndarray, frames: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Both sides of the projection inequalities, per stacked instance.
 
@@ -221,12 +214,12 @@ def projection_terms(
     Returns (projection_lhs, projection_rhs, oriented_lhs, unoriented_dist,
     complement_gap), each of shape (...); see `ProjectionBoundReport`.
     """
-    plane_coordinates(t, frames, abs_tol, rel_tol)
+    plane_coordinates(t, frames)
     projected = frames0 @ (_swap(frames0) @ t)
     gap = frame_distance(complement_frames(frames0), complement_frames(frames))
     lhs = metric_norm(projected - t, inv_sqrt)
     rhs = metric_norm(t, inv_sqrt) * gap
-    in_plane = plane_coordinates(projected, frames0, abs_tol, rel_tol)
+    in_plane = plane_coordinates(projected, frames0)
     oriented_lhs = isometry_defect(in_plane @ inv_sqrt, oriented=True)
     unoriented = isometry_defect(t @ inv_sqrt)
     return lhs, rhs, oriented_lhs, unoriented, gap
@@ -380,12 +373,7 @@ def _check_map_into_plane(t: np.ndarray, plane: OrientedSubspace, g: SpdMetric) 
 
 
 def nearest_isometry_into_plane(
-    t: np.ndarray,
-    g: SpdMetric,
-    plane: OrientedSubspace,
-    oriented: bool = False,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
+    t: np.ndarray, g: SpdMetric, plane: OrientedSubspace, oriented: bool = False
 ) -> tuple[np.ndarray, float]:
     """Closest isometry from (R^d, g) onto the oriented plane, among maps into it.
 
@@ -396,7 +384,7 @@ def nearest_isometry_into_plane(
     """
     t = np.asarray(t, dtype=float)
     _check_map_into_plane(t, plane, g)
-    coords = plane_coordinates(t, plane.frame, abs_tol, rel_tol)
+    coords = plane_coordinates(t, plane.frame)
     r_plane, dist = nearest_isometry(coords, g, oriented=oriented)
     return plane.frame @ r_plane, dist
 
@@ -456,12 +444,7 @@ class ProjectionBoundReport:
 
 
 def projection_error_bound_check(
-    t: np.ndarray,
-    g: SpdMetric,
-    p0: OrientedSubspace,
-    p: OrientedSubspace,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
+    t: np.ndarray, g: SpdMetric, p0: OrientedSubspace, p: OrientedSubspace
 ) -> ProjectionBoundReport:
     """Evaluate the projection inequalities for a map t with image in p.
 
@@ -473,7 +456,7 @@ def projection_error_bound_check(
         raise ValueError("planes must share ambient space and dimension")
     _check_map_into_plane(t, p, g)
     lhs, rhs, oriented_lhs, unoriented, gap = (
-        float(v) for v in projection_terms(t, g.inv_sqrt, p0.frame, p.frame, abs_tol, rel_tol)
+        float(v) for v in projection_terms(t, g.inv_sqrt, p0.frame, p.frame)
     )
     return ProjectionBoundReport(
         projection_lhs=lhs,

@@ -56,10 +56,7 @@ class RunManifest:
     command: str
     spec: dict
     seed: int
-    tool_version: str = __version__
     created: str = field(default_factory=timestamp)
-    csv_version: str = CSV_VERSION
-    csv_columns: tuple[str, ...] = CSV_COLUMNS
     outputs: list[str] = field(default_factory=list)
     checks: dict[str, bool] = field(default_factory=dict)
 
@@ -71,10 +68,10 @@ class RunManifest:
             "command": self.command,
             "spec": self.spec,
             "seed": self.seed,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "created": self.created,
-            "csv_version": self.csv_version,
-            "csv_columns": list(self.csv_columns),
+            "csv_version": CSV_VERSION,
+            "csv_columns": list(CSV_COLUMNS),
             "outputs": list(self.outputs),
             "checks": dict(self.checks),
         }
@@ -93,17 +90,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, rows: list[dict], columns: tuple[str, ...] = CSV_COLUMNS) -> None:
+def write_csv(path, rows: list[dict]) -> None:
     """Write rows under the fixed header; absent keys become empty cells."""
     for row in rows:
-        unknown = set(row) - set(columns)
+        unknown = set(row) - set(CSV_COLUMNS)
         if unknown:
             raise ValueError(f"row has columns outside the fixed layout: {sorted(unknown)}")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_cell(row.get(name)) for name in columns])
+            writer.writerow([_cell(row.get(name)) for name in CSV_COLUMNS])
 
 
 def write_gnuplot_data(path, rows: list[dict], columns: tuple[str, ...]) -> None:

@@ -269,10 +269,10 @@ class PlaneField:
 
 
 def tangent_plane_field(u: ImmersionField) -> PlaneField:
-    """Oriented tangent planes and complements of every cell, as `u` built them.
+    """Oriented tangent planes and complements of every cell, as `u` derives them.
 
-    The arrays are views shared with `u` (`u.frames`, `u.complements`,
-    `u.degenerate`; see `ImmersionField._build_normals`), not copies.
+    The arrays are `u.frames`, `u.complements` and `u.degenerate` themselves,
+    not copies; the first call derives them if nothing has read them yet.
     Degenerate cells carry placeholder coordinate frames so the arrays stay
     rectangular; they remain flagged and every consumer skips them.
     """

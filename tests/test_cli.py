@@ -163,6 +163,16 @@ class TestRigidity:
         assert "error: cannot load snapshot: gram field is not finite and symmetric" in err
         assert not (tmp_path / "rigidity.json").exists()
 
+    # 5e-324 is positive, but over 8 cells the spacing rounds to 0.
+    @pytest.mark.parametrize("family, dim", [("perturbed_identity", 2), ("curve", 1), ("graph", 2)])
+    def test_zero_spacing_is_config_error(self, tmp_path, capsys, family, dim):
+        scenario = {"family": family, "dim": dim, "resolution": 8, "length": 5e-324}
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario cannot be built: grid spacing 0.0 is not positive and finite" in err
+        assert not (tmp_path / "rigidity.json").exists()
+
     def test_integral_float_dim_is_an_integer(self, tmp_path):
         scenario = {"family": "curve", "dim": 1.0, "resolution": 16}
         cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
@@ -454,6 +464,49 @@ class TestSnapshotAndPlumbing:
         out = capsys.readouterr().out
         assert "target: sphere" in out
         assert "degenerate cells: 0" in out
+
+    @pytest.mark.parametrize("command", ["rigidity", "read"])
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({3: float("nan")}, "node values are not finite"),
+            # each value is finite, but their difference over the spacing is not
+            ({3: 1e308, 4: -1e308}, "differential is not finite"),
+        ],
+    )
+    def test_non_finite_snapshot_values_are_config_errors(self, tmp_path, capsys, command, entries, message):
+        grid = GridDomain(1, 1.0, 8)
+        t = grid.node_axis()
+        u = ImmersionField(grid, TargetSpace.euclidean(1), np.stack([t, 0.1 * t**2], axis=-1))
+        snap = tmp_path / "parabola.json"
+        snapshot_save(snap, u, build_metric(grid, "flat"))
+        doc = json.loads(snap.read_text())
+        for node, value in entries.items():
+            doc["values"][node][1] = value
+        snap.write_text(json.dumps(doc))
+        if command == "rigidity":
+            argv = ["rigidity", "--config", write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})]
+        else:
+            argv = ["snapshot", "read", str(snap)]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"error: cannot load snapshot: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "rigidity.json").exists()
+
+    def test_snapshot_fit_records_its_seed(self, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path, "snap.json", {"scenario": {"family": "perturbed", "dim": 2, "resolution": 8, "kappa": 0.0}}
+        )
+        assert main(["snapshot", "write", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rig = write_config(tmp_path, "rig.json", {"snapshot": str(tmp_path / "snapshot.json")})
+
+        def manifest_seed(extra):
+            assert main(["rigidity", "--config", rig, "--out", str(tmp_path)] + extra) == 0
+            return json.loads((tmp_path / "rigidity.json").read_text())["manifest"]["seed"]
+
+        assert manifest_seed([]) == 0
+        assert manifest_seed(["--seed", "5"]) == 5
+        monkeypatch.setenv("RIGIDITY_SEED", "4")
+        assert manifest_seed([]) == 4
 
     def test_snapshot_read_missing_path(self, tmp_path):
         assert main(["snapshot", "read"]) == 2

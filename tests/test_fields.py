@@ -68,6 +68,12 @@ class TestGridDomain:
         with pytest.raises(ValueError):
             GridDomain(1, 1.0, 0)
 
+    @pytest.mark.parametrize("length, resolution", [(5e-324, 8), (1e-320, 1 << 20), (np.inf, 4)])
+    def test_spacing_must_be_positive_and_finite(self, length, resolution):
+        # the first two lengths are positive, but their spacing rounds to 0
+        with pytest.raises(ValueError, match="grid spacing .* is not positive and finite"):
+            GridDomain(1, length, resolution)
+
 
 class TestDifferential:
     def test_affine_exact_both_modes(self):
@@ -267,10 +273,6 @@ class TestMetricField:
         MetricField(grid, grams, lam=3.0)
         with pytest.raises(ValueError, match="sandwich"):
             MetricField(grid, grams, lam=2.0)
-        with pytest.raises(ValueError, match="Lipschitz"):
-            coords = grid.node_coordinates()
-            sloped = (1.0 + coords[..., 0])[..., None, None] * np.eye(1)
-            MetricField(grid, sloped, lipschitz=0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
@@ -399,6 +401,7 @@ _IMMERSION_DATA = (
     "shape_operator",
     "shape_residual",
 )
+_CELL_LOCAL_DATA = ("differential", "cell_points", "normal", "degenerate", "frames", "complements")
 _METRIC_CELL_DATA = ("gram", "cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
 
 
@@ -482,6 +485,18 @@ class TestRestriction:
             sub = assert_restrict_equals_fresh_build(arc, corner, block)
             assert sub.degenerate.any()
 
+    @pytest.mark.parametrize("u", [flat_inclusion(n=8), latitude_circle(n=16)], ids=["sheet", "latitude"])
+    def test_restrict_slices_the_cell_local_data_and_derives_the_rest(self, u):
+        corner = (2,) * u.grid.dim
+        sub = u.restrict(corner, 4)
+        assert sorted(vars(sub)) == sorted(("grid", "target", "values", "mode") + _CELL_LOCAL_DATA)
+        assert np.shares_memory(sub.values, u.values)
+        for name in _CELL_LOCAL_DATA:
+            assert np.shares_memory(getattr(sub, name), getattr(u, name)), name
+        assert_restrict_equals_fresh_build(u, corner, 4)
+        sub.shape_residual
+        assert "_degenerate_and_normal" not in vars(sub)  # the child ran no SVD of its own
+
     def test_subgrid_spacing_that_rounds_differently_is_rebuilt(self):
         # length / 18 * 3 / 3 rounds one ulp away from length / 18 here, so the
         # parent's differential would not equal the subcube's own.
@@ -504,6 +519,28 @@ class TestRestriction:
         for field in (u, g, m):
             with pytest.raises(ValueError, match="outside the grid"):
                 field.restrict(corner, resolution)
+
+
+class TestDerivedOnFirstRead:
+    def test_constructor_computes_only_the_differential(self):
+        u = latitude_circle(n=16)
+        assert sorted(vars(u)) == ["differential", "grid", "mode", "target", "values"]
+        g = MetricField.constant(u.grid, np.eye(1))
+        assert sorted(vars(g)) == ["gram", "grid", "lam"]
+
+    def test_energies_derive_no_frames_and_no_shape_solve(self):
+        u = latitude_circle(n=32)
+        energies(u, MetricField.constant(u.grid, np.eye(1)))
+        for name in ("frames", "complements", "shape_operator", "shape_residual"):
+            assert name not in vars(u), name
+        assert "projected_normal_differential" in vars(u)
+
+    def test_metric_restriction_does_not_measure_lipschitz(self):
+        grid = GridDomain(1, 1.0, 8)
+        grams = (1.0 + 0.5 * grid.node_coordinates())[..., None] * np.eye(1)
+        sub = MetricField(grid, grams).restrict((2,), 4)
+        assert "lipschitz" not in vars(sub)
+        assert sub.lipschitz == pytest.approx(0.5, rel=1e-12)
 
 
 class TestSnapshot:
@@ -540,6 +577,25 @@ class TestValidation:
         values = np.ones(grid.node_shape + (3,))
         with pytest.raises(ValueError, match="sphere"):
             ImmersionField(grid, TargetSpace.sphere(1, 1.0), values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("target", [TargetSpace.euclidean(1), TargetSpace.sphere(1, 1.0)])
+    def test_non_finite_values_rejected(self, bad, target):
+        arc = latitude_circle(n=8) if target.kind == "sphere" else unit_circle_arc(n=8)
+        values = arc.values.copy()
+        values[3, 0] = bad
+        with pytest.raises(ValueError, match="node values are not finite"):
+            ImmersionField(arc.grid, target, values)
+
+    def test_overflowing_differential_rejected(self):
+        grid = GridDomain(1, 1.0, 4)
+        values = np.zeros(grid.node_shape + (2,))
+        values[1, 1], values[2, 1] = 1e308, -1e308
+        with pytest.raises(ValueError, match="differential is not finite"):
+            ImmersionField(grid, TargetSpace.euclidean(1), values)
+        tiny = GridDomain(1, 1e-308, 4)  # positive spacing, but 2 over it overflows
+        with pytest.raises(ValueError, match="differential is not finite"):
+            ImmersionField(tiny, TargetSpace.euclidean(1), np.arange(10.0).reshape(5, 2))
 
     def test_target_grid_mismatch(self):
         grid = GridDomain(2, 1.0, 4)
