@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -174,7 +175,31 @@ def _report_row(report, scenario: str, n: int, epsilon: float | None = None) -> 
     return row | {k: float(getattr(report, k)) for k in _REPORT_TERMS if k != "plane_variation"}
 
 
+def _non_finite_term(value, name: str):
+    """(name, value) of the first NaN or infinite float in a report value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (name, value)
+    if isinstance(value, dict):
+        items = ((f"{name}.{key}" if name else str(key), item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{name}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for item_name, item in items:
+        found = _non_finite_term(item, item_name)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(out_dir: Path, name: str, manifest: RunManifest, payload: dict, rows=None, plot_columns=None):
+    """Write the run's reports: CSV and gnuplot data from `rows`, then the JSON
+    payload with the manifest.  Every subcommand's reports go through here,
+    so a term that overflowed or lost its value stops the run first, as a
+    degenerate scenario, before any file is written."""
+    bad = _non_finite_term(payload, "") or _non_finite_term(rows or [], "rows")
+    if bad is not None:
+        raise DegenerateFieldError(f"report term {bad[0]} is not finite ({float(bad[1])})")
     out_dir.mkdir(parents=True, exist_ok=True)
     if rows is not None:
         csv_path = out_dir / f"{name}.csv"

@@ -124,24 +124,26 @@ def _subcube(
 
 
 def grid_differential(grid: GridDomain, values: np.ndarray, mode: str = "forward") -> np.ndarray:
-    """Per-cell differential of node values, shape (*cell_shape, D, dim).
+    """Per-cell differential of node values, shape (..., *cell_shape, D, dim).
 
     "forward" divides the forward difference along each axis by the spacing
     and reads the remaining axes at the cell's lower corner (first order at
     the cell center).  "central" instead averages that difference over the
     2^(dim-1) corner pairs of the cell, which is second order at the center.
-    Both are exact on affine data.
+    Both are exact on affine data.  The grid axes are the `dim` axes before
+    the last, so leading axes (a stack of equal patches) pass through.
     """
     if mode not in DIFF_MODES:
         raise ValueError(f"unknown difference mode {mode!r}")
     values = np.asarray(values, dtype=float)
     n = grid.resolution
+    grid_axes = range(-grid.dim - 1, -1)
     cols = []
-    for axis in range(grid.dim):
+    for axis in grid_axes:
         upper = np.take(values, range(1, n + 1), axis=axis)
         lower = np.take(values, range(0, n), axis=axis)
         diff = (upper - lower) / grid.spacing
-        for other in range(grid.dim):
+        for other in grid_axes:
             if other == axis:
                 continue
             if mode == "forward":
@@ -395,6 +397,29 @@ class GridMap:
         return GridMap(sub, self.values[nodes], self.mode)
 
 
+def _normal_differential(grid: GridDomain, normal: np.ndarray) -> np.ndarray:
+    """Forward differences of per-cell normals (..., *cell_shape, D) over the
+    spacing, repeating the last difference at the trailing cell of each axis;
+    single-cell axes contribute zero.  Shape (..., *cell_shape, D, dim); the
+    grid axes count from the end, like `grid_differential`'s."""
+    cols = []
+    for axis in range(-grid.dim - 1, -1):
+        if normal.shape[axis] == 1:
+            cols.append(np.zeros_like(normal))
+            continue
+        diff = np.diff(normal, axis=axis) / grid.spacing
+        last = np.take(diff, [-1], axis=axis)
+        cols.append(np.concatenate([diff, last], axis=axis))
+    return np.stack(cols, axis=-1)
+
+
+def _without_radial_part(normal_diff: np.ndarray, radial: np.ndarray) -> np.ndarray:
+    """A normal differential (..., D, dim) with its part along the unit radial
+    direction (..., D) removed: the projection onto the sphere's tangent space."""
+    coeff = np.einsum("...i,...ij->...j", radial, normal_diff)
+    return normal_diff - radial[..., :, None] * coeff[..., None, :]
+
+
 # Cell data that reads only the cell's own nodes, which `restrict` slices.
 _CELL_LOCAL_DATA = ("differential", "cell_points", "normal", "degenerate", "frames", "complements")
 
@@ -524,27 +549,15 @@ class ImmersionField:
 
     @cached_property
     def normal_differential(self) -> np.ndarray:
-        """Forward differences of the normal, repeating the last difference at
-        the trailing cell of each axis; single-cell axes contribute zero."""
-        normal = self.normal
-        cols = []
-        for axis in range(self.grid.dim):
-            if normal.shape[axis] == 1:
-                cols.append(np.zeros_like(normal))
-                continue
-            diff = np.diff(normal, axis=axis) / self.grid.spacing
-            last = np.take(diff, [-1], axis=axis)
-            cols.append(np.concatenate([diff, last], axis=axis))
-        return np.stack(cols, axis=-1)
+        """Forward differences of the normal (see `_normal_differential`)."""
+        return _normal_differential(self.grid, self.normal)
 
     @cached_property
     def projected_normal_differential(self) -> np.ndarray:
         """The normal differential with its radial part removed on spheres."""
         if self.target.kind == "euclidean":
             return self.normal_differential
-        radial = self.radial
-        coeff = np.einsum("...i,...ij->...j", radial, self.normal_differential)
-        return self.normal_differential - radial[..., :, None] * coeff[..., None, :]
+        return _without_radial_part(self.normal_differential, self.radial)
 
     @cached_property
     def shape_operator(self) -> np.ndarray:
@@ -634,6 +647,23 @@ class EnergyReport:
     degenerate_cells: int
 
 
+def _energy_sums(
+    du: np.ndarray, normal_diff: np.ndarray, inv_sqrt: np.ndarray, weights: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stretch, bending and Dirichlet integrals of cells stacked along axis -1.
+
+    Takes per-cell differentials (..., N, D, d), tangential normal
+    differentials (..., N, D, d), metric factors g^(-1/2) (..., N, d, d) and
+    quadrature weights (..., N); each leading index is one patch and gets one
+    sum of each kind, taken along the contiguous cell axis.
+    """
+    x = du @ inv_sqrt
+    stretch = np.sum(isometry_defect(x) ** p * weights, axis=-1)
+    bending = np.sum(np.linalg.norm(normal_diff @ inv_sqrt, axis=(-2, -1)) ** p * weights, axis=-1)
+    dirichlet = np.sum(np.linalg.norm(x, axis=(-2, -1)) ** p * weights, axis=-1)
+    return stretch, bending, dirichlet
+
+
 def energies(
     u: ImmersionField,
     g: MetricField,
@@ -646,7 +676,9 @@ def energies(
     Stretching integrates dist^p to the (not necessarily oriented) isometries
     of the cell metric; bending integrates the tangential part of the normal's
     variation; with a reference form the misfit |du (S_u - S_ref)|^p is also
-    integrated.  Degenerate cells are skipped and counted.
+    integrated.  Degenerate cells are skipped and counted.  The first three
+    sums are the one-patch call of `_energy_sums`, which the local rigidity
+    pipeline runs over a stack of subcubes.
     """
     if u.grid != g.grid:
         raise ValueError("immersion and metric live on different grids")
@@ -663,15 +695,10 @@ def energies(
 
     inv_sqrt = g.cell_inv_sqrt[good]
     du = u.differential[good]
-
-    stretch_density = isometry_defect(du @ inv_sqrt)
-    stretch = float(np.sum(stretch_density**p * w))
-
-    bend_density = np.linalg.norm(u.projected_normal_differential[good] @ inv_sqrt, axis=(-2, -1))
-    bending = float(np.sum(bend_density**p * w))
-
-    dirichlet_density = np.linalg.norm(du @ inv_sqrt, axis=(-2, -1))
-    dirichlet = float(np.sum(dirichlet_density**p * w))
+    stretch, bending, dirichlet = (
+        float(total)
+        for total in _energy_sums(du, u.projected_normal_differential[good], inv_sqrt, w, p)
+    )
 
     bending_ref = None
     if ref is not None:

@@ -23,6 +23,9 @@ from .fields import (
     ImmersionField,
     MetricField,
     ReferenceShape,
+    _energy_sums,
+    _normal_differential,
+    _without_radial_part,
     energies,
     grid_differential,
     oscillation_and_diameter,
@@ -35,6 +38,8 @@ _DESCENT_REL_TOL = 1e-10
 # Candidate-pool pairs below which `choose_base_point` scores every candidate:
 # the bound's fixed cost exceeds the direct scan there.
 _BOUND_MIN_PAIRS = 2**13
+# Cells per run of the stacked local pipeline in `multiscale_fit`.
+_STACK_CELLS = 2**11
 
 
 def _flat_norms(mats: np.ndarray) -> np.ndarray:
@@ -133,6 +138,33 @@ def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray
     return best_rot
 
 
+def _full_rank(mats: np.ndarray) -> np.ndarray:
+    """Per stacked matrix, whether its least singular value exceeds 1e-12
+    times max(1, its largest)."""
+    sing = np.linalg.svd(mats, compute_uv=False)
+    return sing[..., -1] > _RANK_TOL * np.maximum(sing[..., 0], 1.0)
+
+
+def _fit_rotations(du: np.ndarray, p: float) -> np.ndarray:
+    """Best rotation for each patch of square cell maps du (S, N, d, d): (S, d, d).
+
+    The oriented Procrustes factor of each patch's cell average, then, for
+    p != 2, the descent from it, run patch by patch.  Raises when a patch has
+    no cells or no full-rank cell.  One full-rank cell settles a patch, so
+    each patch's first cell is tested alone, and every cell only of the
+    patches where that one fails.
+    """
+    if du.shape[-3] == 0:
+        raise DegenerateFieldError("no cells available for rotation fitting")
+    unsure = ~_full_rank(du[:, 0])
+    if unsure.any() and not _full_rank(du[unsure]).any(axis=-1).all():
+        raise DegenerateFieldError("every cell differential is rank deficient")
+    rotation = rotation_align(du.mean(axis=-3))
+    if p != 2.0:
+        rotation = np.stack([_rotation_descent(x, p, start) for x, start in zip(du, rotation)])
+    return rotation
+
+
 def euclidean_best_rotation(
     du_cells: np.ndarray,
     cell_volume: float = 1.0,
@@ -146,6 +178,7 @@ def euclidean_best_rotation(
     closed form seeds a descent over rotation angles.  `mask` selects the
     cells entering the fit and the integrals (callers exclude flagged
     degenerate cells); the returned fit integrates both sides on demand.
+    This is the one-patch call of `_fit_rotations`.
     """
     du = np.asarray(du_cells, dtype=float)
     if du.ndim < 2 or du.shape[-1] != du.shape[-2]:
@@ -155,17 +188,7 @@ def euclidean_best_rotation(
     d = du.shape[-1]
     du = du.reshape(-1, d, d)
     used = du[_cell_mask(mask, du.shape[0])]
-    if used.size == 0:
-        raise DegenerateFieldError("no cells available for rotation fitting")
-    sing = np.linalg.svd(used, compute_uv=False)
-    full_rank = sing[..., -1] > _RANK_TOL * np.maximum(sing[..., 0], 1.0)
-    if not full_rank.any():
-        raise DegenerateFieldError("every cell differential is rank deficient")
-
-    rotation = rotation_align(used.mean(axis=0))
-    if p != 2.0:
-        rotation = _rotation_descent(used, p, rotation)
-
+    rotation = _fit_rotations(used[None], p)[0]
     return EuclideanFit(p, rotation, used, cell_volume)
 
 
@@ -189,18 +212,22 @@ class RigidityReport:
     constant: float
 
 
-def _metric_frame_fit(
-    du: np.ndarray, g: MetricField, base_index: tuple[int, ...], p: float, mask: np.ndarray
-) -> np.ndarray:
-    """The frame fit of `metric_rigidity` on (N, d, d) cell maps; `local_rigidity` shares it."""
-    t_mat = spd_sqrt(g.cell_grams[base_index])
-    fit = euclidean_best_rotation(du @ np.linalg.inv(t_mat), g.grid.cell_volume, p, mask)
-    return fit.rotation @ t_mat
+def _metric_frame_fit(du: np.ndarray, gram: np.ndarray, p: float) -> np.ndarray:
+    """Frames R (S, d, d) with R.T @ R = gram, fitted to cell maps du (S, N, d, d).
+
+    With T the symmetric square root of each patch's base Gram matrix
+    (S, d, d), a rotation is fitted to du T^{-1} and pulled back as R =
+    fitted T.  `metric_rigidity` and the local pipeline share it.
+    """
+    if not p > 1.0:
+        raise ValueError("exponent p must exceed 1")
+    t_mat = spd_sqrt(gram)
+    return _fit_rotations(du @ np.linalg.inv(t_mat)[:, None], p) @ t_mat
 
 
-def _oscillation_term(g: MetricField, p: float) -> float:
+def _oscillation_term(grid: GridDomain, oscillation: float, p: float) -> float:
     """Domain volume times the p-th power of the metric oscillation over the grid."""
-    return g.grid.volume * g._oscillation**p
+    return grid.volume * oscillation**p
 
 
 def metric_rigidity(
@@ -228,7 +255,7 @@ def metric_rigidity(
 
     du = u.differential.reshape(-1, grid.dim, grid.dim)
     mask = _cell_mask(mask, du.shape[0])
-    rotation = _metric_frame_fit(du, g, base_index, p, mask)
+    rotation = _metric_frame_fit(du[mask][None], g.cell_grams[base_index][None], p)[0]
 
     inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[mask]
     deviation = (du[mask] - rotation) @ inv_sqrt
@@ -237,7 +264,7 @@ def metric_rigidity(
         grid.cell_volume
         * np.sum(isometry_defect(du[mask] @ inv_sqrt, oriented=True) ** p)
     )
-    osc_term = _oscillation_term(g, p)
+    osc_term = _oscillation_term(grid, g._oscillation, p)
     constant = _guarded_ratio(lhs, osc_term + stretch)
     return RigidityReport(
         p=p,
@@ -280,7 +307,8 @@ def tangent_plane_field(u: ImmersionField) -> PlaneField:
 
 
 def _oriented_gap_sq(comps: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Squared oriented-subspace distance of each complement frame to `base`.
+    """Squared oriented-subspace distance of complement frames (..., N, D, r)
+    to the base frame (..., D, r) of their patch.
 
     Closed forms for the only codimensions the immersion targets produce:
     lines (r = 1) and planes (r = 2), where the optimal aligning rotation
@@ -288,39 +316,51 @@ def _oriented_gap_sq(comps: np.ndarray, base: np.ndarray) -> np.ndarray:
     """
     r = comps.shape[-1]
     if r == 1:
-        dots = comps[..., :, 0] @ base[:, 0]
+        dots = (comps[..., :, 0] @ base)[..., 0]
         return np.clip(2.0 - 2.0 * dots, 0.0, None)
     if r == 2:
-        spun = np.stack([base[:, 1], -base[:, 0]], axis=-1)
-        a = np.einsum("...dk,dk->...", comps, base)
-        b = np.einsum("...dk,dk->...", comps, spun)
+        spun = np.stack([base[..., 1], -base[..., 0]], axis=-1)
+        a = np.einsum("...dk,...dk->...", comps, base[..., None, :, :])
+        b = np.einsum("...dk,...dk->...", comps, spun[..., None, :, :])
         return np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
     raise ValueError("complement codimension above 2 is not supported")
 
 
 def _gap_scores(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
-    """Summed oriented-gap p-power of each complement frame in `rows` over `pool`.
+    """Summed oriented-gap p-power of each complement frame in `rows`
+    (..., M, D, r) over the `pool` (..., N, D, r) of its patch: (..., M).
 
     The r = 1 and r = 2 forms are written out here, not taken from
     `_oriented_gap_sq`: mirror-image cells tie in exact arithmetic, so the
     base cell between them is decided by the round-off of these operations.
+    Rows are scored in blocks of 512, each patch's block one matrix product.
     """
     r = pool.shape[-1]
-    flat_pool = pool.reshape(pool.shape[0], -1)
+    flat_pool = pool.reshape(pool.shape[:-2] + (-1,))
+    pool_t = np.swapaxes(flat_pool, -1, -2)
     if r == 2:
-        spun_pool = np.stack([pool[:, :, 1], -pool[:, :, 0]], axis=-1)
-        spun_flat = spun_pool.reshape(pool.shape[0], -1)
-    scores = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], 512):
-        block = rows[lo : lo + 512].reshape(-1, flat_pool.shape[1])
+        spun_pool = np.stack([pool[..., 1], -pool[..., 0]], axis=-1)
+        spun_t = np.swapaxes(spun_pool.reshape(flat_pool.shape), -1, -2)
+    scores = np.empty(rows.shape[:-2])
+    for lo in range(0, rows.shape[-3], 512):
+        block = rows[..., lo : lo + 512, :, :]
+        block = block.reshape(block.shape[:-2] + (-1,))
         if r == 1:
-            gap_sq = np.clip(2.0 - 2.0 * block @ flat_pool.T, 0.0, None)
+            gap_sq = np.clip(2.0 - 2.0 * block @ pool_t, 0.0, None)
         else:
-            a = block @ flat_pool.T
-            b = block @ spun_flat.T
+            a = block @ pool_t
+            b = block @ spun_t
             gap_sq = np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
-        scores[lo : lo + 512] = np.sum(gap_sq ** (p / 2.0), axis=-1)
+        scores[..., lo : lo + 512] = np.sum(gap_sq ** (p / 2.0), axis=-1)
     return scores
+
+
+def _line_scores(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """`_gap_scores` at r = 1, p = 2 up to a shift and scale, for ranking:
+    sum |w_c - w_y|^2 = 2 N - 2 <w_c, sum w_y>, so the score is
+    -<w_c, sum w_y>, one pass over the pool and one matrix-vector product."""
+    total = pool[..., 0].sum(axis=-2)
+    return -(rows[..., 0] @ total[..., None])[..., 0]
 
 
 def _gap_directions(comps: np.ndarray) -> np.ndarray | None:
@@ -407,6 +447,55 @@ def _bound_survivors(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray
     return ~(bound > best + _bound_slack(best, base, pool.shape[0], p))
 
 
+def _base_cell(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> int:
+    """`_base_cells` for one patch (M, D, r), with its ragged steps: the pool
+    of non-degenerate cells, the seeded candidate subsample past 4096 cells,
+    and the bound filter."""
+    good_idx = np.nonzero(good)[0]
+    if good_idx.size > CANDIDATE_CAP:
+        rng = np.random.default_rng(seed)
+        candidates = np.sort(rng.choice(good_idx, CANDIDATE_CAP, replace=False))
+    else:
+        candidates = good_idx
+    pool = comps[good]
+    rows = comps[candidates]
+    if comps.shape[-1] == 1 and p == 2.0:
+        scores = _line_scores(rows, pool)
+    else:
+        if candidates.size * pool.shape[0] >= _BOUND_MIN_PAIRS:
+            keep = _bound_survivors(rows, pool, p)
+            candidates, rows = candidates[keep], rows[keep]
+        scores = _gap_scores(rows, pool, p)
+    return int(candidates[int(np.argmin(scores))])
+
+
+def _base_cells(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> np.ndarray:
+    """Linear index of each patch's base cell, for complements (S, M, D, r)
+    and non-degenerate flags (S, M); see `choose_base_point`.
+
+    Patches where every cell is both a candidate and a pool member, and the
+    bound filter would not run, are scored together; the rest go one by one
+    through `_base_cell`.
+    """
+    if not good.any(axis=-1).all():
+        raise DegenerateFieldError("no non-degenerate cells to anchor at")
+    if comps.shape[-1] not in (1, 2):
+        raise ValueError("complement codimension above 2 is not supported")
+    lines = comps.shape[-1] == 1 and p == 2.0
+    count = good.shape[-1]
+    plain = good.all(axis=-1) & (count <= CANDIDATE_CAP) & (lines or count * count < _BOUND_MIN_PAIRS)
+    cells = np.empty(good.shape[0], dtype=int)
+    if plain.any():
+        # Rows and pool in separate buffers, as in `_base_cell`: numpy runs
+        # A @ A.T on one buffer as a symmetric product, which rounds differently.
+        rows, pool = comps[plain], comps[plain]
+        scores = _line_scores(rows, pool) if lines else _gap_scores(rows, pool, p)
+        cells[plain] = np.argmin(scores, axis=-1)
+    for s in np.flatnonzero(~plain):
+        cells[s] = _base_cell(comps[s], good[s], p, seed)
+    return cells
+
+
 def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tuple[int, ...]:
     """Cell whose complement minimizes the summed oriented-gap p-power.
 
@@ -422,36 +511,180 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
     scoring, the candidates that cannot win.  For p < 2, for 2-frames in
     other dimensions, when those unit vectors sum to zero, and on small grids
     every candidate is scored.
+
+    This is the one-patch call of `_base_cells`, which `multiscale_fit` runs
+    on all subcubes at once: it scores the plain subcubes as one stack and
+    loops only over those with degenerate cells, a subsampled candidate set
+    or the bound filter.
     """
-    good = ~planes.degenerate.reshape(-1)
-    if not good.any():
-        raise DegenerateFieldError("no non-degenerate cells to anchor at")
     shape = planes.complements.shape
-    comps = planes.complements.reshape(-1, shape[-2], shape[-1])
-    good_idx = np.nonzero(good)[0]
-    if good_idx.size > CANDIDATE_CAP:
-        rng = np.random.default_rng(seed)
-        candidates = np.sort(rng.choice(good_idx, CANDIDATE_CAP, replace=False))
-    else:
-        candidates = good_idx
+    comps = planes.complements.reshape((1, -1) + shape[-2:])
+    cell = _base_cells(comps, ~planes.degenerate.reshape(1, -1), p, seed)[0]
+    return tuple(int(i) for i in np.unravel_index(cell, planes.grid.cell_shape))
 
-    pool = comps[good]
-    r = shape[-1]
-    if r == 1 and p == 2.0:
-        # sum |w_c - w_y|^2 = 2 N - 2 <w_c, sum w_y>, so one pass suffices
-        total = pool[:, :, 0].sum(axis=0)
-        scores = -(comps[candidates][:, :, 0] @ total)
-    elif r in (1, 2):
-        rows = comps[candidates]
-        if candidates.size * pool.shape[0] >= _BOUND_MIN_PAIRS:
-            keep = _bound_survivors(rows, pool, p)
-            candidates, rows = candidates[keep], rows[keep]
-        scores = _gap_scores(rows, pool, p)
-    else:
-        raise ValueError("complement codimension above 2 is not supported")
 
-    winner = int(candidates[int(np.argmin(scores))])
-    return tuple(int(i) for i in np.unravel_index(winner, planes.grid.cell_shape))
+# Per-node and per-cell data the local pipeline reads, by source: the
+# immersion (plus `radial` on spheres) and the metric.
+_FIELD_PATCH_DATA = ("values", "differential", "degenerate", "normal", "frames", "complements")
+_METRIC_PATCH_DATA = ("cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
+
+
+def _patch_data(u: ImmersionField) -> list[tuple[str, bool]]:
+    """(name, read from the metric) for every array of a patch of `u`."""
+    field = _FIELD_PATCH_DATA + (("radial",) if u.target.kind == "sphere" else ())
+    return [(name, False) for name in field] + [(name, True) for name in _METRIC_PATCH_DATA]
+
+
+def _subcube_major(cells: np.ndarray, t: int, dim: int, rows: slice) -> np.ndarray:
+    """Per-cell data (*cell_shape, ...) of the t-fold partition's subcubes whose
+    first index is in `rows`, as (subcubes, *block_shape, ...): the subcubes
+    in C order, each with its cells in C order.  A view in dimension 1, one
+    transposing copy otherwise."""
+    block = cells.shape[0] // t
+    rest = cells.shape[dim:]
+    split = cells.reshape((t, block) * dim + rest)[rows]
+    order = [*range(0, 2 * dim, 2), *range(1, 2 * dim, 2), *range(2 * dim, split.ndim)]
+    return split.transpose(order).reshape((-1,) + (block,) * dim + rest)
+
+
+def _subcube_nodes(values: np.ndarray, t: int, dim: int, rows: slice) -> np.ndarray:
+    """Node data (*node_shape, ...) of the subcubes `_subcube_major` selects,
+    (subcubes, *(block + 1,) * dim, ...); neighbours share their face nodes."""
+    block = (values.shape[0] - 1) // t
+    windows = np.lib.stride_tricks.sliding_window_view(values, (block + 1,) * dim, axis=tuple(range(dim)))
+    windows = windows[(slice(None, None, block),) * dim][rows]
+    windows = np.moveaxis(windows, range(-dim, 0), range(dim, 2 * dim))
+    return windows.reshape((-1,) + (block + 1,) * dim + values.shape[dim:])
+
+
+class _Patches:
+    """Equal patches of one immersion and its metric, stacked on a leading axis.
+
+    `grid` is each patch's own grid.  Every array of `_patch_data` is an
+    attribute holding one patch per leading index: node values
+    (S, *node_shape, D) and cell data (S, *cell_shape, ...); `radial` is
+    None off spheres.
+    """
+
+    def __init__(self, grid: GridDomain, target, mode: str, arrays: dict):
+        self.grid = grid
+        self.target = target
+        self.mode = mode
+        self.arrays = arrays
+        self.radial = None
+        vars(self).update(arrays)
+
+    @classmethod
+    def stack(cls, fields, metrics) -> "_Patches":
+        """Patches of immersions on one grid and their metrics; a single pair
+        is viewed, not copied."""
+        u = fields[0]
+        arrays = {}
+        for name, from_metric in _patch_data(u):
+            parts = [getattr(x, name) for x in (metrics if from_metric else fields)]
+            arrays[name] = parts[0][None] if len(parts) == 1 else np.stack(parts)
+        return cls(u.grid, u.target, u.mode, arrays)
+
+    @classmethod
+    def subcubes(cls, u: ImmersionField, g: MetricField, t: int, rows: slice) -> "_Patches":
+        """The subcubes of the t-fold partition of `u` and `g` whose first
+        index is in `rows`, in C order of their index.
+
+        The arrays are regrouped from the parents' own, which equals building
+        each subcube afresh when the subcube grid's spacing rounds to the
+        parent's (see `ImmersionField.restrict`); otherwise the subcubes are
+        built by `restrict` and stacked.
+        """
+        grid, d = u.grid, u.grid.dim
+        block = grid.resolution // t
+        sub = GridDomain(d, grid.spacing * block, block)
+        if sub.spacing != grid.spacing:
+            indices = itertools.product(range(t)[rows], *[range(t)] * (d - 1))
+            corners = [tuple(block * i for i in index) for index in indices]
+            return cls.stack([u.restrict(c, block) for c in corners], [g.restrict(c, block) for c in corners])
+        arrays = {
+            name: _subcube_major(getattr(g if from_metric else u, name), t, d, rows)
+            for name, from_metric in _patch_data(u)
+            if name != "values"
+        }
+        arrays["values"] = _subcube_nodes(u.values, t, d, rows)
+        return cls(sub, u.target, u.mode, arrays)
+
+    def take(self, rows) -> "_Patches":
+        return _Patches(self.grid, self.target, self.mode, {k: v[rows] for k, v in self.arrays.items()})
+
+
+def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[RigidityReport]:
+    """The local pipeline of `local_rigidity` on every patch, past the base-cell choice.
+
+    `base` holds each patch's base cell as a linear index and `osc` its
+    metric oscillation.  Every stage is one array computation over the patch
+    axis, with each patch's products and sums shaped as for that patch
+    alone, so each report equals the one-patch run bit for bit.  Patches
+    with degenerate cells keep different numbers of cells and are fitted one
+    by one; the p != 2 rotation descent also runs patch by patch.
+    """
+    grid, count = patches.grid, len(base)
+    d, big, n = grid.dim, patches.target.ambient_dim, grid.cell_count
+    good = ~patches.degenerate.reshape(count, n)
+    ragged = ~good.all(axis=-1)
+    if count > 1 and ragged.any():
+        reports = [None] * count
+        for rows in [np.flatnonzero(~ragged), *([s] for s in np.flatnonzero(ragged))]:
+            if len(rows):
+                fits = _local_fits(patches.take(rows), base[rows], [osc[s] for s in rows], p)
+                for s, fit in zip(rows, fits):
+                    reports[s] = fit
+        return reports
+    keep = good[0] if count == 1 else slice(None)
+
+    def cells(x: np.ndarray) -> np.ndarray:
+        """(S, *cell_shape, ...) as (S, fitted cells, ...)."""
+        return x.reshape((count, n) + x.shape[d + 1 :])[:, keep]
+
+    at_base = (np.arange(count), base)
+    frame = patches.frames.reshape(count, n, big, d)[at_base]
+    flat = grid_differential(
+        grid, patches.values @ frame.reshape((count,) + (1,) * (d - 1) + (big, d)), patches.mode
+    )
+    gram = patches.cell_grams.reshape(count, n, d, d)[at_base]
+    rotation = frame @ _metric_frame_fit(cells(flat), gram, p)
+
+    du = cells(patches.differential)
+    inv_sqrt = cells(patches.cell_inv_sqrt)
+    lhs = grid.cell_volume * np.sum(_flat_norms((du - rotation[:, None]) @ inv_sqrt) ** p, axis=-1)
+
+    normal_diff = _normal_differential(grid, patches.normal)
+    if patches.radial is not None:
+        normal_diff = _without_radial_part(normal_diff, patches.radial)
+    weights = grid.cell_volume * cells(patches.cell_sqrt_det)
+    stretch, bending, dirichlet = _energy_sums(du, cells(normal_diff), inv_sqrt, weights, p)
+
+    comps = patches.complements
+    gaps_sq = _oriented_gap_sq(cells(comps), comps.reshape(count, n, big, -1)[at_base])
+    plane_variation = grid.cell_volume * np.sum(gaps_sq ** (p / 2.0), axis=-1)
+
+    diameter_p = grid.diameter**p
+    base_indices = np.transpose(np.unravel_index(base, grid.cell_shape)).tolist()
+    reports = []
+    for s in range(count):
+        bend_scale = diameter_p * (float(bending[s]) + float(dirichlet[s]))
+        osc_term = _oscillation_term(grid, osc[s], p)
+        patch_lhs, patch_stretch = float(lhs[s]), float(stretch[s])
+        reports.append(
+            RigidityReport(
+                p=p,
+                base_index=tuple(base_indices[s]),
+                rotation=rotation[s],
+                lhs=patch_lhs,
+                osc_term=osc_term,
+                stretch=patch_stretch,
+                bend_scale=bend_scale,
+                plane_variation=float(plane_variation[s]),
+                constant=_guarded_ratio(patch_lhs, osc_term + patch_stretch + bend_scale),
+            )
+        )
+    return reports
 
 
 def local_rigidity(
@@ -472,6 +705,9 @@ def local_rigidity(
     energy; the plane-variation statistic is reported alongside.  The lhs
     integrates with Lebesgue measure, but the stretch and excess terms use
     Riemannian weights sqrt(det gram); with a flat metric the two coincide.
+
+    This is the one-patch call of the stacked pipeline `_local_fits`, which
+    `multiscale_fit` runs on all subcubes of a partition at once.
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
@@ -482,37 +718,8 @@ def local_rigidity(
         base_index = _as_cell_index(u.grid, base_index)
         if planes.degenerate[base_index]:
             raise ValueError("requested base cell is degenerate")
-
-    grid = u.grid
-    frame = planes.frames[base_index]
-    flat_du = grid_differential(grid, u.values @ frame, u.mode).reshape(-1, grid.dim, grid.dim)
-    mask = ~u.degenerate.reshape(-1)
-    rotation = frame @ _metric_frame_fit(flat_du, g, base_index, p, mask)
-
-    du = u.differential.reshape(-1, u.target.ambient_dim, grid.dim)
-    inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)
-    deviation = (du[mask] - rotation) @ inv_sqrt[mask]
-    lhs = float(grid.cell_volume * np.sum(_flat_norms(deviation) ** p))
-
-    report = energies(u, g, p=p)
-    bend_scale = grid.diameter**p * report.excess
-    comps = planes.complements.reshape(-1, u.target.ambient_dim, u.target.ambient_dim - grid.dim)
-    gaps_sq = _oriented_gap_sq(comps[mask], planes.complements[base_index])
-    plane_variation = float(grid.cell_volume * np.sum(gaps_sq ** (p / 2.0)))
-
-    osc_term = _oscillation_term(g, p)
-    constant = _guarded_ratio(lhs, osc_term + report.stretch + bend_scale)
-    return RigidityReport(
-        p=p,
-        base_index=base_index,
-        rotation=rotation,
-        lhs=lhs,
-        osc_term=osc_term,
-        stretch=report.stretch,
-        bend_scale=bend_scale,
-        plane_variation=plane_variation,
-        constant=constant,
-    )
+    base = np.array([np.ravel_multi_index(base_index, u.grid.cell_shape)])
+    return _local_fits(_Patches.stack([u], [g]), base, [g._oscillation], p)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,14 +752,20 @@ def multiscale_fit(
 ) -> RotationField:
     """Fit every subcube of the t-fold uniform partition independently.
 
-    Each subcube runs the full local pipeline on the restricted fields; the
+    Each subcube runs the full local pipeline of `local_rigidity`; the
     per-subcube lhs values integrate over disjoint subcubes, so their sum is
     the global residual of the assembled piecewise-constant field.  The
-    subcube fields come from `restrict`, which slices the per-cell data
-    (differentials, normals, tangent frames, cell metrics) computed once on
-    the whole grid, and each subcube's oscillation is the one its restricted
-    metric caches for its oscillation term, so every subcube report equals
-    what `local_rigidity` gives on freshly built subcube fields.
+    pipeline runs over a leading subcube axis, on whole rows of subcubes of
+    about 2048 cells at a time (all at once on smaller grids): the subcube
+    data are the parent's per-cell arrays (differentials, normals, tangent
+    frames, cell metrics) regrouped subcube by subcube, each subcube's
+    products and sums keep their one-subcube shapes, and so every subcube
+    report equals, bit for bit, what `local_rigidity` gives on freshly
+    built subcube fields.  Work runs per subcube only where it is ragged or
+    sequential: subcubes with degenerate cells, the seeded candidate
+    subsample and the bound filter of the base-cell choice, the p != 2
+    rotation descent, and the oscillations of a non-constant metric (a
+    constant metric has zero oscillation on every box).
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
@@ -561,21 +774,39 @@ def multiscale_fit(
     d = grid.dim
     diam = float(np.linalg.norm([block * grid.spacing] * d))
 
-    fits = []
-    rotations = np.zeros((t,) * d + (u.target.ambient_dim, d))
-    for index in itertools.product(range(t), repeat=d):
-        corner = tuple(block * i for i in index)
-        sub_g = g.restrict(corner, block)
-        rep = local_rigidity(u.restrict(corner, block), sub_g, p, seed)
-        tripled = tuple(
-            (max(0, c - block), min(grid.resolution, c + 2 * block)) for c in corner
-        )
-        osc3, _ = oscillation_and_diameter(g, tripled)
-        fits.append(SubcubeFit(index, corner, rep, sub_g._oscillation, osc3, diam))
-        rotations[index] = rep.rotation
+    indices = list(itertools.product(range(t), repeat=d))
+    corners = [tuple(block * i for i in index) for index in indices]
+    if g._oscillation == 0.0:
+        osc = osc3 = [0.0] * len(corners)
+    else:
+        osc = [oscillation_and_diameter(g, tuple((c, c + block) for c in corner))[0] for corner in corners]
+        osc3 = [
+            oscillation_and_diameter(
+                g, tuple((max(0, c - block), min(grid.resolution, c + 2 * block)) for c in corner)
+            )[0]
+            for corner in corners
+        ]
 
-    residual = float(sum(f.report.lhs for f in fits))
-    return RotationField(grid, g, t, p, tuple(fits), rotations, residual)
+    # Each run of the stacked pipeline takes whole rows of subcubes (equal
+    # first index), about _STACK_CELLS cells, which bounds its temporaries.
+    step = max(1, _STACK_CELLS // (grid.cell_count // t))
+    reports = []
+    for lo in range(0, t, step):
+        patches = _Patches.subcubes(u, g, t, slice(lo, lo + step))
+        count = len(patches.values)
+        comps = patches.complements
+        base = _base_cells(
+            comps.reshape((count, -1) + comps.shape[-2:]), ~patches.degenerate.reshape(count, -1), p, seed
+        )
+        reports += _local_fits(patches, base, osc[len(reports) : len(reports) + count], p)
+
+    fits = tuple(
+        SubcubeFit(index, corner, rep, o, o3, diam)
+        for index, corner, rep, o, o3 in zip(indices, corners, reports, osc, osc3)
+    )
+    rotations = np.stack([rep.rotation for rep in reports]).reshape((t,) * d + (u.target.ambient_dim, d))
+    residual = float(sum(rep.lhs for rep in reports))
+    return RotationField(grid, g, t, p, fits, rotations, residual)
 
 
 @dataclass(frozen=True)

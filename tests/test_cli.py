@@ -173,6 +173,25 @@ class TestRigidity:
         assert "error: scenario cannot be built: grid spacing 0.0 is not positive and finite" in err
         assert not (tmp_path / "rigidity.json").exists()
 
+    # A tiny spacing overflows the normal differential against an underflowing
+    # cell volume (bend_scale NaN); a huge perturbation overflows the fit (lhs inf).
+    @pytest.mark.parametrize(
+        "scenario, term",
+        [
+            ({"family": "graph", "dim": 2, "resolution": 8, "length": 1e-300}, "report.bend_scale is not finite (nan)"),
+            (
+                {"family": "perturbed", "dim": 2, "resolution": 8, "kappa": 0.0, "epsilon": 1e300},
+                "report.lhs is not finite (inf)",
+            ),
+        ],
+    )
+    def test_non_finite_report_term_is_degenerate(self, tmp_path, capsys, scenario, term):
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
+        with np.errstate(all="ignore"):
+            assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert f"degenerate scenario: report term {term}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_dim_is_an_integer(self, tmp_path):
         scenario = {"family": "curve", "dim": 1.0, "resolution": 16}
         cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
