@@ -11,7 +11,7 @@ the target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
@@ -39,14 +39,18 @@ class GridDomain:
     """Regular grid on the open cube (0, length)^dim with `resolution` cells per axis.
 
     Nodes sit at integer multiples of the spacing; cells are indexed by their
-    lower corner.  Single-cell grids (resolution 1) only arise as leaves of
-    the multiscale splitter; scenario builders and snapshots require at least
-    two cells per axis.
+    lower corner.  The spacing is stored, as `length / resolution` when the
+    grid is constructed.  A sub-grid (see `_subcube`) keeps its parent's
+    spacing instead; its `length` is that spacing times its resolution, and
+    its `volume` and `diameter` follow.  Single-cell grids (resolution 1)
+    only arise as leaves of the multiscale splitter; scenario builders and
+    snapshots require at least two cells per axis.
     """
 
     dim: int
     length: float
     resolution: int
+    spacing: float = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -55,12 +59,9 @@ class GridDomain:
             raise ValueError("grid side length must be positive")
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
+        object.__setattr__(self, "spacing", self.length / self.resolution)
         if not 0.0 < self.spacing < np.inf:
             raise ValueError(f"grid spacing {self.spacing!r} is not positive and finite")
-
-    @property
-    def spacing(self) -> float:
-        return self.length / self.resolution
 
     @property
     def node_shape(self) -> tuple[int, ...]:
@@ -105,8 +106,10 @@ def _subcube(
 ) -> tuple[GridDomain, tuple[slice, ...], tuple[slice, ...]]:
     """Sub-grid of `resolution` cells at node `corner`, and the node and cell slices it covers.
 
-    Raises ValueError unless the subcube lies inside the grid: a slice past
-    the grid's edge would silently come back short.
+    The sub-grid keeps `grid`'s spacing exactly, so every difference
+    quotient over a slice equals the parent's; a subcube of the whole grid
+    is `grid` itself.  Raises ValueError unless the subcube lies inside the
+    grid: a slice past the grid's edge would silently come back short.
     """
     corner = tuple(corner)
     if (
@@ -120,7 +123,11 @@ def _subcube(
         )
     nodes = tuple(slice(c, c + resolution + 1) for c in corner)
     cells = tuple(slice(c, c + resolution) for c in corner)
-    return GridDomain(grid.dim, grid.spacing * resolution, resolution), nodes, cells
+    if resolution == grid.resolution:
+        return grid, nodes, cells
+    sub = GridDomain(grid.dim, grid.spacing * resolution, resolution)
+    object.__setattr__(sub, "spacing", grid.spacing)
+    return sub, nodes, cells
 
 
 def grid_differential(grid: GridDomain, values: np.ndarray, mode: str = "forward") -> np.ndarray:
@@ -292,10 +299,11 @@ class MetricField:
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "MetricField":
         """Sub-field on the subcube of `resolution` cells at node `corner`.
 
-        The node Gram matrices and the cell data (`cell_grams`,
-        `cell_inv_sqrt`, `cell_sqrt_det`) are views of this field's, which
-        computes its own first if it has not yet; every entry equals what a
-        fresh field on the sliced nodes would compute.  The nodes were
+        The sub-grid keeps this grid's spacing (see `_subcube`).  The node
+        Gram matrices and the cell data (`cell_grams`, `cell_inv_sqrt`,
+        `cell_sqrt_det`) are views of this field's, which computes its own
+        first if it has not yet; every entry equals what a fresh field on the
+        sliced nodes and the sub-grid would compute.  The nodes were
         validated here, so the child skips the constructor and its checks.
         `lam` is kept; `lipschitz` is measured on the sub-grid if read.
         """
@@ -393,6 +401,8 @@ class GridMap:
         return grid_differential(self.grid, self.values, self.mode)
 
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "GridMap":
+        """Sub-map on the subcube of `resolution` cells at node `corner`, on a
+        sub-grid with this grid's spacing (see `_subcube`)."""
         sub, nodes, _ = _subcube(self.grid, corner, resolution)
         return GridMap(sub, self.values[nodes], self.mode)
 
@@ -586,25 +596,20 @@ class ImmersionField:
     def restrict(self, corner: tuple[int, ...], resolution: int) -> "ImmersionField":
         """Sub-immersion on the subcube of `resolution` cells at node `corner`.
 
-        The node values and the cell-local data (differential, cell points,
-        degenerate flags, normals, tangent frames and complements) are views
-        of this field's, which computes its own first if it has not yet.
-        The nodes were validated here, so the child skips the constructor;
-        it derives its shape data, which crosses the subcube's trailing face,
-        when something reads it.  Every attribute equals, bit for bit, what
-        a fresh field on the sliced nodes would compute.  That needs the
-        sub-grid's spacing (its length over its resolution) to round to this
-        grid's; where it does not, the differential would differ in the last
-        bit, so the subcube is built afresh instead.
+        The sub-grid keeps this grid's spacing (see `_subcube`).  The node
+        values and the cell-local data (differential, cell points, degenerate
+        flags, normals, tangent frames and complements) are views of this
+        field's, which computes its own first if it has not yet.  The nodes
+        were validated here, so the child skips the constructor; it derives
+        its shape data, which crosses the subcube's trailing face, when
+        something reads it.  Every attribute equals, bit for bit, what a
+        fresh field on the sliced nodes and the sub-grid would compute.
         """
         sub, nodes, cells = _subcube(self.grid, corner, resolution)
-        values = self.values[nodes]
-        if sub.spacing != self.grid.spacing:
-            return ImmersionField(sub, self.target, values, self.mode)
         field = ImmersionField.__new__(ImmersionField)
         field.grid = sub
         field.target = self.target
-        field.values = values
+        field.values = self.values[nodes]
         field.mode = self.mode
         for name in _CELL_LOCAL_DATA:
             setattr(field, name, getattr(self, name)[cells])

@@ -25,6 +25,7 @@ from .fields import (
     ReferenceShape,
     _energy_sums,
     _normal_differential,
+    _subcube,
     _without_radial_part,
     energies,
     grid_differential,
@@ -538,8 +539,8 @@ def _patch_data(u: ImmersionField) -> list[tuple[str, bool]]:
 def _subcube_major(cells: np.ndarray, t: int, dim: int, rows: slice) -> np.ndarray:
     """Per-cell data (*cell_shape, ...) of the t-fold partition's subcubes whose
     first index is in `rows`, as (subcubes, *block_shape, ...): the subcubes
-    in C order, each with its cells in C order.  A view in dimension 1, one
-    transposing copy otherwise."""
+    in C order, each with its cells in C order.  A view in dimension 1 or at
+    t = 1, one transposing copy otherwise."""
     block = cells.shape[0] // t
     rest = cells.shape[dim:]
     split = cells.reshape((t, block) * dim + rest)[rows]
@@ -575,40 +576,24 @@ class _Patches:
         vars(self).update(arrays)
 
     @classmethod
-    def stack(cls, fields, metrics) -> "_Patches":
-        """Patches of immersions on one grid and their metrics; a single pair
-        is viewed, not copied."""
-        u = fields[0]
-        arrays = {}
-        for name, from_metric in _patch_data(u):
-            parts = [getattr(x, name) for x in (metrics if from_metric else fields)]
-            arrays[name] = parts[0][None] if len(parts) == 1 else np.stack(parts)
-        return cls(u.grid, u.target, u.mode, arrays)
-
-    @classmethod
     def subcubes(cls, u: ImmersionField, g: MetricField, t: int, rows: slice) -> "_Patches":
         """The subcubes of the t-fold partition of `u` and `g` whose first
         index is in `rows`, in C order of their index.
 
-        The arrays are regrouped from the parents' own, which equals building
-        each subcube afresh when the subcube grid's spacing rounds to the
-        parent's (see `ImmersionField.restrict`); otherwise the subcubes are
-        built by `restrict` and stacked.
+        The arrays are the parents' own regrouped subcube by subcube, so each
+        subcube's data equals its `restrict` (the sub-grid keeps the parent's
+        spacing); at t = 1 the one patch views `u`'s and `g`'s arrays on
+        `u.grid`.
         """
-        grid, d = u.grid, u.grid.dim
-        block = grid.resolution // t
-        sub = GridDomain(d, grid.spacing * block, block)
-        if sub.spacing != grid.spacing:
-            indices = itertools.product(range(t)[rows], *[range(t)] * (d - 1))
-            corners = [tuple(block * i for i in index) for index in indices]
-            return cls.stack([u.restrict(c, block) for c in corners], [g.restrict(c, block) for c in corners])
+        d = u.grid.dim
+        block = u.grid.resolution // t
         arrays = {
             name: _subcube_major(getattr(g if from_metric else u, name), t, d, rows)
             for name, from_metric in _patch_data(u)
             if name != "values"
         }
         arrays["values"] = _subcube_nodes(u.values, t, d, rows)
-        return cls(sub, u.target, u.mode, arrays)
+        return cls(_subcube(u.grid, (0,) * d, block)[0], u.target, u.mode, arrays)
 
     def take(self, rows) -> "_Patches":
         return _Patches(self.grid, self.target, self.mode, {k: v[rows] for k, v in self.arrays.items()})
@@ -719,7 +704,7 @@ def local_rigidity(
         if planes.degenerate[base_index]:
             raise ValueError("requested base cell is degenerate")
     base = np.array([np.ravel_multi_index(base_index, u.grid.cell_shape)])
-    return _local_fits(_Patches.stack([u], [g]), base, [g._oscillation], p)[0]
+    return _local_fits(_Patches.subcubes(u, g, 1, slice(None)), base, [g._oscillation], p)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -760,12 +745,13 @@ def multiscale_fit(
     data are the parent's per-cell arrays (differentials, normals, tangent
     frames, cell metrics) regrouped subcube by subcube, each subcube's
     products and sums keep their one-subcube shapes, and so every subcube
-    report equals, bit for bit, what `local_rigidity` gives on freshly
-    built subcube fields.  Work runs per subcube only where it is ragged or
-    sequential: subcubes with degenerate cells, the seeded candidate
-    subsample and the bound filter of the base-cell choice, the p != 2
-    rotation descent, and the oscillations of a non-constant metric (a
-    constant metric has zero oscillation on every box).
+    report equals, bit for bit, what `local_rigidity` gives on the parents'
+    `restrict` to that subcube (at t = 1, on `u` and `g` themselves).  Work
+    runs per subcube only where it is ragged or sequential: subcubes with
+    degenerate cells, the seeded candidate subsample and the bound filter of
+    the base-cell choice, the p != 2 rotation descent, and the oscillations
+    of a non-constant metric (a constant metric has zero oscillation on
+    every box).
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:

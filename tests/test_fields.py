@@ -405,12 +405,20 @@ _CELL_LOCAL_DATA = ("differential", "cell_points", "normal", "degenerate", "fram
 _METRIC_CELL_DATA = ("gram", "cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
 
 
+def assert_keeps_parent_spacing(sub, grid, resolution):
+    """`sub` is the grid of `resolution` cells at `grid`'s own spacing, which
+    GridDomain(dim, spacing * resolution, resolution) can miss by an ulp."""
+    assert (sub.dim, sub.resolution) == (grid.dim, resolution)
+    assert sub.spacing == grid.spacing
+    assert sub.length == grid.spacing * resolution
+
+
 def assert_restrict_equals_fresh_build(u, corner, resolution):
     """u.restrict equals an ImmersionField built on the sliced nodes, attribute by attribute."""
     sub = u.restrict(corner, resolution)
     nodes = tuple(slice(c, c + resolution + 1) for c in corner)
     fresh = ImmersionField(sub.grid, u.target, u.values[nodes], u.mode)
-    assert sub.grid == GridDomain(u.grid.dim, u.grid.spacing * resolution, resolution)
+    assert_keeps_parent_spacing(sub.grid, u.grid, resolution)
     assert (sub.target, sub.mode) == (fresh.target, fresh.mode)
     for name in _IMMERSION_DATA:
         np.testing.assert_array_equal(getattr(sub, name), getattr(fresh, name), err_msg=name)
@@ -422,6 +430,7 @@ def assert_metric_restrict_equals_fresh_build(g, corner, resolution):
     sub = g.restrict(corner, resolution)
     nodes = tuple(slice(c, c + resolution + 1) for c in corner)
     fresh = MetricField(sub.grid, g.gram[nodes], lam=g.lam)
+    assert_keeps_parent_spacing(sub.grid, g.grid, resolution)
     for name in _METRIC_CELL_DATA:
         np.testing.assert_array_equal(getattr(sub, name), getattr(fresh, name), err_msg=name)
     assert (sub.lam, sub.lipschitz) == (fresh.lam, fresh.lipschitz)
@@ -497,9 +506,9 @@ class TestRestriction:
         sub.shape_residual
         assert "_degenerate_and_normal" not in vars(sub)  # the child ran no SVD of its own
 
-    def test_subgrid_spacing_that_rounds_differently_is_rebuilt(self):
-        # length / 18 * 3 / 3 rounds one ulp away from length / 18 here, so the
-        # parent's differential would not equal the subcube's own.
+    def test_subgrid_keeps_the_parent_spacing_where_its_length_rounds_away(self):
+        # length / 18 * 3 / 3 rounds one ulp away from length / 18 here; the
+        # sub-grid keeps length / 18, so its differential is the parent's.
         grid = GridDomain(1, 0.5056378869683275, 18)
         assert GridDomain(1, grid.spacing * 3, 3).spacing != grid.spacing
         spec = ScenarioSpec("curve", 1, grid.length, 18, metric_kind="random")
@@ -507,6 +516,40 @@ class TestRestriction:
         for corner in subcube_corners(18, 1, 3):
             assert_restrict_equals_fresh_build(bundle.u, corner, 3)
             assert_metric_restrict_equals_fresh_build(bundle.metric, corner, 3)
+
+    # Both lengths have sub-grids of 3 and 6 cells whose length over their
+    # resolution rounds one ulp away from the parent's spacing; a 2- or 4-cell
+    # grid cut from those at their own rounded spacing misses it too.
+    @pytest.mark.parametrize(
+        "family, dim, length", [("curve", 1, 0.5056378869683275), ("perturbed", 2, 0.9)]
+    )
+    def test_restriction_composes(self, family, dim, length):
+        n = 18
+        grid = GridDomain(dim, length, n)
+        for block in (3, 6):
+            assert GridDomain(dim, grid.spacing * block, block).spacing != grid.spacing
+        spec = ScenarioSpec(
+            family, dim, length, n, metric_kind="random", seed=11, epsilon=0.05,
+            kappa=0.0 if family == "perturbed" else 1.2,
+        )
+        bundle = build_scenario(spec)
+        u, g = bundle.u, bundle.metric
+        assert u.restrict((0,) * dim, n).grid is u.grid
+        assert g.restrict((0,) * dim, n).grid is g.grid
+        # The outer corner moves along the first axis, the inner one along all.
+        for c1, b1, c2, b2 in [
+            (6, 12, 3, 6), (9, 9, 3, 3), (6, 6, 3, 3), (6, 6, 2, 2), (0, 12, 8, 4), (0, 18, 6, 6), (3, 6, 0, 6),
+        ]:
+            outer = (c1,) + (0,) * (dim - 1)
+            inner = (c2,) * dim
+            direct = tuple(a + b for a, b in zip(outer, inner))
+            for field, names in ((u, _IMMERSION_DATA), (g, _METRIC_CELL_DATA)):
+                nested = field.restrict(outer, b1).restrict(inner, b2)
+                once = field.restrict(direct, b2)
+                assert nested.grid == once.grid
+                assert_keeps_parent_spacing(nested.grid, field.grid, b2)
+                for name in names:
+                    np.testing.assert_array_equal(getattr(nested, name), getattr(once, name), err_msg=name)
 
     @pytest.mark.parametrize(
         "corner, resolution",

@@ -163,6 +163,15 @@ def collapsed_cells(u, block):
     return ImmersionField(u.grid, u.target, values, u.mode)
 
 
+def subcube_grid(u, corner, block):
+    """The grid of `u`'s subcube of `block` cells at `corner`, checked to keep
+    `u`'s spacing, which GridDomain(dim, spacing * block, block) can miss by an ulp."""
+    sub = u.restrict(corner, block).grid
+    assert sub.spacing == u.grid.spacing
+    assert sub.length == u.grid.spacing * block
+    return sub
+
+
 def singular_value_degenerate(u):
     """The rank test as two value-only SVDs: of the differential and, on
     spheres, of the differential with the radial direction appended."""
@@ -714,7 +723,7 @@ class TestMultiscaleFit:
                 ("graph", 2, 0.7, 24, 2, 3.0, "central"),
                 ("perturbed", 2, 1.3, 18, 3, 2.0, "forward"),
                 # 0.5056... / 18 * 3 / 3 rounds away from 0.5056... / 18: the
-                # subcubes are built afresh instead of sliced
+                # subcube grids keep the parent's spacing all the same
                 ("curve", 1, 0.5056378869683275, 18, 6, 2.0, "forward"),
             ]
         ]
@@ -755,7 +764,7 @@ class TestMultiscaleFit:
         for fit, index in zip(field.fits, itertools.product(range(t), repeat=dim)):
             corner = tuple(block * i for i in index)
             nodes = tuple(slice(c, c + block + 1) for c in corner)
-            sub = GridDomain(dim, u.grid.spacing * block, block)
+            sub = subcube_grid(u, corner, block)
             sub_u = ImmersionField(sub, u.target, u.values[nodes], u.mode)
             sub_g = MetricField(sub, g.gram[nodes], lam=g.lam)
             report = local_rigidity(sub_u, sub_g, p, 4)
@@ -800,21 +809,24 @@ class TestMultiscaleFit:
         block = n // t
         for fit in field.fits:
             nodes = tuple(slice(c, c + block + 1) for c in fit.corner)
-            sub_u = ImmersionField(GridDomain(dim, u.grid.spacing * block, block), u.target, u.values[nodes])
+            sub_u = ImmersionField(subcube_grid(u, fit.corner, block), u.target, u.values[nodes])
             assert fit.report.base_index == unfiltered_base_point(tangent_plane_field(sub_u), p, 4)
 
     @pytest.mark.parametrize(
-        "family, dim, n, p, metric_kind",
+        "family, dim, length, n, p, metric_kind",
         [
-            ("curve", 1, 48, 3.0, "random"),
-            ("latitude", 1, 96, 2.0, "random"),
-            ("graph", 2, 24, 2.0, "flat"),
-            ("perturbed", 2, 18, 1.5, "random"),
+            ("curve", 1, 1.0, 48, 3.0, "random"),
+            ("latitude", 1, 1.0, 96, 2.0, "random"),
+            ("graph", 2, 1.0, 24, 2.0, "flat"),
+            ("perturbed", 2, 1.0, 18, 1.5, "random"),
+            # spacing * 1936 rounds away from the length: the one subcube's
+            # grid is the parent's, so its volume and diameter are too
+            ("curve", 1, 7.633528204634498, 1936, 2.0, "random"),
         ],
     )
-    def test_one_subcube_is_the_local_pipeline(self, family, dim, n, p, metric_kind):
+    def test_one_subcube_is_the_local_pipeline(self, family, dim, length, n, p, metric_kind):
         spec = ScenarioSpec(
-            family, dim, 1.0, n, p=p, seed=9, metric_kind=metric_kind, epsilon=0.05,
+            family, dim, length, n, p=p, seed=9, metric_kind=metric_kind, epsilon=0.05,
             kappa=0.0 if family == "perturbed" else 1.2,
         )
         bundle = build_scenario(spec)
