@@ -214,9 +214,6 @@ def _emit(out_dir: Path, name: str, manifest: RunManifest, payload: dict, rows=N
     payload = dict(payload)
     payload["manifest"] = manifest.to_dict()
     write_json_report(json_path, payload)
-    if rows is not None:
-        return json_path, csv_path
-    return json_path
 
 
 def _log_slope(xs, ys) -> float | None:
@@ -238,19 +235,7 @@ def _strictly_decreasing(values) -> bool:
 
 def cmd_lemmas(args) -> int:
     config = _load_config(args.config)
-    allowed = {
-        "samples",
-        "max_dim",
-        "max_ambient",
-        "lam_max",
-        "seed",
-        "tolerance",
-        "normal_tolerance",
-        "curve_resolution",
-        "sphere_radius",
-        "polar_angle",
-    }
-    unknown = set(config) - allowed
+    unknown = set(config) - {f.name for f in dataclasses.fields(LemmaConfig)}
     if unknown:
         raise ConfigError(f"unknown lemma config keys: {sorted(unknown)}")
     merged = dict(config)
@@ -479,6 +464,8 @@ def cmd_asymptotic(args) -> int:
         raise ConfigError("'threshold' must be positive")
 
     first = _build(_replace(spec, epsilon=epsilons[0]))
+    if isinstance(first.u, GridMap):
+        raise ConfigError("asymptotic needs a codimension-one scenario")
     ref = None
     if reference == "curvature":
         ref = ReferenceShape(first.u.grid, spec.kappa * first.metric.gram)

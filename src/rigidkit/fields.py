@@ -40,7 +40,7 @@ class GridDomain:
 
     Nodes sit at integer multiples of the spacing; cells are indexed by their
     lower corner.  The spacing is stored, as `length / resolution` when the
-    grid is constructed.  A sub-grid (see `_subcube`) keeps its parent's
+    grid is constructed.  A sub-grid (see `_subgrid`) keeps its parent's
     spacing instead; its `length` is that spacing times its resolution, and
     its `volume` and `diameter` follow.  Single-cell grids (resolution 1)
     only arise as leaves of the multiscale splitter; scenario builders and
@@ -101,33 +101,19 @@ class GridDomain:
         return np.stack(axes, axis=-1)
 
 
-def _subcube(
-    grid: GridDomain, corner: tuple[int, ...], resolution: int
-) -> tuple[GridDomain, tuple[slice, ...], tuple[slice, ...]]:
-    """Sub-grid of `resolution` cells at node `corner`, and the node and cell slices it covers.
+def _subgrid(grid: GridDomain, resolution: int) -> GridDomain:
+    """Grid of a subcube of `resolution` cells cut from `grid`.
 
-    The sub-grid keeps `grid`'s spacing exactly, so every difference
-    quotient over a slice equals the parent's; a subcube of the whole grid
-    is `grid` itself.  Raises ValueError unless the subcube lies inside the
-    grid: a slice past the grid's edge would silently come back short.
+    At full resolution it is `grid` itself; otherwise it keeps `grid`'s
+    spacing exactly, so every difference quotient over the subcube's nodes
+    equals the parent's.  `GridDomain(dim, spacing * resolution, resolution)`
+    can miss that spacing by an ulp.
     """
-    corner = tuple(corner)
-    if (
-        len(corner) != grid.dim
-        or resolution < 1
-        or not all(0 <= c <= grid.resolution - resolution for c in corner)
-    ):
-        raise ValueError(
-            f"subcube of {resolution} cells at node {corner} lies outside the grid of "
-            f"{grid.resolution} cells per axis in dimension {grid.dim}"
-        )
-    nodes = tuple(slice(c, c + resolution + 1) for c in corner)
-    cells = tuple(slice(c, c + resolution) for c in corner)
     if resolution == grid.resolution:
-        return grid, nodes, cells
+        return grid
     sub = GridDomain(grid.dim, grid.spacing * resolution, resolution)
     object.__setattr__(sub, "spacing", grid.spacing)
-    return sub, nodes, cells
+    return sub
 
 
 def grid_differential(grid: GridDomain, values: np.ndarray, mode: str = "forward") -> np.ndarray:
@@ -296,27 +282,6 @@ class MetricField:
         """Metric oscillation over the whole grid (see `oscillation_and_diameter`)."""
         return oscillation_and_diameter(self, tuple((0, n) for n in self.grid.cell_shape))[0]
 
-    def restrict(self, corner: tuple[int, ...], resolution: int) -> "MetricField":
-        """Sub-field on the subcube of `resolution` cells at node `corner`.
-
-        The sub-grid keeps this grid's spacing (see `_subcube`).  The node
-        Gram matrices and the cell data (`cell_grams`, `cell_inv_sqrt`,
-        `cell_sqrt_det`) are views of this field's, which computes its own
-        first if it has not yet; every entry equals what a fresh field on the
-        sliced nodes and the sub-grid would compute.  The nodes were
-        validated here, so the child skips the constructor and its checks.
-        `lam` is kept; `lipschitz` is measured on the sub-grid if read.
-        """
-        sub, nodes, cells = _subcube(self.grid, corner, resolution)
-        field = MetricField.__new__(MetricField)
-        field.grid = sub
-        field.gram = self.gram[nodes]
-        field.lam = self.lam
-        field.cell_grams = self.cell_grams[cells]
-        field.cell_inv_sqrt = self.cell_inv_sqrt[cells]
-        field.cell_sqrt_det = self.cell_sqrt_det[cells]
-        return field
-
 
 def oscillation_and_diameter(
     g: MetricField, cell_box: tuple[tuple[int, int], ...]
@@ -400,12 +365,6 @@ class GridMap:
     def differential(self) -> np.ndarray:
         return grid_differential(self.grid, self.values, self.mode)
 
-    def restrict(self, corner: tuple[int, ...], resolution: int) -> "GridMap":
-        """Sub-map on the subcube of `resolution` cells at node `corner`, on a
-        sub-grid with this grid's spacing (see `_subcube`)."""
-        sub, nodes, _ = _subcube(self.grid, corner, resolution)
-        return GridMap(sub, self.values[nodes], self.mode)
-
 
 def _normal_differential(grid: GridDomain, normal: np.ndarray) -> np.ndarray:
     """Forward differences of per-cell normals (..., *cell_shape, D) over the
@@ -428,10 +387,6 @@ def _without_radial_part(normal_diff: np.ndarray, radial: np.ndarray) -> np.ndar
     direction (..., D) removed: the projection onto the sphere's tangent space."""
     coeff = np.einsum("...i,...ij->...j", radial, normal_diff)
     return normal_diff - radial[..., :, None] * coeff[..., None, :]
-
-
-# Cell data that reads only the cell's own nodes, which `restrict` slices.
-_CELL_LOCAL_DATA = ("differential", "cell_points", "normal", "degenerate", "frames", "complements")
 
 
 class ImmersionField:
@@ -592,28 +547,6 @@ class ImmersionField:
     @property
     def degenerate_count(self) -> int:
         return int(self.degenerate.sum())
-
-    def restrict(self, corner: tuple[int, ...], resolution: int) -> "ImmersionField":
-        """Sub-immersion on the subcube of `resolution` cells at node `corner`.
-
-        The sub-grid keeps this grid's spacing (see `_subcube`).  The node
-        values and the cell-local data (differential, cell points, degenerate
-        flags, normals, tangent frames and complements) are views of this
-        field's, which computes its own first if it has not yet.  The nodes
-        were validated here, so the child skips the constructor; it derives
-        its shape data, which crosses the subcube's trailing face, when
-        something reads it.  Every attribute equals, bit for bit, what a
-        fresh field on the sliced nodes and the sub-grid would compute.
-        """
-        sub, nodes, cells = _subcube(self.grid, corner, resolution)
-        field = ImmersionField.__new__(ImmersionField)
-        field.grid = sub
-        field.target = self.target
-        field.values = self.values[nodes]
-        field.mode = self.mode
-        for name in _CELL_LOCAL_DATA:
-            setattr(field, name, getattr(self, name)[cells])
-        return field
 
 
 @dataclass(frozen=True)

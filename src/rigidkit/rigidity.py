@@ -25,7 +25,7 @@ from .fields import (
     ReferenceShape,
     _energy_sums,
     _normal_differential,
-    _subcube,
+    _subgrid,
     _without_radial_part,
     energies,
     grid_differential,
@@ -580,10 +580,13 @@ class _Patches:
         """The subcubes of the t-fold partition of `u` and `g` whose first
         index is in `rows`, in C order of their index.
 
-        The arrays are the parents' own regrouped subcube by subcube, so each
-        subcube's data equals its `restrict` (the sub-grid keeps the parent's
-        spacing); at t = 1 the one patch views `u`'s and `g`'s arrays on
-        `u.grid`.
+        This is the one way a subcube is cut.  The arrays are the parents'
+        own regrouped subcube by subcube, on a sub-grid with the parent's
+        spacing, so each subcube's data equals, bit for bit, that of a fresh
+        `ImmersionField` and `MetricField` built on the sliced nodes over the
+        sub-grid.  No patch factorises anything: the parents' arrays are
+        read, and derived first if nothing has read them yet.  At t = 1 the
+        one patch views `u`'s and `g`'s arrays on `u.grid`.
         """
         d = u.grid.dim
         block = u.grid.resolution // t
@@ -593,7 +596,7 @@ class _Patches:
             if name != "values"
         }
         arrays["values"] = _subcube_nodes(u.values, t, d, rows)
-        return cls(_subcube(u.grid, (0,) * d, block)[0], u.target, u.mode, arrays)
+        return cls(_subgrid(u.grid, block), u.target, u.mode, arrays)
 
     def take(self, rows) -> "_Patches":
         return _Patches(self.grid, self.target, self.mode, {k: v[rows] for k, v in self.arrays.items()})
@@ -709,14 +712,24 @@ def local_rigidity(
 
 @dataclass(frozen=True, eq=False)
 class SubcubeFit:
-    """One subcube's rigidity report plus the geometry used by the bounds."""
+    """One subcube's rigidity report plus the geometry used by the bounds.
+
+    `tripled_box` is the cell box of the subcube tripled about itself and
+    clipped to the grid; `tripled_oscillation`, the metric oscillation over
+    it, is measured on first read.
+    """
 
     index: tuple[int, ...]
     corner: tuple[int, ...]
     report: RigidityReport
     oscillation: float
-    tripled_oscillation: float
     diameter: float
+    metric: MetricField
+    tripled_box: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def tripled_oscillation(self) -> float:
+        return oscillation_and_diameter(self.metric, self.tripled_box)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -743,15 +756,17 @@ def multiscale_fit(
     pipeline runs over a leading subcube axis, on whole rows of subcubes of
     about 2048 cells at a time (all at once on smaller grids): the subcube
     data are the parent's per-cell arrays (differentials, normals, tangent
-    frames, cell metrics) regrouped subcube by subcube, each subcube's
-    products and sums keep their one-subcube shapes, and so every subcube
-    report equals, bit for bit, what `local_rigidity` gives on the parents'
-    `restrict` to that subcube (at t = 1, on `u` and `g` themselves).  Work
-    runs per subcube only where it is ragged or sequential: subcubes with
-    degenerate cells, the seeded candidate subsample and the bound filter of
-    the base-cell choice, the p != 2 rotation descent, and the oscillations
-    of a non-constant metric (a constant metric has zero oscillation on
-    every box).
+    frames, cell metrics) regrouped subcube by subcube (see
+    `_Patches.subcubes`), each subcube's products and sums keep their
+    one-subcube shapes, and so every subcube report equals, bit for bit,
+    what `local_rigidity` gives on a fresh `ImmersionField`/`MetricField`
+    built on the sliced nodes over the sub-grid (at t = 1, on `u` and `g`
+    themselves).  Work runs per subcube only where it is ragged or
+    sequential: subcubes with degenerate cells, the seeded candidate
+    subsample and the bound filter of the base-cell choice, the p != 2
+    rotation descent, and the oscillation of a non-constant metric (a
+    constant metric has zero oscillation on every box).  The oscillation
+    over each tripled subcube is measured only when read.
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
@@ -763,15 +778,9 @@ def multiscale_fit(
     indices = list(itertools.product(range(t), repeat=d))
     corners = [tuple(block * i for i in index) for index in indices]
     if g._oscillation == 0.0:
-        osc = osc3 = [0.0] * len(corners)
+        osc = [0.0] * len(corners)
     else:
         osc = [oscillation_and_diameter(g, tuple((c, c + block) for c in corner))[0] for corner in corners]
-        osc3 = [
-            oscillation_and_diameter(
-                g, tuple((max(0, c - block), min(grid.resolution, c + 2 * block)) for c in corner)
-            )[0]
-            for corner in corners
-        ]
 
     # Each run of the stacked pipeline takes whole rows of subcubes (equal
     # first index), about _STACK_CELLS cells, which bounds its temporaries.
@@ -787,8 +796,11 @@ def multiscale_fit(
         reports += _local_fits(patches, base, osc[len(reports) : len(reports) + count], p)
 
     fits = tuple(
-        SubcubeFit(index, corner, rep, o, o3, diam)
-        for index, corner, rep, o, o3 in zip(indices, corners, reports, osc, osc3)
+        SubcubeFit(
+            index, corner, rep, o, diam, g,
+            tuple((max(0, c - block), min(grid.resolution, c + 2 * block)) for c in corner),
+        )
+        for index, corner, rep, o in zip(indices, corners, reports, osc)
     )
     rotations = np.stack([rep.rotation for rep in reports]).reshape((t,) * d + (u.target.ambient_dim, d))
     residual = float(sum(rep.lhs for rep in reports))

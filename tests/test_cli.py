@@ -5,7 +5,7 @@ import pytest
 
 from rigidkit.cli import main
 from rigidkit.fields import GridDomain, ImmersionField, TargetSpace, snapshot_save
-from rigidkit.scenarios import build_metric
+from rigidkit.scenarios import FAMILIES, build_metric
 
 
 def write_config(tmp_path, name, payload):
@@ -462,6 +462,17 @@ class TestAsymptotic:
         assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "error: 'threshold' must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilons", [[0.0], [0.1, 0.05]])
+    def test_equidimensional_scenario_is_config_error(self, tmp_path, capsys, epsilons):
+        cfg = write_config(
+            tmp_path,
+            "asym.json",
+            {"scenario": {"family": "perturbed_identity", "dim": 2, "resolution": 8}, "epsilons": epsilons},
+        )
+        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "error: asymptotic needs a codimension-one scenario" in capsys.readouterr().err
+        assert not (tmp_path / "asymptotic.json").exists()
+
     def test_wrong_family_is_config_error(self, tmp_path):
         cfg = self.base(tmp_path)
         parsed = json.loads(open(cfg).read())
@@ -469,6 +480,30 @@ class TestAsymptotic:
         parsed["scenario"]["dim"] = 2
         cfg = write_config(tmp_path, "asym2.json", parsed)
         assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+# Each subcommand with the sweep entries its config needs.
+_SWEEP_COMMANDS = {
+    "rigidity": (["rigidity"], {}),
+    "scaling": (["scaling"], {"epsilons": [0.1, 0.05]}),
+    "multiscale": (["multiscale"], {}),
+    "asymptotic-one": (["asymptotic"], {"epsilons": [0.0]}),
+    "asymptotic-two": (["asymptotic"], {"epsilons": [0.1, 0.05]}),
+    "snapshot-write": (["snapshot", "write"], {}),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("command", list(_SWEEP_COMMANDS))
+def test_every_subcommand_exits_with_a_documented_code(tmp_path, command, family, dim):
+    """Exit 1 means only that a checked property failed: on every family, in
+    either dimension, each subcommand returns 0, 1, 2 or 3 and raises nothing."""
+    argv, extra = _SWEEP_COMMANDS[command]
+    cfg = write_config(
+        tmp_path, "sweep.json", {"scenario": {"family": family, "dim": dim, "resolution": 16}, **extra}
+    )
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) in (0, 1, 2, 3)
 
 
 class TestSnapshotAndPlumbing:

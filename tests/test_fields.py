@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +9,6 @@ from hypothesis import strategies as st
 from rigidkit.fields import (
     EnergyReport,
     GridDomain,
-    GridMap,
     ImmersionField,
     MetricField,
     ReferenceShape,
@@ -18,7 +20,9 @@ from rigidkit.fields import (
     snapshot_load,
     snapshot_save,
     _max_pairwise_distance,
+    _normal_differential,
 )
+from rigidkit.rigidity import _Patches, _patch_data
 from rigidkit.scenarios import ScenarioSpec, build_metric, build_scenario
 
 import oracles
@@ -284,16 +288,6 @@ class TestMetricField:
         with pytest.raises(ValueError, match="not finite and symmetric"):
             MetricField(grid, grams)
 
-    def test_restriction_matches_slice(self):
-        grid = GridDomain(2, 1.0, 8)
-        coords = grid.node_coordinates()
-        grams = (1.0 + 0.2 * coords[..., 0] + 0.1 * coords[..., 1])[..., None, None] * np.eye(2)
-        g = MetricField(grid, grams)
-        sub = g.restrict((2, 4), 4)
-        assert sub.grid.resolution == 4
-        assert sub.grid.length == pytest.approx(0.5)
-        np.testing.assert_array_equal(sub.gram, grams[2:7, 4:9])
-
 
 def brute_diameter(points):
     """Largest distance over all pairs of rows, each from the direct difference x - y."""
@@ -388,23 +382,6 @@ class TestReferenceShape:
             ReferenceShape(grid, form)
 
 
-_IMMERSION_DATA = (
-    "values",
-    "differential",
-    "cell_points",
-    "normal",
-    "degenerate",
-    "frames",
-    "complements",
-    "normal_differential",
-    "projected_normal_differential",
-    "shape_operator",
-    "shape_residual",
-)
-_CELL_LOCAL_DATA = ("differential", "cell_points", "normal", "degenerate", "frames", "complements")
-_METRIC_CELL_DATA = ("gram", "cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
-
-
 def assert_keeps_parent_spacing(sub, grid, resolution):
     """`sub` is the grid of `resolution` cells at `grid`'s own spacing, which
     GridDomain(dim, spacing * resolution, resolution) can miss by an ulp."""
@@ -413,28 +390,31 @@ def assert_keeps_parent_spacing(sub, grid, resolution):
     assert sub.length == grid.spacing * resolution
 
 
-def assert_restrict_equals_fresh_build(u, corner, resolution):
-    """u.restrict equals an ImmersionField built on the sliced nodes, attribute by attribute."""
-    sub = u.restrict(corner, resolution)
-    nodes = tuple(slice(c, c + resolution + 1) for c in corner)
-    fresh = ImmersionField(sub.grid, u.target, u.values[nodes], u.mode)
-    assert_keeps_parent_spacing(sub.grid, u.grid, resolution)
-    assert (sub.target, sub.mode) == (fresh.target, fresh.mode)
-    for name in _IMMERSION_DATA:
-        np.testing.assert_array_equal(getattr(sub, name), getattr(fresh, name), err_msg=name)
-    return sub
-
-
-def assert_metric_restrict_equals_fresh_build(g, corner, resolution):
-    """g.restrict equals a validated MetricField on the sliced nodes with g's lam."""
-    sub = g.restrict(corner, resolution)
-    nodes = tuple(slice(c, c + resolution + 1) for c in corner)
-    fresh = MetricField(sub.grid, g.gram[nodes], lam=g.lam)
-    assert_keeps_parent_spacing(sub.grid, g.grid, resolution)
-    for name in _METRIC_CELL_DATA:
-        np.testing.assert_array_equal(getattr(sub, name), getattr(fresh, name), err_msg=name)
-    assert (sub.lam, sub.lipschitz) == (fresh.lam, fresh.lipschitz)
-    assert sub._oscillation == fresh._oscillation
+def assert_subcubes_equal_fresh_builds(u, g, t, rows=slice(None), corners=None):
+    """Every `_patch_data` array of `_Patches.subcubes(u, g, t, rows)`, and the
+    normal differential the local pipeline takes from them, equals, bit for
+    bit, that of an ImmersionField and a MetricField (with g's lam) built on
+    the subcube's sliced nodes over the sub-grid.  `corners` limits the check
+    to the subcubes at those nodes.  Returns the patches."""
+    patches = _Patches.subcubes(u, g, t, rows)
+    block = u.grid.resolution // t
+    assert_keeps_parent_spacing(patches.grid, u.grid, block)
+    assert (patches.grid is u.grid) == (t == 1)
+    indices = [i for i in itertools.product(range(t), repeat=u.grid.dim) if i[0] in range(t)[rows]]
+    assert len(patches.values) == len(indices)
+    normal_diff = _normal_differential(patches.grid, patches.normal)
+    for s, index in enumerate(indices):
+        corner = tuple(block * i for i in index)
+        if corners is not None and corner not in corners:
+            continue
+        nodes = tuple(slice(c, c + block + 1) for c in corner)
+        fresh_u = ImmersionField(patches.grid, u.target, u.values[nodes], u.mode)
+        fresh_g = MetricField(patches.grid, g.gram[nodes], lam=g.lam)
+        for name, from_metric in _patch_data(u):
+            fresh = getattr(fresh_g if from_metric else fresh_u, name)
+            np.testing.assert_array_equal(getattr(patches, name)[s], fresh, err_msg=f"{name} at {corner}")
+        np.testing.assert_array_equal(normal_diff[s], fresh_u.normal_differential, err_msg=f"at {corner}")
+    return patches
 
 
 def subcube_corners(n, dim, block):
@@ -444,25 +424,13 @@ def subcube_corners(n, dim, block):
     return sorted({(0,) * dim, (last,) * dim, (middle,) * dim, (0,) * (dim - 1) + (last,)})
 
 
-class TestRestriction:
-    def test_differential_commutes_with_restriction(self):
-        u = flat_inclusion(n=8)
-        sub = u.restrict((2, 4), 4)
-        np.testing.assert_array_equal(sub.differential, u.differential[2:6, 4:8])
-
-    def test_gridmap_restriction(self):
-        grid = GridDomain(1, 1.0, 8)
-        values = np.sin(grid.node_coordinates())
-        m = GridMap(grid, values)
-        sub = m.restrict((2,), 4)
-        np.testing.assert_array_equal(sub.differential, m.differential[2:6])
-
+class TestSubcubeSlices:
     @pytest.mark.parametrize("length", [0.7, 1.0, 1.3])
     @pytest.mark.parametrize("mode", ["forward", "central"])
     @pytest.mark.parametrize(
         "family, dim, n", [("curve", 1, 48), ("latitude", 1, 96), ("graph", 2, 24), ("perturbed", 2, 18)]
     )
-    def test_sliced_restrict_equals_fresh_build(self, family, dim, n, mode, length):
+    def test_subcubes_equal_fresh_builds(self, family, dim, n, mode, length):
         for metric_kind in ("flat", "random", "linear"):
             spec = ScenarioSpec(
                 family, dim, length, n, mode=mode, metric_kind=metric_kind, seed=11, epsilon=0.05,
@@ -470,10 +438,8 @@ class TestRestriction:
             )
             bundle = build_scenario(spec)
             for block in (n, n // 2, n // 3, n // 6, 1):
-                for corner in subcube_corners(n, dim, block):
-                    if metric_kind == "flat":
-                        assert_restrict_equals_fresh_build(bundle.u, corner, block)
-                    assert_metric_restrict_equals_fresh_build(bundle.metric, corner, block)
+                corners = subcube_corners(n, dim, block)
+                assert_subcubes_equal_fresh_builds(bundle.u, bundle.metric, n // block, corners=corners)
 
     def test_rank_deficient_cells_slice_like_a_fresh_build(self):
         sheet = flat_inclusion(n=8)
@@ -481,30 +447,34 @@ class TestRestriction:
         values[4, :, 0] = values[3, :, 0]  # the row of cells at 3 loses its first column
         sheet = ImmersionField(sheet.grid, sheet.target, values)
         assert sheet.degenerate[3].all() and sheet.degenerate.sum() == 8
-        for corner, block in (((2, 0), 4), ((2, 2), 2), ((3, 5), 1), ((0, 0), 8)):
-            sub = assert_restrict_equals_fresh_build(sheet, corner, block)
-            assert sub.degenerate.any()
-
         arc = latitude_circle(n=32)
         values = arc.values.copy()
         values[17] = values[16]  # a zero-length cell on the sphere
         arc = ImmersionField(arc.grid, arc.target, values)
         assert arc.degenerate[16] and arc.degenerate_count == 1
-        for corner, block in (((16,), 8), ((8,), 16), ((16,), 1)):
-            sub = assert_restrict_equals_fresh_build(arc, corner, block)
-            assert sub.degenerate.any()
+
+        for u, cuts in (
+            (sheet, (((0, 0), 4), ((2, 2), 2), ((3, 5), 1), ((0, 0), 8))),
+            (arc, (((16,), 8), ((16,), 16), ((16,), 1))),
+        ):
+            g = build_metric(u.grid, "random", seed=3)
+            for corner, block in cuts:
+                t = u.grid.resolution // block
+                patches = assert_subcubes_equal_fresh_builds(u, g, t, corners=[corner])
+                s = np.ravel_multi_index(tuple(c // block for c in corner), (t,) * u.grid.dim)
+                assert patches.degenerate[s].any()
 
     @pytest.mark.parametrize("u", [flat_inclusion(n=8), latitude_circle(n=16)], ids=["sheet", "latitude"])
-    def test_restrict_slices_the_cell_local_data_and_derives_the_rest(self, u):
-        corner = (2,) * u.grid.dim
-        sub = u.restrict(corner, 4)
-        assert sorted(vars(sub)) == sorted(("grid", "target", "values", "mode") + _CELL_LOCAL_DATA)
-        assert np.shares_memory(sub.values, u.values)
-        for name in _CELL_LOCAL_DATA:
-            assert np.shares_memory(getattr(sub, name), getattr(u, name)), name
-        assert_restrict_equals_fresh_build(u, corner, 4)
-        sub.shape_residual
-        assert "_degenerate_and_normal" not in vars(sub)  # the child ran no SVD of its own
+    def test_whole_grid_patch_views_the_parents_and_no_patch_runs_an_svd(self, u):
+        g = build_metric(u.grid, "random", seed=3)
+        parents = {name: getattr(g if from_metric else u, name) for name, from_metric in _patch_data(u)}
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("a patch ran an SVD")):
+            whole = _Patches.subcubes(u, g, 1, slice(None))
+            _Patches.subcubes(u, g, 4, slice(None))
+        for name, parent in parents.items():
+            assert np.shares_memory(getattr(whole, name), parent), name
+        assert_subcubes_equal_fresh_builds(u, g, 1)
+        assert_subcubes_equal_fresh_builds(u, g, 4)
 
     def test_subgrid_keeps_the_parent_spacing_where_its_length_rounds_away(self):
         # length / 18 * 3 / 3 rounds one ulp away from length / 18 here; the
@@ -513,17 +483,14 @@ class TestRestriction:
         assert GridDomain(1, grid.spacing * 3, 3).spacing != grid.spacing
         spec = ScenarioSpec("curve", 1, grid.length, 18, metric_kind="random")
         bundle = build_scenario(spec)
-        for corner in subcube_corners(18, 1, 3):
-            assert_restrict_equals_fresh_build(bundle.u, corner, 3)
-            assert_metric_restrict_equals_fresh_build(bundle.metric, corner, 3)
+        assert_subcubes_equal_fresh_builds(bundle.u, bundle.metric, 6)
 
     # Both lengths have sub-grids of 3 and 6 cells whose length over their
-    # resolution rounds one ulp away from the parent's spacing; a 2- or 4-cell
-    # grid cut from those at their own rounded spacing misses it too.
+    # resolution rounds one ulp away from the parent's spacing.
     @pytest.mark.parametrize(
         "family, dim, length", [("curve", 1, 0.5056378869683275), ("perturbed", 2, 0.9)]
     )
-    def test_restriction_composes(self, family, dim, length):
+    def test_runs_of_rows_are_slices_of_the_whole_partition(self, family, dim, length):
         n = 18
         grid = GridDomain(dim, length, n)
         for block in (3, 6):
@@ -534,34 +501,14 @@ class TestRestriction:
         )
         bundle = build_scenario(spec)
         u, g = bundle.u, bundle.metric
-        assert u.restrict((0,) * dim, n).grid is u.grid
-        assert g.restrict((0,) * dim, n).grid is g.grid
-        # The outer corner moves along the first axis, the inner one along all.
-        for c1, b1, c2, b2 in [
-            (6, 12, 3, 6), (9, 9, 3, 3), (6, 6, 3, 3), (6, 6, 2, 2), (0, 12, 8, 4), (0, 18, 6, 6), (3, 6, 0, 6),
-        ]:
-            outer = (c1,) + (0,) * (dim - 1)
-            inner = (c2,) * dim
-            direct = tuple(a + b for a, b in zip(outer, inner))
-            for field, names in ((u, _IMMERSION_DATA), (g, _METRIC_CELL_DATA)):
-                nested = field.restrict(outer, b1).restrict(inner, b2)
-                once = field.restrict(direct, b2)
-                assert nested.grid == once.grid
-                assert_keeps_parent_spacing(nested.grid, field.grid, b2)
-                for name in names:
-                    np.testing.assert_array_equal(getattr(nested, name), getattr(once, name), err_msg=name)
-
-    @pytest.mark.parametrize(
-        "corner, resolution",
-        [((-1, 0), 2), ((0, -2), 2), ((7, 0), 2), ((0, 0), 9), ((0, 0), 0), ((0,), 2), ((0, 0, 0), 2)],
-    )
-    def test_subcube_outside_grid_rejected(self, corner, resolution):
-        u = flat_inclusion(n=8)
-        g = MetricField.constant(u.grid, np.eye(2))
-        m = GridMap(u.grid, u.values)
-        for field in (u, g, m):
-            with pytest.raises(ValueError, match="outside the grid"):
-                field.restrict(corner, resolution)
+        assert_subcubes_equal_fresh_builds(u, g, 1)
+        for t in (2, 3, 6, 9):
+            whole = assert_subcubes_equal_fresh_builds(u, g, t)
+            per_row = t ** (dim - 1)
+            for lo, hi in ((0, 1), (1, t), (t - 1, t)):
+                run = assert_subcubes_equal_fresh_builds(u, g, t, slice(lo, hi))
+                for name, array in run.arrays.items():
+                    np.testing.assert_array_equal(array, whole.arrays[name][lo * per_row : hi * per_row])
 
 
 class TestDerivedOnFirstRead:
@@ -578,12 +525,13 @@ class TestDerivedOnFirstRead:
             assert name not in vars(u), name
         assert "projected_normal_differential" in vars(u)
 
-    def test_metric_restriction_does_not_measure_lipschitz(self):
-        grid = GridDomain(1, 1.0, 8)
-        grams = (1.0 + 0.5 * grid.node_coordinates())[..., None] * np.eye(1)
-        sub = MetricField(grid, grams).restrict((2,), 4)
-        assert "lipschitz" not in vars(sub)
-        assert sub.lipschitz == pytest.approx(0.5, rel=1e-12)
+    def test_subcubes_do_not_measure_lipschitz(self):
+        u = unit_circle_arc(arc=1.0, n=8)
+        grams = (1.0 + 0.5 * u.grid.node_coordinates())[..., None] * np.eye(1)
+        g = MetricField(u.grid, grams)
+        _Patches.subcubes(u, g, 2, slice(None))
+        assert "lipschitz" not in vars(g)
+        assert g.lipschitz == pytest.approx(0.5, rel=1e-12)
 
 
 class TestSnapshot:
@@ -599,6 +547,23 @@ class TestSnapshot:
         assert u2.grid == u.grid
         snapshot_save(tmp_path / "again.json", u2, g2)
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    # Lengths whose sub-grids of 3 or 6 cells round their spacing one ulp away:
+    # a constructor-built grid reloads on the same grid all the same.
+    @pytest.mark.parametrize(
+        "family, dim, length", [("curve", 1, 0.5056378869683275), ("graph", 2, 0.9)]
+    )
+    def test_roundtrip_on_ulp_sensitive_lengths(self, tmp_path, family, dim, length):
+        bundle = build_scenario(ScenarioSpec(family, dim, length, 18, metric_kind="random"))
+        u, g = bundle.u, bundle.metric
+        assert u.grid == GridDomain(dim, length, 18)
+        path = tmp_path / "field.json"
+        snapshot_save(path, u, g)
+        u2, g2 = snapshot_load(path)
+        assert u2.grid == u.grid and g2.grid == g.grid
+        np.testing.assert_array_equal(u2.values, u.values)
+        np.testing.assert_array_equal(u2.differential, u.differential)
+        np.testing.assert_array_equal(g2.gram, g.gram)
 
     def test_bad_document_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

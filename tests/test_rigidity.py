@@ -14,6 +14,7 @@ from rigidkit.fields import (
     ImmersionField,
     MetricField,
     TargetSpace,
+    _subgrid,
     energies,
     oscillation_and_diameter,
 )
@@ -163,10 +164,10 @@ def collapsed_cells(u, block):
     return ImmersionField(u.grid, u.target, values, u.mode)
 
 
-def subcube_grid(u, corner, block):
-    """The grid of `u`'s subcube of `block` cells at `corner`, checked to keep
-    `u`'s spacing, which GridDomain(dim, spacing * block, block) can miss by an ulp."""
-    sub = u.restrict(corner, block).grid
+def subcube_grid(u, block):
+    """The grid of `u`'s subcubes of `block` cells, checked to keep `u`'s
+    spacing, which GridDomain(dim, spacing * block, block) can miss by an ulp."""
+    sub = _subgrid(u.grid, block)
     assert sub.spacing == u.grid.spacing
     assert sub.length == u.grid.spacing * block
     return sub
@@ -698,6 +699,21 @@ class TestMultiscaleFit:
         with pytest.raises(ValueError):
             multiscale_fit(u, build_metric(u.grid, "flat"), 3)
 
+    def test_one_oscillation_search_per_subcube_and_the_tripled_one_on_read(self):
+        u = build_scenario(ScenarioSpec("graph", 2, 1.0, 16, epsilon=0.05)).u
+        g = build_metric(u.grid, "random", seed=3)
+        g._oscillation  # the whole-grid search, outside the count
+        with mock.patch.object(rigidity, "oscillation_and_diameter", wraps=oscillation_and_diameter) as spy:
+            field = multiscale_fit(u, g, 4)
+            assert spy.call_count == 16
+            fit = field.fits[5]
+            assert fit.tripled_oscillation == oscillation_and_diameter(g, ((0, 12), (0, 12)))[0]
+            assert fit.tripled_oscillation > 0.0
+            assert spy.call_count == 17
+        flat = multiscale_fit(u, build_metric(u.grid, "flat"), 4)
+        with mock.patch("rigidkit.fields._sq_distances", side_effect=AssertionError("a search ran")):
+            assert [fit.tripled_oscillation for fit in flat.fits] == [0.0] * 16
+
     def test_tripled_oscillation_bound_for_linear_metric(self):
         grid = GridDomain(1, 1.0, 32)
         u = curvature_curve(grid, kappa=0.5)
@@ -764,7 +780,7 @@ class TestMultiscaleFit:
         for fit, index in zip(field.fits, itertools.product(range(t), repeat=dim)):
             corner = tuple(block * i for i in index)
             nodes = tuple(slice(c, c + block + 1) for c in corner)
-            sub = subcube_grid(u, corner, block)
+            sub = subcube_grid(u, block)
             sub_u = ImmersionField(sub, u.target, u.values[nodes], u.mode)
             sub_g = MetricField(sub, g.gram[nodes], lam=g.lam)
             report = local_rigidity(sub_u, sub_g, p, 4)
@@ -809,7 +825,7 @@ class TestMultiscaleFit:
         block = n // t
         for fit in field.fits:
             nodes = tuple(slice(c, c + block + 1) for c in fit.corner)
-            sub_u = ImmersionField(subcube_grid(u, fit.corner, block), u.target, u.values[nodes])
+            sub_u = ImmersionField(subcube_grid(u, block), u.target, u.values[nodes])
             assert fit.report.base_index == unfiltered_base_point(tangent_plane_field(sub_u), p, 4)
 
     @pytest.mark.parametrize(
