@@ -31,6 +31,7 @@ from .fields import (
     DegenerateFieldError,
     GridMap,
     ReferenceShape,
+    config_number,
     energies,
     snapshot_load,
     snapshot_save,
@@ -45,7 +46,7 @@ from .rigidity import (
     multiscale_fit,
     translation_modulus,
 )
-from .scenarios import ScenarioSpec, build_scenario, config_number
+from .scenarios import ScenarioSpec, build_scenario
 
 SEED_ENV = "RIGIDITY_SEED"
 
@@ -393,13 +394,12 @@ def cmd_multiscale(args) -> int:
     rows = []
     residuals = []
     fields = {}
+    head = {"scenario": spec.family, "p": float(spec.p), "n": int(spec.resolution)}
     for t in t_values:
         field = multiscale_fit(bundle.u, bundle.metric, t, p=spec.p, seed=spec.seed)
         fields[t] = field
         residuals.append(field.residual)
-        rows.append(
-            {"scenario": spec.family, "p": float(spec.p), "n": int(spec.resolution), "t": int(t), "residual": float(field.residual)}
-        )
+        rows.append(head | {"t": int(t), "residual": float(field.residual)})
         print(f"t={t}: residual {field.residual:.6e}")
 
     moduli = []
@@ -410,17 +410,8 @@ def cmd_multiscale(args) -> int:
             tm = translation_modulus(fields[t], zeta)
             if t == t_values[-1]:
                 moduli.append(tm.value)
-            rows.append(
-                {
-                    "scenario": spec.family,
-                    "p": float(spec.p),
-                    "n": int(spec.resolution),
-                    "t": int(t),
-                    "zeta": float(shift),
-                    "modulus": float(tm.value),
-                    "covered_fraction": float(tm.covered_fraction),
-                }
-            )
+            shifted = {"t": int(t), "zeta": float(shift), "modulus": float(tm.value)}
+            rows.append(head | shifted | {"covered_fraction": float(tm.covered_fraction)})
         # `tm` is the modulus of the last (finest) t, which the loop just measured.
         print(f"zeta={shift:g}: modulus {tm.value:.6e} covered {tm.covered_fraction:.3f}")
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric_algebra import _EIGENVALUE_FLOOR, _SYMMETRY_TOL, isometry_defect, spd_inv_sqrt
+from .metric_algebra import _EIGENVALUE_FLOOR, _SYMMETRY_TOL, isometry_defect, sign_fixed_qr, spd_inv_sqrt
 
 _RANK_TOL = 1e-12
 _ON_MANIFOLD_TOL = 1e-8
@@ -32,6 +32,32 @@ DIFF_MODES = ("forward", "central")
 
 class DegenerateFieldError(RuntimeError):
     """Raised when a fitting pipeline finds no usable (full-rank) cells."""
+
+
+def config_number(value, kind=float):
+    """A config entry as a finite float, or for kind int as an int of integral value.
+
+    Booleans are rejected although Python counts them as integers.  Raises
+    TypeError, ValueError or OverflowError on anything else that does not fit.
+    """
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    if kind is int and isinstance(value, (int, np.integer)):
+        return int(value)
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("not finite")
+    if kind is int:
+        if not number.is_integer():
+            raise ValueError("not integral")
+        return int(number)
+    return number
+
+
+def _full_rank(sing: np.ndarray) -> np.ndarray:
+    """The rank test on singular values (..., k) in descending order: the
+    least must exceed 1e-12 times max(1, the largest)."""
+    return sing[..., -1] > _RANK_TOL * np.maximum(sing[..., 0], 1.0)
 
 
 @dataclass(frozen=True)
@@ -396,12 +422,13 @@ class ImmersionField:
     on the sphere for sphere targets) and computes the differential, which
     must be finite too.  Every other cell quantity is derived on first read
     and then kept: the cell points, the rank test and oriented unit normal,
-    the tangent frames and their oriented complements, the normal's
-    difference field, and the shape operator solving
-    differential @ S = P (normal differential)  in least squares.  Cells
-    where the differential drops rank get a zero normal and placeholder
-    frames and are flagged degenerate; energies skip them and report the
-    count.
+    the oriented complements (in closed form from the normal), the tangent
+    frames, the normal's difference field, and the shape operator solving
+    differential @ S = P (normal differential)  in least squares.  The
+    rigidity pipelines read no per-cell frame: they factor the differential
+    at their base cells only.  Cells where the differential drops rank get a
+    zero normal and placeholder frames and are flagged degenerate; energies
+    skip them and report the count.
     """
 
     def __init__(self, grid: GridDomain, target: TargetSpace, values: np.ndarray, mode: str = "forward"):
@@ -450,25 +477,15 @@ class ImmersionField:
         differential's and its largest at least theirs.
         """
         du = self.differential
-        big = self.target.ambient_dim
-
-        if self.target.kind == "euclidean":
-            window = du
-        else:
-            window = np.concatenate([du, self.radial[..., :, None]], axis=-1)
-        left, sing, _ = np.linalg.svd(window, full_matrices=True)
-        degenerate = sing[..., -1] <= _RANK_TOL * np.maximum(sing[..., 0], 1.0)
-        normal = left[..., :, big - 1].copy()
+        radial = [] if self.target.kind == "euclidean" else [self.radial[..., :, None]]
+        left, sing, _ = np.linalg.svd(np.concatenate([du, *radial], axis=-1), full_matrices=True)
+        degenerate = ~_full_rank(sing)
+        normal = left[..., :, self.target.ambient_dim - 1].copy()
 
         # Sign convention: the normal completes the differential's columns to a
         # positively oriented frame of the target's tangent space.  On spheres
         # the tangent orientation itself is taken outward-radial-first.
-        if self.target.kind == "euclidean":
-            stacked = np.concatenate([du, normal[..., :, None]], axis=-1)
-        else:
-            stacked = np.concatenate(
-                [self.radial[..., :, None], du, normal[..., :, None]], axis=-1
-            )
+        stacked = np.concatenate([*radial, du, normal[..., :, None]], axis=-1)
         flip = np.linalg.det(stacked) < 0
         normal[flip] = -normal[flip]
         normal[degenerate] = 0.0
@@ -490,25 +507,26 @@ class ImmersionField:
         factor, signs fixed so that R has a nonnegative diagonal.  Degenerate
         cells get coordinate placeholders, so the array stays rectangular;
         they remain flagged and every consumer skips them."""
-        q, r = np.linalg.qr(self.differential)
-        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-        signs = np.where(signs == 0.0, 1.0, signs)
-        frames = q * signs[..., None, :]
+        frames = sign_fixed_qr(self.differential)[0]
         frames[self.degenerate] = np.eye(self.target.ambient_dim)[:, : self.grid.dim]
         return frames
 
     @cached_property
     def complements(self) -> np.ndarray:
-        """Oriented complement of each frame in the target: the normal, or
-        (normal, radial) on spheres, with its last column flipped where
-        [frame | complement] would have negative determinant.  Degenerate
-        cells get coordinate placeholders, like `frames`."""
+        """Oriented complement of each tangent frame: the normal, or on
+        spheres (normal, +-radial), the radial column negated exactly when d
+        is even.  Degenerate cells get coordinate placeholders, like `frames`.
+
+        That makes [frame | complement] positive with no determinant taken:
+        du = frame @ R with det R > 0, so [frame | n (| r)] has the sign of
+        [du | n (| r)].  The normal makes [du | n], or [r | du | n], positive,
+        and moving r from first to last column is d + 1 transpositions.
+        """
         if self.target.kind == "euclidean":
             comp = self.normal[..., :, None].copy()
         else:
-            comp = np.stack([self.normal, self.radial], axis=-1)
-        flip = np.linalg.det(np.concatenate([self.frames, comp], axis=-1)) < 0
-        comp[flip, :, -1] = -comp[flip, :, -1]
+            radial = -self.radial if self.grid.dim % 2 == 0 else self.radial
+            comp = np.stack([self.normal, radial], axis=-1)
         comp[self.degenerate] = np.eye(self.target.ambient_dim)[:, self.grid.dim :]
         return comp
 
@@ -679,18 +697,26 @@ def snapshot_save(path, u: ImmersionField, g: MetricField) -> None:
 
 
 def snapshot_load(path) -> tuple[ImmersionField, MetricField]:
-    """Read back a snapshot written by `snapshot_save`."""
+    """Read back a snapshot written by `snapshot_save`; d, n and D must be integers."""
     with open(path) as handle:
         doc = json.load(handle)
+
+    def integer(section: dict, name: str) -> int:
+        value = section[name]
+        try:
+            return config_number(value, int)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"snapshot field {name} must be an integer, got {value!r}") from exc
+
     try:
         gd = doc["grid"]
-        grid = GridDomain(int(gd["d"]), float(gd["l"]), int(gd["n"]))
+        grid = GridDomain(integer(gd, "d"), float(gd["l"]), integer(gd, "n"))
         td = doc["target"]
         if td["kind"] == "sphere":
             target = TargetSpace.sphere(grid.dim, float(td["rho"]))
         else:
             target = TargetSpace.euclidean(grid.dim)
-        if int(td["D"]) != target.ambient_dim:
+        if integer(td, "D") != target.ambient_dim:
             raise ValueError(f"snapshot ambient dimension {td['D']} is inconsistent")
         values = np.array(doc["values"], dtype=float).reshape(
             grid.node_shape + (target.ambient_dim,)

@@ -47,6 +47,7 @@ from .metric_algebra import (
     projection_keeps_orientation,
     projection_terms,
     rotation_set_distance,
+    sign_fixed_qr,
     spanning_frames,
     spd_inv_sqrt,
     spd_sqrt,
@@ -172,10 +173,8 @@ def _random_eigenvalues(rng, count: int, dim: int, lam_max: float) -> np.ndarray
 
 def _rotations(normals: np.ndarray) -> np.ndarray:
     """Rotations (..., d, d) from standard normal draws of the same shape."""
-    q, r = np.linalg.qr(normals)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    det = np.linalg.det(q)
-    q[det < 0, :, 0] *= -1.0
+    q = sign_fixed_qr(normals)[0]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
 
 

@@ -138,19 +138,26 @@ def checked_frames(frames: np.ndarray) -> np.ndarray:
     return frames
 
 
+def sign_fixed_qr(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR factor Q of each stacked matrix (..., D, d), its columns signed so
+    that R has a nonnegative diagonal, and that diagonal.  Full-rank input
+    gets the one orthonormal frame of its column span and orientation."""
+    q, r = np.linalg.qr(mats)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], np.abs(diag)
+
+
 def spanning_frames(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormalize the columns of each stacked matrix (..., D, d), keeping orientation.
 
-    Returns (frames, independent): the QR factor Q with its columns signed so
-    that R has a positive diagonal, and per matrix whether every |R_ii|
-    exceeds 1e-14 * max(1, max |entry|).
+    Returns (frames, independent): the `sign_fixed_qr` factor, and per matrix
+    whether every |R_ii| exceeds 1e-14 * max(1, max |entry|).
     """
     mat = np.asarray(vectors, dtype=float)
-    q, r = np.linalg.qr(mat)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    frames, diag = sign_fixed_qr(mat)
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    independent = np.abs(diag).min(axis=-1) > _EIGENVALUE_FLOOR * scale
-    return q * np.sign(diag)[..., None, :], independent
+    independent = diag.min(axis=-1) > _EIGENVALUE_FLOOR * scale
+    return frames, independent
 
 
 def checked_spanning_frames(vectors: np.ndarray) -> np.ndarray:

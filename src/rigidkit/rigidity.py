@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
-    _RANK_TOL,
     DegenerateFieldError,
     EnergyReport,
     GridDomain,
@@ -24,6 +23,7 @@ from .fields import (
     MetricField,
     ReferenceShape,
     _energy_sums,
+    _full_rank,
     _normal_differential,
     _subgrid,
     _without_radial_part,
@@ -31,7 +31,7 @@ from .fields import (
     grid_differential,
     oscillation_and_diameter,
 )
-from .metric_algebra import OrientedSubspace, isometry_defect, rotation_align, spd_sqrt
+from .metric_algebra import OrientedSubspace, isometry_defect, rotation_align, sign_fixed_qr, spd_sqrt
 
 RHS_GUARD = 1e-14
 CANDIDATE_CAP = 4096
@@ -139,13 +139,6 @@ def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray
     return best_rot
 
 
-def _full_rank(mats: np.ndarray) -> np.ndarray:
-    """Per stacked matrix, whether its least singular value exceeds 1e-12
-    times max(1, its largest)."""
-    sing = np.linalg.svd(mats, compute_uv=False)
-    return sing[..., -1] > _RANK_TOL * np.maximum(sing[..., 0], 1.0)
-
-
 def _fit_rotations(du: np.ndarray, p: float) -> np.ndarray:
     """Best rotation for each patch of square cell maps du (S, N, d, d): (S, d, d).
 
@@ -157,8 +150,8 @@ def _fit_rotations(du: np.ndarray, p: float) -> np.ndarray:
     """
     if du.shape[-3] == 0:
         raise DegenerateFieldError("no cells available for rotation fitting")
-    unsure = ~_full_rank(du[:, 0])
-    if unsure.any() and not _full_rank(du[unsure]).any(axis=-1).all():
+    unsure = ~_full_rank(np.linalg.svd(du[:, 0], compute_uv=False))
+    if unsure.any() and not _full_rank(np.linalg.svd(du[unsure], compute_uv=False)).any(axis=-1).all():
         raise DegenerateFieldError("every cell differential is rank deficient")
     rotation = rotation_align(du.mean(axis=-3))
     if p != 2.0:
@@ -255,16 +248,15 @@ def metric_rigidity(
     base_index = _as_cell_index(grid, base_index)
 
     du = u.differential.reshape(-1, grid.dim, grid.dim)
-    mask = _cell_mask(mask, du.shape[0])
-    rotation = _metric_frame_fit(du[mask][None], g.cell_grams[base_index][None], p)[0]
+    inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)
+    if mask is not None:
+        mask = _cell_mask(mask, du.shape[0])
+        du, inv_sqrt = du[mask], inv_sqrt[mask]
+    rotation = _metric_frame_fit(du[None], g.cell_grams[base_index][None], p)[0]
 
-    inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[mask]
-    deviation = (du[mask] - rotation) @ inv_sqrt
+    deviation = (du - rotation) @ inv_sqrt
     lhs = float(grid.cell_volume * np.sum(_flat_norms(deviation) ** p))
-    stretch = float(
-        grid.cell_volume
-        * np.sum(isometry_defect(du[mask] @ inv_sqrt, oriented=True) ** p)
-    )
+    stretch = float(grid.cell_volume * np.sum(isometry_defect(du @ inv_sqrt, oriented=True) ** p))
     osc_term = _oscillation_term(grid, g._oscillation, p)
     constant = _guarded_ratio(lhs, osc_term + stretch)
     return RigidityReport(
@@ -302,7 +294,8 @@ def tangent_plane_field(u: ImmersionField) -> PlaneField:
     The arrays are `u.frames`, `u.complements` and `u.degenerate` themselves,
     not copies; the first call derives them if nothing has read them yet.
     Degenerate cells carry placeholder coordinate frames so the arrays stay
-    rectangular; they remain flagged and every consumer skips them.
+    rectangular; they remain flagged and every consumer skips them.  The
+    fitting pipelines need a frame only at base cells and do not call it.
     """
     return PlaneField(u.grid, u.frames, u.complements, u.degenerate)
 
@@ -513,10 +506,10 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
     other dimensions, when those unit vectors sum to zero, and on small grids
     every candidate is scored.
 
-    This is the one-patch call of `_base_cells`, which `multiscale_fit` runs
-    on all subcubes at once: it scores the plain subcubes as one stack and
-    loops only over those with degenerate cells, a subsampled candidate set
-    or the bound filter.
+    The pipelines call `_base_cells` directly, `local_rigidity` on its one
+    patch and `multiscale_fit` on all subcubes at once: it scores the plain
+    subcubes as one stack and loops only over those with degenerate cells,
+    a subsampled candidate set or the bound filter.
     """
     shape = planes.complements.shape
     comps = planes.complements.reshape((1, -1) + shape[-2:])
@@ -526,7 +519,7 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
 
 # Per-node and per-cell data the local pipeline reads, by source: the
 # immersion (plus `radial` on spheres) and the metric.
-_FIELD_PATCH_DATA = ("values", "differential", "degenerate", "normal", "frames", "complements")
+_FIELD_PATCH_DATA = ("values", "differential", "degenerate", "normal", "complements")
 _METRIC_PATCH_DATA = ("cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
 
 
@@ -601,14 +594,21 @@ class _Patches:
     def take(self, rows) -> "_Patches":
         return _Patches(self.grid, self.target, self.mode, {k: v[rows] for k, v in self.arrays.items()})
 
+    def base_cells(self, p: float, seed: int) -> np.ndarray:
+        """Each patch's base cell as a linear index: `_base_cells` on its complements."""
+        count = len(self.values)
+        comps = self.complements.reshape((count, -1) + self.complements.shape[-2:])
+        return _base_cells(comps, ~self.degenerate.reshape(count, -1), p, seed)
+
 
 def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[RigidityReport]:
     """The local pipeline of `local_rigidity` on every patch, past the base-cell choice.
 
     `base` holds each patch's base cell as a linear index and `osc` its
-    metric oscillation.  Every stage is one array computation over the patch
-    axis, with each patch's products and sums shaped as for that patch
-    alone, so each report equals the one-patch run bit for bit.  Patches
+    metric oscillation; the frame it flattens through is factored from the
+    base cell's differential alone.  Every stage is one array computation
+    over the patch axis, with each patch's products and sums shaped as for
+    that patch alone, so each report equals the one-patch run bit for bit.  Patches
     with degenerate cells keep different numbers of cells and are fitted one
     by one; the p != 2 rotation descent also runs patch by patch.
     """
@@ -631,7 +631,7 @@ def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[Rigi
         return x.reshape((count, n) + x.shape[d + 1 :])[:, keep]
 
     at_base = (np.arange(count), base)
-    frame = patches.frames.reshape(count, n, big, d)[at_base]
+    frame = sign_fixed_qr(patches.differential.reshape(count, n, big, d)[at_base])[0]
     flat = grid_differential(
         grid, patches.values @ frame.reshape((count,) + (1,) * (d - 1) + (big, d)), patches.mode
     )
@@ -684,10 +684,10 @@ def local_rigidity(
 ) -> RigidityReport:
     """Full constructive pipeline for an immersed cube patch.
 
-    The per-cell tangent planes the immersion built are read (see
-    `tangent_plane_field`), a base cell is chosen by the summed
-    oriented-gap criterion, the immersion is flattened through the base
-    plane's frame, the frame fit of `metric_rigidity` runs there, and the
+    A base cell is chosen from the oriented complements by the summed
+    oriented-gap criterion of `choose_base_point`, the immersion is
+    flattened through that one cell's tangent frame (its `u.frames` entry,
+    factored alone), the frame fit of `metric_rigidity` runs there, and the
     result is pushed back into the target.  The right-hand side carries the
     metric oscillation, the stretch energy, and the diameter-scaled excess
     energy; the plane-variation statistic is reported alongside.  The lhs
@@ -699,15 +699,15 @@ def local_rigidity(
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
-    planes = tangent_plane_field(u)
+    patch = _Patches.subcubes(u, g, 1, slice(None))
     if base_index is None:
-        base_index = choose_base_point(planes, p, seed)
+        base = patch.base_cells(p, seed)
     else:
         base_index = _as_cell_index(u.grid, base_index)
-        if planes.degenerate[base_index]:
+        if u.degenerate[base_index]:
             raise ValueError("requested base cell is degenerate")
-    base = np.array([np.ravel_multi_index(base_index, u.grid.cell_shape)])
-    return _local_fits(_Patches.subcubes(u, g, 1, slice(None)), base, [g._oscillation], p)[0]
+        base = np.array([np.ravel_multi_index(base_index, u.grid.cell_shape)])
+    return _local_fits(patch, base, [g._oscillation], p)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -755,8 +755,8 @@ def multiscale_fit(
     the global residual of the assembled piecewise-constant field.  The
     pipeline runs over a leading subcube axis, on whole rows of subcubes of
     about 2048 cells at a time (all at once on smaller grids): the subcube
-    data are the parent's per-cell arrays (differentials, normals, tangent
-    frames, cell metrics) regrouped subcube by subcube (see
+    data are the parent's per-cell arrays (differentials, normals,
+    complements, cell metrics) regrouped subcube by subcube (see
     `_Patches.subcubes`), each subcube's products and sums keep their
     one-subcube shapes, and so every subcube report equals, bit for bit,
     what `local_rigidity` gives on a fresh `ImmersionField`/`MetricField`
@@ -788,12 +788,8 @@ def multiscale_fit(
     reports = []
     for lo in range(0, t, step):
         patches = _Patches.subcubes(u, g, t, slice(lo, lo + step))
-        count = len(patches.values)
-        comps = patches.complements
-        base = _base_cells(
-            comps.reshape((count, -1) + comps.shape[-2:]), ~patches.degenerate.reshape(count, -1), p, seed
-        )
-        reports += _local_fits(patches, base, osc[len(reports) : len(reports) + count], p)
+        base = patches.base_cells(p, seed)
+        reports += _local_fits(patches, base, osc[len(reports) : len(reports) + len(base)], p)
 
     fits = tuple(
         SubcubeFit(

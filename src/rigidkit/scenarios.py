@@ -13,30 +13,10 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .fields import GridDomain, GridMap, ImmersionField, MetricField, TargetSpace
+from .fields import GridDomain, GridMap, ImmersionField, MetricField, TargetSpace, config_number
 
 FAMILIES = ("curve", "graph", "latitude", "perturbed", "perturbed_identity")
 METRIC_KINDS = ("flat", "linear", "random")
-
-
-def config_number(value, kind=float):
-    """A config entry as a finite float, or for kind int as an int of integral value.
-
-    Booleans are rejected although Python counts them as integers.  Raises
-    TypeError, ValueError or OverflowError on anything else that does not fit.
-    """
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
-    if kind is int and isinstance(value, (int, np.integer)):
-        return int(value)
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError("not finite")
-    if kind is int:
-        if not number.is_integer():
-            raise ValueError("not integral")
-        return int(number)
-    return number
 
 
 def config_field(config, name: str, kind=float):

@@ -163,6 +163,25 @@ class TestRigidity:
         assert "error: cannot load snapshot: gram field is not finite and symmetric" in err
         assert not (tmp_path / "rigidity.json").exists()
 
+    # Each of these once truncated to an integer and loaded.
+    @pytest.mark.parametrize(
+        "section, name, value", [("grid", "d", 1.9), ("grid", "d", True), ("grid", "n", 8.7), ("target", "D", 2.5)]
+    )
+    def test_non_integral_snapshot_field_is_config_error(self, tmp_path, capsys, section, name, value):
+        grid = GridDomain(1, 1.0, 8)
+        t = grid.node_axis()
+        u = ImmersionField(grid, TargetSpace.euclidean(1), np.stack([t, 0.1 * t**2], axis=-1))
+        snap = tmp_path / "parabola.json"
+        snapshot_save(snap, u, build_metric(grid, "flat"))
+        doc = json.loads(snap.read_text())
+        doc[section][name] = value
+        snap.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        message = f"error: cannot load snapshot: snapshot field {name} must be an integer, got {value!r}"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rigidity.json").exists()
+
     # 5e-324 is positive, but over 8 cells the spacing rounds to 0.
     @pytest.mark.parametrize("family, dim", [("perturbed_identity", 2), ("curve", 1), ("graph", 2)])
     def test_zero_spacing_is_config_error(self, tmp_path, capsys, family, dim):

@@ -127,12 +127,18 @@ def family_planes(family):
 
 def pinned_fields(name):
     """The immersions the plane and rank-test formulas are pinned on: a
-    `family_field` family, the Clifford patch, or (for "rank_deficient") a
+    `family_field` family, the Clifford patch, a graph over a 3-cube into
+    R^4 ("graph_3d"), or (for "rank_deficient") a
     sheet whose row of cells at 3 loses a column, a latitude arc with a
     zero-length cell, and a segment whose cells 2 and 5 have differentials of
     length 0.75e-12 and 1.5e-12, either side of the rank tolerance."""
     if name == "clifford":
         return [clifford_patch(12)]
+    if name == "graph_3d":
+        grid = GridDomain(3, 1.0, 6)
+        x = grid.node_coordinates()
+        height = 0.3 * np.sin(2.0 * x[..., 0]) * np.cos(x[..., 1]) + 0.2 * x[..., 1] * x[..., 2] ** 2
+        return [ImmersionField(grid, TargetSpace.euclidean(3), np.concatenate([x, height[..., None]], axis=-1))]
     if name != "rank_deficient":
         return [family_field(name)]
     sheet = flat_inclusion(8)
@@ -417,7 +423,7 @@ class TestTangentPlaneField:
         np.testing.assert_allclose(planes.complements[3], [[0.0], [1.0]])
 
     @pytest.mark.parametrize(
-        "name", ["curve_wave", "latitude", "graph", "perturbed_sheet", "clifford", "rank_deficient"]
+        "name", ["curve_wave", "latitude", "graph", "perturbed_sheet", "clifford", "graph_3d", "rank_deficient"]
     )
     def test_planes_equal_the_qr_formula(self, name):
         for u in pinned_fields(name):
@@ -427,14 +433,17 @@ class TestTangentPlaneField:
             np.testing.assert_array_equal(planes.complements, comp)
             np.testing.assert_array_equal(planes.degenerate, u.degenerate)
             assert planes.frames is u.frames and planes.complements is u.complements
-            if name == "clifford":
-                # the determinant fix turns the radial column inward on every cell
-                assert flip.all()
+            # the determinant fix turns the radial column inward on every
+            # non-degenerate cell of an even-dimensional sphere patch, and
+            # fires nowhere else: Euclidean d = 1, 2, 3 and sphere d = 1, 2
+            even_sphere = u.target.kind == "sphere" and u.grid.dim % 2 == 0
+            assert (flip[~u.degenerate] == even_sphere).all()
+            assert flip.any() == (name == "clifford")
 
     @pytest.mark.parametrize(
         "name",
         ["graph", "curve_constant", "curve_wave", "latitude", "perturbed_sheet", "perturbed_curve",
-         "rank_deficient"],
+         "graph_3d", "rank_deficient"],
     )
     def test_degenerate_equals_the_singular_value_rule(self, name):
         for u in pinned_fields(name):
@@ -622,6 +631,24 @@ class TestLocalRigidity:
         assert report.base_index == (5,)
         with pytest.raises(ValueError):
             local_rigidity(u, build_metric(GridDomain(1, 1.0, 32), "flat"))
+
+
+class TestFitsDeriveNoFrames:
+    """The pipelines factor a tangent frame at base cells only: no per-cell
+    frame field of the immersion is derived."""
+
+    @pytest.mark.parametrize("family", ["curve", "graph", "latitude"])
+    @pytest.mark.parametrize("fit", ["local", "local_at_base", "multiscale_1", "multiscale_4"])
+    def test_fits_derive_no_frames(self, family, fit):
+        u, g = family_case(family, "random")
+        if fit == "local":
+            local_rigidity(u, g)
+        elif fit == "local_at_base":
+            local_rigidity(u, g, base_index=(1,) * u.grid.dim)
+        else:
+            multiscale_fit(u, g, int(fit[-1]))
+        assert "frames" not in vars(u)
+        assert "complements" in vars(u)
 
 
 def family_case(family, metric_kind):
