@@ -16,7 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric_algebra import _EIGENVALUE_FLOOR, _SYMMETRY_TOL, isometry_defect, sign_fixed_qr, spd_inv_sqrt
+from .metric_algebra import (
+    _EIGENVALUE_FLOOR,
+    _SYMMETRY_TOL,
+    isometry_defect,
+    sign_fixed_qr,
+    spd_extremes,
+    spd_inv_sqrt,
+)
 
 _RANK_TOL = 1e-12
 _ON_MANIFOLD_TOL = 1e-8
@@ -37,11 +44,14 @@ class DegenerateFieldError(RuntimeError):
 def config_number(value, kind=float):
     """A config entry as a finite float, or for kind int as an int of integral value.
 
-    Booleans are rejected although Python counts them as integers.  Raises
-    TypeError, ValueError or OverflowError on anything else that does not fit.
+    Booleans and strings are rejected, although Python counts booleans as
+    integers and `float` parses numeric strings.  Raises TypeError,
+    ValueError or OverflowError on anything else that does not fit.
     """
     if isinstance(value, bool):
         raise TypeError("a boolean is not a number")
+    if isinstance(value, (str, bytes)):
+        raise TypeError("a string is not a number")
     if kind is int and isinstance(value, (int, np.integer)):
         return int(value)
     number = float(value)
@@ -257,12 +267,13 @@ class MetricField:
             sym_defect = np.abs(gram - np.swapaxes(gram, -1, -2)).max()
         if not sym_defect <= _SYMMETRY_TOL:
             raise ValueError("gram field is not finite and symmetric at every node")
-        eigs = np.linalg.eigvalsh(gram)
-        if not eigs.min() >= _EIGENVALUE_FLOOR:
+        lam_min, lam_max, _ = spd_extremes(gram)
+        lam_min, lam_max = lam_min.min(), lam_max.max()
+        if not lam_min >= _EIGENVALUE_FLOOR:
             raise ValueError("gram field is not positive definite at every node")
         self.grid = grid
         self.gram = gram
-        measured_lam = float(max(eigs.max(), 1.0 / eigs.min(), 1.0))
+        measured_lam = float(max(lam_max, 1.0 / lam_min, 1.0))
         if lam is None:
             self.lam = measured_lam
         else:
@@ -301,7 +312,7 @@ class MetricField:
 
     @cached_property
     def cell_sqrt_det(self) -> np.ndarray:
-        return np.sqrt(np.linalg.det(self.cell_grams))
+        return spd_extremes(self.cell_grams)[2]
 
     @cached_property
     def _oscillation(self) -> float:
@@ -701,22 +712,23 @@ def snapshot_load(path) -> tuple[ImmersionField, MetricField]:
     with open(path) as handle:
         doc = json.load(handle)
 
-    def integer(section: dict, name: str) -> int:
+    def number(section: dict, name: str, kind=float):
         value = section[name]
         try:
-            return config_number(value, int)
+            return config_number(value, kind)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"snapshot field {name} must be an integer, got {value!r}") from exc
+            what = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"snapshot field {name} must be {what}, got {value!r}") from exc
 
     try:
         gd = doc["grid"]
-        grid = GridDomain(integer(gd, "d"), float(gd["l"]), integer(gd, "n"))
+        grid = GridDomain(number(gd, "d", int), number(gd, "l"), number(gd, "n", int))
         td = doc["target"]
         if td["kind"] == "sphere":
-            target = TargetSpace.sphere(grid.dim, float(td["rho"]))
+            target = TargetSpace.sphere(grid.dim, number(td, "rho"))
         else:
             target = TargetSpace.euclidean(grid.dim)
-        if integer(td, "D") != target.ambient_dim:
+        if number(td, "D", int) != target.ambient_dim:
             raise ValueError(f"snapshot ambient dimension {td['D']} is inconsistent")
         values = np.array(doc["values"], dtype=float).reshape(
             grid.node_shape + (target.ambient_dim,)

@@ -42,39 +42,111 @@ def _require(ok, message: str) -> None:
 # --- array kernels over leading axes ----------------------------------------
 
 
+_NOT_POSITIVE_DEFINITE = "matrix is not positive definite (eigenvalue below 1e-14)"
+
+
+def spd_extremes(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam_min, lam_max, sqrt(det)) of each stacked symmetric matrix (..., d, d).
+
+    For d <= 2 these are closed forms read from the lower triangle, the
+    entries a = g00, b = g10, c = g11:
+
+        lam_max = (a + c + hypot(a - c, 2b)) / 2,
+        lam_min = min((ac - b^2) / lam_max, (a + c) / 2),
+        sqrt(det) = sqrt(ac - b^2),
+
+    and for d = 1 all three are read off g00.  lam_max is a sum of
+    nonnegative terms whenever a + c > 0, so it carries a few ulps of
+    relative error; lam_min = det / lam_max inherits det's, about
+    u * lam_max / lam_min relative, the error bound `eigvalsh` also has.
+    Every SPD matrix has lam_min <= (a + c) / 2, and the cap makes input
+    with a + c <= 0 fail a `not lam_min >= floor` test whatever the
+    rounding of lam_max.  NaN entries give NaN, which fails such a test
+    too.  Non-SPD input returns without warnings.  For d >= 3 the values
+    come from `eigvalsh` and `det`.
+    """
+    gram = np.asarray(gram, dtype=float)
+    dim = gram.shape[-1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if dim == 1:
+            g = gram[..., 0, 0]
+            return g, g, np.sqrt(g)
+        if dim == 2:
+            a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
+            det = a * c - b * b
+            lam_max = 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
+            lam_min = np.minimum(det / lam_max, 0.5 * (a + c))
+            return lam_min, lam_max, np.sqrt(det)
+        w = np.linalg.eigvalsh(gram)
+        return w[..., 0], w[..., -1], np.sqrt(np.linalg.det(gram))
+
+
 def checked_grams(gram: np.ndarray) -> np.ndarray:
     """Symmetrized copy of a stack of Gram matrices (..., d, d), checked SPD.
 
     Raises when some matrix is not symmetric to 1e-12 or, after
-    symmetrizing, has an eigenvalue below 1e-14.
+    symmetrizing, has an eigenvalue below 1e-14 (see `spd_extremes`).
     """
     gram = np.asarray(gram, dtype=float)
     _require(np.abs(gram - _swap(gram)) <= _SYMMETRY_TOL, "Gram matrix must be symmetric (tolerance 1e-12)")
     gram = 0.5 * (gram + _swap(gram))
-    _require(np.linalg.eigvalsh(gram)[..., 0] >= _EIGENVALUE_FLOOR, "Gram matrix is not positive definite")
+    _require(spd_extremes(gram)[0] >= _EIGENVALUE_FLOOR, "Gram matrix is not positive definite")
     return gram
+
+
+def _spd_root(gram: np.ndarray, inverse: bool) -> np.ndarray:
+    """g^(1/2) or g^(-1/2) of each stacked SPD matrix (..., d, d).
+
+    For d <= 2 a closed form: with s = sqrt(det g) and
+    t = sqrt(tr g + 2s) = sqrt(lam_1) + sqrt(lam_2),
+
+        g^(1/2) = (g + s I) / t,    g^(-1/2) = (adj g + s I) / (s t),
+
+    since (g + s I)^2 = (tr g + 2s) g by Cayley-Hamilton; for d = 1 these
+    are sqrt(g) and 1 / sqrt(g).  Every entry is a sum of nonnegative terms
+    or an off-diagonal +-b over a positive scale, so the roots are exact to
+    a few ulps in their entries when g is well conditioned; for
+    ill-conditioned g, s carries det's relative error u * lam_max / lam_min,
+    the same order as the small eigenvalue of `eigh`, which computes the
+    roots for d >= 3.  The floor test runs before any root is taken.
+    """
+    gram = np.asarray(gram, dtype=float)
+    if gram.shape[-1] > 2:
+        w, v = np.linalg.eigh(gram)
+        _require(w[..., 0] >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
+        root = np.sqrt(w)[..., None, :]
+        return (v / root if inverse else v * root) @ _swap(v)
+    lam_min, _, s = spd_extremes(gram)
+    _require(lam_min >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
+    if gram.shape[-1] == 1:
+        return 1.0 / s[..., None, None] if inverse else s[..., None, None]
+    a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
+    t = np.sqrt(a + c + 2.0 * s)
+    scale = t
+    if inverse:  # adj g = [[c, -b], [-b, a]]
+        a, b, c, scale = c, -b, a, s * t
+    root = np.empty(gram.shape)
+    root[..., 0, 0] = (a + s) / scale
+    root[..., 1, 1] = (c + s) / scale
+    root[..., 0, 1] = root[..., 1, 0] = b / scale
+    return root
 
 
 def spd_sqrt(gram: np.ndarray) -> np.ndarray:
     """Positive square root of an SPD matrix (stacked input allowed).
 
-    Eigenvalues below 1e-14 are rejected rather than clamped, so near-singular
-    input fails loudly instead of silently flattening a direction.
+    Closed form for d <= 2, `eigh` otherwise (see `_spd_root`).
+    Eigenvalues below 1e-14, and NaN entries, are rejected rather than
+    clamped, so near-singular input fails loudly instead of silently
+    flattening a direction.
     """
-    gram = np.asarray(gram, dtype=float)
-    w, v = np.linalg.eigh(gram)
-    if w.min() < _EIGENVALUE_FLOOR:
-        raise ValueError("matrix is not positive definite (eigenvalue below 1e-14)")
-    return (v * np.sqrt(w)[..., None, :]) @ _swap(v)
+    return _spd_root(gram, inverse=False)
 
 
 def spd_inv_sqrt(gram: np.ndarray) -> np.ndarray:
-    """Inverse positive square root of an SPD matrix (stacked input allowed)."""
-    gram = np.asarray(gram, dtype=float)
-    w, v = np.linalg.eigh(gram)
-    if w.min() < _EIGENVALUE_FLOOR:
-        raise ValueError("matrix is not positive definite (eigenvalue below 1e-14)")
-    return (v / np.sqrt(w)[..., None, :]) @ _swap(v)
+    """Inverse positive square root of an SPD matrix (stacked input allowed);
+    rejects what `spd_sqrt` rejects."""
+    return _spd_root(gram, inverse=True)
 
 
 def metric_norm(t: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
@@ -103,12 +175,52 @@ def isometry_defect(x: np.ndarray, oriented: bool = False) -> np.ndarray:
     With oriented=True (square x only) the competitors are restricted to
     rotations; a negative determinant then costs (s_min + 1)^2 instead of
     (s_min - 1)^2 through the sign flip on the smallest singular value.
+
+    The value is sqrt(sum (s_i - 1)^2) over the (signed) singular values.
+    The shapes the pipelines run have closed forms:
+
+    - d = 1: | |x| - 1 |, and |x - 1| for oriented 1 x 1 input;
+    - D = d = 2: with the conformal and anticonformal parts
+      c = hypot(x00 + x11, x10 - x01) / 2 and a = hypot(x00 - x11, x10 + x01) / 2,
+      the singular values are c + a and |c - a| and det x = c^2 - a^2, so
+      the oriented defect is sqrt(2) hypot(c - 1, a), and the unoriented
+      one the same with (max, min) of (c, a) in place of (c, a);
+    - D = 3, d = 2: with columns x0, x1, S = s_1 + s_2 =
+      sqrt(|x0|^2 + |x1|^2 + 2 |x0 x x1|) and
+      Delta = s_1 - s_2 = hypot(|x0|^2 - |x1|^2, 2 x0.x1) / S (0 when S = 0),
+      the defect is hypot(S - 2, Delta) / sqrt(2).
+
+    None of these subtracts nearly equal squares of singular values, and
+    each stays within 16 u (1 + |x|_F) of the SVD value (u the unit
+    round-off; `tests/test_metric_algebra.py` checks the bound on
+    reflections, rank-deficient input and scales 1e-6 to 1e6).  Every
+    other shape runs an SVD.
     """
     x = np.asarray(x, dtype=float)
+    rows, cols = x.shape[-2:]
+    if oriented and rows != cols:
+        raise ValueError("oriented defect requires square maps")
+    if cols == 1:
+        size = x[..., 0, 0] if oriented else np.linalg.norm(x[..., 0], axis=-1)
+        return np.abs(size - 1.0)
+    if cols == 2 and rows == 2:
+        x00, x01, x10, x11 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+        conformal = 0.5 * np.hypot(x00 + x11, x10 - x01)
+        anti = 0.5 * np.hypot(x00 - x11, x10 + x01)
+        if not oriented:
+            conformal, anti = np.maximum(conformal, anti), np.minimum(conformal, anti)
+        return np.sqrt(2.0) * np.hypot(conformal - 1.0, anti)
+    if cols == 2 and rows == 3:
+        a0, a1, a2 = x[..., 0, 0], x[..., 1, 0], x[..., 2, 0]
+        b0, b1, b2 = x[..., 0, 1], x[..., 1, 1], x[..., 2, 1]
+        sq0, sq1 = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
+        cross = np.sqrt((a1 * b2 - a2 * b1) ** 2 + (a2 * b0 - a0 * b2) ** 2 + (a0 * b1 - a1 * b0) ** 2)
+        total = np.sqrt(sq0 + sq1 + 2.0 * cross)
+        # total rounds to 0 only when every product underflows, the spread too
+        gap = np.hypot(sq0 - sq1, 2.0 * (a0 * b0 + a1 * b1 + a2 * b2)) / np.where(total > 0.0, total, 1.0)
+        return np.hypot(total - 2.0, gap) / np.sqrt(2.0)
     s = np.linalg.svd(x, compute_uv=False)
     if oriented:
-        if x.shape[-2] != x.shape[-1]:
-            raise ValueError("oriented defect requires square maps")
         s = s.copy()
         s[..., -1] = np.where(np.linalg.det(x) < 0, -s[..., -1], s[..., -1])
     return np.sqrt(np.sum((s - 1.0) ** 2, axis=-1))
@@ -269,8 +381,8 @@ class SpdMetric:
 
     def sandwich_bound(self) -> float:
         """Smallest lam >= 1 with I/lam <= gram <= lam*I in the quadratic-form order."""
-        w = np.linalg.eigvalsh(self.gram)
-        return float(max(w[-1], 1.0 / w[0], 1.0))
+        lam_min, lam_max, _ = spd_extremes(self.gram)
+        return float(max(lam_max, 1.0 / lam_min, 1.0))
 
 
 @dataclass(frozen=True)

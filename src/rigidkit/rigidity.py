@@ -65,9 +65,9 @@ def _as_cell_index(grid: GridDomain, index) -> tuple[int, ...]:
     return index
 
 
-def _cell_mask(mask: np.ndarray | None, count: int) -> np.ndarray:
-    """Flat boolean selection of `count` cells; None selects every cell."""
-    mask = np.ones(count, bool) if mask is None else np.asarray(mask, dtype=bool).reshape(-1)
+def _cell_mask(mask: np.ndarray, count: int) -> np.ndarray:
+    """`mask` as a flat boolean selection of `count` cells."""
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
     if mask.shape[0] != count:
         raise ValueError("mask length does not match the number of cells")
     return mask
@@ -171,8 +171,9 @@ def euclidean_best_rotation(
     minimizer of sum |Du - R|^2 over rotations; for other exponents that
     closed form seeds a descent over rotation angles.  `mask` selects the
     cells entering the fit and the integrals (callers exclude flagged
-    degenerate cells); the returned fit integrates both sides on demand.
-    This is the one-patch call of `_fit_rotations`.
+    degenerate cells); the returned fit integrates both sides on demand,
+    over a view of `du_cells` when no mask is given.  This is the one-patch
+    call of `_fit_rotations`.
     """
     du = np.asarray(du_cells, dtype=float)
     if du.ndim < 2 or du.shape[-1] != du.shape[-2]:
@@ -181,7 +182,7 @@ def euclidean_best_rotation(
         raise ValueError("exponent p must exceed 1")
     d = du.shape[-1]
     du = du.reshape(-1, d, d)
-    used = du[_cell_mask(mask, du.shape[0])]
+    used = du if mask is None else du[_cell_mask(mask, du.shape[0])]
     rotation = _fit_rotations(used[None], p)[0]
     return EuclideanFit(p, rotation, used, cell_volume)
 

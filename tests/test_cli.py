@@ -5,7 +5,7 @@ import pytest
 
 from rigidkit.cli import main
 from rigidkit.fields import GridDomain, ImmersionField, TargetSpace, snapshot_save
-from rigidkit.scenarios import FAMILIES, build_metric
+from rigidkit.scenarios import FAMILIES, build_metric, latitude_circle
 
 
 def write_config(tmp_path, name, payload):
@@ -139,6 +139,7 @@ class TestRigidity:
             ('"family": "perturbed", "kappa": NaN', "kappa must be a finite number, got nan"),
             ('"family": "curve", "length": 1e400', "length must be a finite number, got inf"),
             ('"family": "curve", "rho": true', "rho must be a finite number, got True"),
+            ('"family": "curve", "length": "1"', "length must be a finite number, got '1'"),
         ],
     )
     def test_non_finite_scenario_field_is_config_error(self, tmp_path, capsys, entry, message):
@@ -179,6 +180,23 @@ class TestRigidity:
         cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
         assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
         message = f"error: cannot load snapshot: snapshot field {name} must be an integer, got {value!r}"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rigidity.json").exists()
+
+    # Each of these once loaded as length or radius 1.0.
+    @pytest.mark.parametrize(
+        "section, name, value", [("grid", "l", True), ("target", "rho", True), ("grid", "l", "1")]
+    )
+    def test_non_numeric_snapshot_length_is_config_error(self, tmp_path, capsys, section, name, value):
+        grid = GridDomain(1, 1.0, 8)
+        snap = tmp_path / "arc.json"
+        snapshot_save(snap, latitude_circle(grid, 1.0, np.pi / 2), build_metric(grid, "flat"))
+        doc = json.loads(snap.read_text())
+        doc[section][name] = value
+        snap.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        message = f"error: cannot load snapshot: snapshot field {name} must be a finite number, got {value!r}"
         assert message in capsys.readouterr().err
         assert not (tmp_path / "rigidity.json").exists()
 

@@ -1,8 +1,13 @@
+import json
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidkit import cli
 from rigidkit.metric_algebra import (
     OrientedSubspace,
     SpdMetric,
@@ -29,6 +34,7 @@ from rigidkit.metric_algebra import (
     rotation_set_distance,
     so_set_distance,
     spanning_frames,
+    spd_extremes,
     spd_inv_sqrt,
     spd_sqrt,
     subspace_distance,
@@ -426,6 +432,11 @@ class TestHelpers:
 
     def test_isometry_defect_oriented_flip(self):
         assert isometry_defect(np.diag([1.0, -1.0]), oriented=True) == pytest.approx(2.0)
+        reflection = rotation2(0.3) @ np.diag([1.0, -1.0])
+        assert isometry_defect(reflection, oriented=True) == pytest.approx(2.0, rel=1e-15)
+        assert isometry_defect(reflection) <= 1e-15
+        assert isometry_defect(np.array([[-1.0]]), oriented=True) == 2.0
+        assert isometry_defect(np.array([[-1.0]])) == 0.0
 
 
 # --- stacked kernels against loops over their one-instance forms -----------
@@ -575,3 +586,150 @@ class TestStackedValidation:
             lambda: nearest_isometry_into_plane(bad, E2, plane),
             lambda: plane_coordinates(self._stack_with(maps, bad), self._stack_with(frames, plane.frame)),
         )
+
+
+# --- closed-form d <= 2 kernels against LAPACK oracles ----------------------
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# (rows, cols), oriented: the shapes `isometry_defect` answers in closed form
+CLOSED_FORM_SHAPES = [((1, 1), False), ((1, 1), True), ((2, 1), False), ((3, 1), False)]
+CLOSED_FORM_SHAPES += [((2, 2), False), ((2, 2), True), ((3, 2), False)]
+
+
+def _svd_defect(x, oriented):
+    sing = np.linalg.svd(x, compute_uv=False)
+    if oriented:
+        sing[..., -1] = np.where(np.linalg.det(x) < 0, -sing[..., -1], sing[..., -1])
+    return np.sqrt(np.sum((sing - 1.0) ** 2, axis=-1))
+
+
+@st.composite
+def _defect_cases(draw):
+    (rows, cols), oriented = draw(st.sampled_from(CLOSED_FORM_SHAPES))
+    kind = draw(st.sampled_from(["generic", "reflection", "rank_deficient", "zero", "near_isometry"]))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    square = np.array(draw(st.lists(entries, min_size=rows * rows, max_size=rows * rows))).reshape(rows, rows)
+    if kind == "generic":
+        return scale * square[:, :cols], oriented
+    if kind == "zero":
+        return np.zeros((rows, cols)), oriented
+    if kind == "rank_deficient":  # rank one, or zero for a single column
+        return scale * np.outer(square[:, 0], square[0, :cols]) * (cols > 1), oriented
+    q = np.linalg.qr(square + 3.0 * np.eye(rows))[0]
+    if kind == "reflection":  # orthonormal columns, det -1 when square
+        q[:, 0] *= -np.sign(np.linalg.det(q))
+        return q[:, :cols], oriented
+    return q[:, :cols] + scale * 1e-15 * square[:, :cols], oriented
+
+
+class TestClosedFormKernels:
+    @settings(max_examples=400, deadline=None)
+    @given(_defect_cases())
+    def test_isometry_defect_equals_the_svd_oracle(self, case):
+        x, oriented = case
+        bound = 16.0 * UNIT_ROUNDOFF * (1.0 + np.linalg.norm(x))
+        assert abs(isometry_defect(x, oriented=oriented) - _svd_defect(x, oriented)) <= bound
+        stacked = np.stack([x, -x, 2.0 * x])
+        gap = np.abs(isometry_defect(stacked, oriented=oriented) - _svd_defect(stacked, oriented))
+        assert (gap <= 16.0 * UNIT_ROUNDOFF * (1.0 + np.linalg.norm(stacked, axis=(-2, -1)))).all()
+
+    @staticmethod
+    def _ill_conditioned_grams(kappa, count=500):
+        rng = np.random.default_rng(int(np.log10(kappa)) + 211)
+        spectra = np.exp(rng.uniform(-3.0, 3.0, (count, 1))) * np.array([1.0, 1.0 / kappa])
+        q = np.stack([rotation2(a) for a in rng.uniform(0.0, np.pi, count)])
+        gram = (q * spectra[:, None, :]) @ np.swapaxes(q, -1, -2)
+        return 0.5 * (gram + np.swapaxes(gram, -1, -2))
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_two_by_two_roots_against_eigh(self, kappa):
+        gram = self._ill_conditioned_grams(kappa)
+        root, inv_root = spd_sqrt(gram), spd_inv_sqrt(gram)
+        np.testing.assert_array_equal(root, np.swapaxes(root, -1, -2))
+        np.testing.assert_array_equal(inv_root, np.swapaxes(inv_root, -1, -2))
+        # the product's error grows like u sqrt(kappa): entries of size
+        # sqrt(lam_max) meet entries of size 1 / sqrt(lam_min)
+        product_gap = np.abs(root @ inv_root - np.eye(2)).max()
+        assert product_gap <= 16.0 * UNIT_ROUNDOFF * np.sqrt(kappa)
+        w, v = np.linalg.eigh(gram)
+        eigh_inv_root = (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+        def residual(t):
+            return np.linalg.norm(t @ gram @ t - np.eye(2), axis=(-2, -1)).max()
+
+        assert residual(inv_root) <= 2.0 * residual(eigh_inv_root) + 16.0 * UNIT_ROUNDOFF
+        assert np.abs(root @ root - gram).max() <= 16.0 * UNIT_ROUNDOFF * np.abs(gram).max()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_spd_extremes_equal_eigvalsh(self, dim):
+        grams = _grams(np.random.default_rng(223 + dim), 50, dim)
+        lam_min, lam_max, sqrt_det = spd_extremes(grams)
+        w = np.linalg.eigvalsh(grams)
+        np.testing.assert_allclose(lam_min, w[:, 0], rtol=1e-14)
+        np.testing.assert_allclose(lam_max, w[:, -1], rtol=1e-14)
+        np.testing.assert_allclose(sqrt_det, np.sqrt(np.linalg.det(grams)), rtol=1e-14)
+        g = SpdMetric(grams[0])
+        assert g.sandwich_bound() == pytest.approx(max(w[0, -1], 1.0 / w[0, 0], 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("kernel", [spd_sqrt, spd_inv_sqrt, checked_grams])
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            np.diag([1.0, 1e-15]),
+            np.diag([1.0, -2.0]),
+            -np.eye(2),
+            # negative definite, eigenvalues -1e6 and -1.1e-11: its computed
+            # lam_max rounds to +5.8e-11, and det / lam_max to +1.6e5
+            np.array([[-989081.591704284, -103919.18329165169], [-103919.18329165169, -10918.408295715868]]),
+            np.zeros((2, 2)),
+            np.array([[-1e-300]]),
+            np.array([[0.0]]),
+        ],
+    )
+    def test_floor_rejects_without_warnings(self, kernel, gram):
+        gram = 0.5 * (gram + gram.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive definite"):
+                kernel(gram)
+            with pytest.raises(ValueError, match="positive definite"):
+                kernel(np.stack([np.eye(gram.shape[0]), gram]))
+
+    @pytest.mark.parametrize("kernel", [spd_sqrt, spd_inv_sqrt])
+    @pytest.mark.parametrize("gram", [np.array([[np.nan]]), np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    def test_nan_gram_raises(self, kernel, gram):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"matrix is not positive definite \(eigenvalue below 1e-14\)"):
+                kernel(gram)
+
+    def test_fit_paths_stay_off_lapack_for_small_cells(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls.append((name, sys._getframe(1).f_code.co_name))
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        monkeypatch.setenv("RIGIDITY_CLOCK", "1970-01-01T00:00:00+00:00")
+        scenarios = [
+            {"family": "perturbed_identity", "dim": 2, "resolution": 8, "p": 3.0, "metric_kind": "random"},
+            {"family": "graph", "dim": 2, "resolution": 8, "metric_kind": "random"},
+            {"family": "curve", "dim": 1, "resolution": 32, "metric_kind": "linear"},
+            {"family": "latitude", "dim": 1, "resolution": 32, "p": 3.0, "metric_kind": "random"},
+        ]
+        runs = [("rigidity", {"scenario": s}) for s in scenarios]
+        runs.append(("multiscale", {"scenario": {"family": "graph", "dim": 2, "resolution": 16}, "t_values": [2, 4]}))
+        for k, (command, config) in enumerate(runs):
+            path = tmp_path / f"cfg{k}.json"
+            path.write_text(json.dumps(config))
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / f"out{k}")]) in (0, 1)
+        capsys.readouterr()
+        assert ("svd", "rotation_align") in calls  # the spies see the pipeline's calls
+        assert ("svd", "isometry_defect") not in calls
+        assert not [call for call in calls if call[0] != "svd"]

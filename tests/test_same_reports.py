@@ -3,6 +3,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -11,18 +12,23 @@ sys.path.insert(0, str(ROOT / "tools"))
 import same_reports  # noqa: E402
 
 
+def _patched_tree(target: Path, old: str, new: str) -> Path:
+    """A copy of this checkout's `src/` at `target`, with `old` replaced once in cli.py."""
+    shutil.copytree(ROOT / "src", target / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = target / "src" / "rigidkit" / "cli.py"
+    text = cli.read_text()
+    assert text.count(old) == 1
+    cli.write_text(text.replace(old, new))
+    return target
+
+
 def test_same_tree_matches_and_a_changed_report_is_caught(tmp_path, capsys):
     argv = ["--workload", "fit_mix", "--seed", "3", "--ops", "2"]
     assert same_reports.main([str(ROOT), str(ROOT), *argv]) == 0
     assert "fit_mix seed 3: 0 of 2 ops differ" in capsys.readouterr().out
 
-    changed = tmp_path / "changed"
-    shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    cli = changed / "src" / "rigidkit" / "cli.py"
-    text = cli.read_text()
-    assert text.count('"lhs", "osc_term"') == 1
     # reorders the printed report lines only: JSON keys are sorted, CSV columns fixed
-    cli.write_text(text.replace('"lhs", "osc_term"', '"osc_term", "lhs"'))
+    changed = _patched_tree(tmp_path / "changed", '"lhs", "osc_term"', '"osc_term", "lhs"')
     assert same_reports.main([str(ROOT), str(changed), *argv]) == 1
     out = capsys.readouterr().out
     assert "fit_mix seed 3: 2 of 2 ops differ" in out
@@ -45,3 +51,42 @@ def test_same_tree_matches_on_multiscale_and_lemma_reports(tmp_path, capsys, wor
 
     assert same_reports.main([str(ROOT), str(ROOT), "--workload", workload, "--seed", "3", "--ops", "1"]) == 0
     assert f"{workload} seed 3: 0 of 1 ops differ" in capsys.readouterr().out
+
+
+def test_rtol_forgives_a_one_ulp_float_but_not_a_changed_base_index(tmp_path, capsys):
+    fit = "        report, route = _fit_report(bundle, spec.p, seed)\n"
+    one_ulp = fit + '        report = __import__("dataclasses").replace(report, lhs=np.nextafter(report.lhs, np.inf))\n'
+    ulp_tree = _patched_tree(tmp_path / "ulp", fit, one_ulp)
+    index = '"base_index": list(report.base_index),'
+    moved = '"base_index": [i + 1 for i in report.base_index],'
+    index_tree = _patched_tree(tmp_path / "index", index, moved)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    ops_path = tmp_path / "ops.json"
+    ops_path.write_text(json.dumps([[op.command, op.config] for op in workloads.first_ops("fit_mix", 3, 1)]))
+    trees = (ROOT, ulp_tree, index_tree)
+    (base,), (ulp,), (index,) = (same_reports._tree_results(tree, ops_path, tmp_path) for tree in trees)
+    lhs = json.loads(base["files"]["rigidity.json"])["report"]["lhs"]
+    assert json.loads(ulp["files"]["rigidity.json"])["report"]["lhs"] == np.nextafter(lhs, np.inf)
+
+    assert same_reports._differences(base, ulp) == ["rigidity.csv", "rigidity.json"]
+    assert same_reports._differences(base, ulp, (1e-12, 0.0)) == []
+    assert same_reports._differences(base, ulp, (0.0, 0.0)) == ["rigidity.csv", "rigidity.json"]
+    # base_index is compared exactly whatever the tolerance
+    assert same_reports._differences(base, index, (0.5, 1.0)) == ["rigidity.json"]
+
+    argv = ["--workload", "fit_mix", "--seed", "3", "--ops", "1", "--rtol", "1e-12"]
+    assert same_reports.main([str(ROOT), str(ulp_tree), *argv]) == 0
+    assert "fit_mix seed 3: 0 of 1 ops differ beyond rtol 1e-12, atol 0" in capsys.readouterr().out
+
+
+def test_text_tolerance_keeps_integers_and_words_exact():
+    tol = (1e-12, 0.0)
+    assert same_reports._text_close("lhs,2,0.30000000000000004\n", "lhs,2,0.3\n", tol)
+    assert not same_reports._text_close("lhs,2,0.3\n", "lhs,3,0.3\n", tol)
+    assert not same_reports._text_close("lhs,2,0.3\n", "rhs,2,0.3\n", tol)
+    assert not same_reports._text_close("n 2\n", "n 2.0\n", tol)
+    assert not same_reports._text_close("0.3\n", "0.3000001\n", tol)
+    assert same_reports._text_close("slack -2.2e-15\n", "slack -1.8e-15\n", (1e-12, 1e-14))

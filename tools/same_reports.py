@@ -8,6 +8,14 @@ difference, 0 when every op matches.
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
+With `--rtol X` (and optionally `--atol Y`) floats x, y match when
+|x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
+in the printed output and the other files.  The absolute floor is for
+values that are round-off zeros, such as the slack of a lemma that holds
+with equality.  Everything else stays exact: exit codes, strings,
+integers, booleans, the JSON structure, and every value under a
+`base_index` key.
+
 Ops come from the `perfbench/workloads.py` of the checkout holding this
 script, so both trees see the same configs.  Each tree runs in its own
 Python process on its own `src/`, with one BLAS thread, a pinned
@@ -20,7 +28,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,10 +87,58 @@ def _tree_results(tree: Path, ops_path: Path, scratch: Path) -> list:
     return json.loads(results_path.read_text())
 
 
-def _differences(a: dict, b: dict) -> list[str]:
-    found = [key for key in ("code", "stdout") if a[key] != b[key]]
+# A decimal number, split out of printed text; only those with a point or an
+# exponent count as floats.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _float_close(x: float, y: float, tol: tuple[float, float]) -> bool:
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    rtol, atol = tol
+    return x == y or abs(x - y) <= rtol * max(abs(x), abs(y)) + atol
+
+
+def _json_close(a, b, tol: tuple[float, float], exact: bool = False) -> bool:
+    """Equal JSON values, with floats compared at `tol` outside `base_index`."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_json_close(a[k], b[k], tol, exact or k == "base_index") for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_json_close(x, y, tol, exact) for x, y in zip(a, b))
+    if isinstance(a, float) and not exact:
+        return _float_close(a, b, tol)
+    return a == b
+
+
+def _text_close(a: str, b: str, tol: tuple[float, float]) -> bool:
+    """Equal text, except that decimal floats may differ by `tol`."""
+    parts_a, parts_b = _NUMBER.split(a), _NUMBER.split(b)
+    if len(parts_a) != len(parts_b):
+        return False
+    for k, (x, y) in enumerate(zip(parts_a, parts_b)):
+        is_float = k % 2 == 1 and all(any(c in t for c in ".eE") for t in (x, y))
+        if not (x == y or (is_float and _float_close(float(x), float(y), tol))):
+            return False
+    return True
+
+
+def _same(name: str, x: str | None, y: str | None, tol: tuple[float, float] | None) -> bool:
+    if x is None or y is None or tol is None:
+        return x == y
+    if name.endswith(".json"):
+        return _json_close(json.loads(x), json.loads(y), tol)
+    return _text_close(x, y, tol)
+
+
+def _differences(a: dict, b: dict, tol: tuple[float, float] | None = None) -> list[str]:
+    """What differs between two ops' results: byte-exact, or floats within (rtol, atol) `tol`."""
+    found = [] if a["code"] == b["code"] else ["code"]
+    if not _same("stdout", a["stdout"], b["stdout"], tol):
+        found.append("stdout")
     for name in sorted(set(a["files"]) | set(b["files"])):
-        if a["files"].get(name) != b["files"].get(name):
+        if not _same(name, a["files"].get(name), b["files"].get(name), tol):
             found.append(name)
     return found
 
@@ -92,7 +150,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument("--rtol", type=float, help="relative tolerance for floats (default: byte-exact)")
+    parser.add_argument("--atol", type=float, help="absolute tolerance for floats (default: 0 with --rtol)")
     args = parser.parse_args(argv)
+    exact = args.rtol is None and args.atol is None
+    tol = None if exact else (args.rtol or 0.0, args.atol or 0.0)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -106,11 +168,12 @@ def main(argv=None) -> int:
 
     differing = 0
     for op, a, b in zip(ops, side_a, side_b):
-        found = _differences(a, b)
+        found = _differences(a, b, tol)
         if found:
             differing += 1
             print(f"op {op.index} ({op.command} {json.dumps(op.config)}): differs in {', '.join(found)}")
-    print(f"{args.workload} seed {args.seed}: {differing} of {len(ops)} ops differ")
+    within = "" if exact else f" beyond rtol {tol[0]:g}, atol {tol[1]:g}"
+    print(f"{args.workload} seed {args.seed}: {differing} of {len(ops)} ops differ{within}")
     return 1 if differing else 0
 
 
