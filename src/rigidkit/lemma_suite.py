@@ -58,17 +58,6 @@ DEFAULT_TOLERANCE = 1e-10
 NORMAL_BOUND_TOLERANCE = 1e-8
 _ARC_LENGTH = 1.0  # of the latitude arc in the sphere check
 
-PROPERTY_ORDER = (
-    "norm_equivalence",
-    "so_set_distance_bound",
-    "projection_error_bound",
-    "volume_comparison",
-    "in_plane_equality",
-    "normal_derivative_bound",
-    "orientation_stability",
-)
-
-
 @dataclass(frozen=True)
 class LemmaConfig:
     """Knobs for the property suite.
@@ -143,6 +132,19 @@ class PropertyResult:
             "passed": self.passed,
             "note": self.note,
         }
+
+
+def _checked(name: str, config: LemmaConfig, worst: float, note: str) -> PropertyResult:
+    """The result of a property sampled `config.samples` times: it passes
+    when the least slack `worst` is at least -`config.tolerance`."""
+    return PropertyResult(
+        name=name,
+        samples=config.samples,
+        min_slack=worst,
+        tolerance=config.tolerance,
+        passed=worst >= -config.tolerance,
+        note=note,
+    )
 
 
 def _vacuous(name: str, tolerance: float) -> PropertyResult:
@@ -251,13 +253,7 @@ def run_norm_equivalence(config: LemmaConfig) -> PropertyResult:
         root = np.sqrt(lam)
         slack = np.minimum(eu - fn_g / root, root * fn_g - eu)
         worst = min(worst, float(slack.min()))
-    return PropertyResult(
-        name="norm_equivalence",
-        samples=config.samples,
-        min_slack=worst,
-        tolerance=config.tolerance,
-        passed=worst >= -config.tolerance,
-    )
+    return _checked("norm_equivalence", config, worst, "")
 
 
 def run_so_set_distance_bound(config: LemmaConfig) -> PropertyResult:
@@ -276,13 +272,7 @@ def run_so_set_distance_bound(config: LemmaConfig) -> PropertyResult:
         bound = 0.5 * np.sqrt(np.maximum(lam_x, lam_y)) * np.linalg.norm(gram_x - gram_y, axis=(-2, -1))
         slack = bound - rotation_set_distance(spd_sqrt(gram_x), spd_sqrt(gram_y))
         worst = min(worst, float(slack.min()))
-    return PropertyResult(
-        name="so_set_distance_bound",
-        samples=config.samples,
-        min_slack=worst,
-        tolerance=config.tolerance,
-        passed=worst >= -config.tolerance,
-    )
+    return _checked("so_set_distance_bound", config, worst, "")
 
 
 def run_projection_error_bound(config: LemmaConfig) -> PropertyResult:
@@ -314,14 +304,8 @@ def run_projection_error_bound(config: LemmaConfig) -> PropertyResult:
         wide = gap > 1e-8
         over = (oriented_lhs[wide] - unoriented[wide]) / gap[wide]
         ratio = max(ratio, float(over.max(initial=0.0)))
-    return PropertyResult(
-        name="projection_error_bound",
-        samples=config.samples,
-        min_slack=worst,
-        tolerance=config.tolerance,
-        passed=worst >= -config.tolerance,
-        note=f"oriented-bound constant observed <= {ratio:.3f} (reported, not asserted)",
-    )
+    note = f"oriented-bound constant observed <= {ratio:.3f} (reported, not asserted)"
+    return _checked("projection_error_bound", config, worst, note)
 
 
 def run_volume_comparison(config: LemmaConfig) -> PropertyResult:
@@ -351,13 +335,7 @@ def run_volume_comparison(config: LemmaConfig) -> PropertyResult:
         scale = lam ** (dim / 2.0)
         slack = np.minimum(scale * flat - weighted, weighted - flat / scale)
         worst = min(worst, float(slack.min()))
-    return PropertyResult(
-        name="volume_comparison",
-        samples=config.samples,
-        min_slack=worst,
-        tolerance=config.tolerance,
-        passed=worst >= -config.tolerance,
-    )
+    return _checked("volume_comparison", config, worst, "")
 
 
 def run_in_plane_equality(config: LemmaConfig) -> PropertyResult:
@@ -385,13 +363,7 @@ def run_in_plane_equality(config: LemmaConfig) -> PropertyResult:
         full = isometry_defect(t @ inv_sqrt)
         planar = isometry_defect(plane_coordinates(t, plane) @ inv_sqrt, oriented=True)
         worst = min(worst, float((-np.abs(full - planar)).min()))
-    return PropertyResult(
-        name="in_plane_equality",
-        samples=config.samples,
-        min_slack=worst,
-        tolerance=config.tolerance,
-        passed=worst >= -config.tolerance,
-    )
+    return _checked("in_plane_equality", config, worst, "")
 
 
 def run_normal_derivative_bound(config: LemmaConfig) -> PropertyResult:
@@ -498,6 +470,9 @@ _RUNNERS = {
     "normal_derivative_bound": run_normal_derivative_bound,
     "orientation_stability": run_orientation_stability,
 }
+
+
+PROPERTY_ORDER = tuple(_RUNNERS)
 
 
 def run_all(config: LemmaConfig) -> list[PropertyResult]:

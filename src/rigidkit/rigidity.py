@@ -31,7 +31,14 @@ from .fields import (
     grid_differential,
     oscillation_and_diameter,
 )
-from .metric_algebra import OrientedSubspace, isometry_defect, rotation_align, sign_fixed_qr, spd_sqrt
+from .metric_algebra import (
+    OrientedSubspace,
+    isometry_defect,
+    rotation_align,
+    sign_fixed_qr,
+    spd_inv_sqrt,
+    spd_sqrt,
+)
 
 RHS_GUARD = 1e-14
 CANDIDATE_CAP = 4096
@@ -63,14 +70,6 @@ def _as_cell_index(grid: GridDomain, index) -> tuple[int, ...]:
         if not 0 <= i < n:
             raise ValueError(f"cell index {index} outside grid of {grid.cell_shape} cells")
     return index
-
-
-def _cell_mask(mask: np.ndarray, count: int) -> np.ndarray:
-    """`mask` as a flat boolean selection of `count` cells."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if mask.shape[0] != count:
-        raise ValueError("mask length does not match the number of cells")
-    return mask
 
 
 class EuclideanFit:
@@ -159,21 +158,14 @@ def _fit_rotations(du: np.ndarray, p: float) -> np.ndarray:
     return rotation
 
 
-def euclidean_best_rotation(
-    du_cells: np.ndarray,
-    cell_volume: float = 1.0,
-    p: float = 2.0,
-    mask: np.ndarray | None = None,
-) -> EuclideanFit:
+def euclidean_best_rotation(du_cells: np.ndarray, cell_volume: float = 1.0, p: float = 2.0) -> EuclideanFit:
     """Fit one rotation to per-cell square differentials.
 
     For p = 2 the cell average's oriented Procrustes factor is the exact
     minimizer of sum |Du - R|^2 over rotations; for other exponents that
-    closed form seeds a descent over rotation angles.  `mask` selects the
-    cells entering the fit and the integrals (callers exclude flagged
-    degenerate cells); the returned fit integrates both sides on demand,
-    over a view of `du_cells` when no mask is given.  This is the one-patch
-    call of `_fit_rotations`.
+    closed form seeds a descent over rotation angles.  The returned fit
+    integrates both sides on demand, over a view of `du_cells`.  This is the
+    one-patch call of `_fit_rotations`.
     """
     du = np.asarray(du_cells, dtype=float)
     if du.ndim < 2 or du.shape[-1] != du.shape[-2]:
@@ -182,9 +174,8 @@ def euclidean_best_rotation(
         raise ValueError("exponent p must exceed 1")
     d = du.shape[-1]
     du = du.reshape(-1, d, d)
-    used = du if mask is None else du[_cell_mask(mask, du.shape[0])]
-    rotation = _fit_rotations(used[None], p)[0]
-    return EuclideanFit(p, rotation, used, cell_volume)
+    rotation = _fit_rotations(du[None], p)[0]
+    return EuclideanFit(p, rotation, du, cell_volume)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +207,7 @@ def _metric_frame_fit(du: np.ndarray, gram: np.ndarray, p: float) -> np.ndarray:
     """
     if not p > 1.0:
         raise ValueError("exponent p must exceed 1")
-    t_mat = spd_sqrt(gram)
-    return _fit_rotations(du @ np.linalg.inv(t_mat)[:, None], p) @ t_mat
+    return _fit_rotations(du @ spd_inv_sqrt(gram)[:, None], p) @ spd_sqrt(gram)
 
 
 def _oscillation_term(grid: GridDomain, oscillation: float, p: float) -> float:
@@ -230,7 +220,6 @@ def metric_rigidity(
     g: MetricField,
     base_index=None,
     p: float = 2.0,
-    mask: np.ndarray | None = None,
 ) -> RigidityReport:
     """Fit a metric-compatible frame R with R.T @ R = gram(base cell).
 
@@ -250,9 +239,6 @@ def metric_rigidity(
 
     du = u.differential.reshape(-1, grid.dim, grid.dim)
     inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)
-    if mask is not None:
-        mask = _cell_mask(mask, du.shape[0])
-        du, inv_sqrt = du[mask], inv_sqrt[mask]
     rotation = _metric_frame_fit(du[None], g.cell_grams[base_index][None], p)[0]
 
     deviation = (du - rotation) @ inv_sqrt
@@ -301,34 +287,18 @@ def tangent_plane_field(u: ImmersionField) -> PlaneField:
     return PlaneField(u.grid, u.frames, u.complements, u.degenerate)
 
 
-def _oriented_gap_sq(comps: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Squared oriented-subspace distance of complement frames (..., N, D, r)
-    to the base frame (..., D, r) of their patch.
-
-    Closed forms for the only codimensions the immersion targets produce:
-    lines (r = 1) and planes (r = 2), where the optimal aligning rotation
-    angle is explicit.
-    """
-    r = comps.shape[-1]
-    if r == 1:
-        dots = (comps[..., :, 0] @ base)[..., 0]
-        return np.clip(2.0 - 2.0 * dots, 0.0, None)
-    if r == 2:
-        spun = np.stack([base[..., 1], -base[..., 0]], axis=-1)
-        a = np.einsum("...dk,...dk->...", comps, base[..., None, :, :])
-        b = np.einsum("...dk,...dk->...", comps, spun[..., None, :, :])
-        return np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
-    raise ValueError("complement codimension above 2 is not supported")
-
-
 def _gap_scores(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
     """Summed oriented-gap p-power of each complement frame in `rows`
     (..., M, D, r) over the `pool` (..., N, D, r) of its patch: (..., M).
 
-    The r = 1 and r = 2 forms are written out here, not taken from
-    `_oriented_gap_sq`: mirror-image cells tie in exact arithmetic, so the
-    base cell between them is decided by the round-off of these operations.
-    Rows are scored in blocks of 512, each patch's block one matrix product.
+    Closed forms for the only codimensions the immersion targets produce:
+    lines (r = 1), gap^2 = 2 - 2 <c, c'>, and planes (r = 2), gap^2 =
+    4 - 2 hypot(a, b) with a = <c, c'> and b = <c, c' spun by a right
+    angle>, where the optimal aligning rotation angle is explicit.  This is
+    the base-cell criterion and, scored for the base cell alone, the plane
+    variation.  Mirror-image cells tie in exact arithmetic, so the base cell
+    between them is decided by the round-off of these operations.  Rows are
+    scored in blocks of 512, each patch's block one matrix product.
     """
     r = pool.shape[-1]
     flat_pool = pool.reshape(pool.shape[:-2] + (-1,))
@@ -518,16 +488,12 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
     return tuple(int(i) for i in np.unravel_index(cell, planes.grid.cell_shape))
 
 
-# Per-node and per-cell data the local pipeline reads, by source: the
-# immersion (plus `radial` on spheres) and the metric.
-_FIELD_PATCH_DATA = ("values", "differential", "degenerate", "normal", "complements")
-_METRIC_PATCH_DATA = ("cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
-
-
-def _patch_data(u: ImmersionField) -> list[tuple[str, bool]]:
-    """(name, read from the metric) for every array of a patch of `u`."""
-    field = _FIELD_PATCH_DATA + (("radial",) if u.target.kind == "sphere" else ())
-    return [(name, False) for name in field] + [(name, True) for name in _METRIC_PATCH_DATA]
+# (name, read from the metric) for every per-node and per-cell array of the
+# immersion and the metric that the local pipeline reads.
+_PATCH_DATA = (
+    *((name, False) for name in ("values", "differential", "degenerate", "normal", "complements")),
+    *((name, True) for name in ("cell_grams", "cell_inv_sqrt", "cell_sqrt_det")),
+)
 
 
 def _subcube_major(cells: np.ndarray, t: int, dim: int, rows: slice) -> np.ndarray:
@@ -555,10 +521,9 @@ def _subcube_nodes(values: np.ndarray, t: int, dim: int, rows: slice) -> np.ndar
 class _Patches:
     """Equal patches of one immersion and its metric, stacked on a leading axis.
 
-    `grid` is each patch's own grid.  Every array of `_patch_data` is an
+    `grid` is each patch's own grid.  Every array of `_PATCH_DATA` is an
     attribute holding one patch per leading index: node values
-    (S, *node_shape, D) and cell data (S, *cell_shape, ...); `radial` is
-    None off spheres.
+    (S, *node_shape, D) and cell data (S, *cell_shape, ...).
     """
 
     def __init__(self, grid: GridDomain, target, mode: str, arrays: dict):
@@ -566,7 +531,6 @@ class _Patches:
         self.target = target
         self.mode = mode
         self.arrays = arrays
-        self.radial = None
         vars(self).update(arrays)
 
     @classmethod
@@ -586,7 +550,7 @@ class _Patches:
         block = u.grid.resolution // t
         arrays = {
             name: _subcube_major(getattr(g if from_metric else u, name), t, d, rows)
-            for name, from_metric in _patch_data(u)
+            for name, from_metric in _PATCH_DATA
             if name != "values"
         }
         arrays["values"] = _subcube_nodes(u.values, t, d, rows)
@@ -643,15 +607,18 @@ def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[Rigi
     inv_sqrt = cells(patches.cell_inv_sqrt)
     lhs = grid.cell_volume * np.sum(_flat_norms((du - rotation[:, None]) @ inv_sqrt) ** p, axis=-1)
 
+    # On spheres the complements' second column is the radial direction up to
+    # sign, and the projection is even in it.
+    comps = patches.complements
     normal_diff = _normal_differential(grid, patches.normal)
-    if patches.radial is not None:
-        normal_diff = _without_radial_part(normal_diff, patches.radial)
+    if patches.target.kind == "sphere":
+        normal_diff = _without_radial_part(normal_diff, comps[..., 1])
     weights = grid.cell_volume * cells(patches.cell_sqrt_det)
     stretch, bending, dirichlet = _energy_sums(du, cells(normal_diff), inv_sqrt, weights, p)
 
-    comps = patches.complements
-    gaps_sq = _oriented_gap_sq(cells(comps), comps.reshape(count, n, big, -1)[at_base])
-    plane_variation = grid.cell_volume * np.sum(gaps_sq ** (p / 2.0), axis=-1)
+    # The base cell's own score in the criterion that chose it.
+    base_comps = comps.reshape(count, n, big, -1)[at_base][:, None]
+    plane_variation = grid.cell_volume * _gap_scores(base_comps, cells(comps), p)[:, 0]
 
     diameter_p = grid.diameter**p
     base_indices = np.transpose(np.unravel_index(base, grid.cell_shape)).tolist()
@@ -681,7 +648,6 @@ def local_rigidity(
     g: MetricField,
     p: float = 2.0,
     seed: int = 0,
-    base_index=None,
 ) -> RigidityReport:
     """Full constructive pipeline for an immersed cube patch.
 
@@ -691,9 +657,10 @@ def local_rigidity(
     factored alone), the frame fit of `metric_rigidity` runs there, and the
     result is pushed back into the target.  The right-hand side carries the
     metric oscillation, the stretch energy, and the diameter-scaled excess
-    energy; the plane-variation statistic is reported alongside.  The lhs
-    integrates with Lebesgue measure, but the stretch and excess terms use
-    Riemannian weights sqrt(det gram); with a flat metric the two coincide.
+    energy; the plane-variation statistic, the base cell's own score in that
+    criterion, is reported alongside.  The lhs integrates with Lebesgue
+    measure, but the stretch and excess terms use Riemannian weights
+    sqrt(det gram); with a flat metric the two coincide.
 
     This is the one-patch call of the stacked pipeline `_local_fits`, which
     `multiscale_fit` runs on all subcubes of a partition at once.
@@ -701,14 +668,7 @@ def local_rigidity(
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
     patch = _Patches.subcubes(u, g, 1, slice(None))
-    if base_index is None:
-        base = patch.base_cells(p, seed)
-    else:
-        base_index = _as_cell_index(u.grid, base_index)
-        if u.degenerate[base_index]:
-            raise ValueError("requested base cell is degenerate")
-        base = np.array([np.ravel_multi_index(base_index, u.grid.cell_shape)])
-    return _local_fits(patch, base, [g._oscillation], p)[0]
+    return _local_fits(patch, patch.base_cells(p, seed), [g._oscillation], p)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -813,8 +773,8 @@ class TranslationModulus:
     covered_fraction: float
 
 
-def translation_modulus(field: RotationField, zeta, p: float | None = None) -> TranslationModulus:
-    """Integral of |G(x + zeta) - G(x)|^p over the admissible subcubes.
+def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
+    """Integral of |G(x + zeta) - G(x)|^p, p the field's, over the admissible subcubes.
 
     A subcube is admissible when its tripled cube and the shifted tripled
     cube both stay inside the closed domain cube; shifts at least as long as
@@ -824,8 +784,6 @@ def translation_modulus(field: RotationField, zeta, p: float | None = None) -> T
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     if zeta.shape[0] != grid.dim:
         raise ValueError("shift vector dimension does not match the grid")
-    if p is None:
-        p = field.p
     empty = TranslationModulus(tuple(zeta.tolist()), 0.0, 0.0)
     if np.linalg.norm(zeta) >= grid.length:
         return empty
@@ -854,7 +812,7 @@ def translation_modulus(field: RotationField, zeta, p: float | None = None) -> T
     to_idx = tuple(np.clip((centers + zeta) // side, 0, t - 1).astype(int).T)
     diff = field.rotations[to_idx] - field.rotations[from_idx]
     inv_sqrt = field.metric.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[cell_ok]
-    value = float(grid.cell_volume * np.sum(_flat_norms(diff @ inv_sqrt) ** p))
+    value = float(grid.cell_volume * np.sum(_flat_norms(diff @ inv_sqrt) ** field.p))
     return TranslationModulus(tuple(zeta.tolist()), value, count / t**grid.dim)
 
 

@@ -88,14 +88,19 @@ def perturbation_field(dim: int, out_dim: int, length: float, seed: int):
     return phi
 
 
-def _integrate_positions(theta_of, grid: GridDomain, origin, refine: int = 16) -> np.ndarray:
-    """Trapezoid integration of (cos theta, sin theta) on a refined lattice."""
-    fine = np.arange(grid.resolution * refine + 1) * (grid.spacing / refine)
+# Lattice steps per grid cell in the heading integration of wave curves.
+_REFINE = 16
+
+
+def _integrate_positions(theta_of, grid: GridDomain) -> np.ndarray:
+    """Trapezoid integration of (cos theta, sin theta) from the origin on a
+    lattice `_REFINE` times finer than the grid."""
+    fine = np.arange(grid.resolution * _REFINE + 1) * (grid.spacing / _REFINE)
     theta = theta_of(fine)
     tangents = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    steps = 0.5 * (tangents[1:] + tangents[:-1]) * (grid.spacing / refine)
+    steps = 0.5 * (tangents[1:] + tangents[:-1]) * (grid.spacing / _REFINE)
     positions = np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
-    return positions[::refine] + np.asarray(origin, dtype=float)
+    return positions[::_REFINE]
 
 
 def curvature_curve(
@@ -104,10 +109,10 @@ def curvature_curve(
     profile: str = "constant",
     wave_amplitude: float = 0.5,
     theta0: float = 0.0,
-    origin=(0.0, 0.0),
     mode: str = "forward",
 ) -> ImmersionField:
-    """Unit-speed plane curve whose shape operator is the prescribed profile.
+    """Unit-speed plane curve from the origin whose shape operator is the
+    prescribed profile.
 
     profile "constant" uses closed-form circle (or line) nodes; "wave"
     modulates the curvature by a sine and integrates the exact heading on a
@@ -125,7 +130,6 @@ def curvature_curve(
             x = (np.sin(theta0) - np.sin(theta)) / kappa
             y = (np.cos(theta) - np.cos(theta0)) / kappa
             values = np.stack([x, y], axis=-1)
-        values = values + np.asarray(origin, dtype=float)
     elif profile == "wave":
         length = grid.length
 
@@ -133,7 +137,7 @@ def curvature_curve(
             swing = wave_amplitude * (length / (2.0 * np.pi)) * (1.0 - np.cos(2.0 * np.pi * s / length))
             return theta0 - kappa * s - swing
 
-        values = _integrate_positions(theta_of, grid, origin)
+        values = _integrate_positions(theta_of, grid)
     else:
         raise ValueError(f"unknown curvature profile {profile!r}")
     return ImmersionField(grid, TargetSpace.euclidean(1), values, mode)

@@ -22,7 +22,7 @@ from rigidkit.fields import (
     _max_pairwise_distance,
     _normal_differential,
 )
-from rigidkit.rigidity import _Patches, _patch_data
+from rigidkit.rigidity import _PATCH_DATA, _Patches
 from rigidkit.scenarios import ScenarioSpec, build_metric, build_scenario
 
 import oracles
@@ -391,7 +391,7 @@ def assert_keeps_parent_spacing(sub, grid, resolution):
 
 
 def assert_subcubes_equal_fresh_builds(u, g, t, rows=slice(None), corners=None):
-    """Every `_patch_data` array of `_Patches.subcubes(u, g, t, rows)`, and the
+    """Every `_PATCH_DATA` array of `_Patches.subcubes(u, g, t, rows)`, and the
     normal differential the local pipeline takes from them, equals, bit for
     bit, that of an ImmersionField and a MetricField (with g's lam) built on
     the subcube's sliced nodes over the sub-grid.  `corners` limits the check
@@ -410,7 +410,7 @@ def assert_subcubes_equal_fresh_builds(u, g, t, rows=slice(None), corners=None):
         nodes = tuple(slice(c, c + block + 1) for c in corner)
         fresh_u = ImmersionField(patches.grid, u.target, u.values[nodes], u.mode)
         fresh_g = MetricField(patches.grid, g.gram[nodes], lam=g.lam)
-        for name, from_metric in _patch_data(u):
+        for name, from_metric in _PATCH_DATA:
             fresh = getattr(fresh_g if from_metric else fresh_u, name)
             np.testing.assert_array_equal(getattr(patches, name)[s], fresh, err_msg=f"{name} at {corner}")
         np.testing.assert_array_equal(normal_diff[s], fresh_u.normal_differential, err_msg=f"at {corner}")
@@ -467,7 +467,7 @@ class TestSubcubeSlices:
     @pytest.mark.parametrize("u", [flat_inclusion(n=8), latitude_circle(n=16)], ids=["sheet", "latitude"])
     def test_whole_grid_patch_views_the_parents_and_no_patch_runs_an_svd(self, u):
         g = build_metric(u.grid, "random", seed=3)
-        parents = {name: getattr(g if from_metric else u, name) for name, from_metric in _patch_data(u)}
+        parents = {name: getattr(g if from_metric else u, name) for name, from_metric in _PATCH_DATA}
         with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("a patch ran an SVD")):
             whole = _Patches.subcubes(u, g, 1, slice(None))
             _Patches.subcubes(u, g, 4, slice(None))

@@ -24,7 +24,6 @@ from rigidkit.rigidity import (
     _bound_survivors,
     _gap_directions,
     _gap_scores,
-    _oriented_gap_sq,
     _score_bounds,
     asymptotic_sequence_run,
     choose_base_point,
@@ -296,16 +295,13 @@ class TestEuclideanBestRotation:
         du = np.stack([rotation2(a) for a in rng.uniform(-0.6, 0.6, 40)])
         du += 0.2 * rng.standard_normal(du.shape)
         du[3] = np.diag([1.0, -1.0])  # a reflected cell, where the oriented defect differs
-        mask = np.ones(40, dtype=bool)
-        mask[7] = False
         with mock.patch.object(rigidity, "isometry_defect", wraps=rigidity.isometry_defect) as spy:
-            fit = euclidean_best_rotation(du, cell_volume=0.025, p=p, mask=mask)
+            fit = euclidean_best_rotation(du, cell_volume=0.025, p=p)
             assert spy.call_count == 0
-            used = du[mask]
-            diff = used - fit.rotation
+            diff = du - fit.rotation
             lhs = float(0.025 * np.sum(np.sqrt(np.sum(diff * diff, axis=(-2, -1))) ** p))
-            sing = np.linalg.svd(used, compute_uv=False)
-            sing[:, -1] = np.where(np.linalg.det(used) < 0, -sing[:, -1], sing[:, -1])
+            sing = np.linalg.svd(du, compute_uv=False)
+            sing[:, -1] = np.where(np.linalg.det(du) < 0, -sing[:, -1], sing[:, -1])
             rhs = float(0.025 * np.sum(np.sqrt(np.sum((sing - 1.0) ** 2, axis=-1)) ** p))
             # the defect is a closed form for 2 x 2 cells, equal to the SVD one to round-off
             assert fit.constant == pytest.approx(lhs / rhs, rel=1e-13, abs=0.0)
@@ -318,7 +314,7 @@ class TestEuclideanBestRotation:
             euclidean_best_rotation(np.zeros((10, 2, 2)))
         du = np.broadcast_to(np.eye(2), (10, 2, 2))
         with pytest.raises(DegenerateFieldError):
-            euclidean_best_rotation(du, mask=np.zeros(10, dtype=bool))
+            euclidean_best_rotation(np.zeros((0, 2, 2)))
         with pytest.raises(ValueError):
             euclidean_best_rotation(du, p=1.0)
         with pytest.raises(ValueError):
@@ -463,7 +459,8 @@ class TestOrientedGapClosedForm:
         rng = np.random.default_rng(17)
         base = random_frame(rng, ambient, r)
         frames = np.stack([random_frame(rng, ambient, r) for _ in range(200)])
-        fast = np.sqrt(_oriented_gap_sq(frames, base))
+        # one pool row and p = 2: each row's score is its squared gap to the base
+        fast = np.sqrt(_gap_scores(frames, base[None], 2.0))
         for k in range(0, 200, 7):
             slow = subspace_distance(OrientedSubspace(frames[k]), OrientedSubspace(base))
             assert fast[k] == pytest.approx(slow, abs=1e-10)
@@ -567,7 +564,7 @@ class TestChooseBasePoint:
     def test_bound_stays_below_score(self, frames, p):
         w = _gap_directions(frames)
         # the embedding the bound rests on: |w_c - w_y|^2 is the oriented gap^2
-        gap_sq = _oriented_gap_sq(frames, frames[0])
+        gap_sq = _gap_scores(frames, frames[:1], 2.0)
         assert np.abs(gap_sq - np.sum((w - w[0]) ** 2, axis=1)).max() <= 64 * 2.0**-53
         scores = _gap_scores(frames, frames, p)
         keep = _bound_survivors(frames, frames, p)
@@ -625,12 +622,9 @@ class TestLocalRigidity:
             assert rep.bend_scale > 10 * (rep.osc_term + rep.stretch)
         assert reports[0.2].constant <= reports[0.1].constant
 
-    def test_explicit_base_point_and_validation(self):
+    def test_metric_on_another_grid_rejected(self):
         grid = GridDomain(1, np.pi / 2, 32)
         u = curvature_curve(grid, kappa=1.0)
-        g = build_metric(grid, "flat")
-        report = local_rigidity(u, g, base_index=5)
-        assert report.base_index == (5,)
         with pytest.raises(ValueError):
             local_rigidity(u, build_metric(GridDomain(1, 1.0, 32), "flat"))
 
@@ -640,13 +634,11 @@ class TestFitsDeriveNoFrames:
     frame field of the immersion is derived."""
 
     @pytest.mark.parametrize("family", ["curve", "graph", "latitude"])
-    @pytest.mark.parametrize("fit", ["local", "local_at_base", "multiscale_1", "multiscale_4"])
+    @pytest.mark.parametrize("fit", ["local", "multiscale_1", "multiscale_4"])
     def test_fits_derive_no_frames(self, family, fit):
         u, g = family_case(family, "random")
         if fit == "local":
             local_rigidity(u, g)
-        elif fit == "local_at_base":
-            local_rigidity(u, g, base_index=(1,) * u.grid.dim)
         else:
             multiscale_fit(u, g, int(fit[-1]))
         assert "frames" not in vars(u)
@@ -686,14 +678,29 @@ class TestLocalRigidityReduction:
     @pytest.mark.parametrize("family,p", FAMILIES_AND_EXPONENTS)
     def test_matches_metric_rigidity_of_flattened_map(self, family, p):
         u, g = family_case(family, "random")
+        assert u.degenerate_count == 0
         report = local_rigidity(u, g, p=p)
         frame = tangent_plane_field(u).frames[report.base_index]
         flattened = GridMap(u.grid, u.values @ frame, u.mode)
-        mask = ~u.degenerate.reshape(-1)
-        inner = metric_rigidity(flattened, g, report.base_index, p, mask)
+        inner = metric_rigidity(flattened, g, report.base_index, p)
         np.testing.assert_allclose(report.rotation, frame @ inner.rotation, rtol=0.0, atol=1e-12)
         assert report.osc_term == pytest.approx(inner.osc_term, rel=1e-12, abs=1e-12)
         assert report.osc_term > 0.0
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("family", ["curve", "latitude", "graph", "collapsed_latitude", "collapsed_graph"])
+    def test_plane_variation_is_the_summed_subspace_distance(self, family, p):
+        collapsed = family.startswith("collapsed_")
+        u, g = family_case(family.removeprefix("collapsed_"), "random")
+        if collapsed:
+            u = collapsed_cells(u, 4)
+            assert u.degenerate_count > 0
+        report = local_rigidity(u, g, p=p)
+        base = OrientedSubspace(u.complements[report.base_index])
+        gaps = [subspace_distance(OrientedSubspace(c), base) for c in u.complements[~u.degenerate]]
+        expected = u.grid.cell_volume * np.sum(np.array(gaps) ** p)
+        assert expected > 0.0
+        assert report.plane_variation == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("family,p", FAMILIES_AND_EXPONENTS)
     def test_flat_metric_stretch_is_lebesgue_stretch(self, family, p):
