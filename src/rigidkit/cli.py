@@ -448,8 +448,8 @@ def cmd_asymptotic(args) -> int:
     if reference not in ("curvature", "none"):
         raise ConfigError("'reference' must be 'curvature' or 'none'")
     try:
-        threshold = float(config.get("threshold", 1e-4))
-    except (TypeError, ValueError) as exc:
+        threshold = config_number(config.get("threshold", 1e-4))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'threshold' must be a number: {exc}") from exc
     if threshold <= 0.0:
         raise ConfigError("'threshold' must be positive")

@@ -46,8 +46,6 @@ _DESCENT_REL_TOL = 1e-10
 # Candidate-pool pairs below which `choose_base_point` scores every candidate:
 # the bound's fixed cost exceeds the direct scan there.
 _BOUND_MIN_PAIRS = 2**13
-# Cells per run of the stacked local pipeline in `multiscale_fit`.
-_STACK_CELLS = 2**11
 
 
 def _flat_norms(mats: np.ndarray) -> np.ndarray:
@@ -215,16 +213,11 @@ def _oscillation_term(grid: GridDomain, oscillation: float, p: float) -> float:
     return grid.volume * oscillation**p
 
 
-def metric_rigidity(
-    u: GridMap,
-    g: MetricField,
-    base_index=None,
-    p: float = 2.0,
-) -> RigidityReport:
-    """Fit a metric-compatible frame R with R.T @ R = gram(base cell).
+def metric_rigidity(u: GridMap, g: MetricField, p: float = 2.0) -> RigidityReport:
+    """Fit a metric-compatible frame R with R.T @ R = gram at the centre cell.
 
     The fit runs in flattened coordinates: with T the symmetric square root
-    of the base-cell Gram matrix, a plain rotation is fitted to Du T^{-1}
+    of that Gram matrix, a plain rotation is fitted to Du T^{-1}
     and pulled back as R = fitted T.  Both sides integrate with Lebesgue
     measure; the deviation norms use the local Gram matrix of each cell.
     """
@@ -233,9 +226,7 @@ def metric_rigidity(
         raise ValueError("metric rigidity needs an equidimensional map")
     if g.grid != grid:
         raise ValueError("map and metric live on different grids")
-    if base_index is None:
-        base_index = tuple(c // 2 for c in grid.cell_shape)
-    base_index = _as_cell_index(grid, base_index)
+    base_index = tuple(c // 2 for c in grid.cell_shape)
 
     du = u.differential.reshape(-1, grid.dim, grid.dim)
     inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)
@@ -289,7 +280,8 @@ def tangent_plane_field(u: ImmersionField) -> PlaneField:
 
 def _gap_scores(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
     """Summed oriented-gap p-power of each complement frame in `rows`
-    (..., M, D, r) over the `pool` (..., N, D, r) of its patch: (..., M).
+    (S, M, D, r) over the `pool` (S, N, D, r) of its patch: (S, M); S may be
+    absent.
 
     Closed forms for the only codimensions the immersion targets produce:
     lines (r = 1), gap^2 = 2 - 2 <c, c'>, and planes (r = 2), gap^2 =
@@ -298,26 +290,32 @@ def _gap_scores(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
     the base-cell criterion and, scored for the base cell alone, the plane
     variation.  Mirror-image cells tie in exact arithmetic, so the base cell
     between them is decided by the round-off of these operations.  Rows are
-    scored in blocks of 512, each patch's block one matrix product.
+    scored in blocks of at most 512: floor(512 / M) whole patches, or
+    512-row slices of one patch when M > 512.  OpenBLAS rounds a row of a
+    product differently with its row count, so each patch's rows in a block
+    are one product of their one-patch shape, whatever S is.
     """
-    r = pool.shape[-1]
-    flat_pool = pool.reshape(pool.shape[:-2] + (-1,))
-    pool_t = np.swapaxes(flat_pool, -1, -2)
+    lead, m = rows.shape[:-3], rows.shape[-3]
+    count, width, r = int(np.prod(lead)), pool.shape[-2] * pool.shape[-1], pool.shape[-1]
+    flat_rows = rows.reshape((count, m, width))
+    pool_t = np.swapaxes(pool.reshape((count, -1, width)), -1, -2)
     if r == 2:
         spun_pool = np.stack([pool[..., 1], -pool[..., 0]], axis=-1)
-        spun_t = np.swapaxes(spun_pool.reshape(flat_pool.shape), -1, -2)
-    scores = np.empty(rows.shape[:-2])
-    for lo in range(0, rows.shape[-3], 512):
-        block = rows[..., lo : lo + 512, :, :]
-        block = block.reshape(block.shape[:-2] + (-1,))
-        if r == 1:
-            gap_sq = np.clip(2.0 - 2.0 * block @ pool_t, 0.0, None)
-        else:
-            a = block @ pool_t
-            b = block @ spun_t
-            gap_sq = np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
-        scores[..., lo : lo + 512] = np.sum(gap_sq ** (p / 2.0), axis=-1)
-    return scores
+        spun_t = np.swapaxes(spun_pool.reshape((count, -1, width)), -1, -2)
+    scores = np.empty((count, m))
+    per = max(1, 512 // max(m, 1))
+    for first in range(0, count, per):
+        patch = slice(first, first + per)
+        for lo in range(0, m, 512):
+            block = flat_rows[patch, lo : lo + 512]
+            if r == 1:
+                gap_sq = np.clip(2.0 - 2.0 * block @ pool_t[patch], 0.0, None)
+            else:
+                a = block @ pool_t[patch]
+                b = block @ spun_t[patch]
+                gap_sq = np.clip(4.0 - 2.0 * np.hypot(a, b), 0.0, None)
+            scores[patch, lo : lo + 512] = np.sum(gap_sq ** (p / 2.0), axis=-1)
+    return scores.reshape(lead + (m,))
 
 
 def _line_scores(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -375,17 +373,28 @@ def _score_bounds(w_rows: np.ndarray, w_pool: np.ndarray, p: float):
 def _bound_slack(best, base: float, n: int, p: float):
     """Round-off allowance of the keep-test `bound <= best + slack`.
 
-    With u = 2^-53 and orthonormal frames: a computed gap^2 is within 64u of
-    |w_c - w_y|^2 (dot products of at most 6 terms, hypot, the frames' own
-    orthonormality error); raising it to p/2 makes that at most
-    32 p u (1 + term), and the pairwise sum adds (log2 N + 2) u S, so a score
-    is off by at most 2^6 p u (S + N).  In the bound, a_y carries a relative
-    error of about 4 p u; the slope and curvature terms multiply it by up to
-    6 p, and sum a_y <= base + N (a_y <= 1 where |x0 - w_y| <= 1,
-    a_y <= |x0 - w_y|^p elsewhere), so a bound is off by at most
-    2^8 p^2 u (base + N) for N < 2^40.  The cell with the least score in the
-    full scan has bound <= best + three score errors + one bound error
-    <= best + 2^9 p^2 u (best + base + N); 2^-40 p^2 leaves a factor 16.
+    With u = 2^-53, w from `_gap_directions` and delta = |F^T F - I|_F <=
+    2^-20 for each frame F, a computed gap^2 is within 72 u + 3.5 (delta_c
+    + delta_y) of |w_c - w_y|^2.  For lines the exact part is delta_c +
+    delta_y.  For 2-frames, with s1 >= s2 the singular values of
+    M = F_c^T F_y and s the sign of det M, hypot(a, b) = s1 + s s2,
+    |w|^2 = det F^T F and w_c.w_y = det M, so 4 - 2 hypot - |w_c - w_y|^2 =
+    (1 - det F_c^T F_c) + (1 - det F_y^T F_y) + 2 (1 - s1)(1 - s s2), where
+    |1 - det F^T F| <= sqrt(2) delta + delta^2 / 2 and a unit vector in both
+    planes gives |(1 - s1)(1 - s s2)| <= |1 - s1^2| <= delta_c + delta_y +
+    delta_c delta_y.  Rounding adds 46 u through a and b (6-term dot
+    products), hypot and 4 - 2 hypot, and 23 u through the cross products.
+    The pipeline's 2-frames, (normal, +-radial) on latitude arcs, measure
+    delta <= 10 u, so their gap^2 is within 142 u; raising it to p/2 makes
+    that at most 71 p u (1 + term), and the pairwise sum adds
+    (log2 N + 2) u S, so a score is off by at most 2^7 p u (S + N).  In the
+    bound, a_y carries a relative error of about 4 p u; the slope and
+    curvature terms multiply it by up to 6 p, and sum a_y <= base + N
+    (a_y <= 1 where |x0 - w_y| <= 1, a_y <= |x0 - w_y|^p elsewhere), so a
+    bound is off by at most 2^8 p^2 u (base + N) for N < 2^40.  The cell
+    with the least score in the full scan has bound <= best + three score
+    errors + one bound error <= best + 2^9 p^2 u (best + base + N);
+    2^-40 p^2 leaves a factor 16, and covers frames with delta up to 2^-43.
     """
     return 2.0**-40 * p * p * (best + base + n)
 
@@ -477,10 +486,10 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
     other dimensions, when those unit vectors sum to zero, and on small grids
     every candidate is scored.
 
-    The pipelines call `_base_cells` directly, `local_rigidity` on its one
-    patch and `multiscale_fit` on all subcubes at once: it scores the plain
-    subcubes as one stack and loops only over those with degenerate cells,
-    a subsampled candidate set or the bound filter.
+    The pipelines call `_base_cells` directly, in `_local_fits`, on one patch
+    or on all subcubes of a partition: it scores the plain subcubes as one
+    stack and loops only over those with degenerate cells, a subsampled
+    candidate set or the bound filter.
     """
     shape = planes.complements.shape
     comps = planes.complements.reshape((1, -1) + shape[-2:])
@@ -489,31 +498,31 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
 
 
 # (name, read from the metric) for every per-node and per-cell array of the
-# immersion and the metric that the local pipeline reads.
+# immersion and the metric that the local pipeline reads at every cell.
 _PATCH_DATA = (
     *((name, False) for name in ("values", "differential", "degenerate", "normal", "complements")),
-    *((name, True) for name in ("cell_grams", "cell_inv_sqrt", "cell_sqrt_det")),
+    *((name, True) for name in ("cell_inv_sqrt", "cell_sqrt_det")),
 )
 
 
-def _subcube_major(cells: np.ndarray, t: int, dim: int, rows: slice) -> np.ndarray:
-    """Per-cell data (*cell_shape, ...) of the t-fold partition's subcubes whose
-    first index is in `rows`, as (subcubes, *block_shape, ...): the subcubes
-    in C order, each with its cells in C order.  A view in dimension 1 or at
-    t = 1, one transposing copy otherwise."""
+def _subcube_major(cells: np.ndarray, t: int, dim: int) -> np.ndarray:
+    """Per-cell data (*cell_shape, ...) of the t-fold partition's subcubes, as
+    (subcubes, *block_shape, ...): the subcubes in C order, each with its
+    cells in C order.  A view in dimension 1 or at t = 1, one transposing
+    copy otherwise."""
     block = cells.shape[0] // t
     rest = cells.shape[dim:]
-    split = cells.reshape((t, block) * dim + rest)[rows]
+    split = cells.reshape((t, block) * dim + rest)
     order = [*range(0, 2 * dim, 2), *range(1, 2 * dim, 2), *range(2 * dim, split.ndim)]
     return split.transpose(order).reshape((-1,) + (block,) * dim + rest)
 
 
-def _subcube_nodes(values: np.ndarray, t: int, dim: int, rows: slice) -> np.ndarray:
-    """Node data (*node_shape, ...) of the subcubes `_subcube_major` selects,
+def _subcube_nodes(values: np.ndarray, t: int, dim: int) -> np.ndarray:
+    """Node data (*node_shape, ...) of the subcubes in `_subcube_major`'s order,
     (subcubes, *(block + 1,) * dim, ...); neighbours share their face nodes."""
     block = (values.shape[0] - 1) // t
     windows = np.lib.stride_tricks.sliding_window_view(values, (block + 1,) * dim, axis=tuple(range(dim)))
-    windows = windows[(slice(None, None, block),) * dim][rows]
+    windows = windows[(slice(None, None, block),) * dim]
     windows = np.moveaxis(windows, range(-dim, 0), range(dim, 2 * dim))
     return windows.reshape((-1,) + (block + 1,) * dim + values.shape[dim:])
 
@@ -523,20 +532,22 @@ class _Patches:
 
     `grid` is each patch's own grid.  Every array of `_PATCH_DATA` is an
     attribute holding one patch per leading index: node values
-    (S, *node_shape, D) and cell data (S, *cell_shape, ...).
+    (S, *node_shape, D) and cell data (S, *cell_shape, ...).  So is `corner`,
+    each patch's first cell in the parent grid, where the local pipeline
+    reads the parent metric's `grams` (*cell_shape, d, d) at base cells only.
     """
 
-    def __init__(self, grid: GridDomain, target, mode: str, arrays: dict):
+    def __init__(self, grid: GridDomain, target, mode: str, grams: np.ndarray, arrays: dict):
         self.grid = grid
         self.target = target
         self.mode = mode
+        self.grams = grams
         self.arrays = arrays
         vars(self).update(arrays)
 
     @classmethod
-    def subcubes(cls, u: ImmersionField, g: MetricField, t: int, rows: slice) -> "_Patches":
-        """The subcubes of the t-fold partition of `u` and `g` whose first
-        index is in `rows`, in C order of their index.
+    def subcubes(cls, u: ImmersionField, g: MetricField, t: int) -> "_Patches":
+        """The subcubes of the t-fold partition of `u` and `g`, in C order.
 
         This is the one way a subcube is cut.  The arrays are the parents'
         own regrouped subcube by subcube, on a sub-grid with the parent's
@@ -549,35 +560,31 @@ class _Patches:
         d = u.grid.dim
         block = u.grid.resolution // t
         arrays = {
-            name: _subcube_major(getattr(g if from_metric else u, name), t, d, rows)
+            name: _subcube_major(getattr(g if from_metric else u, name), t, d)
             for name, from_metric in _PATCH_DATA
             if name != "values"
         }
-        arrays["values"] = _subcube_nodes(u.values, t, d, rows)
-        return cls(_subgrid(u.grid, block), u.target, u.mode, arrays)
+        arrays["values"] = _subcube_nodes(u.values, t, d)
+        arrays["corner"] = block * np.indices((t,) * d).reshape(d, -1).T
+        return cls(_subgrid(u.grid, block), u.target, u.mode, g.cell_grams, arrays)
 
     def take(self, rows) -> "_Patches":
-        return _Patches(self.grid, self.target, self.mode, {k: v[rows] for k, v in self.arrays.items()})
-
-    def base_cells(self, p: float, seed: int) -> np.ndarray:
-        """Each patch's base cell as a linear index: `_base_cells` on its complements."""
-        count = len(self.values)
-        comps = self.complements.reshape((count, -1) + self.complements.shape[-2:])
-        return _base_cells(comps, ~self.degenerate.reshape(count, -1), p, seed)
+        arrays = {k: v[rows] for k, v in self.arrays.items()}
+        return _Patches(self.grid, self.target, self.mode, self.grams, arrays)
 
 
-def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[RigidityReport]:
-    """The local pipeline of `local_rigidity` on every patch, past the base-cell choice.
+def _local_fits(patches: _Patches, osc, p: float, seed: int) -> list[RigidityReport]:
+    """The local pipeline of `local_rigidity` on every patch, `osc` holding
+    each patch's metric oscillation.
 
-    `base` holds each patch's base cell as a linear index and `osc` its
-    metric oscillation; the frame it flattens through is factored from the
-    base cell's differential alone.  Every stage is one array computation
-    over the patch axis, with each patch's products and sums shaped as for
-    that patch alone, so each report equals the one-patch run bit for bit.  Patches
-    with degenerate cells keep different numbers of cells and are fitted one
-    by one; the p != 2 rotation descent also runs patch by patch.
+    One `_base_cells` call chooses the base cells, and the frame the pipeline
+    flattens through is factored from each base cell's differential alone.
+    Every stage is one array computation over the patch axis, with each
+    patch's products and sums shaped as for that patch alone, so each report
+    equals the one-patch run bit for bit.  Patches with degenerate cells are
+    fitted one by one, and so is the p != 2 rotation descent.
     """
-    grid, count = patches.grid, len(base)
+    grid, count = patches.grid, len(osc)
     d, big, n = grid.dim, patches.target.ambient_dim, grid.cell_count
     good = ~patches.degenerate.reshape(count, n)
     ragged = ~good.all(axis=-1)
@@ -585,22 +592,25 @@ def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[Rigi
         reports = [None] * count
         for rows in [np.flatnonzero(~ragged), *([s] for s in np.flatnonzero(ragged))]:
             if len(rows):
-                fits = _local_fits(patches.take(rows), base[rows], [osc[s] for s in rows], p)
+                fits = _local_fits(patches.take(rows), [osc[s] for s in rows], p, seed)
                 for s, fit in zip(rows, fits):
                     reports[s] = fit
         return reports
     keep = good[0] if count == 1 else slice(None)
+    comps = patches.complements
+    base = _base_cells(comps.reshape((count, n) + comps.shape[-2:]), good, p, seed)
 
     def cells(x: np.ndarray) -> np.ndarray:
         """(S, *cell_shape, ...) as (S, fitted cells, ...)."""
         return x.reshape((count, n) + x.shape[d + 1 :])[:, keep]
 
     at_base = (np.arange(count), base)
+    base_index = np.transpose(np.unravel_index(base, grid.cell_shape))
     frame = sign_fixed_qr(patches.differential.reshape(count, n, big, d)[at_base])[0]
     flat = grid_differential(
         grid, patches.values @ frame.reshape((count,) + (1,) * (d - 1) + (big, d)), patches.mode
     )
-    gram = patches.cell_grams.reshape(count, n, d, d)[at_base]
+    gram = patches.grams[tuple((patches.corner + base_index).T)]
     rotation = frame @ _metric_frame_fit(cells(flat), gram, p)
 
     du = cells(patches.differential)
@@ -609,7 +619,6 @@ def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[Rigi
 
     # On spheres the complements' second column is the radial direction up to
     # sign, and the projection is even in it.
-    comps = patches.complements
     normal_diff = _normal_differential(grid, patches.normal)
     if patches.target.kind == "sphere":
         normal_diff = _without_radial_part(normal_diff, comps[..., 1])
@@ -621,7 +630,7 @@ def _local_fits(patches: _Patches, base: np.ndarray, osc, p: float) -> list[Rigi
     plane_variation = grid.cell_volume * _gap_scores(base_comps, cells(comps), p)[:, 0]
 
     diameter_p = grid.diameter**p
-    base_indices = np.transpose(np.unravel_index(base, grid.cell_shape)).tolist()
+    base_indices = base_index.tolist()
     reports = []
     for s in range(count):
         bend_scale = diameter_p * (float(bending[s]) + float(dirichlet[s]))
@@ -667,8 +676,7 @@ def local_rigidity(
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
-    patch = _Patches.subcubes(u, g, 1, slice(None))
-    return _local_fits(patch, patch.base_cells(p, seed), [g._oscillation], p)[0]
+    return _local_fits(_Patches.subcubes(u, g, 1), [g._oscillation], p, seed)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -714,8 +722,7 @@ def multiscale_fit(
     Each subcube runs the full local pipeline of `local_rigidity`; the
     per-subcube lhs values integrate over disjoint subcubes, so their sum is
     the global residual of the assembled piecewise-constant field.  The
-    pipeline runs over a leading subcube axis, on whole rows of subcubes of
-    about 2048 cells at a time (all at once on smaller grids): the subcube
+    pipeline runs once over a leading axis of all t^d subcubes: the subcube
     data are the parent's per-cell arrays (differentials, normals,
     complements, cell metrics) regrouped subcube by subcube (see
     `_Patches.subcubes`), each subcube's products and sums keep their
@@ -743,15 +750,7 @@ def multiscale_fit(
     else:
         osc = [oscillation_and_diameter(g, tuple((c, c + block) for c in corner))[0] for corner in corners]
 
-    # Each run of the stacked pipeline takes whole rows of subcubes (equal
-    # first index), about _STACK_CELLS cells, which bounds its temporaries.
-    step = max(1, _STACK_CELLS // (grid.cell_count // t))
-    reports = []
-    for lo in range(0, t, step):
-        patches = _Patches.subcubes(u, g, t, slice(lo, lo + step))
-        base = patches.base_cells(p, seed)
-        reports += _local_fits(patches, base, osc[len(reports) : len(reports) + len(base)], p)
-
+    reports = _local_fits(_Patches.subcubes(u, g, t), osc, p, seed)
     fits = tuple(
         SubcubeFit(
             index, corner, rep, o, diam, g,

@@ -499,6 +499,15 @@ class TestAsymptotic:
         assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "error: 'threshold' must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["true", '"1e-3"', '"nan"', "1e400"])
+    def test_threshold_must_be_a_finite_number(self, tmp_path, capsys, raw):
+        # a boolean or a string is no number, and 1e400 reads as infinity
+        cfg = self.base(tmp_path, threshold="@")
+        (tmp_path / "asym.json").write_text((tmp_path / "asym.json").read_text().replace('"@"', raw))
+        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "error: 'threshold' must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "asymptotic.json").exists()
+
     @pytest.mark.parametrize("epsilons", [[0.0], [0.1, 0.05]])
     def test_equidimensional_scenario_is_config_error(self, tmp_path, capsys, epsilons):
         cfg = write_config(

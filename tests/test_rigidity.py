@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -238,6 +240,18 @@ def complement_clouds(draw):
     return np.ascontiguousarray(frames)
 
 
+def exact_orthonormality_error(frame):
+    """|F^T F - I|_F of a frame (D, r), its Gram matrix taken in exact arithmetic."""
+    cols = [[Fraction(x) for x in col] for col in frame.T]
+    return math.sqrt(
+        sum(
+            (sum(a * b for a, b in zip(ci, cj)) - (i == j)) ** 2
+            for i, ci in enumerate(cols)
+            for j, cj in enumerate(cols)
+        )
+    )
+
+
 class TestEuclideanBestRotation:
     def test_constant_rotation_recovered(self):
         r0 = rotation2(0.7)
@@ -348,10 +362,10 @@ class TestMetricRigidity:
         grid = GridDomain(2, 1.0, 16)
         g = build_metric(grid, "linear", slope=0.4)
         u = perturbed_identity(grid, 0.05, seed=2)
-        report = metric_rigidity(u, g, base_index=(3, 9))
-        base_gram = g.cell_grams[3, 9]
+        report = metric_rigidity(u, g)
+        assert report.base_index == (8, 8)
+        base_gram = g.cell_grams[8, 8]
         np.testing.assert_allclose(report.rotation.T @ report.rotation, base_gram, atol=1e-10)
-        assert report.base_index == (3, 9)
 
     def test_constant_stability_across_grids_and_sizes(self):
         constants = []
@@ -372,8 +386,6 @@ class TestMetricRigidity:
         u = perturbed_identity(grid, 0.01)
         with pytest.raises(ValueError):
             metric_rigidity(u, build_metric(GridDomain(2, 1.0, 4), "flat"))
-        with pytest.raises(ValueError):
-            metric_rigidity(u, g, base_index=(8, 0))
 
 
 class TestTangentPlaneField:
@@ -564,8 +576,14 @@ class TestChooseBasePoint:
     def test_bound_stays_below_score(self, frames, p):
         w = _gap_directions(frames)
         # the embedding the bound rests on: |w_c - w_y|^2 is the oriented gap^2
+        # to within 72 u + 3.5 (delta_c + delta_y), delta = |F^T F - I|_F (the
+        # proof is in `_bound_slack`), here in exact arithmetic on the frames
+        # and on the computed w
         gap_sq = _gap_scores(frames, frames[:1], 2.0)
-        assert np.abs(gap_sq - np.sum((w - w[0]) ** 2, axis=1)).max() <= 64 * 2.0**-53
+        delta = [exact_orthonormality_error(frame) for frame in frames]
+        for k in range(len(frames)):
+            exact = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(w[k], w[0]))
+            assert abs(Fraction(gap_sq[k]) - exact) <= 72 * 2.0**-53 + 3.5 * (delta[k] + delta[0])
         scores = _gap_scores(frames, frames, p)
         keep = _bound_survivors(frames, frames, p)
         assert keep[scores == scores.min()].all()
@@ -682,8 +700,12 @@ class TestLocalRigidityReduction:
         report = local_rigidity(u, g, p=p)
         frame = tangent_plane_field(u).frames[report.base_index]
         flattened = GridMap(u.grid, u.values @ frame, u.mode)
-        inner = metric_rigidity(flattened, g, report.base_index, p)
-        np.testing.assert_allclose(report.rotation, frame @ inner.rotation, rtol=0.0, atol=1e-12)
+        # metric_rigidity's frame fit, at the local pipeline's base cell
+        d = u.grid.dim
+        du = flattened.differential.reshape(1, -1, d, d)
+        inner_rotation = rigidity._metric_frame_fit(du, g.cell_grams[report.base_index][None], p)[0]
+        inner = metric_rigidity(flattened, g, p)
+        np.testing.assert_allclose(report.rotation, frame @ inner_rotation, rtol=0.0, atol=1e-12)
         assert report.osc_term == pytest.approx(inner.osc_term, rel=1e-12, abs=1e-12)
         assert report.osc_term > 0.0
 
@@ -790,8 +812,10 @@ class TestMultiscaleFit:
             ("latitude", 1, 1.0, 256, 2, 2.0, "forward", "random"),
             # 4100-cell subcubes: the seeded candidate subsample
             ("curve", 1, 1.0, 8200, 2, 3.0, "forward", "random"),
-            # 4096 cells: the stacked pipeline runs over two rows of subcubes in turn
+            # 4096 cells: 16 subcubes of 256 cells in one stacked pass
             ("graph", 2, 1.0, 64, 4, 2.0, "central", "random"),
+            # 2-frames scored as one stack: 64 subcubes of 64 cells, 8 per gap block
+            ("latitude", 1, 1.0, 4096, 64, 2.0, "forward", "random"),
             # some subcubes with degenerate cells, the others without
             ("curve", 1, 1.0, 48, 4, 2.0, "forward", "collapsed"),
             ("graph", 2, 1.0, 24, 3, 3.0, "forward", "collapsed"),
@@ -835,6 +859,30 @@ class TestMultiscaleFit:
             residual += report.lhs
         assert (max(fit.oscillation for fit in field.fits) > 0.0) == (variant != "flat")
         assert field.residual == residual
+
+    @pytest.mark.parametrize(
+        "family, dim, n, ts, p",
+        [("latitude", 1, 4096, (2, 8, 64), 2.0), ("graph", 2, 64, (2, 8, 32), 3.0)],
+    )
+    def test_one_stacked_pass_per_partition(self, family, dim, n, ts, p):
+        # Without ragged subcubes, each t makes one cut and one base-cell
+        # choice, and every gap block holds at most 512 rows: `_gap_scores`
+        # clips each block's (patches, rows, pool) gaps, and nothing else in
+        # the fit calls np.clip.
+        spec = ScenarioSpec(family, dim, 1.0, n, p=p, seed=9, metric_kind="flat", epsilon=0.05, kappa=1.2)
+        u = build_scenario(spec).u
+        g = build_metric(u.grid, "flat")
+        assert u.degenerate_count == 0
+        for t in ts:
+            with (
+                mock.patch.object(rigidity._Patches, "subcubes", wraps=rigidity._Patches.subcubes) as cut,
+                mock.patch.object(rigidity, "_base_cells", wraps=rigidity._base_cells) as choose,
+                mock.patch.object(np, "clip", wraps=np.clip) as gap_blocks,
+            ):
+                multiscale_fit(u, g, t, p=p)
+            assert (cut.call_count, choose.call_count) == (1, 1)
+            shapes = [call.args[0].shape for call in gap_blocks.call_args_list]
+            assert shapes and all(len(shape) == 3 and shape[0] * shape[1] <= 512 for shape in shapes)
 
     # Latitude arcs at 12 cells per subcube hold mirror twins whose scores
     # differ by round-off only: a subcube scored with other products than the
