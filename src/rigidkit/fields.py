@@ -599,9 +599,8 @@ class ReferenceShape:
 class EnergyReport:
     """Cell-midpoint quadrature of the immersion energies at exponent p.
 
-    `excess` is bending + dirichlet by construction.  `measure` records
-    whether cells were weighted with the metric volume sqrt(det gram) or with
-    plain Lebesgue measure.
+    `excess` is bending + dirichlet by construction.  Cells are weighted
+    with the metric volume sqrt(det gram).
     """
 
     p: float
@@ -610,7 +609,6 @@ class EnergyReport:
     bending_ref: float | None
     dirichlet: float
     excess: float
-    measure: str
     degenerate_cells: int
 
 
@@ -636,7 +634,6 @@ def energies(
     g: MetricField,
     ref: ReferenceShape | None = None,
     p: float = 2.0,
-    measure: str = "riemannian",
 ) -> EnergyReport:
     """Stretching, bending and Dirichlet content of a discrete immersion.
 
@@ -649,16 +646,11 @@ def energies(
     """
     if u.grid != g.grid:
         raise ValueError("immersion and metric live on different grids")
-    if measure not in ("riemannian", "lebesgue"):
-        raise ValueError(f"unknown measure {measure!r}")
     if not p >= 1.0:
         raise ValueError("exponent p must be at least 1")
 
     good = ~u.degenerate
-    weights = np.full(u.grid.cell_shape, u.grid.cell_volume)
-    if measure == "riemannian":
-        weights = weights * g.cell_sqrt_det
-    w = weights[good]
+    w = (u.grid.cell_volume * g.cell_sqrt_det)[good]
 
     inv_sqrt = g.cell_inv_sqrt[good]
     du = u.differential[good]
@@ -684,7 +676,6 @@ def energies(
         bending_ref=bending_ref,
         dirichlet=dirichlet,
         excess=bending + dirichlet,
-        measure=measure,
         degenerate_cells=u.degenerate_count,
     )
 

@@ -460,10 +460,13 @@ def _base_cells(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> np.
     plain = good.all(axis=-1) & (count <= CANDIDATE_CAP) & (lines or count * count < _BOUND_MIN_PAIRS)
     cells = np.empty(good.shape[0], dtype=int)
     if plain.any():
-        # Rows and pool in separate buffers, as in `_base_cell`: numpy runs
-        # A @ A.T on one buffer as a symmetric product, which rounds differently.
-        rows, pool = comps[plain], comps[plain]
-        scores = _line_scores(rows, pool) if lines else _gap_scores(rows, pool, p)
+        rows = comps if plain.all() else comps[plain]
+        if lines:
+            scores = _line_scores(rows, rows)
+        else:
+            # Rows and pool in separate buffers, as in `_base_cell`: numpy runs
+            # A @ A.T on one buffer as a symmetric product, which rounds differently.
+            scores = _gap_scores(rows, rows.copy(), p)
         cells[plain] = np.argmin(scores, axis=-1)
     for s in np.flatnonzero(~plain):
         cells[s] = _base_cell(comps[s], good[s], p, seed)
@@ -533,8 +536,9 @@ class _Patches:
     `grid` is each patch's own grid.  Every array of `_PATCH_DATA` is an
     attribute holding one patch per leading index: node values
     (S, *node_shape, D) and cell data (S, *cell_shape, ...).  So is `corner`,
-    each patch's first cell in the parent grid, where the local pipeline
-    reads the parent metric's `grams` (*cell_shape, d, d) at base cells only.
+    each patch's first cell in the parent grid: the local pipeline reads the
+    parent metric's `grams` (*cell_shape, d, d) from it at base cells only,
+    and `multiscale_fit` starts each subcube's oscillation box there.
     """
 
     def __init__(self, grid: GridDomain, target, mode: str, grams: np.ndarray, arrays: dict):
@@ -596,7 +600,8 @@ def _local_fits(patches: _Patches, osc, p: float, seed: int) -> list[RigidityRep
                 for s, fit in zip(rows, fits):
                     reports[s] = fit
         return reports
-    keep = good[0] if count == 1 else slice(None)
+    # Past the split above, only a lone patch can have degenerate cells.
+    keep = good[0] if ragged.any() else slice(None)
     comps = patches.complements
     base = _base_cells(comps.reshape((count, n) + comps.shape[-2:]), good, p, seed)
 
@@ -680,36 +685,18 @@ def local_rigidity(
 
 
 @dataclass(frozen=True, eq=False)
-class SubcubeFit:
-    """One subcube's rigidity report plus the geometry used by the bounds.
-
-    `tripled_box` is the cell box of the subcube tripled about itself and
-    clipped to the grid; `tripled_oscillation`, the metric oscillation over
-    it, is measured on first read.
-    """
-
-    index: tuple[int, ...]
-    corner: tuple[int, ...]
-    report: RigidityReport
-    oscillation: float
-    diameter: float
-    metric: MetricField
-    tripled_box: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def tripled_oscillation(self) -> float:
-        return oscillation_and_diameter(self.metric, self.tripled_box)[0]
-
-
-@dataclass(frozen=True, eq=False)
 class RotationField:
-    """Piecewise-constant fitted maps on a uniform partition into t^d subcubes."""
+    """Piecewise-constant fitted maps on a uniform partition into t^d subcubes.
+
+    `fits` holds one rigidity report per subcube, in the C order of
+    `_Patches.subcubes`, and `rotations` their fitted maps on a (t,) * d grid.
+    """
 
     grid: GridDomain
     metric: MetricField
     t: int
     p: float
-    fits: tuple[SubcubeFit, ...]
+    fits: tuple[RigidityReport, ...]
     rotations: np.ndarray
     residual: float
 
@@ -729,37 +716,28 @@ def multiscale_fit(
     one-subcube shapes, and so every subcube report equals, bit for bit,
     what `local_rigidity` gives on a fresh `ImmersionField`/`MetricField`
     built on the sliced nodes over the sub-grid (at t = 1, on `u` and `g`
-    themselves).  Work runs per subcube only where it is ragged or
-    sequential: subcubes with degenerate cells, the seeded candidate
-    subsample and the bound filter of the base-cell choice, the p != 2
-    rotation descent, and the oscillation of a non-constant metric (a
-    constant metric has zero oscillation on every box).  The oscillation
-    over each tripled subcube is measured only when read.
+    themselves).  Each report's `osc_term` carries the metric oscillation
+    over its subcube's cell box, which starts at the cut's `corner`.  Work
+    runs per subcube only where it is ragged or sequential: subcubes with
+    degenerate cells, the seeded candidate subsample and the bound filter of
+    the base-cell choice, the p != 2 rotation descent, and the oscillation
+    of a non-constant metric (a constant metric has zero oscillation on
+    every box).
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
         raise ValueError(f"partition parameter {t} does not divide resolution {grid.resolution}")
-    block = grid.resolution // t
-    d = grid.dim
-    diam = float(np.linalg.norm([block * grid.spacing] * d))
-
-    indices = list(itertools.product(range(t), repeat=d))
-    corners = [tuple(block * i for i in index) for index in indices]
+    patches = _Patches.subcubes(u, g, t)
+    block = patches.grid.resolution
     if g._oscillation == 0.0:
-        osc = [0.0] * len(corners)
+        osc = [0.0] * len(patches.corner)
     else:
-        osc = [oscillation_and_diameter(g, tuple((c, c + block) for c in corner))[0] for corner in corners]
+        boxes = [tuple((c, c + block) for c in corner) for corner in patches.corner.tolist()]
+        osc = [oscillation_and_diameter(g, box)[0] for box in boxes]
 
-    reports = _local_fits(_Patches.subcubes(u, g, t), osc, p, seed)
-    fits = tuple(
-        SubcubeFit(
-            index, corner, rep, o, diam, g,
-            tuple((max(0, c - block), min(grid.resolution, c + 2 * block)) for c in corner),
-        )
-        for index, corner, rep, o in zip(indices, corners, reports, osc)
-    )
-    rotations = np.stack([rep.rotation for rep in reports]).reshape((t,) * d + (u.target.ambient_dim, d))
-    residual = float(sum(rep.lhs for rep in reports))
+    fits = tuple(_local_fits(patches, osc, p, seed))
+    rotations = np.stack([fit.rotation for fit in fits]).reshape((t,) * grid.dim + fits[0].rotation.shape)
+    residual = float(sum(fit.lhs for fit in fits))
     return RotationField(grid, g, t, p, fits, rotations, residual)
 
 

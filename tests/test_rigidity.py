@@ -728,7 +728,7 @@ class TestLocalRigidityReduction:
     def test_flat_metric_stretch_is_lebesgue_stretch(self, family, p):
         u, g = family_case(family, "flat")
         report = local_rigidity(u, g, p=p)
-        lebesgue = energies(u, g, p=p, measure="lebesgue").stretch
+        lebesgue = rigidity._lebesgue_isometry_defect(u, g, p)
         assert report.stretch > 0.0
         assert report.stretch == pytest.approx(lebesgue, rel=1e-12, abs=1e-12)
 
@@ -757,31 +757,31 @@ class TestMultiscaleFit:
         with pytest.raises(ValueError):
             multiscale_fit(u, build_metric(u.grid, "flat"), 3)
 
-    def test_one_oscillation_search_per_subcube_and_the_tripled_one_on_read(self):
+    def test_one_oscillation_search_per_subcube_and_none_on_a_flat_metric(self):
         u = build_scenario(ScenarioSpec("graph", 2, 1.0, 16, epsilon=0.05)).u
         g = build_metric(u.grid, "random", seed=3)
         g._oscillation  # the whole-grid search, outside the count
         with mock.patch.object(rigidity, "oscillation_and_diameter", wraps=oscillation_and_diameter) as spy:
             field = multiscale_fit(u, g, 4)
-            assert spy.call_count == 16
-            fit = field.fits[5]
-            assert fit.tripled_oscillation == oscillation_and_diameter(g, ((0, 12), (0, 12)))[0]
-            assert fit.tripled_oscillation > 0.0
-            assert spy.call_count == 17
-        flat = multiscale_fit(u, build_metric(u.grid, "flat"), 4)
+        # the boxes of the 4 x 4 subcubes of 4 x 4 cells, in C order
+        boxes = [((4 * i, 4 * i + 4), (4 * j, 4 * j + 4)) for i, j in itertools.product(range(4), repeat=2)]
+        assert [call.args[1] for call in spy.call_args_list] == boxes
+        assert min(fit.osc_term for fit in field.fits) > 0.0
+        flat = build_metric(u.grid, "flat")
         with mock.patch("rigidkit.fields._sq_distances", side_effect=AssertionError("a search ran")):
-            assert [fit.tripled_oscillation for fit in flat.fits] == [0.0] * 16
+            field = multiscale_fit(u, flat, 4)
+        assert [fit.osc_term for fit in field.fits] == [0.0] * 16
 
-    def test_tripled_oscillation_bound_for_linear_metric(self):
+    def test_subcube_oscillation_bound_for_linear_metric(self):
         grid = GridDomain(1, 1.0, 32)
         u = curvature_curve(grid, kappa=0.5)
-        slope = 0.4
+        slope, side, p = 0.4, 1.0 / 4, 2.0
         g = build_metric(grid, "linear", slope=slope)
-        field = multiscale_fit(u, g, 4)
+        field = multiscale_fit(u, g, 4, p=p)
+        assert len(field.fits) == 4
         for fit in field.fits:
-            assert fit.tripled_oscillation <= slope * 3.0 * (1.0 / 4) + 1e-12
-            assert fit.oscillation <= fit.tripled_oscillation + 1e-15
-            assert fit.diameter == pytest.approx(1.0 / 4)
+            # |gram(x) - gram(y)| = slope |x - y| <= slope * side on a subcube of volume side^d
+            assert 0.0 < fit.osc_term <= side * (slope * side) ** p * (1.0 + 1e-12)
 
 
     @pytest.mark.parametrize(
@@ -844,20 +844,14 @@ class TestMultiscaleFit:
             sub_u = ImmersionField(sub, u.target, u.values[nodes], u.mode)
             sub_g = MetricField(sub, g.gram[nodes], lam=g.lam)
             report = local_rigidity(sub_u, sub_g, p, 4)
-            box = tuple((c, c + block) for c in corner)
-            osc, diam = oscillation_and_diameter(g, box)
-            tripled = tuple((max(0, c - block), min(n, c + 2 * block)) for c in corner)
-            osc3, _ = oscillation_and_diameter(g, tripled)
 
-            assert (fit.index, fit.corner) == (index, corner)
-            assert (fit.oscillation, fit.tripled_oscillation, fit.diameter) == (osc, osc3, diam)
-            assert fit.report.base_index == report.base_index
-            np.testing.assert_array_equal(fit.report.rotation, report.rotation)
+            assert fit.base_index == report.base_index
+            np.testing.assert_array_equal(fit.rotation, report.rotation)
             np.testing.assert_array_equal(field.rotations[index], report.rotation)
             for name in ("p", "lhs", "osc_term", "stretch", "bend_scale", "plane_variation", "constant"):
-                assert getattr(fit.report, name) == getattr(report, name), name
+                assert getattr(fit, name) == getattr(report, name), name
             residual += report.lhs
-        assert (max(fit.oscillation for fit in field.fits) > 0.0) == (variant != "flat")
+        assert (max(fit.osc_term for fit in field.fits) > 0.0) == (variant != "flat")
         assert field.residual == residual
 
     @pytest.mark.parametrize(
@@ -907,10 +901,11 @@ class TestMultiscaleFit:
             u = collapsed_cells(u, n // t)
         field = multiscale_fit(u, build_metric(u.grid, "flat"), t, p=p, seed=4)
         block = n // t
-        for fit in field.fits:
-            nodes = tuple(slice(c, c + block + 1) for c in fit.corner)
+        assert len(field.fits) == t**dim
+        for fit, index in zip(field.fits, itertools.product(range(t), repeat=dim)):
+            nodes = tuple(slice(block * i, block * (i + 1) + 1) for i in index)
             sub_u = ImmersionField(subcube_grid(u, block), u.target, u.values[nodes])
-            assert fit.report.base_index == unfiltered_base_point(tangent_plane_field(sub_u), p, 4)
+            assert fit.base_index == unfiltered_base_point(tangent_plane_field(sub_u), p, 4)
 
     @pytest.mark.parametrize(
         "family, dim, length, n, p, metric_kind",
@@ -935,7 +930,7 @@ class TestMultiscaleFit:
         report = local_rigidity(u, g, p, 4)
         for name in ("p", "base_index", "rotation", "lhs", "osc_term", "stretch", "bend_scale",
                      "plane_variation", "constant"):
-            np.testing.assert_array_equal(getattr(fit.report, name), getattr(report, name), err_msg=name)
+            np.testing.assert_array_equal(getattr(fit, name), getattr(report, name), err_msg=name)
 
 
 class TestTranslationModulus:

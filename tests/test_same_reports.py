@@ -12,13 +12,13 @@ sys.path.insert(0, str(ROOT / "tools"))
 import same_reports  # noqa: E402
 
 
-def _patched_tree(target: Path, old: str, new: str) -> Path:
-    """A copy of this checkout's `src/` at `target`, with `old` replaced once in cli.py."""
+def _patched_tree(target: Path, old: str, new: str, module: str = "cli.py") -> Path:
+    """A copy of this checkout's `src/` at `target`, with `old` replaced once in `module`."""
     shutil.copytree(ROOT / "src", target / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    cli = target / "src" / "rigidkit" / "cli.py"
-    text = cli.read_text()
+    path = target / "src" / "rigidkit" / module
+    text = path.read_text()
     assert text.count(old) == 1
-    cli.write_text(text.replace(old, new))
+    path.write_text(text.replace(old, new))
     return target
 
 
@@ -51,6 +51,50 @@ def test_same_tree_matches_on_multiscale_and_lemma_reports(tmp_path, capsys, wor
 
     assert same_reports.main([str(ROOT), str(ROOT), "--workload", workload, "--seed", "3", "--ops", "1"]) == 0
     assert f"{workload} seed 3: 0 of 1 ops differ" in capsys.readouterr().out
+
+
+def test_untimed_catches_a_subcube_oscillation_that_multiscale_flat_never_measures(tmp_path, capsys):
+    # Each subcube's oscillation over its first cell instead of its whole box:
+    # only a non-constant metric runs the search, and only the subcube
+    # reports carry the result.
+    changed = _patched_tree(
+        tmp_path / "changed", "(c, c + block) for c in corner", "(c, c + 1) for c in corner", "rigidity.py"
+    )
+    argv = ["--seed", "3", "--ops", "2"]
+    assert same_reports.main([str(ROOT), str(changed), "--workload", "multiscale_flat", *argv]) == 0
+    assert "multiscale_flat seed 3: 0 of 2 ops differ" in capsys.readouterr().out
+    assert same_reports.main([str(ROOT), str(changed), "--workload", "untimed", *argv]) == 1
+    out = capsys.readouterr().out
+    assert "untimed seed 3: 2 of 2 ops differ" in out
+    assert out.count("): differs in subcube reports\n") == 2
+
+
+def test_untimed_runs_every_unbenchmarked_path(tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    ops = same_reports.untimed_ops(3)
+    runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in ops]
+    assert runs == [
+        *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
+        *(("scaling", kind, 3) for kind in ("random", "linear", "random", "linear")),
+        *(("asymptotic", kind, members) for kind, members in (("random", 1), ("linear", 1), ("random", 3), ("random", 3))),
+    ]
+    assert [op.index for op in ops] == list(range(len(ops)))
+
+    ops_path = tmp_path / "ops.json"
+    ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))
+    results = same_reports._tree_results(ROOT, ops_path, tmp_path)
+    for op, result in zip(ops, results):
+        # 1 is a failed trend or threshold check: its reports are written all the same
+        assert result["code"] in (0, 1)
+        assert set(result["files"]) == {f"{op.command}.{ext}" for ext in ("json", "csv", "dat")}
+        subcubes = json.loads(result["subcubes"])
+        if op.command == "multiscale":
+            t_values = op.config["t_values"]
+            dim = op.config["scenario"]["dim"]
+            assert [len(reports) for reports in subcubes] == [t**dim for t in t_values]
+            assert max(report["osc_term"] for reports in subcubes for report in reports) > 0.0
+        else:
+            assert subcubes == []
 
 
 def test_rtol_forgives_a_one_ulp_float_but_not_a_changed_base_index(tmp_path, capsys):

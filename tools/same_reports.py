@@ -1,12 +1,21 @@
 """Check that two rigidkit checkouts produce the same reports.
 
-Runs the CLI on the first N ops of a benchmark workload in each checkout and
-compares, op by op, the exit code, the printed output and every file the op
-writes: JSON reports with their `manifest` removed (it records output hashes
-and the tool version), every other file byte for byte.  Exits 1 on any
-difference, 0 when every op matches.
+Runs the CLI on the first N ops of a workload in each checkout and compares,
+op by op, the exit code, the printed output and every file the op writes:
+JSON reports with their `manifest` removed (it records output hashes and the
+tool version), every other file byte for byte.  The `multiscale` reports
+hold only sums over subcubes, so for those ops every subcube report that
+`multiscale_fit` returned is compared as well.  Exits 1 on any difference,
+0 when every op matches.
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
+
+The workload is one of the benchmark's, or `untimed`: a fixed list of 28
+ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
+first 20 are one block of `multiscale_flat` ops, once with a random and
+once with a linear metric, so the per-subcube oscillation search runs; then
+four `scaling` sweeps and four `asymptotic` runs, two with one member and
+two with three.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -30,6 +39,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -41,11 +51,27 @@ CLOCK = "1970-01-01T00:00:00+00:00"
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _subcube_reports(field) -> list[dict]:
+    """Every term of each subcube report of a `RotationField`.  Older
+    checkouts wrap each report in a `SubcubeFit`, as its `report`."""
+    reports = (getattr(fit, "report", fit) for fit in field.fits)
+    return [{k: v.tolist() if hasattr(v, "tolist") else v for k, v in vars(r).items()} for r in reports]
+
+
 def run_tree(src: str, ops_path: str, work_dir: str, results_path: str) -> None:
     """Run every op of `ops_path` on the rigidkit in `src` and dump what each produced."""
     sys.path.insert(0, src)
     from rigidkit import cli
 
+    subcubes = []
+    multiscale_fit = cli.multiscale_fit
+
+    def recorded_fit(*args, **kwargs):
+        field = multiscale_fit(*args, **kwargs)
+        subcubes.append(_subcube_reports(field))
+        return field
+
+    cli.multiscale_fit = recorded_fit
     results = []
     for index, (command, config) in enumerate(json.loads(Path(ops_path).read_text())):
         op_dir = Path(work_dir) / f"op{index}"
@@ -53,6 +79,7 @@ def run_tree(src: str, ops_path: str, work_dir: str, results_path: str) -> None:
         (op_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
         out = op_dir / "out"
         sink = io.StringIO()
+        subcubes.clear()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = cli.main([command, "--config", str(op_dir / "config.json"), "--out", str(out)])
@@ -66,7 +93,7 @@ def run_tree(src: str, ops_path: str, work_dir: str, results_path: str) -> None:
                 files[path.name] = json.dumps(report, sort_keys=True)
             elif path.is_file():
                 files[path.name] = path.read_text()
-        results.append({"code": code, "stdout": sink.getvalue(), "files": files})
+        results.append({"code": code, "stdout": sink.getvalue(), "files": files, "subcubes": json.dumps(subcubes)})
     Path(results_path).write_text(json.dumps(results))
 
 
@@ -140,14 +167,51 @@ def _differences(a: dict, b: dict, tol: tuple[float, float] | None = None) -> li
     for name in sorted(set(a["files"]) | set(b["files"])):
         if not _same(name, a["files"].get(name), b["files"].get(name), tol):
             found.append(name)
+    if not _same("subcubes.json", a["subcubes"], b["subcubes"], tol):
+        found.append("subcube reports")
     return found
+
+
+def untimed_ops(seed: int) -> list:
+    """The `untimed` workload at `seed`, as `workloads.Op`s (see the module docstring)."""
+    import workloads
+
+    flat = workloads.first_ops("multiscale_flat", seed, workloads.block_size("multiscale_flat"))
+    runs = [
+        ("multiscale", op.config | {"scenario": op.config["scenario"] | {"metric_kind": kind}})
+        for kind in ("random", "linear")
+        for op in flat
+    ]
+    draw = random.Random(seed)
+    # (command, family, dim, resolution, metric kind, p, number of epsilons);
+    # curves take a drawn kappa, surfaces kappa = 0, the only one they admit
+    for command, family, dim, n, kind, p, members in (
+        ("scaling", "graph", 2, 32, "random", 2.0, 3),
+        ("scaling", "perturbed_identity", 2, 32, "linear", 3.0, 3),
+        ("scaling", "perturbed", 1, 512, "random", 3.0, 3),
+        ("scaling", "perturbed", 2, 32, "linear", 2.0, 3),
+        ("asymptotic", "graph", 2, 32, "random", 2.0, 1),
+        ("asymptotic", "perturbed", 1, 512, "linear", 2.0, 1),
+        ("asymptotic", "perturbed", 1, 256, "random", 2.0, 3),
+        ("asymptotic", "perturbed", 2, 32, "random", 3.0, 3),
+    ):
+        scenario = {
+            "family": family, "dim": dim, "resolution": n, "metric_kind": kind, "p": p,
+            "seed": draw.randrange(2**31 - 1), "kappa": draw.uniform(0.5, 2.0) if dim == 1 else 0.0,
+        }
+        top = math.exp(draw.uniform(math.log(0.02), math.log(0.1)))
+        runs.append((command, {"scenario": scenario, "epsilons": [top / 2**k for k in range(members)]}))
+    return [
+        workloads.Op("untimed", seed, index, command, config, config["scenario"]["resolution"] ** config["scenario"]["dim"])
+        for index, (command, config) in enumerate(runs)
+    ]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a benchmark workload, or untimed")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, required=True)
     parser.add_argument("--rtol", type=float, help="relative tolerance for floats (default: byte-exact)")
@@ -159,7 +223,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    ops = workloads.first_ops(args.workload, args.seed, args.ops)
+    if args.workload == "untimed":
+        ops = untimed_ops(args.seed)[: args.ops]
+    else:
+        ops = workloads.first_ops(args.workload, args.seed, args.ops)
     with tempfile.TemporaryDirectory(prefix="same_reports-") as scratch:
         ops_path = Path(scratch) / "ops.json"
         ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))
