@@ -11,10 +11,12 @@ Draw, then evaluate.  The sampled runners make their generator calls one
 instance at a time, with the same sizes and in the same order as a loop
 that evaluates each instance before drawing the next, so a seed names the
 same instances (and leaves the generator at the same position) whether
-instances are evaluated one by one or together.  The raw draws are then
-grouped by shape (``dim``, or ``(dim, ambient)``) and each group is
-evaluated by the stacked `metric_algebra` kernels in one call per kernel,
-with every validation of the one-instance path applied to the whole stack.
+instances are evaluated one by one or together.  The draws fill zeroed
+arrays, grouped by dimension, lower ambient dimensions embedded by zero
+rows, and each group is one call per stacked kernel, with every check of
+the one-instance path.  The embedding changes no number a property reads:
+QR of [A; 0] is [Q; 0] with the same R, and products F^T t, F0^T F, F c
+and Frobenius norms of padded frames and maps equal the unpadded ones.
 
 `run_orientation_stability` keeps the stop rule of its sequential loop:
 attempt after attempt until ``samples`` pairs are kept or ``20 * samples``
@@ -29,7 +31,7 @@ further along than the sequential loop's.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .metric_algebra import (
     OrientedSubspace,
     checked_grams,
     checked_spanning_frames,
-    complement_frames,
     frame_distance,
     frames_orthonormal,
     isometry_defect,
@@ -69,6 +70,12 @@ class LemmaConfig:
     Counts and the seed must be integers (an integral float is taken as
     one, a boolean is not), the other knobs finite numbers, and
     `max_ambient` must exceed `max_dim`.
+
+    `lam_max` lies in [1, 1e6]: a Gram matrix Q diag(w) Q^T built from a
+    spectrum in [1/lam_max, lam_max] has its least eigenvalue, as small as
+    1/lam_max, moved by rounding of about u * lam_max (u = 2^-53), so it
+    keeps its sign only while u * lam_max^2 << 1; that is about 1e-4 at
+    1e6, and from about 1e8 on a draw can fail the positive-definite check.
     """
 
     samples: int = 10_000
@@ -94,8 +101,8 @@ class LemmaConfig:
         # The planar properties draw an ambient dimension above dim.
         if not 1 <= self.max_dim < self.max_ambient:
             raise ValueError("need 1 <= max_dim < max_ambient")
-        if self.lam_max < 1.0:
-            raise ValueError("lam_max must be at least 1")
+        if not 1.0 <= self.lam_max <= 1e6:
+            raise ValueError(f"lam_max must lie in [1, 1e6], got {self.lam_max!r}")
         if self.tolerance <= 0.0 or self.normal_tolerance <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.curve_resolution < 2:
@@ -124,14 +131,7 @@ class PropertyResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "min_slack": self.min_slack,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _checked(name: str, config: LemmaConfig, worst: float, note: str) -> PropertyResult:
@@ -168,11 +168,6 @@ def _log_spectrum_range(lam_max: float) -> tuple[float, float]:
     return -np.log(lam_max), np.log(lam_max)
 
 
-def _random_eigenvalues(rng, count: int, dim: int, lam_max: float) -> np.ndarray:
-    """Spectra drawn log-uniformly inside [1/lam_max, lam_max]."""
-    return np.exp(rng.uniform(*_log_spectrum_range(lam_max), size=(count, dim)))
-
-
 def _rotations(normals: np.ndarray) -> np.ndarray:
     """Rotations (..., d, d) from standard normal draws of the same shape."""
     q = sign_fixed_qr(normals)[0]
@@ -194,36 +189,10 @@ def _grams(log_spectra: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np
     return checked_grams(0.5 * (gram + np.swapaxes(gram, -1, -2))), lam
 
 
-class _ShapeGroups:
-    """Per-instance draws collected by shape key, one flat float buffer per column.
-
-    Holding the raw values, rather than one small array per draw until the
-    evaluation, keeps a run's memory at the size of its numbers.
-    """
-
-    def __init__(self):
-        self._buffers: dict = {}
-        self._shapes: dict = {}
-        self._counts: dict = {}
-
-    def add(self, key, *draws) -> None:
-        if key not in self._buffers:
-            self._buffers[key] = [array("d") for _ in draws]
-            self._shapes[key] = [np.shape(draw) for draw in draws]
-            self._counts[key] = 0
-        for buffer, draw in zip(self._buffers[key], draws):
-            buffer.frombytes(np.asarray(draw, dtype=float).tobytes())
-        self._counts[key] += 1
-
-    def columns(self):
-        """(key, count, column, ...) per key, each column flat, in draw order."""
-        for key, buffers in self._buffers.items():
-            yield key, self._counts[key], *(np.frombuffer(buffer) for buffer in buffers)
-
-    def stacks(self):
-        """(key, stack, ...) per key, a stack shaped (count, *shape of the key's first draw)."""
-        for key, count, *columns in self.columns():
-            yield key, *(column.reshape(count, *shape) for column, shape in zip(columns, self._shapes[key]))
+def _by_dim(dims: np.ndarray):
+    """(dim, rows) per dimension drawn, rows the indices of its draws in draw order."""
+    for dim in np.unique(dims):
+        yield int(dim), np.flatnonzero(dims == dim)
 
 
 def run_norm_equivalence(config: LemmaConfig) -> PropertyResult:
@@ -238,7 +207,7 @@ def run_norm_equivalence(config: LemmaConfig) -> PropertyResult:
     worst = np.inf
     for dim in range(1, config.max_dim + 1):
         count = config.samples // config.max_dim + (dim == 1) * (config.samples % config.max_dim)
-        w = _random_eigenvalues(rng, count, dim, config.lam_max)
+        w = np.exp(rng.uniform(*_log_spectrum_range(config.lam_max), size=(count, dim)))
         q = _rotations(rng.standard_normal((count, dim, dim)))
         inv_sqrt = (q / np.sqrt(w)[:, None, :]) @ np.swapaxes(q, -1, -2)
         lam = np.maximum(w.max(axis=-1), 1.0 / w.min(axis=-1))
@@ -261,16 +230,18 @@ def run_so_set_distance_bound(config: LemmaConfig) -> PropertyResult:
     if config.samples == 0:
         return _vacuous("so_set_distance_bound", config.tolerance)
     rng = _rng(config, 2)
-    draws = _ShapeGroups()
-    for _ in range(config.samples):
-        dim = int(rng.integers(1, config.max_dim, endpoint=True))
-        draws.add(dim, *_draw_gram(rng, dim, config.lam_max), *_draw_gram(rng, dim, config.lam_max))
+    n, wide = config.samples, config.max_dim
+    dims, log_spectra, normals = np.empty(n, dtype=int), np.zeros((n, 2, wide)), np.zeros((n, 2, wide, wide))
+    for i in range(n):
+        dim = dims[i] = int(rng.integers(1, config.max_dim, endpoint=True))
+        for pair in (0, 1):
+            log_spectra[i, pair, :dim], normals[i, pair, :dim, :dim] = _draw_gram(rng, dim, config.lam_max)
     worst = np.inf
-    for _, log_x, normals_x, log_y, normals_y in draws.stacks():
-        gram_x, lam_x = _grams(log_x, normals_x)
-        gram_y, lam_y = _grams(log_y, normals_y)
-        bound = 0.5 * np.sqrt(np.maximum(lam_x, lam_y)) * np.linalg.norm(gram_x - gram_y, axis=(-2, -1))
-        slack = bound - rotation_set_distance(spd_sqrt(gram_x), spd_sqrt(gram_y))
+    for dim, rows in _by_dim(dims):
+        gram, lam = _grams(log_spectra[rows, :, :dim], normals[rows, :, :dim, :dim])
+        bound = 0.5 * np.sqrt(lam.max(axis=-1)) * np.linalg.norm(gram[:, 0] - gram[:, 1], axis=(-2, -1))
+        root = spd_sqrt(gram)
+        slack = bound - rotation_set_distance(root[:, 0], root[:, 1])
         worst = min(worst, float(slack.min()))
     return _checked("so_set_distance_bound", config, worst, "")
 
@@ -281,28 +252,34 @@ def run_projection_error_bound(config: LemmaConfig) -> PropertyResult:
     The companion oriented bound has an uncalibrated constant, so it is
     measured here (worst observed ratio) and carried in the note instead of
     being asserted.
+
+    Padded, the planes are [F0; 0], [F; 0] and T = [F c; 0], so P0 T - T,
+    the metric norms, the gap min_q |F0 - F q|, F0^T P0 T and the singular
+    values of T g^(-1/2) are those of R^D.
     """
     if config.samples == 0:
         return _vacuous("projection_error_bound", config.tolerance)
     rng = _rng(config, 3)
-    draws = _ShapeGroups()
-    for _ in range(config.samples):
-        dim = int(rng.integers(1, config.max_dim, endpoint=True))
+    n, top, wide = config.samples, config.max_ambient, config.max_dim
+    dims, log_spectra, planes = np.empty(n, dtype=int), np.zeros((n, wide)), np.zeros((2, n, top, wide))
+    (base, plane), (normals, coeffs) = planes, np.zeros((2, n, wide, wide))
+    for i in range(n):
+        dim = dims[i] = int(rng.integers(1, config.max_dim, endpoint=True))
         ambient = int(rng.integers(dim + 1, config.max_ambient, endpoint=True))
-        base = rng.standard_normal((ambient, dim))
-        plane = rng.standard_normal((ambient, dim))
-        gram = _draw_gram(rng, dim, config.lam_max)
-        draws.add((dim, ambient), base, plane, *gram, rng.standard_normal((dim, dim)))
+        base[i, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        plane[i, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        log_spectra[i, :dim], normals[i, :dim, :dim] = _draw_gram(rng, dim, config.lam_max)
+        coeffs[i, :dim, :dim] = rng.standard_normal((dim, dim))
     worst = np.inf
     ratio = 0.0
-    for _, base, plane, log_spectra, normals, coeffs in draws.stacks():
-        base = checked_spanning_frames(base)
-        plane = checked_spanning_frames(plane)
-        inv_sqrt = spd_inv_sqrt(_grams(log_spectra, normals)[0])
-        lhs, rhs, oriented_lhs, unoriented, gap = projection_terms(plane @ coeffs, inv_sqrt, base, plane)
+    for dim, rows in _by_dim(dims):
+        frames0, frames = checked_spanning_frames(planes[:, rows, :, :dim])
+        inv_sqrt = spd_inv_sqrt(_grams(log_spectra[rows, :dim], normals[rows, :dim, :dim])[0])
+        t = frames @ coeffs[rows, :dim, :dim]
+        lhs, rhs, oriented_lhs, unoriented, gap = projection_terms(t, inv_sqrt, frames0, frames)
         worst = min(worst, float((rhs - lhs).min()))
-        wide = gap > 1e-8
-        over = (oriented_lhs[wide] - unoriented[wide]) / gap[wide]
+        wide_gap = gap > 1e-8
+        over = (oriented_lhs[wide_gap] - unoriented[wide_gap]) / gap[wide_gap]
         ratio = max(ratio, float(over.max(initial=0.0)))
     note = f"oriented-bound constant observed <= {ratio:.3f} (reported, not asserted)"
     return _checked("projection_error_bound", config, worst, note)
@@ -314,18 +291,21 @@ def run_volume_comparison(config: LemmaConfig) -> PropertyResult:
         return _vacuous("volume_comparison", config.tolerance)
     rng = _rng(config, 4)
     lo, hi = _log_spectrum_range(config.lam_max)
-    draws = _ShapeGroups()
+    # Instances have different cell counts, so a dimension's instances are
+    # one flat run of cells, in draw order, cut at `starts` below.
+    runs = {}
     for _ in range(config.samples):
         dim = int(rng.integers(1, config.max_dim, endpoint=True))
         cells = int(rng.integers(2, 32, endpoint=True))
-        weights = rng.uniform(0.0, 1.0, size=cells)
-        draws.add(dim, cells, weights, rng.uniform(lo, hi, size=(cells, dim)))
+        counts, weights, log_spectra = runs.setdefault(dim, ([], array("d"), array("d")))
+        counts.append(cells)
+        weights.frombytes(rng.uniform(0.0, 1.0, size=cells).tobytes())
+        log_spectra.frombytes(rng.uniform(lo, hi, size=(cells, dim)).tobytes())
     worst = np.inf
-    for dim, _, cells, weights, log_spectra in draws.columns():
-        # Instances have different cell counts, so each group is one flat
-        # run of cells cut at `starts`.
-        starts = np.concatenate([[0], np.cumsum(cells[:-1])]).astype(int)
-        spectra = np.exp(log_spectra.reshape(-1, dim))
+    for dim, (counts, weights, log_spectra) in runs.items():
+        starts = np.cumsum([0, *counts[:-1]])
+        spectra = np.exp(np.frombuffer(log_spectra).reshape(-1, dim))
+        weights = np.frombuffer(weights)
         top = np.maximum.reduceat(spectra.max(axis=-1), starts)
         bottom = np.minimum.reduceat(spectra.min(axis=-1), starts)
         lam = np.maximum(np.maximum(top, 1.0 / bottom), 1.0)
@@ -343,25 +323,31 @@ def run_in_plane_equality(config: LemmaConfig) -> PropertyResult:
 
     Holds whenever T maps into the plane and preserves orientation as a map
     into it, so the sampler forces det > 0 on the plane coordinates.
+
+    Padded, the plane is [F; 0] and T = [F c; 0], so the leak check, F^T T
+    and the singular values of T g^(-1/2) are those of R^D.
     """
     if config.samples == 0:
         return _vacuous("in_plane_equality", config.tolerance)
     rng = _rng(config, 5)
-    draws = _ShapeGroups()
-    for _ in range(config.samples):
-        dim = int(rng.integers(1, config.max_dim, endpoint=True))
+    n, top, wide = config.samples, config.max_ambient, config.max_dim
+    dims, log_spectra, plane = np.empty(n, dtype=int), np.zeros((n, wide)), np.zeros((n, top, wide))
+    coords, normals = np.zeros((2, n, wide, wide))
+    for i in range(n):
+        dim = dims[i] = int(rng.integers(1, config.max_dim, endpoint=True))
         ambient = int(rng.integers(dim, config.max_ambient, endpoint=True))
-        plane = rng.standard_normal((ambient, dim))
-        coords = rng.standard_normal((dim, dim))
-        draws.add((dim, ambient), plane, coords, *_draw_gram(rng, dim, config.lam_max))
+        plane[i, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        coords[i, :dim, :dim] = rng.standard_normal((dim, dim))
+        log_spectra[i, :dim], normals[i, :dim, :dim] = _draw_gram(rng, dim, config.lam_max)
     worst = np.inf
-    for _, plane, coords, log_spectra, normals in draws.stacks():
-        plane = checked_spanning_frames(plane)
-        coords[np.linalg.det(coords) < 0.0, :, 0] *= -1.0
-        inv_sqrt = spd_inv_sqrt(_grams(log_spectra, normals)[0])
-        t = plane @ coords
+    for dim, rows in _by_dim(dims):
+        frames = checked_spanning_frames(plane[rows, :, :dim])
+        c = coords[rows, :dim, :dim]
+        c[np.linalg.det(c) < 0.0, :, 0] *= -1.0
+        inv_sqrt = spd_inv_sqrt(_grams(log_spectra[rows, :dim], normals[rows, :dim, :dim])[0])
+        t = frames @ c
         full = isometry_defect(t @ inv_sqrt)
-        planar = isometry_defect(plane_coordinates(t, plane) @ inv_sqrt, oriented=True)
+        planar = isometry_defect(plane_coordinates(t, frames) @ inv_sqrt, oriented=True)
         worst = min(worst, float((-np.abs(full - planar)).min()))
     return _checked("in_plane_equality", config, worst, "")
 
@@ -394,25 +380,26 @@ def _gap_threshold(dim: int) -> float:
     return 0.5 / (2.0 * dim)
 
 
-def _orientation_attempts(draws: _ShapeGroups, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
+def _orientation_attempts(dims, vectors, wiggles, noise) -> tuple[np.ndarray, np.ndarray, dict]:
     """Per attempt, in draw order: pair kept, orientation flipped; and the failed bases.
 
-    The last is {attempt: spanning vectors} for attempts whose base plane
+    Attempt k reads the first dims[k] columns of its zero-padded draws.  The
+    last value is {attempt: spanning vectors} for attempts whose base plane
     cannot be built, which the sequential loop would have raised on.
     """
-    kept, flipped = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    kept, flipped = np.zeros(dims.size, dtype=bool), np.zeros(dims.size, dtype=bool)
     failed = {}
-    for (dim, _), attempt, vectors, wiggle, noise in draws.stacks():
-        attempt = attempt.astype(int)
-        base, independent = spanning_frames(vectors)
+    for dim, attempt in _by_dim(dims):
+        spanning = vectors[attempt, :, :dim]
+        base, independent = spanning_frames(spanning)
         base_ok = independent & frames_orthonormal(base)
-        failed.update(zip(attempt[~base_ok].tolist(), vectors[~base_ok]))
-        plane, independent = spanning_frames(base + wiggle[:, None, None] * noise)
+        failed.update(zip(attempt[~base_ok].tolist(), spanning[~base_ok]))
+        plane, independent = spanning_frames(base + wiggles[attempt, None, None] * noise[attempt, :, :dim])
         # An attempt whose plane does not span, or whose frame fails the
         # orthonormality check, is skipped, as the sequential loop skipped it.
         valid = base_ok & independent & frames_orthonormal(plane)
         base, plane, attempt = base[valid], plane[valid], attempt[valid]
-        gap = frame_distance(complement_frames(base), complement_frames(plane))
+        gap = frame_distance(base, plane)
         kept[attempt] = ~(gap >= _gap_threshold(dim))
         flipped[attempt] = kept[attempt] & ~projection_keeps_orientation(base, plane)
     return kept, flipped, failed
@@ -424,6 +411,10 @@ def run_orientation_stability(config: LemmaConfig) -> PropertyResult:
     The underlying lemma guarantees some threshold exists but gives no
     usable value, so this property is observational: it always passes and
     the note records the flip count below the heuristic gap 0.5/(2d).
+
+    Padded, the base and the plane spanned by [F0 + wiggle N; 0] are [F0; 0]
+    and [F; 0], so the frame checks, min_q |F0 - F q| and det(F0^T F) are
+    those of R^D.
     """
     if config.samples == 0:
         return _vacuous("orientation_stability", config.tolerance)
@@ -435,14 +426,15 @@ def run_orientation_stability(config: LemmaConfig) -> PropertyResult:
         # About nine attempts in ten are kept, so a chunk of need * 9/8 + 2
         # usually ends the loop in one round.
         chunk = min(need + need // 8 + 2, budget - attempts)
-        draws = _ShapeGroups()
+        dims, wiggles = np.empty(chunk, dtype=int), np.empty(chunk)
+        vectors, noise = np.zeros((2, chunk, config.max_ambient, config.max_dim))
         for attempt in range(chunk):
-            dim = int(rng.integers(1, config.max_dim, endpoint=True))
+            dim = dims[attempt] = int(rng.integers(1, config.max_dim, endpoint=True))
             ambient = int(rng.integers(dim + 1, config.max_ambient, endpoint=True))
-            base = rng.standard_normal((ambient, dim))
-            wiggle = rng.uniform(0.0, 0.4 * _gap_threshold(dim))
-            draws.add((dim, ambient), attempt, base, wiggle, rng.standard_normal((ambient, dim)))
-        accepted, flipped, failed = _orientation_attempts(draws, chunk)
+            vectors[attempt, :ambient, :dim] = rng.standard_normal((ambient, dim))
+            wiggles[attempt] = rng.uniform(0.0, 0.4 * _gap_threshold(dim))
+            noise[attempt, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        accepted, flipped, failed = _orientation_attempts(dims, vectors, wiggles, noise)
         hits = np.flatnonzero(accepted)
         cut = hits[need - 1] + 1 if hits.size >= need else chunk
         bad = [attempt for attempt in failed if attempt < cut]

@@ -332,10 +332,17 @@ def projection_terms(
     t (..., D, d) maps into the planes `frames`; inv_sqrt is g^(-1/2).
     Returns (projection_lhs, projection_rhs, oriented_lhs, unoriented_dist,
     complement_gap), each of shape (...); see `ProjectionBoundReport`.
+
+    The complement gap is `frame_distance(frames0, frames)`, equal to that
+    of the oriented complements W0, W: min_q |F0 - F q|^2 = 2 sum (1 - s_i)
+    over the singular values of F^T F0, the least negated if det < 0.
+    Jacobi's complementary-minor identity for M = [F | W]^T [F0 | W0] in
+    SO(D) gives det(W^T W0) = det(F^T F0), and both blocks' singular values
+    are the cosines of the planes' nonzero principal angles, padded with 1.
     """
     plane_coordinates(t, frames)
     projected = frames0 @ (_swap(frames0) @ t)
-    gap = frame_distance(complement_frames(frames0), complement_frames(frames))
+    gap = frame_distance(frames0, frames)
     lhs = metric_norm(projected - t, inv_sqrt)
     rhs = metric_norm(t, inv_sqrt) * gap
     in_plane = plane_coordinates(projected, frames0)

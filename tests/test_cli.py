@@ -58,6 +58,8 @@ class TestLemmas:
             ('"seed": -1', "seed must be nonnegative"),
             ('"curve_resolution": 64.5', "curve_resolution must be an integer, got 64.5"),
             ('"lam_max": 1e400', "lam_max must be a finite number, got inf"),
+            ('"lam_max": 1e9', "lam_max must lie in [1, 1e6], got 1000000000.0"),
+            ('"lam_max": 1e300', "lam_max must lie in [1, 1e6], got 1e+300"),
             ('"sphere_radius": 1e-3', "the latitude arc is longer than its circle of latitude"),
         ],
     )

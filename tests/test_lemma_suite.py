@@ -43,6 +43,8 @@ class TestConfig:
             {"tolerance": 0.0},
             {"normal_tolerance": -1e-8},
             {"lam_max": 0.5},
+            {"lam_max": 1e9},
+            {"lam_max": 1e300},
             {"max_dim": 7, "max_ambient": 6},
             {"max_dim": 6, "max_ambient": 6},
             {"max_dim": 0},
@@ -60,6 +62,12 @@ class TestConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LemmaConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_largest_allowed_lam_max_runs(self, seed):
+        # At the cap u * lam_max^2 is about 1e-4, so every drawn Gram matrix
+        # stays positive definite in floating point.
+        assert len(run_all(LemmaConfig(samples=500, seed=seed, lam_max=1e6, curve_resolution=64))) == 7
 
 
 class TestSuite:
@@ -235,7 +243,7 @@ REFERENCES = {
 }
 
 
-@pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 6), (4, 6)])
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 6), (4, 6), (2, 9)])
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_batched_runner_equals_per_sample_reference(monkeypatch, name, dims):
     stream, reference = REFERENCES[name]
@@ -262,6 +270,36 @@ def test_batched_runner_equals_per_sample_reference(monkeypatch, name, dims):
                 assert generators[-1].random() == rng.random(), label
 
 
+def test_sampled_runners_evaluate_one_stack_per_dimension(monkeypatch):
+    # Every ambient dimension of a dim shares its stack: one Gram stack per
+    # dim, and one gap evaluation per dim and orientation chunk.
+    counts = {"_grams": 0, "frame_distance": 0, "_orientation_attempts": 0}
+    for name in counts:
+        def counted(*args, real=getattr(lemma_suite, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lemma_suite, name, counted)
+    cfg = LemmaConfig(samples=300, max_dim=3, max_ambient=9)
+    for runner in ("so_set_distance_bound", "projection_error_bound", "in_plane_equality"):
+        counts["_grams"] = 0
+        lemma_suite._RUNNERS[runner](cfg)
+        assert counts["_grams"] == 3, runner
+    run_orientation_stability(cfg)
+    assert counts["frame_distance"] == 3 * counts["_orientation_attempts"]
+
+
+def _attempt_stacks(draws, top, wide):
+    """The per-dim collector's arrays for attempts (dim, vectors, wiggle, noise),
+    vectors and noise zero-padded to (top, wide)."""
+    dims, wiggles = np.array([d for d, *_ in draws]), np.array([w for *_, w, _ in draws], dtype=float)
+    vectors, noise = np.zeros((len(draws), top, wide)), np.zeros((len(draws), top, wide))
+    for attempt, (dim, base, _, moved) in enumerate(draws):
+        vectors[attempt, : len(base), :dim] = base
+        noise[attempt, : len(moved), :dim] = moved
+    return dims, vectors, wiggles, noise
+
+
 def test_orientation_attempts_equal_per_attempt_reference():
     # Attempts drawn as the runner draws them, judged one at a time by the
     # object path: the batched verdicts must agree attempt by attempt.
@@ -273,13 +311,10 @@ def test_orientation_attempts_equal_per_attempt_reference():
         base = rng.standard_normal((ambient, dim))
         # Wider wiggles than the runner's, so that both verdicts occur.
         wiggle = rng.uniform(0.0, 3.0 * lemma_suite._gap_threshold(dim))
-        draws.append(((dim, ambient), attempt, base, wiggle, rng.standard_normal((ambient, dim))))
-    groups = lemma_suite._ShapeGroups()
-    for draw in draws:
-        groups.add(*draw)
-    kept, flipped, failed = lemma_suite._orientation_attempts(groups, len(draws))
+        draws.append((dim, base, wiggle, rng.standard_normal((ambient, dim))))
+    kept, flipped, failed = lemma_suite._orientation_attempts(*_attempt_stacks(draws, 6, 3))
     assert failed == {}
-    for (dim, _), attempt, vectors, wiggle, noise in draws:
+    for attempt, (dim, vectors, wiggle, noise) in enumerate(draws):
         base = OrientedSubspace.from_spanning(vectors)
         plane = OrientedSubspace.from_spanning(base.frame + wiggle * noise)
         gap = subspace_distance(oriented_complement(base), oriented_complement(plane))
@@ -292,8 +327,8 @@ def test_orientation_attempts_equal_per_attempt_reference():
 def test_orientation_stops_at_attempt_budget(monkeypatch):
     # With every attempt rejected the loop makes exactly 20 * samples
     # attempts: the stream ends where that many sequential attempts end.
-    def reject_all(draws, count):
-        none = np.zeros(count, dtype=bool)
+    def reject_all(dims, *draws):
+        none = np.zeros(dims.size, dtype=bool)
         return none, none, {}
 
     generators = []
@@ -320,16 +355,15 @@ def test_orientation_stops_at_attempt_budget(monkeypatch):
 
 def test_orientation_raises_only_for_failed_bases_before_the_cut(monkeypatch):
     dependent = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-    groups = lemma_suite._ShapeGroups()
-    groups.add((2, 3), 0, dependent, 0.01, np.zeros((3, 2)))
-    kept, flipped, failed = lemma_suite._orientation_attempts(groups, 1)
+    stacks = _attempt_stacks([(2, dependent, 0.01, np.zeros((3, 2)))], 3, 2)
+    kept, flipped, failed = lemma_suite._orientation_attempts(*stacks)
     assert not kept[0] and not flipped[0]
     np.testing.assert_array_equal(failed[0], dependent)
 
     def failing_at(index):
-        def verdicts(draws, count):
-            kept = np.arange(count) != index
-            return kept, np.zeros(count, dtype=bool), {index: dependent}
+        def verdicts(dims, *draws):
+            kept = np.arange(dims.size) != index
+            return kept, np.zeros(dims.size, dtype=bool), {index: dependent}
 
         return verdicts
 

@@ -537,6 +537,73 @@ class TestStackedKernels:
             np.testing.assert_allclose([term[k] for term in terms], single, rtol=1e-14, atol=1e-14)
 
 
+# --- the identities the lemma suite's stacked evaluation rests on -----------
+
+# Every (dim, ambient) the lemma suite draws at its defaults, max_dim = 3 and
+# max_ambient = 6; the in-plane equality also draws ambient == dim.
+LEMMA_SHAPES = [(dim, ambient) for dim in (1, 2, 3) for ambient in range(dim, 7)]
+
+
+def _padded(x, rows):
+    """Stacked maps x (..., D, d) embedded in R^rows by zero rows."""
+    out = np.zeros((*x.shape[:-2], rows, x.shape[-1]))
+    out[..., : x.shape[-2], :] = x
+    return out
+
+
+class TestLemmaIdentities:
+    COUNT = 50
+
+    @pytest.mark.parametrize("dim, ambient", LEMMA_SHAPES)
+    def test_zero_row_embedding_keeps_every_value(self, dim, ambient):
+        rng = np.random.default_rng(131 + 7 * ambient + dim)
+        vectors, others = rng.standard_normal((2, self.COUNT, ambient, dim))
+        frames, independent = spanning_frames(vectors)
+        wide_frames, wide_independent = spanning_frames(_padded(vectors, 6))
+        np.testing.assert_array_equal(wide_independent, independent)
+        np.testing.assert_allclose(wide_frames, _padded(frames, 6), rtol=0, atol=1e-13)
+        planes, wide_planes = spanning_frames(others)[0], spanning_frames(_padded(others, 6))[0]
+        inv_sqrt = spd_inv_sqrt(_grams(rng, self.COUNT, dim))
+        coeffs = rng.standard_normal((self.COUNT, dim, dim))
+        t, wide_t = planes @ coeffs, wide_planes @ coeffs
+        close = {"rtol": 1e-13, "atol": 1e-13}
+        np.testing.assert_allclose(plane_coordinates(wide_t, wide_planes), plane_coordinates(t, planes), **close)
+        np.testing.assert_allclose(isometry_defect(wide_t @ inv_sqrt), isometry_defect(t @ inv_sqrt), **close)
+        np.testing.assert_array_equal(
+            projection_keeps_orientation(wide_frames, wide_planes), projection_keeps_orientation(frames, planes)
+        )
+        wide_terms = projection_terms(wide_t, inv_sqrt, wide_frames, wide_planes)
+        for wide_term, term in zip(wide_terms, projection_terms(t, inv_sqrt, frames, planes)):
+            np.testing.assert_allclose(wide_term, term, **close)
+
+    @pytest.mark.parametrize("dim, ambient", [(dim, ambient) for ambient in range(2, 7) for dim in range(1, ambient)])
+    def test_complement_gap_is_the_plane_gap(self, dim, ambient):
+        rng = np.random.default_rng(137 + 7 * ambient + dim)
+        a = spanning_frames(rng.standard_normal((self.COUNT, ambient, dim)))[0]
+        reversed_a = a.copy()
+        reversed_a[..., 0] *= -1.0
+        # The first min(d, D - d) columns turned onto the complement: as many
+        # principal angles of about 90 degrees.
+        turned = a.copy()
+        span = min(dim, ambient - dim)
+        turned[..., :span] = complement_frames(a)[..., :span]
+        partners = {
+            "random": spanning_frames(rng.standard_normal((self.COUNT, ambient, dim)))[0],
+            "same plane, reversed": reversed_a,
+            "near, reversed": spanning_frames(reversed_a + 1e-3 * rng.standard_normal(a.shape))[0],
+            "near-orthogonal": spanning_frames(turned + 1e-7 * rng.standard_normal(a.shape))[0],
+            "near": spanning_frames(a + 1e-6 * rng.standard_normal(a.shape))[0],
+        }
+        for kind, b in partners.items():
+            np.testing.assert_allclose(
+                frame_distance(complement_frames(a), complement_frames(b)),
+                frame_distance(a, b),
+                rtol=0,
+                atol=1e-14,
+                err_msg=kind,
+            )
+
+
 def _raises_alike(scalar_call, stacked_call):
     with pytest.raises(ValueError) as scalar:
         scalar_call()
