@@ -193,14 +193,19 @@ def _non_finite_term(value, name: str):
     return None
 
 
-def _emit(out_dir: Path, name: str, manifest: RunManifest, payload: dict, rows=None, plot_columns=None):
-    """Write the run's reports: CSV and gnuplot data from `rows`, then the JSON
-    payload with the manifest.  Every subcommand's reports go through here,
-    so a term that overflowed or lost its value stops the run first, as a
-    degenerate scenario, before any file is written."""
+def _require_finite(payload: dict, rows=None) -> None:
+    """Stop the run, as a degenerate scenario, on a report term that
+    overflowed or lost its value."""
     bad = _non_finite_term(payload, "") or _non_finite_term(rows or [], "rows")
     if bad is not None:
         raise DegenerateFieldError(f"report term {bad[0]} is not finite ({float(bad[1])})")
+
+
+def _emit(out_dir: Path, name: str, manifest: RunManifest, payload: dict, rows=None, plot_columns=None):
+    """Write the run's reports: CSV and gnuplot data from `rows`, then the JSON
+    payload with the manifest.  Every subcommand's reports go through here,
+    so `_require_finite` stops the run before any file is written."""
+    _require_finite(payload, rows)
     out_dir.mkdir(parents=True, exist_ok=True)
     if rows is not None:
         csv_path = out_dir / f"{name}.csv"
@@ -563,7 +568,10 @@ def cmd_snapshot(args) -> int:
         u, metric = snapshot_load(args.path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load snapshot: {exc}") from exc
+    if u.degenerate.all():
+        raise DegenerateFieldError("every cell of the snapshot is degenerate")
     report = energies(u, metric, p=2.0)
+    _require_finite({"stretch": report.stretch, "bending": report.bending})
     print(f"grid: d={u.grid.dim} n={u.grid.resolution} l={u.grid.length:g}")
     print(f"target: {u.target.kind} (ambient {u.target.ambient_dim})")
     print(f"degenerate cells: {u.degenerate_count}")

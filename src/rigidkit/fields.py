@@ -432,8 +432,11 @@ class ImmersionField:
     The constructor checks the node values (finite, of the target's shape,
     on the sphere for sphere targets) and computes the differential, which
     must be finite too.  Every other cell quantity is derived on first read
-    and then kept: the cell points, the rank test and oriented unit normal,
-    the oriented complements (in closed form from the normal), the tangent
+    and then kept: the cell points, the rank test and oriented unit normal
+    (from one complete QR per cell, which for the 2 x 1 and 3 x 2 windows
+    of d <= 2 is the full SVD's normal bit for bit, by the LAPACK path
+    argument in `_degenerate_and_normal`; no SVD and no determinant runs
+    there), the oriented complements (in closed form from the normal), the tangent
     frames, the normal's difference field, and the shape operator solving
     differential @ S = P (normal differential)  in least squares.  The
     rigidity pipelines read no per-cell frame: they factor the differential
@@ -472,39 +475,96 @@ class ImmersionField:
 
     @cached_property
     def radial(self) -> np.ndarray:
-        """Outward unit radial direction at every cell point (sphere targets)."""
-        return self.cell_points / np.linalg.norm(self.cell_points, axis=-1, keepdims=True)
+        """Outward unit radial direction at every cell point (sphere targets),
+        zero where the cell point has zero norm (such cells are degenerate)."""
+        points = self.cell_points
+        norm = np.linalg.norm(points, axis=-1, keepdims=True)
+        return np.divide(points, norm, out=np.zeros_like(points), where=norm > 0.0)
 
     @cached_property
     def _degenerate_and_normal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell rank test and oriented unit normal, from one full SVD of
-        the window: the differential, with the outward radial direction
-        appended on spheres.
+        """Per-cell rank test and oriented unit normal, from one complete QR
+        of the window: the differential, with the outward radial direction
+        appended on spheres.  The window is D x (D - 1), so its normal is Q's
+        last column.
+
+        That column is the normal a full SVD of the window returns, bit for
+        bit, on the 2 x 1 and 3 x 2 windows of every scenario: LAPACK's
+        dgesdd with JOBZ='A' factors an M x N matrix with M >= int(11N/6) as
+        QR first (dgeqrf, Q formed by dorgqr) and leaves U's trailing M - N
+        columns as those Q columns (its Path 4; LAPACK Users' Guide, Anderson
+        et al. 1999), the same calls np.linalg.qr makes.  It does so unless
+        dgesdd rescales the window, which it does when the largest |entry|
+        lies outside about [6.7e-139, 1.5e138].  4 x 3 windows (d = 3, or
+        d = 2 on S^3) take another dgesdd path and agree to round-off.
 
         A cell is degenerate when the window's least singular value is at
-        most 1e-12 times max(1, its largest).  On spheres that covers the
-        test on the differential alone: appending a column interlaces the
-        singular values, so the window's least one is at most the
-        differential's and its largest at least theirs.
+        most 1e-12 times max(1, its largest), or on spheres when its cell
+        point has zero norm.  The values are R's: |r00| for one column; for
+        R = [[a, b], [0, c]], s_max = (hypot(a + c, b) + hypot(a - c, b))/2
+        and s_min = |a| (|c| / s_max), with no square or determinant to
+        cancel near rank loss or to overflow; larger R (D >= 4) take a
+        value-only SVD.  On spheres the window's test covers the test on the
+        differential alone: appending a column interlaces the singular
+        values, so the window's least one is at most the differential's and
+        its largest at least theirs.
+
+        Sign convention: the normal completes the differential's columns to
+        a positively oriented frame of the target's tangent space, the sign
+        of det [du | n], or of det [r | du | n] on spheres (outward radial
+        first).  For D <= 3 that determinant is a closed form: du x n for
+        curves in R^2, n . (du0 x du1) for surfaces in R^3 and n . (r x du)
+        for arcs on S^2.  On every non-degenerate cell it has det's sign, so
+        every flip is the one a `det` pass makes.  With k <= 2 window
+        columns and u = 2^-53: the computed n is a unit vector orthogonal to
+        the columns up to O(u) |window|, so its part inside their span, which
+        adds nothing to det, has length O(u s_max / s_min), and the rank test
+        gives s_min > 1e-12 max(s_max, 1), so s_max / s_min < 1e12.  Hence
+        |det| >= (1 - 1e-3) s_min s_max^(k - 1).  A closed form errs by at
+        most about 5u s_max^k (r is a unit vector, and du0 enters scaled by a
+        power of two, which is exact and keeps du0 x du1 from overflowing),
+        below 5u 1e12 |det| < 1e-3 |det|.  LU's det errs by O(u) times the
+        condition number of [window | n] with unit columns, which the same
+        ratio keeps below about 1e12.  Both signs are therefore exact.
+        D >= 4 keeps det.
         """
         du = self.differential
-        radial = [] if self.target.kind == "euclidean" else [self.radial[..., :, None]]
-        left, sing, _ = np.linalg.svd(np.concatenate([du, *radial], axis=-1), full_matrices=True)
-        degenerate = ~_full_rank(sing)
-        normal = left[..., :, self.target.ambient_dim - 1].copy()
-
-        # Sign convention: the normal completes the differential's columns to a
-        # positively oriented frame of the target's tangent space.  On spheres
-        # the tangent orientation itself is taken outward-radial-first.
-        stacked = np.concatenate([*radial, du, normal[..., :, None]], axis=-1)
-        flip = np.linalg.det(stacked) < 0
+        big = self.target.ambient_dim
+        sphere = self.target.kind == "sphere"
+        window = np.concatenate([du, self.radial[..., :, None]], axis=-1) if sphere else du
+        q, r = np.linalg.qr(window, mode="complete")
+        normal = q[..., -1].copy()
+        del q
+        if big == 2:
+            extremes = np.abs(r[..., :1, 0])
+            orient = du[..., 0, 0] * normal[..., 1] - du[..., 1, 0] * normal[..., 0]
+        elif big == 3:
+            a, b, c = r[..., 0, 0], r[..., 0, 1], r[..., 1, 1]
+            s_max = 0.5 * (np.hypot(a + c, b) + np.hypot(a - c, b))
+            ratio = np.divide(np.abs(c), s_max, out=np.zeros_like(s_max), where=s_max > 0.0)
+            extremes = np.stack([s_max, np.abs(a) * ratio], axis=-1)
+            if sphere:
+                first, second = self.radial, du[..., 0]
+            else:
+                first, second = np.ldexp(du[..., 0], -np.frexp(a)[1][..., None]), du[..., 1]
+            orient = np.einsum("...i,...i->...", normal, np.cross(first, second))
+        else:
+            extremes = np.linalg.svd(r[..., : big - 1, :], compute_uv=False)
+            radial = [self.radial[..., :, None]] if sphere else []
+            orient = np.linalg.det(np.concatenate([*radial, du, normal[..., :, None]], axis=-1))
+        del r
+        degenerate = ~_full_rank(extremes)
+        if sphere:
+            degenerate |= ~self.radial.any(axis=-1)
+        flip = orient < 0
         normal[flip] = -normal[flip]
         normal[degenerate] = 0.0
         return degenerate, normal
 
     @cached_property
     def degenerate(self) -> np.ndarray:
-        """Cells where the differential drops rank (see `_degenerate_and_normal`)."""
+        """Cells where the window drops rank, or on spheres whose cell point
+        is the centre (see `_degenerate_and_normal`)."""
         return self._degenerate_and_normal[0]
 
     @cached_property

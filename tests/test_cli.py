@@ -107,6 +107,39 @@ class TestRigidity:
         assert payload["route"] == "metric"
         assert payload["report"]["bend_scale"] == 0.0
 
+    @pytest.mark.parametrize("command", ["rigidity", "snapshot-read"])
+    @pytest.mark.parametrize("last, code", [([0.0, 1.0, 0.0], 0), ([1.0, 0.0, 0.0], 3)])
+    def test_sphere_cell_at_the_centre_is_degenerate(self, tmp_path, capsys, command, last, code):
+        # cell 0 joins antipodes, so its cell point is the sphere's centre; with
+        # the last node back at (1, 0, 0) cell 1 does too and no cell is left
+        grid = GridDomain(1, 1.0, 2)
+        values = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], last])
+        snap = tmp_path / "antipodes.json"
+        snapshot_save(snap, ImmersionField(grid, TargetSpace.sphere(1, 1.0), values), build_metric(grid, "flat"))
+        if command == "rigidity":
+            argv = ["rigidity", "--config", write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})]
+        else:
+            argv = ["snapshot", "read", str(snap)]
+        with np.errstate(all="raise"):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.err.startswith("degenerate scenario: ")
+            assert not (tmp_path / "out").exists()
+        elif command == "snapshot-read":
+            assert "degenerate cells: 1" in captured.out
+
+    def test_snapshot_read_with_overflowing_energies_is_degenerate(self, tmp_path, capsys):
+        grid = GridDomain(1, 1.0, 4)
+        values = np.stack([1e160 * grid.node_axis(), np.zeros(5)], axis=-1)
+        snap = tmp_path / "huge.json"
+        snapshot_save(snap, ImmersionField(grid, TargetSpace.euclidean(1), values), build_metric(grid, "flat"))
+        with np.errstate(all="ignore"):
+            assert main(["snapshot", "read", str(snap)]) == 3
+        captured = capsys.readouterr()
+        assert "degenerate scenario: report term stretch is not finite (inf)" in captured.err
+        assert "stretch" not in captured.out
+
     def test_degenerate_snapshot_exits_3(self, tmp_path):
         grid = GridDomain(1, 1.0, 4)
         u = ImmersionField(grid, TargetSpace.euclidean(1), np.ones((5, 2)))

@@ -166,6 +166,17 @@ class TestUnitNormal:
         assert u.degenerate[1]
         np.testing.assert_array_equal(u.normal[1], 0.0)
 
+    def test_sphere_cell_whose_point_is_the_centre_is_degenerate(self):
+        # cell 0 joins antipodes, so its corner average is the origin
+        values = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        u = ImmersionField(GridDomain(1, 1.0, 2), TargetSpace.sphere(1, 1.0), values)
+        with np.errstate(all="raise"):
+            assert u.degenerate.tolist() == [True, False]
+            np.testing.assert_array_equal(u.radial[0], 0.0)
+            np.testing.assert_array_equal(u.normal[0], 0.0)
+            np.testing.assert_allclose(np.linalg.norm(u.normal[1]), 1.0)
+            assert energies(u, MetricField.constant(u.grid, np.eye(1))).degenerate_cells == 1
+
 
 class TestShapeOperator:
     def test_circle_curvature(self):

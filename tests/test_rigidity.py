@@ -131,8 +131,13 @@ def pinned_fields(name):
     `family_field` family, the Clifford patch, a graph over a 3-cube into
     R^4 ("graph_3d"), or (for "rank_deficient") a
     sheet whose row of cells at 3 loses a column, a latitude arc with a
-    zero-length cell, and a segment whose cells 2 and 5 have differentials of
-    length 0.75e-12 and 1.5e-12, either side of the rank tolerance."""
+    zero-length cell, and three fields whose cells 2 and 5 sit either side of
+    the rank tolerance, at 0.75e-12 and 1.5e-12: a segment with differentials
+    of those lengths, a graph whose second column is that short against the
+    first, and a latitude arc whose differential is radial up to a tangential
+    part of that length (one node lifted 1e-9 off the sphere, so only the
+    window with the radial appended loses rank).  The short-column graph
+    comes last once more scaled by 1e-150 and once by 1e160."""
     if name == "clifford":
         return [clifford_patch(12)]
     if name == "graph_3d":
@@ -152,10 +157,25 @@ def pinned_fields(name):
     steps = np.full(8, grid.spacing)
     steps[[2, 5]] = [0.75e-12 * grid.spacing, 1.5e-12 * grid.spacing]
     x = np.concatenate([[0.0], np.cumsum(steps)])
+
+    graph_grid = GridDomain(2, 1.0, 8)
+    y = np.concatenate([[0.0], np.cumsum(steps)])
+    xx, yy = np.meshgrid(graph_grid.node_axis(), y, indexing="ij")
+    graph = np.stack([xx, yy, 0.1 * np.sin(2.0 * xx) * np.cos(yy)], axis=-1)
+
+    lifted = latitude_circle(GridDomain(1, 1.2, 32), 1.0, 1.0)
+    lifted_values = lifted.values.copy()
+    for cell, part in ((2, 0.75e-12), (5, 1.5e-12)):
+        # unit-speed arc on a circle of latitude of radius sin(1)
+        angle = np.arctan2(lifted_values[cell, 1], lifted_values[cell, 0]) + part * lifted.grid.spacing / np.sin(1.0)
+        point = [np.sin(1.0) * np.cos(angle), np.sin(1.0) * np.sin(angle), np.cos(1.0)]
+        lifted_values[cell + 1] = (1.0 + 1e-9) * np.array(point)
     return [
         ImmersionField(sheet.grid, sheet.target, values),
         ImmersionField(arc.grid, arc.target, arc_values),
         ImmersionField(grid, TargetSpace.euclidean(1), np.stack([x, np.zeros(9)], axis=-1)),
+        ImmersionField(lifted.grid, lifted.target, lifted_values),
+        *(ImmersionField(graph_grid, TargetSpace.euclidean(2), scale * graph) for scale in (1.0, 1e-150, 1e160)),
     ]
 
 
@@ -192,6 +212,36 @@ def singular_value_degenerate(u):
         win_sing = np.linalg.svd(window, compute_uv=False)
         degenerate = degenerate | (win_sing[..., -1] <= 1e-12 * np.maximum(win_sing[..., 0], 1.0))
     return degenerate
+
+
+def svd_degenerate_and_normal(u):
+    """The rank test and oriented normal as the full SVD of the window and a
+    determinant sign pass: the path `_degenerate_and_normal` replaced."""
+    du = u.differential
+    radial = [] if u.target.kind == "euclidean" else [u.radial[..., :, None]]
+    left, sing, _ = np.linalg.svd(np.concatenate([du, *radial], axis=-1), full_matrices=True)
+    degenerate = sing[..., -1] <= 1e-12 * np.maximum(sing[..., 0], 1.0)
+    normal = left[..., :, -1].copy()
+    flip = np.linalg.det(np.concatenate([*radial, du, normal[..., :, None]], axis=-1)) < 0
+    normal[flip] = -normal[flip]
+    normal[degenerate] = 0.0
+    return degenerate, normal
+
+
+def random_window_field(dim, seed, n=64):
+    """A Euclidean field on a unit-spacing grid whose cells carry seeded random
+    windows exactly.  Node values vanish on every other node (a checkerboard
+    for dim 2), so each forward difference is one node's value or its
+    negative: entries of random sign and magnitude log-uniform in
+    [1e-100, 1e100].  For dim 2 a cell whose lower corner is a nonzero node
+    gets that node's negative in both columns, so it is rank-deficient."""
+    rng = np.random.default_rng(seed)
+    grid = GridDomain(dim, float(n), n)
+    shape = grid.node_shape + (dim + 1,)
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-100.0, 100.0, size=shape)
+    parity = np.indices(grid.node_shape).sum(axis=0) % 2
+    values[parity == 0] = 0.0
+    return ImmersionField(grid, TargetSpace.euclidean(dim), values)
 
 
 def qr_tangent_planes(u):
@@ -459,10 +509,58 @@ class TestTangentPlaneField:
         for u in pinned_fields(name):
             np.testing.assert_array_equal(u.degenerate, singular_value_degenerate(u))
         if name == "rank_deficient":
-            sheet, arc, segment = pinned_fields(name)
+            sheet, arc, segment, lifted, graph, tiny, huge = pinned_fields(name)
             assert sheet.degenerate.sum() == 8 and sheet.degenerate[3].all()
             assert arc.degenerate_count == 1 and arc.degenerate[16]
             assert segment.degenerate.tolist() == [i == 2 for i in range(8)]
+            assert lifted.degenerate_count == 1 and lifted.degenerate[2]
+            # the lifted arc's differential keeps full rank: only the window loses it
+            assert (np.linalg.svd(lifted.differential, compute_uv=False) > 1e-8).all()
+            for u in (graph, huge):
+                assert u.degenerate_count == 8 and u.degenerate[:, 2].all()
+            assert tiny.degenerate.all()
+
+
+class TestNormalsMatchTheSvdPath:
+    """`_degenerate_and_normal` reads the normal off one complete QR of the
+    window; these pin it to the full SVD and determinant pass it replaced."""
+
+    @pytest.mark.parametrize("mode", ["forward", "central"])
+    @pytest.mark.parametrize(
+        "family", ["graph", "curve_constant", "curve_wave", "latitude", "perturbed_sheet", "perturbed_curve"]
+    )
+    def test_equal_bit_for_bit_on_every_family(self, family, mode):
+        base = family_field(family)
+        u = ImmersionField(base.grid, base.target, base.values, mode)
+        degenerate, normal = svd_degenerate_and_normal(u)
+        np.testing.assert_array_equal(u.degenerate, degenerate)
+        np.testing.assert_array_equal(u.normal, normal)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_bit_for_bit_on_random_windows(self, dim, seed):
+        u = random_window_field(dim, seed)
+        degenerate, normal = svd_degenerate_and_normal(u)
+        np.testing.assert_array_equal(u.degenerate, degenerate)
+        np.testing.assert_array_equal(u.normal, normal)
+        assert 0 < u.degenerate_count < u.grid.cell_count
+
+    @pytest.mark.parametrize("name", ["clifford", "graph_3d"])
+    def test_four_by_three_windows_agree_to_round_off(self, name):
+        (u,) = pinned_fields(name)
+        degenerate, normal = svd_degenerate_and_normal(u)
+        np.testing.assert_array_equal(u.degenerate, degenerate)
+        np.testing.assert_allclose(u.normal, normal, rtol=0.0, atol=1e-14)
+        assert (np.einsum("...i,...i->...", u.normal, normal)[~degenerate] > 0.5).all()
+
+    @pytest.mark.parametrize("family", ["graph", "curve_constant", "latitude"])
+    def test_small_windows_take_no_svd_and_no_det(self, family):
+        base = family_field(family)
+        u = ImmersionField(base.grid, base.target, base.values)
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("an SVD ran")), \
+                mock.patch.object(np.linalg, "det", side_effect=AssertionError("a det ran")):
+            u.normal
+        np.testing.assert_array_equal(u.normal, svd_degenerate_and_normal(u)[1])
 
 
 class TestOrientedGapClosedForm:
