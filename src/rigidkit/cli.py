@@ -308,10 +308,6 @@ def cmd_rigidity(args) -> int:
         row = _report_row(report, spec.family, spec.resolution, spec.epsilon)
         spec_echo = {"scenario": spec.to_dict()}
 
-    print(f"route: {route}")
-    for name in _REPORT_TERMS:
-        print(f"{name:17s}{getattr(report, name):.6e}")
-
     manifest = RunManifest(
         command="rigidity",
         spec=spec_echo,
@@ -327,6 +323,9 @@ def cmd_rigidity(args) -> int:
         },
     }
     _emit(Path(args.out), "rigidity", manifest, payload, rows=[row])
+    print(f"route: {route}")
+    for name in _REPORT_TERMS:
+        print(f"{name:17s}{getattr(report, name):.6e}")
     return EXIT_PASS
 
 

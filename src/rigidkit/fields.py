@@ -159,8 +159,7 @@ def grid_differential(grid: GridDomain, values: np.ndarray, mode: str = "forward
     and reads the remaining axes at the cell's lower corner (first order at
     the cell center).  "central" instead averages that difference over the
     2^(dim-1) corner pairs of the cell, which is second order at the center.
-    Both are exact on affine data.  The grid axes are the `dim` axes before
-    the last, so leading axes (a stack of equal patches) pass through.
+    Both are exact on affine data.
     """
     if mode not in DIFF_MODES:
         raise ValueError(f"unknown difference mode {mode!r}")
@@ -193,6 +192,22 @@ def corner_average(values: np.ndarray, dim: int) -> np.ndarray:
         n = out.shape[axis] - 1
         out = 0.5 * (np.take(out, range(1, n + 1), axis=axis) + np.take(out, range(0, n), axis=axis))
     return out
+
+
+def _point_norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, kept as a unit axis, without
+    overflow.  Each point is scaled by 2^-e, e the `frexp` exponent of its
+    largest |entry|, and its norm is scaled back by 2^e.  Power-of-two
+    scaling is exact and commutes with each rounding of the norm (squares
+    and sums scale by 2^-2e, and sqrt(2^-2e y) = 2^-e sqrt(y)), so where the
+    plain norm neither overflows nor underflows this is its value bit for
+    bit, and so is `points / norm`.  A square that underflows is below
+    2^-1022 against a sum of at least 1/4, and cannot move it.
+    """
+    exponent = np.frexp(np.abs(points).max(axis=-1, keepdims=True))[1]
+    with np.errstate(under="ignore"):
+        scaled = np.ldexp(points, -exponent)
+        return np.ldexp(np.linalg.norm(scaled, axis=-1, keepdims=True), exponent)
 
 
 def _sq_distances(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
@@ -251,12 +266,11 @@ class MetricField:
 
     The constructor checks that the Gram entries are finite, symmetric and
     positive definite at every node.  `lam` is the smallest constant with
-    I/lam <= gram <= lam*I at every node, or a declared bound, which must
-    not undercut that measured value.  Everything else (`lipschitz` and the
-    cell data) is derived on first read.
+    I/lam <= gram <= lam*I at every node.  Everything else (`lipschitz` and
+    the cell data) is derived on first read.
     """
 
-    def __init__(self, grid: GridDomain, gram: np.ndarray, lam: float | None = None):
+    def __init__(self, grid: GridDomain, gram: np.ndarray):
         gram = np.asarray(gram, dtype=float)
         expected = grid.node_shape + (grid.dim, grid.dim)
         if gram.shape != expected:
@@ -273,15 +287,7 @@ class MetricField:
             raise ValueError("gram field is not positive definite at every node")
         self.grid = grid
         self.gram = gram
-        measured_lam = float(max(lam_max, 1.0 / lam_min, 1.0))
-        if lam is None:
-            self.lam = measured_lam
-        else:
-            if lam < measured_lam * (1.0 - 1e-12):
-                raise ValueError(
-                    f"declared sandwich constant {lam} is below the measured {measured_lam}"
-                )
-            self.lam = float(lam)
+        self.lam = float(max(lam_max, 1.0 / lam_min, 1.0))
 
     @cached_property
     def lipschitz(self) -> float:
@@ -455,7 +461,7 @@ class ImmersionField:
         if not np.isfinite(values).all():
             raise ValueError("node values are not finite at every node")
         if target.kind == "sphere":
-            off = np.abs(np.linalg.norm(values, axis=-1) - target.radius).max()
+            off = np.abs(_point_norms(values) - target.radius).max()
             if off > _ON_MANIFOLD_TOL * max(1.0, target.radius):
                 raise ValueError(f"node values leave the sphere by up to {off:.3e}")
         with np.errstate(over="ignore"):
@@ -478,7 +484,7 @@ class ImmersionField:
         """Outward unit radial direction at every cell point (sphere targets),
         zero where the cell point has zero norm (such cells are degenerate)."""
         points = self.cell_points
-        norm = np.linalg.norm(points, axis=-1, keepdims=True)
+        norm = _point_norms(points)
         return np.divide(points, norm, out=np.zeros_like(points), where=norm > 0.0)
 
     @cached_property
@@ -750,6 +756,7 @@ def snapshot_save(path, u: ImmersionField, g: MetricField) -> None:
     doc = {
         "grid": {"d": u.grid.dim, "l": u.grid.length, "n": u.grid.resolution},
         "target": target,
+        "mode": u.mode,
         "values": u.values.reshape(-1, u.target.ambient_dim).tolist(),
         "gram": g.gram.reshape(-1, u.grid.dim, u.grid.dim).tolist(),
     }
@@ -759,7 +766,8 @@ def snapshot_save(path, u: ImmersionField, g: MetricField) -> None:
 
 
 def snapshot_load(path) -> tuple[ImmersionField, MetricField]:
-    """Read back a snapshot written by `snapshot_save`; d, n and D must be integers."""
+    """Read back a snapshot written by `snapshot_save`; d, n and D must be
+    integers.  One without a mode, written before modes were saved, reads as forward."""
     with open(path) as handle:
         doc = json.load(handle)
 
@@ -785,10 +793,13 @@ def snapshot_load(path) -> tuple[ImmersionField, MetricField]:
             grid.node_shape + (target.ambient_dim,)
         )
         gram = np.array(doc["gram"], dtype=float).reshape(grid.node_shape + (grid.dim, grid.dim))
+        mode = doc.get("mode", "forward")
     except KeyError as missing:
         raise ValueError(f"snapshot is missing field {missing}") from None
     except TypeError:
         raise ValueError("snapshot must be a JSON object in the snapshot_save layout") from None
     if grid.resolution < 2:
         raise ValueError("snapshot grids need at least two cells per axis")
-    return ImmersionField(grid, target, values), MetricField(grid, gram)
+    if mode not in DIFF_MODES:
+        raise ValueError(f"snapshot field mode must be one of {', '.join(DIFF_MODES)}, got {mode!r}")
+    return ImmersionField(grid, target, values, mode), MetricField(grid, gram)

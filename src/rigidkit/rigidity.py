@@ -28,7 +28,6 @@ from .fields import (
     _subgrid,
     _without_radial_part,
     energies,
-    grid_differential,
     oscillation_and_diameter,
 )
 from .metric_algebra import (
@@ -500,10 +499,10 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
     return tuple(int(i) for i in np.unravel_index(cell, planes.grid.cell_shape))
 
 
-# (name, read from the metric) for every per-node and per-cell array of the
-# immersion and the metric that the local pipeline reads at every cell.
+# (name, read from the metric) for every per-cell array of the immersion and
+# the metric that the local pipeline reads at every cell.
 _PATCH_DATA = (
-    *((name, False) for name in ("values", "differential", "degenerate", "normal", "complements")),
+    *((name, False) for name in ("differential", "degenerate", "normal", "complements")),
     *((name, True) for name in ("cell_inv_sqrt", "cell_sqrt_det")),
 )
 
@@ -520,31 +519,20 @@ def _subcube_major(cells: np.ndarray, t: int, dim: int) -> np.ndarray:
     return split.transpose(order).reshape((-1,) + (block,) * dim + rest)
 
 
-def _subcube_nodes(values: np.ndarray, t: int, dim: int) -> np.ndarray:
-    """Node data (*node_shape, ...) of the subcubes in `_subcube_major`'s order,
-    (subcubes, *(block + 1,) * dim, ...); neighbours share their face nodes."""
-    block = (values.shape[0] - 1) // t
-    windows = np.lib.stride_tricks.sliding_window_view(values, (block + 1,) * dim, axis=tuple(range(dim)))
-    windows = windows[(slice(None, None, block),) * dim]
-    windows = np.moveaxis(windows, range(-dim, 0), range(dim, 2 * dim))
-    return windows.reshape((-1,) + (block + 1,) * dim + values.shape[dim:])
-
-
 class _Patches:
     """Equal patches of one immersion and its metric, stacked on a leading axis.
 
     `grid` is each patch's own grid.  Every array of `_PATCH_DATA` is an
-    attribute holding one patch per leading index: node values
-    (S, *node_shape, D) and cell data (S, *cell_shape, ...).  So is `corner`,
-    each patch's first cell in the parent grid: the local pipeline reads the
-    parent metric's `grams` (*cell_shape, d, d) from it at base cells only,
-    and `multiscale_fit` starts each subcube's oscillation box there.
+    attribute holding cell data (S, *cell_shape, ...), one patch per leading
+    index; the pipeline flattens by the per-cell product Fᵀ·du on it.  So is
+    `corner`, each patch's first cell in the parent grid: the local pipeline
+    reads the parent metric's `grams` (*cell_shape, d, d) from it at base
+    cells only, and `multiscale_fit` starts each subcube's oscillation box there.
     """
 
-    def __init__(self, grid: GridDomain, target, mode: str, grams: np.ndarray, arrays: dict):
+    def __init__(self, grid: GridDomain, target, grams: np.ndarray, arrays: dict):
         self.grid = grid
         self.target = target
-        self.mode = mode
         self.grams = grams
         self.arrays = arrays
         vars(self).update(arrays)
@@ -553,28 +541,27 @@ class _Patches:
     def subcubes(cls, u: ImmersionField, g: MetricField, t: int) -> "_Patches":
         """The subcubes of the t-fold partition of `u` and `g`, in C order.
 
-        This is the one way a subcube is cut.  The arrays are the parents'
-        own regrouped subcube by subcube, on a sub-grid with the parent's
-        spacing, so each subcube's data equals, bit for bit, that of a fresh
-        `ImmersionField` and `MetricField` built on the sliced nodes over the
-        sub-grid.  No patch factorises anything: the parents' arrays are
-        read, and derived first if nothing has read them yet.  At t = 1 the
-        one patch views `u`'s and `g`'s arrays on `u.grid`.
+        This is the one way a subcube is cut: `_subcube_major` regroups each
+        parent per-cell array subcube by subcube, on a sub-grid with the
+        parent's spacing, so each subcube's data equals, bit for bit, that of
+        a fresh `ImmersionField` and `MetricField` built on the sliced nodes
+        over the sub-grid.  No patch factorises or differentiates anything:
+        the parents' arrays are read (derived first if nothing has read them
+        yet), and flattening is Fᵀ·du on the sliced differential.  At t = 1
+        the one patch views `u`'s and `g`'s arrays on `u.grid`.
         """
         d = u.grid.dim
         block = u.grid.resolution // t
         arrays = {
             name: _subcube_major(getattr(g if from_metric else u, name), t, d)
             for name, from_metric in _PATCH_DATA
-            if name != "values"
         }
-        arrays["values"] = _subcube_nodes(u.values, t, d)
         arrays["corner"] = block * np.indices((t,) * d).reshape(d, -1).T
-        return cls(_subgrid(u.grid, block), u.target, u.mode, g.cell_grams, arrays)
+        return cls(_subgrid(u.grid, block), u.target, g.cell_grams, arrays)
 
     def take(self, rows) -> "_Patches":
         arrays = {k: v[rows] for k, v in self.arrays.items()}
-        return _Patches(self.grid, self.target, self.mode, self.grams, arrays)
+        return _Patches(self.grid, self.target, self.grams, arrays)
 
 
 def _local_fits(patches: _Patches, osc, p: float, seed: int) -> list[RigidityReport]:
@@ -612,9 +599,7 @@ def _local_fits(patches: _Patches, osc, p: float, seed: int) -> list[RigidityRep
     at_base = (np.arange(count), base)
     base_index = np.transpose(np.unravel_index(base, grid.cell_shape))
     frame = sign_fixed_qr(patches.differential.reshape(count, n, big, d)[at_base])[0]
-    flat = grid_differential(
-        grid, patches.values @ frame.reshape((count,) + (1,) * (d - 1) + (big, d)), patches.mode
-    )
+    flat = np.swapaxes(frame, -1, -2).reshape((count,) + (1,) * d + (d, big)) @ patches.differential
     gram = patches.grams[tuple((patches.corner + base_index).T)]
     rotation = frame @ _metric_frame_fit(cells(flat), gram, p)
 
@@ -667,14 +652,15 @@ def local_rigidity(
 
     A base cell is chosen from the oriented complements by the summed
     oriented-gap criterion of `choose_base_point`, the immersion is
-    flattened through that one cell's tangent frame (its `u.frames` entry,
-    factored alone), the frame fit of `metric_rigidity` runs there, and the
-    result is pushed back into the target.  The right-hand side carries the
-    metric oscillation, the stretch energy, and the diameter-scaled excess
-    energy; the plane-variation statistic, the base cell's own score in that
-    criterion, is reported alongside.  The lhs integrates with Lebesgue
-    measure, but the stretch and excess terms use Riemannian weights
-    sqrt(det gram); with a flat metric the two coincide.
+    flattened through that one cell's tangent frame F (its `u.frames` entry,
+    factored alone) as Fᵀ·du on every cell, the frame fit of
+    `metric_rigidity` runs there, and the result is pushed back into the
+    target.  The right-hand side carries the metric oscillation, the stretch
+    energy, and the diameter-scaled excess energy; the plane-variation
+    statistic, the base cell's own score in that criterion, is reported
+    alongside.  The lhs integrates with Lebesgue measure, but the stretch
+    and excess terms use Riemannian weights sqrt(det gram); with a flat
+    metric the two coincide.
 
     This is the one-patch call of the stacked pipeline `_local_fits`, which
     `multiscale_fit` runs on all subcubes of a partition at once.
@@ -712,7 +698,8 @@ def multiscale_fit(
     pipeline runs once over a leading axis of all t^d subcubes: the subcube
     data are the parent's per-cell arrays (differentials, normals,
     complements, cell metrics) regrouped subcube by subcube (see
-    `_Patches.subcubes`), each subcube's products and sums keep their
+    `_Patches.subcubes`), flattening is the product Fᵀ·du on that cell
+    data, each subcube's products and sums keep their
     one-subcube shapes, and so every subcube report equals, bit for bit,
     what `local_rigidity` gives on a fresh `ImmersionField`/`MetricField`
     built on the sliced nodes over the sub-grid (at t = 1, on `u` and `g`

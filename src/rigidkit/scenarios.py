@@ -108,7 +108,6 @@ def curvature_curve(
     kappa: float,
     profile: str = "constant",
     wave_amplitude: float = 0.5,
-    theta0: float = 0.0,
     mode: str = "forward",
 ) -> ImmersionField:
     """Unit-speed plane curve from the origin whose shape operator is the
@@ -124,18 +123,18 @@ def curvature_curve(
     if profile == "constant":
         t = grid.node_axis()
         if abs(kappa) < 1e-15:
-            values = np.stack([t * np.cos(theta0), t * np.sin(theta0)], axis=-1)
+            values = np.stack([t, np.zeros_like(t)], axis=-1)
         else:
-            theta = theta0 - kappa * t
-            x = (np.sin(theta0) - np.sin(theta)) / kappa
-            y = (np.cos(theta) - np.cos(theta0)) / kappa
+            theta = -kappa * t
+            x = -np.sin(theta) / kappa
+            y = (np.cos(theta) - 1.0) / kappa
             values = np.stack([x, y], axis=-1)
     elif profile == "wave":
         length = grid.length
 
         def theta_of(s):
             swing = wave_amplitude * (length / (2.0 * np.pi)) * (1.0 - np.cos(2.0 * np.pi * s / length))
-            return theta0 - kappa * s - swing
+            return -kappa * s - swing
 
         values = _integrate_positions(theta_of, grid)
     else:
@@ -263,7 +262,7 @@ def build_metric(
         for m, k, psi in zip(mats, wavevecs, phases):
             wave = np.sin(np.pi * (coords @ k) / grid.length + psi)
             gram = gram + beta * wave[..., None, None] * m
-        return MetricField(grid, gram, lam=lam)
+        return MetricField(grid, gram)
     raise ValueError(f"unknown metric kind {kind!r}")
 
 

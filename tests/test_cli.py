@@ -140,6 +140,15 @@ class TestRigidity:
         assert "degenerate scenario: report term stretch is not finite (inf)" in captured.err
         assert "stretch" not in captured.out
 
+        # the fit overflows too: its terms are neither printed nor written
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
+        with np.errstate(all="ignore"):
+            assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert "degenerate scenario: report term report.lhs is not finite (inf)" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_snapshot_exits_3(self, tmp_path):
         grid = GridDomain(1, 1.0, 4)
         u = ImmersionField(grid, TargetSpace.euclidean(1), np.ones((5, 2)))
@@ -626,6 +635,21 @@ class TestSnapshotAndPlumbing:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert f"error: cannot load snapshot: {message}" in capsys.readouterr().err
         assert not (tmp_path / "rigidity.json").exists()
+
+    def test_central_mode_snapshot_reproduces_the_rigidity_report(self, tmp_path):
+        scenario = {"family": "graph", "dim": 2, "resolution": 16, "mode": "central"}
+        cfg = write_config(tmp_path, "graph.json", {"scenario": scenario})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "direct")]) == 0
+        assert main(["snapshot", "write", "--config", cfg, "--out", str(tmp_path)]) == 0
+        snap = write_config(tmp_path, "snap.json", {"snapshot": str(tmp_path / "snapshot.json")})
+        assert main(["rigidity", "--config", snap, "--out", str(tmp_path / "loaded")]) == 0
+        direct, loaded = (json.loads((tmp_path / run / "rigidity.json").read_text()) for run in ("direct", "loaded"))
+        assert loaded["report"] == direct["report"]
+
+        doc = json.loads((tmp_path / "snapshot.json").read_text())
+        (tmp_path / "snapshot.json").write_text(json.dumps(doc | {"mode": "backward"}))
+        assert main(["rigidity", "--config", snap, "--out", str(tmp_path / "bad")]) == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_snapshot_fit_records_its_seed(self, tmp_path, monkeypatch):
         cfg = write_config(

@@ -791,9 +791,11 @@ FAMILIES_AND_EXPONENTS = [
 class TestLocalRigidityReduction:
     """The local pipeline is the metric-frame fit of the flattened immersion."""
 
+    @pytest.mark.parametrize("mode", ["forward", "central"])
     @pytest.mark.parametrize("family,p", FAMILIES_AND_EXPONENTS)
-    def test_matches_metric_rigidity_of_flattened_map(self, family, p):
+    def test_matches_metric_rigidity_of_flattened_map(self, family, p, mode):
         u, g = family_case(family, "random")
+        u = ImmersionField(u.grid, u.target, u.values, mode)
         assert u.degenerate_count == 0
         report = local_rigidity(u, g, p=p)
         frame = tangent_plane_field(u).frames[report.base_index]
@@ -940,7 +942,7 @@ class TestMultiscaleFit:
             nodes = tuple(slice(c, c + block + 1) for c in corner)
             sub = subcube_grid(u, block)
             sub_u = ImmersionField(sub, u.target, u.values[nodes], u.mode)
-            sub_g = MetricField(sub, g.gram[nodes], lam=g.lam)
+            sub_g = MetricField(sub, g.gram[nodes])
             report = local_rigidity(sub_u, sub_g, p, 4)
 
             assert fit.base_index == report.base_index

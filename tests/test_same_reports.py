@@ -123,14 +123,39 @@ def test_rtol_forgives_a_one_ulp_float_but_not_a_changed_base_index(tmp_path, ca
 
     argv = ["--workload", "fit_mix", "--seed", "3", "--ops", "1", "--rtol", "1e-12"]
     assert same_reports.main([str(ROOT), str(ulp_tree), *argv]) == 0
-    assert "fit_mix seed 3: 0 of 1 ops differ beyond rtol 1e-12, atol 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "fit_mix seed 3: 0 of 1 ops differ beyond rtol 1e-12, atol 0" in out
+    # the printed report rounds lhs to 7 digits; the CSV, read before the
+    # JSON report, is the first to hold the moved float
+    ulp = np.nextafter(lhs, np.inf) - lhs
+    assert f"largest relative float difference: {ulp / (lhs + ulp):.3e} at op 0 rigidity.csv line 2\n" in out
+    assert f"largest absolute float difference: {ulp:.3e} at op 0 rigidity.csv line 2\n" in out
+
+
+def test_json_float_pairs_carry_their_path():
+    a = {"report": {"lhs": 2.0, "base_index": [1]}, "fits": [{"rotation": [[1.0, 1e-7]]}]}
+    b = {"report": {"lhs": 2.0 + 1e-12, "base_index": [1]}, "fits": [{"rotation": [[1.0, 1.5e-7]]}]}
+    pairs = same_reports._json_floats(a, b, False, "")
+    assert [where for _, _, where in pairs] == ["report.lhs", "fits[0].rotation[0][0]", "fits[0].rotation[0][1]"]
+    largest = same_reports._Largest()
+    for x, y, where in pairs:
+        largest.see(x, y, where)
+    assert largest.relative == (pytest.approx(1 / 3), "fits[0].rotation[0][1]")
+    assert largest.absolute == (pytest.approx(5e-8), "fits[0].rotation[0][1]")
+    # base_index is compared exactly, so it holds no float pair
+    assert same_reports._json_floats(a, b | {"report": {"lhs": 2.0, "base_index": [2]}}, False, "") is None
 
 
 def test_text_tolerance_keeps_integers_and_words_exact():
     tol = (1e-12, 0.0)
-    assert same_reports._text_close("lhs,2,0.30000000000000004\n", "lhs,2,0.3\n", tol)
-    assert not same_reports._text_close("lhs,2,0.3\n", "lhs,3,0.3\n", tol)
-    assert not same_reports._text_close("lhs,2,0.3\n", "rhs,2,0.3\n", tol)
-    assert not same_reports._text_close("n 2\n", "n 2.0\n", tol)
-    assert not same_reports._text_close("0.3\n", "0.3000001\n", tol)
-    assert same_reports._text_close("slack -2.2e-15\n", "slack -1.8e-15\n", (1e-12, 1e-14))
+
+    def text_close(a, b, tol):
+        return same_reports._close(same_reports._text_floats(a, b), tol)
+
+    assert text_close("lhs,2,0.30000000000000004\n", "lhs,2,0.3\n", tol)
+    assert not text_close("lhs,2,0.3\n", "lhs,3,0.3\n", tol)
+    assert not text_close("lhs,2,0.3\n", "rhs,2,0.3\n", tol)
+    assert not text_close("n 2\n", "n 2.0\n", tol)
+    assert not text_close("0.3\n", "0.3000001\n", tol)
+    assert text_close("slack -2.2e-15\n", "slack -1.8e-15\n", (1e-12, 1e-14))
+    assert same_reports._text_floats("a 1.5\nb 2.5\n", "a 1.5\nb 2.25\n")[1] == (2.5, 2.25, "line 2")

@@ -69,7 +69,7 @@ class TestCurveFamily:
 
     def test_zero_curvature_is_a_straight_line(self):
         grid = GridDomain(1, 1.0, 16)
-        u = curvature_curve(grid, kappa=0.0, theta0=np.pi / 6)
+        u = curvature_curve(grid, kappa=0.0)
         report = energies(u, flat_metric(grid))
         assert report.stretch == pytest.approx(0.0, abs=1e-24)
         assert report.bending == pytest.approx(0.0, abs=1e-24)

@@ -23,7 +23,10 @@ in the printed output and the other files.  The absolute floor is for
 values that are round-off zeros, such as the slack of a lemma that holds
 with equality.  Everything else stays exact: exit codes, strings,
 integers, booleans, the JSON structure, and every value under a
-`base_index` key.
+`base_index` key.  Such a run also prints the largest relative and the
+largest absolute difference between compared floats, each with its op,
+its file and its JSON path or line, so one run can state the tolerance
+a round-off change needs.
 
 Ops come from the `perfbench/workloads.py` of the checkout holding this
 script, so both trees see the same configs.  Each tree runs in its own
@@ -119,6 +122,23 @@ def _tree_results(tree: Path, ops_path: Path, scratch: Path) -> list:
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
+class _Largest:
+    """The largest relative and absolute differences between compared
+    floats, each as (difference, where)."""
+
+    def __init__(self):
+        self.relative = self.absolute = (0.0, None)
+
+    def see(self, x: float, y: float, where: str) -> None:
+        if x == y or math.isnan(x) or math.isnan(y):
+            return
+        diff = abs(x - y)
+        if diff > self.absolute[0]:
+            self.absolute = (diff, where)
+        if math.isfinite(diff) and diff / max(abs(x), abs(y)) > self.relative[0]:
+            self.relative = (diff / max(abs(x), abs(y)), where)
+
+
 def _float_close(x: float, y: float, tol: tuple[float, float]) -> bool:
     if math.isnan(x) or math.isnan(y):
         return math.isnan(x) and math.isnan(y)
@@ -126,49 +146,66 @@ def _float_close(x: float, y: float, tol: tuple[float, float]) -> bool:
     return x == y or abs(x - y) <= rtol * max(abs(x), abs(y)) + atol
 
 
-def _json_close(a, b, tol: tuple[float, float], exact: bool = False) -> bool:
-    """Equal JSON values, with floats compared at `tol` outside `base_index`."""
+def _json_floats(a, b, exact: bool, path: str) -> list | None:
+    """The float pairs (x, y, JSON path) of two JSON values outside
+    `base_index`, or None where they differ otherwise."""
     if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_json_close(a[k], b[k], tol, exact or k == "base_index") for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(_json_close(x, y, tol, exact) for x, y in zip(a, b))
+        return None
     if isinstance(a, float) and not exact:
-        return _float_close(a, b, tol)
-    return a == b
+        return [(a, b, path)]
+    if isinstance(a, dict) and a.keys() == b.keys():
+        parts = [_json_floats(a[k], b[k], exact or k == "base_index", f"{path}.{k}" if path else k) for k in a]
+    elif isinstance(a, list) and len(a) == len(b):
+        parts = [_json_floats(x, y, exact, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        return [] if a == b else None
+    return None if None in parts else [pair for part in parts for pair in part]
 
 
-def _text_close(a: str, b: str, tol: tuple[float, float]) -> bool:
-    """Equal text, except that decimal floats may differ by `tol`."""
+def _text_floats(a: str, b: str) -> list | None:
+    """The decimal float pairs (x, y, "line N") of two texts, or None where
+    they differ otherwise."""
     parts_a, parts_b = _NUMBER.split(a), _NUMBER.split(b)
     if len(parts_a) != len(parts_b):
-        return False
+        return None
+    pairs, line = [], 1
     for k, (x, y) in enumerate(zip(parts_a, parts_b)):
-        is_float = k % 2 == 1 and all(any(c in t for c in ".eE") for t in (x, y))
-        if not (x == y or (is_float and _float_close(float(x), float(y), tol))):
-            return False
-    return True
+        if k % 2 == 1 and all(any(c in t for c in ".eE") for t in (x, y)):
+            pairs.append((float(x), float(y), f"line {line}"))
+        elif x != y:
+            return None
+        line += x.count("\n")
+    return pairs
 
 
-def _same(name: str, x: str | None, y: str | None, tol: tuple[float, float] | None) -> bool:
-    if x is None or y is None or tol is None:
-        return x == y
-    if name.endswith(".json"):
-        return _json_close(json.loads(x), json.loads(y), tol)
-    return _text_close(x, y, tol)
+def _close(pairs: list | None, tol: tuple[float, float]) -> bool:
+    return pairs is not None and all(_float_close(x, y, tol) for x, y, _ in pairs)
+
+
+def _parts(a: dict, b: dict):
+    """(name, a's, b's) for each compared part of two ops' results; a file
+    that only one side wrote is None on the other."""
+    yield "stdout", a["stdout"], b["stdout"]
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        yield name, a["files"].get(name), b["files"].get(name)
+    yield "subcube reports", a["subcubes"], b["subcubes"]
+
+
+def _float_pairs(name: str, x: str | None, y: str | None) -> list | None:
+    """The float pairs of one part (see `_json_floats` and `_text_floats`)."""
+    if x is None or y is None:
+        return None
+    if name.endswith(".json") or name == "subcube reports":
+        return _json_floats(json.loads(x), json.loads(y), False, "")
+    return _text_floats(x, y)
 
 
 def _differences(a: dict, b: dict, tol: tuple[float, float] | None = None) -> list[str]:
     """What differs between two ops' results: byte-exact, or floats within (rtol, atol) `tol`."""
     found = [] if a["code"] == b["code"] else ["code"]
-    if not _same("stdout", a["stdout"], b["stdout"], tol):
-        found.append("stdout")
-    for name in sorted(set(a["files"]) | set(b["files"])):
-        if not _same(name, a["files"].get(name), b["files"].get(name), tol):
+    for name, x, y in _parts(a, b):
+        if not (x == y if tol is None else _close(_float_pairs(name, x, y), tol)):
             found.append(name)
-    if not _same("subcubes.json", a["subcubes"], b["subcubes"], tol):
-        found.append("subcube reports")
     return found
 
 
@@ -233,14 +270,20 @@ def main(argv=None) -> int:
         side_a = _tree_results(args.tree_a.resolve(), ops_path, Path(scratch))
         side_b = _tree_results(args.tree_b.resolve(), ops_path, Path(scratch))
 
-    differing = 0
+    differing, largest = 0, _Largest()
     for op, a, b in zip(ops, side_a, side_b):
+        for name, x, y in () if exact else _parts(a, b):
+            for u, v, where in _float_pairs(name, x, y) or ():
+                largest.see(u, v, f"op {op.index} {name} {where}")
         found = _differences(a, b, tol)
         if found:
             differing += 1
             print(f"op {op.index} ({op.command} {json.dumps(op.config)}): differs in {', '.join(found)}")
     within = "" if exact else f" beyond rtol {tol[0]:g}, atol {tol[1]:g}"
     print(f"{args.workload} seed {args.seed}: {differing} of {len(ops)} ops differ{within}")
+    if not exact:
+        for kind, (diff, where) in (("relative", largest.relative), ("absolute", largest.absolute)):
+            print(f"largest {kind} float difference: {diff:.3e}" + (f" at {where}" if where else ""))
     return 1 if differing else 0
 
 
