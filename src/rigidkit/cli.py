@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -398,13 +399,15 @@ def cmd_multiscale(args) -> int:
     rows = []
     residuals = []
     fields = {}
+    # Printed only once every fit and the finite check have passed.
+    lines = []
     head = {"scenario": spec.family, "p": float(spec.p), "n": int(spec.resolution)}
     for t in t_values:
         field = multiscale_fit(bundle.u, bundle.metric, t, p=spec.p, seed=spec.seed)
         fields[t] = field
         residuals.append(field.residual)
         rows.append(head | {"t": int(t), "residual": float(field.residual)})
-        print(f"t={t}: residual {field.residual:.6e}")
+        lines.append(f"t={t}: residual {field.residual:.6e}")
 
     moduli = []
     for shift in shifts:
@@ -417,7 +420,7 @@ def cmd_multiscale(args) -> int:
             shifted = {"t": int(t), "zeta": float(shift), "modulus": float(tm.value)}
             rows.append(head | shifted | {"covered_fraction": float(tm.covered_fraction)})
         # `tm` is the modulus of the last (finest) t, which the loop just measured.
-        print(f"zeta={shift:g}: modulus {tm.value:.6e} covered {tm.covered_fraction:.3f}")
+        lines.append(f"zeta={shift:g}: modulus {tm.value:.6e} covered {tm.covered_fraction:.3f}")
 
     residual_ok = _strictly_decreasing(residuals) if len(residuals) > 1 else True
     modulus_ok = _strictly_decreasing(moduli) if len(moduli) > 1 else True
@@ -435,6 +438,8 @@ def cmd_multiscale(args) -> int:
         rows=rows,
         plot_columns=("t", "zeta", "residual", "modulus", "covered_fraction"),
     )
+    for line in lines:
+        print(line)
     passed = residual_ok and modulus_ok
     print("trends:", "PASS" if passed else "FAIL")
     return EXIT_PASS if passed else EXIT_FAIL
@@ -606,9 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main reuses, built on the first call rather than at import.
+# Parsing keeps no state in it: each call fills a fresh namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "mode", None) == "read" and not args.path:
         print("error: snapshot read needs a path", file=sys.stderr)
         return EXIT_CONFIG

@@ -519,6 +519,11 @@ def _subcube_major(cells: np.ndarray, t: int, dim: int) -> np.ndarray:
     return split.transpose(order).reshape((-1,) + (block,) * dim + rest)
 
 
+def _corners(t: int, dim: int, block: int) -> np.ndarray:
+    """First cell of each subcube of the t-fold partition, (t**dim, dim), in C order."""
+    return block * np.indices((t,) * dim).reshape(dim, -1).T
+
+
 class _Patches:
     """Equal patches of one immersion and its metric, stacked on a leading axis.
 
@@ -527,7 +532,8 @@ class _Patches:
     index; the pipeline flattens by the per-cell product Fᵀ·du on it.  So is
     `corner`, each patch's first cell in the parent grid: the local pipeline
     reads the parent metric's `grams` (*cell_shape, d, d) from it at base
-    cells only, and `multiscale_fit` starts each subcube's oscillation box there.
+    cells only, and `RotationField.fits` starts each subcube's oscillation box
+    at the same `_corners`.
     """
 
     def __init__(self, grid: GridDomain, target, grams: np.ndarray, arrays: dict):
@@ -556,7 +562,7 @@ class _Patches:
             name: _subcube_major(getattr(g if from_metric else u, name), t, d)
             for name, from_metric in _PATCH_DATA
         }
-        arrays["corner"] = block * np.indices((t,) * d).reshape(d, -1).T
+        arrays["corner"] = _corners(t, d, block)
         return cls(_subgrid(u.grid, block), u.target, g.cell_grams, arrays)
 
     def take(self, rows) -> "_Patches":
@@ -564,29 +570,81 @@ class _Patches:
         return _Patches(self.grid, self.target, self.grams, arrays)
 
 
-def _local_fits(patches: _Patches, osc, p: float, seed: int) -> list[RigidityReport]:
-    """The local pipeline of `local_rigidity` on every patch, `osc` holding
-    each patch's metric oscillation.
+@dataclass(frozen=True, eq=False)
+class _LocalFits:
+    """The terms of `_local_fits`, one row per patch: `base_index` (S, d),
+    `rotation` (S, D, d), and `lhs`, `stretch`, `bend_scale` and
+    `plane_variation` (S,).  None of them depends on the metric oscillation,
+    which only `osc_term` and `constant` of a report carry."""
+
+    base_index: np.ndarray
+    rotation: np.ndarray
+    lhs: np.ndarray
+    stretch: np.ndarray
+    bend_scale: np.ndarray
+    plane_variation: np.ndarray
+
+    def reports(self, grid: GridDomain, osc, p: float) -> list[RigidityReport]:
+        """One report per row, on the patch grid `grid`, `osc` holding each
+        patch's metric oscillation."""
+        rows = zip(
+            self.base_index.tolist(),
+            self.rotation,
+            self.lhs.tolist(),
+            self.stretch.tolist(),
+            self.bend_scale.tolist(),
+            self.plane_variation.tolist(),
+            osc,
+        )
+        reports = []
+        for base_index, rotation, lhs, stretch, bend_scale, plane_variation, patch_osc in rows:
+            osc_term = _oscillation_term(grid, patch_osc, p)
+            reports.append(
+                RigidityReport(
+                    p=p,
+                    base_index=tuple(base_index),
+                    rotation=rotation,
+                    lhs=lhs,
+                    osc_term=osc_term,
+                    stretch=stretch,
+                    bend_scale=bend_scale,
+                    plane_variation=plane_variation,
+                    constant=_guarded_ratio(lhs, osc_term + stretch + bend_scale),
+                )
+            )
+        return reports
+
+
+def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
+    """The local pipeline of `local_rigidity` on every patch, as arrays with
+    one row per patch.
 
     One `_base_cells` call chooses the base cells, and the frame the pipeline
     flattens through is factored from each base cell's differential alone.
     Every stage is one array computation over the patch axis, with each
-    patch's products and sums shaped as for that patch alone, so each report
+    patch's products and sums shaped as for that patch alone, so each row
     equals the one-patch run bit for bit.  Patches with degenerate cells are
-    fitted one by one, and so is the p != 2 rotation descent.
+    fitted one by one, and their rows scattered into the arrays; so is the
+    p != 2 rotation descent.  The metric oscillation is not read here:
+    `_LocalFits.reports` takes it.
     """
-    grid, count = patches.grid, len(osc)
+    grid, count = patches.grid, patches.degenerate.shape[0]
     d, big, n = grid.dim, patches.target.ambient_dim, grid.cell_count
     good = ~patches.degenerate.reshape(count, n)
     ragged = ~good.all(axis=-1)
     if count > 1 and ragged.any():
-        reports = [None] * count
-        for rows in [np.flatnonzero(~ragged), *([s] for s in np.flatnonzero(ragged))]:
-            if len(rows):
-                fits = _local_fits(patches.take(rows), [osc[s] for s in rows], p, seed)
-                for s, fit in zip(rows, fits):
-                    reports[s] = fit
-        return reports
+        parts = [
+            (rows, _local_fits(patches.take(rows), p, seed))
+            for rows in [np.flatnonzero(~ragged), *([s] for s in np.flatnonzero(ragged))]
+            if len(rows)
+        ]
+        columns = {}
+        for name, first in vars(parts[0][1]).items():
+            column = np.empty((count,) + first.shape[1:], dtype=first.dtype)
+            for rows, part in parts:
+                column[rows] = getattr(part, name)
+            columns[name] = column
+        return _LocalFits(**columns)
     # Past the split above, only a lone patch can have degenerate cells.
     keep = good[0] if ragged.any() else slice(None)
     comps = patches.complements
@@ -619,27 +677,14 @@ def _local_fits(patches: _Patches, osc, p: float, seed: int) -> list[RigidityRep
     base_comps = comps.reshape(count, n, big, -1)[at_base][:, None]
     plane_variation = grid.cell_volume * _gap_scores(base_comps, cells(comps), p)[:, 0]
 
-    diameter_p = grid.diameter**p
-    base_indices = base_index.tolist()
-    reports = []
-    for s in range(count):
-        bend_scale = diameter_p * (float(bending[s]) + float(dirichlet[s]))
-        osc_term = _oscillation_term(grid, osc[s], p)
-        patch_lhs, patch_stretch = float(lhs[s]), float(stretch[s])
-        reports.append(
-            RigidityReport(
-                p=p,
-                base_index=tuple(base_indices[s]),
-                rotation=rotation[s],
-                lhs=patch_lhs,
-                osc_term=osc_term,
-                stretch=patch_stretch,
-                bend_scale=bend_scale,
-                plane_variation=float(plane_variation[s]),
-                constant=_guarded_ratio(patch_lhs, osc_term + patch_stretch + bend_scale),
-            )
-        )
-    return reports
+    return _LocalFits(
+        base_index=base_index,
+        rotation=rotation,
+        lhs=lhs,
+        stretch=stretch,
+        bend_scale=grid.diameter**p * (bending + dirichlet),
+        plane_variation=plane_variation,
+    )
 
 
 def local_rigidity(
@@ -662,29 +707,61 @@ def local_rigidity(
     and excess terms use Riemannian weights sqrt(det gram); with a flat
     metric the two coincide.
 
-    This is the one-patch call of the stacked pipeline `_local_fits`, which
+    This is row 0 of the stacked pipeline `_local_fits` on one patch, which
     `multiscale_fit` runs on all subcubes of a partition at once.
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
-    return _local_fits(_Patches.subcubes(u, g, 1), [g._oscillation], p, seed)[0]
+    fits = _local_fits(_Patches.subcubes(u, g, 1), p, seed)
+    return fits.reports(u.grid, [g._oscillation], p)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class RotationField:
     """Piecewise-constant fitted maps on a uniform partition into t^d subcubes.
 
-    `fits` holds one rigidity report per subcube, in the C order of
-    `_Patches.subcubes`, and `rotations` their fitted maps on a (t,) * d grid.
+    `local` holds the stacked fit's terms, one row per subcube in the C
+    order of `_Patches.subcubes`; `rotations` views its fitted maps on a
+    (t,) * d grid, and `residual` is the sum of its `lhs`.  `fits`, one
+    rigidity report per subcube in the same order, is built on its first
+    read: only then does each subcube's metric oscillation search run, for
+    the reports' `osc_term` and `constant`.
     """
 
     grid: GridDomain
     metric: MetricField
     t: int
     p: float
-    fits: tuple[RigidityReport, ...]
     rotations: np.ndarray
     residual: float
+    local: _LocalFits
+
+    @cached_property
+    def fits(self) -> tuple[RigidityReport, ...]:
+        """The subcube reports; the first read runs one oscillation search
+        per subcube box, none on a constant metric."""
+        g = self.metric
+        block = self.grid.resolution // self.t
+        corners = _corners(self.t, self.grid.dim, block)
+        if g._oscillation == 0.0:
+            osc = [0.0] * len(corners)
+        else:
+            boxes = [tuple((c, c + block) for c in corner) for corner in corners.tolist()]
+            osc = [oscillation_and_diameter(g, box)[0] for box in boxes]
+        return tuple(self.local.reports(_subgrid(self.grid, block), osc, self.p))
+
+    @cached_property
+    def _shift_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What every shift of `translation_modulus` shares, one row per cell
+        in C order: its subcube's index (d, N), its centre (N, d) and the
+        metric's `cell_inv_sqrt` (N, d, d)."""
+        grid = self.grid
+        sub_of_cell = np.indices(grid.cell_shape) // (grid.resolution // self.t)
+        return (
+            sub_of_cell.reshape(grid.dim, -1),
+            grid.cell_centers().reshape(-1, grid.dim),
+            self.metric.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim),
+        )
 
 
 def multiscale_fit(
@@ -703,29 +780,24 @@ def multiscale_fit(
     one-subcube shapes, and so every subcube report equals, bit for bit,
     what `local_rigidity` gives on a fresh `ImmersionField`/`MetricField`
     built on the sliced nodes over the sub-grid (at t = 1, on `u` and `g`
-    themselves).  Each report's `osc_term` carries the metric oscillation
-    over its subcube's cell box, which starts at the cut's `corner`.  Work
-    runs per subcube only where it is ragged or sequential: subcubes with
-    degenerate cells, the seeded candidate subsample and the bound filter of
-    the base-cell choice, the p != 2 rotation descent, and the oscillation
-    of a non-constant metric (a constant metric has zero oscillation on
-    every box).
+    themselves).  Work runs per subcube only where it is ragged or
+    sequential: subcubes with degenerate cells, the seeded candidate
+    subsample and the bound filter of the base-cell choice, and the p != 2
+    rotation descent.
+
+    The fit's terms stay arrays.  The subcube reports and the metric
+    oscillation over each subcube's cell box, which their `osc_term`
+    carries, are computed on the first read of `fits` (a constant metric
+    has zero oscillation on every box and runs no search).
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
         raise ValueError(f"partition parameter {t} does not divide resolution {grid.resolution}")
-    patches = _Patches.subcubes(u, g, t)
-    block = patches.grid.resolution
-    if g._oscillation == 0.0:
-        osc = [0.0] * len(patches.corner)
-    else:
-        boxes = [tuple((c, c + block) for c in corner) for corner in patches.corner.tolist()]
-        osc = [oscillation_and_diameter(g, box)[0] for box in boxes]
-
-    fits = tuple(_local_fits(patches, osc, p, seed))
-    rotations = np.stack([fit.rotation for fit in fits]).reshape((t,) * grid.dim + fits[0].rotation.shape)
-    residual = float(sum(fit.lhs for fit in fits))
-    return RotationField(grid, g, t, p, fits, rotations, residual)
+    local = _local_fits(_Patches.subcubes(u, g, t), p, seed)
+    rotations = local.rotation.reshape((t,) * grid.dim + local.rotation.shape[1:])
+    # Python's sum, left to right in C order: np.sum adds pairwise.
+    residual = float(sum(local.lhs.tolist()))
+    return RotationField(grid, g, t, p, rotations, residual, local)
 
 
 @dataclass(frozen=True)
@@ -768,14 +840,13 @@ def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
     if count == 0:
         return empty
 
-    block = grid.resolution // t
-    sub_of_cell = np.indices(grid.cell_shape) // block
-    cell_ok = admissible[tuple(sub_of_cell)].reshape(-1)
-    centers = grid.cell_centers().reshape(-1, grid.dim)[cell_ok]
-    from_idx = tuple(ix.reshape(-1)[cell_ok] for ix in sub_of_cell)
+    sub_of_cell, centers, inv_sqrt = field._shift_cells
+    cell_ok = admissible[tuple(sub_of_cell)]
+    centers = centers[cell_ok]
+    from_idx = tuple(sub_of_cell[:, cell_ok])
     to_idx = tuple(np.clip((centers + zeta) // side, 0, t - 1).astype(int).T)
     diff = field.rotations[to_idx] - field.rotations[from_idx]
-    inv_sqrt = field.metric.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[cell_ok]
+    inv_sqrt = inv_sqrt[cell_ok]
     value = float(grid.cell_volume * np.sum(_flat_norms(diff @ inv_sqrt) ** field.p))
     return TranslationModulus(tuple(zeta.tolist()), value, count / t**grid.dim)
 

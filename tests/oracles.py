@@ -1,4 +1,5 @@
-"""Brute-force minimizers used as oracles for the closed-form kernels.
+"""Brute-force minimizers used as oracles for the closed-form kernels, and
+per-call references for results that the library caches.
 
 Everything here deliberately avoids the eigendecomposition/SVD route the
 library takes: metric norms go through a Cholesky-built orthonormal basis,
@@ -111,3 +112,42 @@ def random_frame(rng: np.random.Generator, ambient: int, dim: int) -> np.ndarray
     mat = rng.standard_normal((ambient, dim))
     q, r = np.linalg.qr(mat)
     return q * np.sign(np.diagonal(r))
+
+
+def translation_modulus_per_call(field, zeta) -> tuple[tuple[float, ...], float, float]:
+    """(shift, value, covered fraction) of `rigidity.translation_modulus`,
+    with the cell geometry that every shift shares (the subcube of each
+    cell, the cell centres and the metric factors) rebuilt on every call:
+    the reference for the field's cached geometry, equal bit for bit."""
+    grid = field.grid
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    if np.linalg.norm(zeta) >= grid.length:
+        return tuple(zeta.tolist()), 0.0, 0.0
+    t = field.t
+    side = grid.length / t
+    tol = 1e-9 * grid.length
+    per_axis = []
+    for a in range(grid.dim):
+        j = np.arange(t)
+        inner = (j >= 1) & (j <= t - 2)
+        shifted = ((j - 1) * side + zeta[a] >= -tol) & ((j + 2) * side + zeta[a] <= grid.length + tol)
+        per_axis.append(inner & shifted)
+    admissible = per_axis[0]
+    for ok in per_axis[1:]:
+        admissible = admissible[..., None] & ok
+    count = int(admissible.sum())
+    if count == 0:
+        return tuple(zeta.tolist()), 0.0, 0.0
+
+    block = grid.resolution // t
+    sub_of_cell = np.indices(grid.cell_shape) // block
+    cell_ok = admissible[tuple(sub_of_cell)].reshape(-1)
+    centers = grid.cell_centers().reshape(-1, grid.dim)[cell_ok]
+    from_idx = tuple(ix.reshape(-1)[cell_ok] for ix in sub_of_cell)
+    to_idx = tuple(np.clip((centers + zeta) // side, 0, t - 1).astype(int).T)
+    diff = field.rotations[to_idx] - field.rotations[from_idx]
+    inv_sqrt = field.metric.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)[cell_ok]
+    deviation = diff @ inv_sqrt
+    norms = np.sqrt(np.sum(deviation * deviation, axis=(-2, -1)))
+    value = float(grid.cell_volume * np.sum(norms**field.p))
+    return tuple(zeta.tolist()), value, count / t**grid.dim

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +483,25 @@ class TestMultiscale:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "multiscale.json").exists()
 
+    def test_nearly_degenerate_field_prints_nothing_before_it_exits(self, tmp_path, capsys):
+        # The rank test flags 63 of the 64 cells: t = 1 fits, t = 2 has a
+        # subcube with no cell to anchor at.
+        scenario = {"family": "graph", "dim": 2, "resolution": 8, "epsilon": 1e300}
+        cfg = write_config(tmp_path, "multi.json", {"scenario": scenario, "t_values": [1, 2]})
+        with np.errstate(all="ignore"):
+            assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degenerate scenario: no non-degenerate cells to anchor at" in captured.err
+        assert not (tmp_path / "out").exists()
+
+        # a run that completes prints its lines in the order of its sweeps
+        scenario = {"family": "curve", "dim": 1, "resolution": 64, "kappa": 1.0}
+        cfg = write_config(tmp_path, "multi.json", {"scenario": scenario, "t_values": [1, 8], "shifts": [0.25, 0.125]})
+        assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["t=1", "t=8", "zeta=0.25", "zeta=0.125", "trends"]
+
     def test_non_finite_eps_flag_is_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -670,6 +693,53 @@ class TestSnapshotAndPlumbing:
     def test_snapshot_read_missing_path(self, tmp_path):
         assert main(["snapshot", "read"]) == 2
         assert main(["snapshot", "read", str(tmp_path / "absent.json")]) == 2
+
+    def test_consecutive_calls_share_no_arguments(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "rig.json", {"scenario": {"family": "perturbed_identity", "dim": 2, "resolution": 8}}
+        )
+
+        def run(extra):
+            out = tmp_path / "out"
+            assert main(["rigidity", "--config", cfg, "--out", str(out)] + extra) == 0
+            return (out / "rigidity.json").read_bytes(), capsys.readouterr().out
+
+        plain = run([])
+        assert json.loads(run(["--p", "3"])[0])["report"]["p"] == 3.0
+        assert run([]) == plain
+        with pytest.raises(SystemExit) as exc:
+            main(["rigidity", "--config", cfg, "--p", "three"])
+        assert exc.value.code == 2
+        assert run([]) == plain
+        assert main(["snapshot", "read", str(tmp_path / "absent.json")]) == 2
+        assert main(["snapshot", "read"]) == 2
+        assert "error: snapshot read needs a path" in capsys.readouterr().err
+
+    def test_the_parser_is_built_on_the_first_call_only(self, tmp_path):
+        # Counts the ArgumentParser objects made by importing the CLI, then by
+        # each of two calls of `main`.
+        code = (
+            "import argparse, sys\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    made.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from rigidkit import cli\n"
+            "counts = [len(made)]\n"
+            "for _ in range(2):\n"
+            "    cli.main(['snapshot', 'read'])\n"
+            "    counts.append(len(made))\n"
+            "print(counts)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        before, first, second = json.loads(done.stdout)
+        assert before == 0
+        assert first > 0 and second == first
 
     def test_snapshot_read_non_object_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "list.json", [1, 2, 3])

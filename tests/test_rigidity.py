@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidkit import rigidity
+from rigidkit import cli, rigidity
 from rigidkit.fields import (
     DegenerateFieldError,
     GridDomain,
@@ -47,7 +50,7 @@ from rigidkit.scenarios import (
     perturbed_inclusion,
 )
 
-from oracles import random_frame
+from oracles import random_frame, translation_modulus_per_call
 
 
 def rotation2(angle):
@@ -857,16 +860,29 @@ class TestMultiscaleFit:
         with pytest.raises(ValueError):
             multiscale_fit(u, build_metric(u.grid, "flat"), 3)
 
-    def test_one_oscillation_search_per_subcube_and_none_on_a_flat_metric(self):
-        u = build_scenario(ScenarioSpec("graph", 2, 1.0, 16, epsilon=0.05)).u
+    def test_one_oscillation_search_per_subcube_and_none_on_a_flat_metric(self, tmp_path):
+        spec = ScenarioSpec("graph", 2, 1.0, 16, epsilon=0.05, metric_kind="random", seed=3)
+        u = build_scenario(spec).u
         g = build_metric(u.grid, "random", seed=3)
         g._oscillation  # the whole-grid search, outside the count
         with mock.patch.object(rigidity, "oscillation_and_diameter", wraps=oscillation_and_diameter) as spy:
             field = multiscale_fit(u, g, 4)
-        # the boxes of the 4 x 4 subcubes of 4 x 4 cells, in C order
-        boxes = [((4 * i, 4 * i + 4), (4 * j, 4 * j + 4)) for i, j in itertools.product(range(4), repeat=2)]
-        assert [call.args[1] for call in spy.call_args_list] == boxes
-        assert min(fit.osc_term for fit in field.fits) > 0.0
+            assert spy.call_count == 0  # the fit itself reads no oscillation
+            fits = field.fits
+            # the boxes of the 4 x 4 subcubes of 4 x 4 cells, in C order
+            boxes = [((4 * i, 4 * i + 4), (4 * j, 4 * j + 4)) for i, j in itertools.product(range(4), repeat=2)]
+            assert [call.args[1] for call in spy.call_args_list] == boxes
+            assert field.fits is fits
+            assert spy.call_count == 16
+
+            # `multiscale` prints and writes only sums over the subcubes
+            spy.reset_mock()
+            config = tmp_path / "multi.json"
+            config.write_text(json.dumps({"scenario": spec.to_dict(), "t_values": [1, 2, 4]}))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["multiscale", "--config", str(config), "--out", str(tmp_path / "out")]) in (0, 1)
+            assert spy.call_count == 0
+        assert min(fit.osc_term for fit in fits) > 0.0
         flat = build_metric(u.grid, "flat")
         with mock.patch("rigidkit.fields._sq_distances", side_effect=AssertionError("a search ran")):
             field = multiscale_fit(u, flat, 4)
@@ -1075,6 +1091,33 @@ class TestTranslationModulus:
         field = multiscale_fit(u, build_metric(grid, "flat"), 4)
         mod = translation_modulus(field, [0.125, 0.0])
         assert mod.covered_fraction == 0.125
+
+    @pytest.mark.parametrize("family, dim, n, t", [("curve", 1, 64, 8), ("graph", 2, 16, 4)])
+    def test_shared_cell_geometry_equals_a_rebuild_per_shift(self, family, dim, n, t):
+        spec = ScenarioSpec(family, dim, 1.0, n, epsilon=0.05, metric_kind="random", seed=9, kappa=1.2)
+        bundle = build_scenario(spec)
+        # admissible sets of several sizes, a negative shift, shifts that
+        # leave nothing admissible, and shifts at least as long as the side
+        lengths = [0.25, 0.125, 0.0625, 0.0, -0.125, -0.3, 0.9, 1.0, 1.5]
+        if dim == 1:
+            shifts = [[z] for z in lengths]
+        else:
+            shifts = [[z, 0.0] for z in lengths] + [[0.0, -0.25], [0.125, 0.25], [0.8, 0.8]]
+        # fits read before the moduli on one field, after them on the other
+        early, late = (multiscale_fit(bundle.u, bundle.metric, t) for _ in range(2))
+        early.fits
+        covered = set()
+        for zeta in shifts:
+            expected = repr(translation_modulus_per_call(late, zeta))
+            for field in (early, late):
+                mod = translation_modulus(field, zeta)
+                assert repr((mod.shift, mod.value, mod.covered_fraction)) == expected
+            covered.add(mod.covered_fraction)
+        assert len(covered) >= 3 and 0.0 in covered
+        for a, b in zip(early.fits, late.fits):
+            for name in ("p", "base_index", "rotation", "lhs", "osc_term", "stretch", "bend_scale",
+                         "plane_variation", "constant"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 class TestAsymptoticRun:
