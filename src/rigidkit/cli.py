@@ -342,6 +342,8 @@ def cmd_scaling(args) -> int:
     resolutions = _sweep_list(config, "resolutions", [args.n] if args.n is not None else None, kind=int)
     if resolutions is None:
         resolutions = [spec.resolution]
+    if len(set(resolutions)) < len(resolutions):
+        raise ConfigError("'resolutions' must not repeat a value")
 
     sweep = {n: [_replace(spec, epsilon=e, resolution=n) for e in epsilons] for n in resolutions}
     rows = []
@@ -386,6 +388,8 @@ def cmd_multiscale(args) -> int:
     spec = _scenario_spec(config, args)
     _require_fit_exponent(spec.p)
     t_values = _sweep_list(config, "t_values", None, kind=int) or [1, 2, 4, 8]
+    if not _strictly_decreasing(t_values[::-1]):
+        raise ConfigError("'t_values' must increase strictly")
     shifts = _sweep_list(config, "shifts", args.eps)
     if shifts is None:
         shifts = [spec.length / 4.0, spec.length / 8.0, spec.length / 16.0]

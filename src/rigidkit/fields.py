@@ -262,12 +262,12 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
 
 
 class MetricField:
-    """Node-sampled SPD metric on a grid, with sandwich and Lipschitz data.
+    """Node-sampled SPD metric on a grid, with its sandwich constant.
 
     The constructor checks that the Gram entries are finite, symmetric and
     positive definite at every node.  `lam` is the smallest constant with
-    I/lam <= gram <= lam*I at every node.  Everything else (`lipschitz` and
-    the cell data) is derived on first read.
+    I/lam <= gram <= lam*I at every node.  The cell data are derived on
+    first read.
     """
 
     def __init__(self, grid: GridDomain, gram: np.ndarray):
@@ -288,18 +288,6 @@ class MetricField:
         self.grid = grid
         self.gram = gram
         self.lam = float(max(lam_max, 1.0 / lam_min, 1.0))
-
-    @cached_property
-    def lipschitz(self) -> float:
-        """Discrete Lipschitz quotient: the largest Frobenius jump between
-        axis-adjacent nodes, over the spacing."""
-        worst = 0.0
-        for axis in range(self.grid.dim):
-            step = np.diff(self.gram, axis=axis)
-            if step.size:
-                jumps = np.sqrt(np.sum(step**2, axis=(-2, -1)))
-                worst = max(worst, float(jumps.max()) / self.grid.spacing)
-        return worst
 
     @classmethod
     def constant(cls, grid: GridDomain, gram: np.ndarray) -> "MetricField":

@@ -386,11 +386,6 @@ class SpdMetric:
         """Inverse of the positive square root of the Gram matrix."""
         return spd_inv_sqrt(self.gram)
 
-    def sandwich_bound(self) -> float:
-        """Smallest lam >= 1 with I/lam <= gram <= lam*I in the quadratic-form order."""
-        lam_min, lam_max, _ = spd_extremes(self.gram)
-        return float(max(lam_max, 1.0 / lam_min, 1.0))
-
 
 @dataclass(frozen=True)
 class OrientedSubspace:
@@ -425,28 +420,6 @@ class OrientedSubspace:
     def from_spanning(cls, vectors: np.ndarray) -> "OrientedSubspace":
         """Orthonormalize the columns of `vectors`, keeping their orientation."""
         return cls(checked_spanning_frames(vectors))
-
-    @classmethod
-    def coordinate(cls, ambient_dim: int, axes: tuple[int, ...]) -> "OrientedSubspace":
-        frame = np.zeros((ambient_dim, len(axes)))
-        for col, axis in enumerate(axes):
-            frame[axis, col] = 1.0
-        return cls(frame)
-
-
-def frobenius_norm(t: np.ndarray, g: SpdMetric) -> float:
-    """Frobenius norm of t as a map from (R^d, g) into Euclidean space."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 2 or t.shape[1] != g.dim:
-        raise ValueError(f"map shape {t.shape} does not match metric dimension {g.dim}")
-    return float(metric_norm(t, g.inv_sqrt))
-
-
-def metric_distance(g: SpdMetric, g2: SpdMetric) -> float:
-    """Euclidean Frobenius distance between two Gram matrices."""
-    if g.dim != g2.dim:
-        raise ValueError("metrics live on spaces of different dimension")
-    return float(np.linalg.norm(g.gram - g2.gram, axis=(-2, -1)))
 
 
 def so_set_distance(gx: SpdMetric, gy: SpdMetric) -> float:
@@ -530,25 +503,6 @@ def subspace_distance(a: OrientedSubspace, b: OrientedSubspace) -> float:
 def oriented_complement(a: OrientedSubspace) -> OrientedSubspace:
     """Orthogonal complement, oriented so [frame_a | frame_perp] is positive."""
     return OrientedSubspace(complement_frames(a.frame))
-
-
-def project_onto(a: OrientedSubspace, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a vector (or of each column of a map) onto a."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != a.ambient_dim:
-        raise ValueError(f"vector lives in R^{v.shape[0]}, plane in R^{a.ambient_dim}")
-    return a.frame @ (a.frame.T @ v)
-
-
-def orientation_preserved_under_projection(p0: OrientedSubspace, p: OrientedSubspace) -> bool:
-    """Whether projecting p onto p0 maps positive frames to positive frames.
-
-    Reads off the sign of det(frame_p0^T frame_p); a rank-deficient projection
-    returns False.
-    """
-    if p0.ambient_dim != p.ambient_dim or p0.dim != p.dim:
-        raise ValueError("planes must share ambient space and dimension")
-    return bool(projection_keeps_orientation(p0.frame, p.frame))
 
 
 @dataclass(frozen=True)

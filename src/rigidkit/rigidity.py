@@ -31,7 +31,6 @@ from .fields import (
     oscillation_and_diameter,
 )
 from .metric_algebra import (
-    OrientedSubspace,
     isometry_defect,
     rotation_align,
     sign_fixed_qr,
@@ -55,18 +54,6 @@ def _guarded_ratio(lhs: float, rhs: float) -> float:
     if lhs < RHS_GUARD and rhs < RHS_GUARD:
         return 0.0
     return float(lhs / max(rhs, RHS_GUARD))
-
-
-def _as_cell_index(grid: GridDomain, index) -> tuple[int, ...]:
-    if np.isscalar(index):
-        index = (index,)
-    index = tuple(int(i) for i in index)
-    if len(index) != grid.dim:
-        raise ValueError(f"cell index {index} does not match grid dimension {grid.dim}")
-    for i, n in zip(index, grid.cell_shape):
-        if not 0 <= i < n:
-            raise ValueError(f"cell index {index} outside grid of {grid.cell_shape} cells")
-    return index
 
 
 class EuclideanFit:
@@ -258,12 +245,6 @@ class PlaneField:
     complements: np.ndarray
     degenerate: np.ndarray
 
-    def plane(self, index) -> OrientedSubspace:
-        return OrientedSubspace(self.frames[_as_cell_index(self.grid, index)])
-
-    def complement(self, index) -> OrientedSubspace:
-        return OrientedSubspace(self.complements[_as_cell_index(self.grid, index)])
-
 
 def tangent_plane_field(u: ImmersionField) -> PlaneField:
     """Oriented tangent planes and complements of every cell, as `u` derives them.
@@ -446,9 +427,11 @@ def _base_cells(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> np.
     """Linear index of each patch's base cell, for complements (S, M, D, r)
     and non-degenerate flags (S, M); see `choose_base_point`.
 
-    Patches where every cell is both a candidate and a pool member, and the
-    bound filter would not run, are scored together; the rest go one by one
-    through `_base_cell`.
+    When every cell of every patch is both a candidate and a pool member, and
+    the bound filter would not run, all patches are scored as one stack.
+    Otherwise each patch goes through `_base_cell`.  The pipelines never mix
+    the two: `_local_fits` passes one patch, or only patches without
+    degenerate cells, which share one cell count.
     """
     if not good.any(axis=-1).all():
         raise DegenerateFieldError("no non-degenerate cells to anchor at")
@@ -456,20 +439,15 @@ def _base_cells(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> np.
         raise ValueError("complement codimension above 2 is not supported")
     lines = comps.shape[-1] == 1 and p == 2.0
     count = good.shape[-1]
-    plain = good.all(axis=-1) & (count <= CANDIDATE_CAP) & (lines or count * count < _BOUND_MIN_PAIRS)
-    cells = np.empty(good.shape[0], dtype=int)
-    if plain.any():
-        rows = comps if plain.all() else comps[plain]
-        if lines:
-            scores = _line_scores(rows, rows)
-        else:
-            # Rows and pool in separate buffers, as in `_base_cell`: numpy runs
-            # A @ A.T on one buffer as a symmetric product, which rounds differently.
-            scores = _gap_scores(rows, rows.copy(), p)
-        cells[plain] = np.argmin(scores, axis=-1)
-    for s in np.flatnonzero(~plain):
-        cells[s] = _base_cell(comps[s], good[s], p, seed)
-    return cells
+    if not (good.all() and count <= CANDIDATE_CAP and (lines or count * count < _BOUND_MIN_PAIRS)):
+        return np.array([_base_cell(c, g, p, seed) for c, g in zip(comps, good)])
+    if lines:
+        scores = _line_scores(comps, comps)
+    else:
+        # Rows and pool in separate buffers, as in `_base_cell`: numpy runs
+        # A @ A.T on one buffer as a symmetric product, which rounds differently.
+        scores = _gap_scores(comps, comps.copy(), p)
+    return np.argmin(scores, axis=-1)
 
 
 def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tuple[int, ...]:
@@ -489,9 +467,9 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
     every candidate is scored.
 
     The pipelines call `_base_cells` directly, in `_local_fits`, on one patch
-    or on all subcubes of a partition: it scores the plain subcubes as one
-    stack and loops only over those with degenerate cells, a subsampled
-    candidate set or the bound filter.
+    or on all subcubes of a partition: it scores them as one stack, unless a
+    patch has degenerate cells or needs a subsampled candidate set or the
+    bound filter, and then loops over the patches.
     """
     shape = planes.complements.shape
     comps = planes.complements.reshape((1, -1) + shape[-2:])

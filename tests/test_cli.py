@@ -399,6 +399,16 @@ class TestScaling:
         assert "error: 'resolutions' entries must be integers" in capsys.readouterr().err
         assert not (tmp_path / "scaling.csv").exists()
 
+    def test_repeated_resolution_is_config_error(self, tmp_path, capsys):
+        # The sweep is keyed by resolution, so [16, 16] would run one sweep
+        # while the manifest recorded two.
+        cfg = self.base_config(tmp_path, resolutions=[16, 16])
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "error: 'resolutions' must not repeat a value" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_eps_flag_overrides_file(self, tmp_path):
         cfg = self.base_config(tmp_path, epsilons=[0.5])
         code = main(["scaling", "--config", cfg, "--eps", "0.1,0.03", "--out", str(tmp_path)])
@@ -437,6 +447,18 @@ class TestMultiscale:
             },
         )
         assert main(["multiscale", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("t_values", [[1, 1, 2], [2, 1]])
+    def test_t_values_that_do_not_increase_are_config_errors(self, tmp_path, capsys, t_values):
+        # The residual trend is read along the sweep, so an unordered sweep
+        # is a bad config, not a failed trend.
+        scenario = {"family": "curve", "resolution": 64}
+        cfg = write_config(tmp_path, "multi.json", {"scenario": scenario, "t_values": t_values})
+        assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "error: 't_values' must increase strictly" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_equidimensional_scenario_rejected(self, tmp_path):
         cfg = write_config(

@@ -286,15 +286,6 @@ class TestMetricField:
         grid = GridDomain(2, 1.0, 4)
         g = MetricField.constant(grid, np.diag([0.5, 2.0]))
         assert g.lam == pytest.approx(2.0)
-        assert g.lipschitz == 0.0
-
-    def test_linear_field_lipschitz(self):
-        grid = GridDomain(2, 1.0, 8)
-        a = 0.3
-        coords = grid.node_coordinates()
-        grams = (1.0 + a * coords[..., 0])[..., None, None] * np.eye(2)
-        g = MetricField(grid, grams)
-        assert g.lipschitz == pytest.approx(a * np.sqrt(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
@@ -536,14 +527,6 @@ class TestDerivedOnFirstRead:
         for name in ("frames", "complements", "shape_operator", "shape_residual"):
             assert name not in vars(u), name
         assert "projected_normal_differential" in vars(u)
-
-    def test_subcubes_do_not_measure_lipschitz(self):
-        u = unit_circle_arc(arc=1.0, n=8)
-        grams = (1.0 + 0.5 * u.grid.node_coordinates())[..., None] * np.eye(1)
-        g = MetricField(u.grid, grams)
-        _Patches.subcubes(u, g, 2)
-        assert "lipschitz" not in vars(g)
-        assert g.lipschitz == pytest.approx(0.5, rel=1e-12)
 
 
 class TestSnapshot:

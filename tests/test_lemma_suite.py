@@ -14,11 +14,10 @@ from rigidkit.lemma_suite import (
 from rigidkit.metric_algebra import (
     OrientedSubspace,
     SpdMetric,
-    metric_distance,
     nearest_isometry,
     nearest_isometry_into_plane,
-    orientation_preserved_under_projection,
     oriented_complement,
+    projection_keeps_orientation,
     projection_error_bound_check,
     so_set_distance,
     subspace_distance,
@@ -160,7 +159,7 @@ def ref_so_set_distance_bound(cfg, rng):
         gram_x, lam_x = _ref_gram(rng, dim, cfg.lam_max)
         gram_y, lam_y = _ref_gram(rng, dim, cfg.lam_max)
         gx, gy = SpdMetric(gram_x), SpdMetric(gram_y)
-        bound = 0.5 * np.sqrt(max(lam_x, lam_y)) * metric_distance(gx, gy)
+        bound = 0.5 * np.sqrt(max(lam_x, lam_y)) * np.linalg.norm(gx.gram - gy.gram)
         worst = min(worst, bound - so_set_distance(gx, gy))
     return cfg.samples, worst, ""
 
@@ -229,7 +228,7 @@ def ref_orientation_stability(cfg, rng):
         if subspace_distance(oriented_complement(base), oriented_complement(plane)) >= threshold:
             continue
         kept += 1
-        flips += not orientation_preserved_under_projection(base, plane)
+        flips += not projection_keeps_orientation(base.frame, plane.frame)
     return kept, 0.0, f"{flips} orientation flips in {kept} pairs below gap 0.5/(2d); observational only"
 
 
@@ -320,7 +319,7 @@ def test_orientation_attempts_equal_per_attempt_reference():
         gap = subspace_distance(oriented_complement(base), oriented_complement(plane))
         near = gap < 0.5 / (2.0 * dim)
         assert kept[attempt] == near, attempt
-        assert flipped[attempt] == (near and not orientation_preserved_under_projection(base, plane)), attempt
+        assert flipped[attempt] == (near and not projection_keeps_orientation(base.frame, plane.frame)), attempt
     assert 0 < kept.sum() < len(draws)
 
 

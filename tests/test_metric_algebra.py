@@ -17,16 +17,12 @@ from rigidkit.metric_algebra import (
     complement_frames,
     frame_distance,
     frames_orthonormal,
-    frobenius_norm,
     isometry_defect,
-    metric_distance,
     metric_norm,
     nearest_isometry,
     nearest_isometry_into_plane,
     oriented_complement,
-    orientation_preserved_under_projection,
     plane_coordinates,
-    project_onto,
     projection_error_bound_check,
     projection_keeps_orientation,
     projection_terms,
@@ -63,11 +59,6 @@ class TestSpdMetric:
         with pytest.raises(ValueError, match="positive definite"):
             SpdMetric(np.diag([1.0, -1.0]))
 
-    def test_sandwich_bound(self):
-        g = SpdMetric(np.diag([0.25, 3.0]))
-        assert g.sandwich_bound() == pytest.approx(4.0)
-        assert SpdMetric.euclidean(3).sandwich_bound() == pytest.approx(1.0)
-
     def test_sqrt_roundtrip(self):
         rng = np.random.default_rng(7)
         g = SpdMetric(oracles.random_spd(rng, 3))
@@ -76,26 +67,24 @@ class TestSpdMetric:
 
 
 class TestFrobeniusNorm:
+    """The metric Frobenius norm, `metric_norm(t, g^(-1/2))`."""
+
     def test_identity_euclidean(self):
-        assert frobenius_norm(np.eye(2), E2) == pytest.approx(np.sqrt(2.0))
+        assert metric_norm(np.eye(2), E2.inv_sqrt) == pytest.approx(np.sqrt(2.0))
 
     def test_identity_scaled_metric(self):
         g = SpdMetric(4.0 * np.eye(2))
-        assert frobenius_norm(np.eye(2), g) == pytest.approx(1.0 / np.sqrt(2.0))
+        assert metric_norm(np.eye(2), g.inv_sqrt) == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_rank_one(self):
-        assert frobenius_norm(np.diag([3.0, 0.0]), E2) == pytest.approx(3.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            frobenius_norm(np.eye(3), E2)
+        assert metric_norm(np.diag([3.0, 0.0]), E2.inv_sqrt) == pytest.approx(3.0)
 
     def test_matches_cholesky_basis_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             gram = oracles.random_spd(rng, 3)
             t = rng.standard_normal((5, 3))
-            assert frobenius_norm(t, SpdMetric(gram)) == pytest.approx(
+            assert metric_norm(t, spd_inv_sqrt(gram)) == pytest.approx(
                 oracles.metric_frobenius(t, gram), rel=1e-10
             )
 
@@ -112,25 +101,12 @@ class TestFrobeniusNorm:
         t = np.array(entries).reshape(3, 2)
         q = rotation2(theta)
         g = SpdMetric((q * [eig_lo, eig_hi]) @ q.T)
-        lam = g.sandwich_bound()
-        metric = frobenius_norm(t, g)
+        lam_min, lam_max, _ = spd_extremes(g.gram)
+        lam = max(lam_max, 1.0 / lam_min, 1.0)
+        metric = metric_norm(t, g.inv_sqrt)
         euclid = float(np.linalg.norm(t))
         assert euclid - metric / np.sqrt(lam) >= -1e-10
         assert np.sqrt(lam) * metric - euclid >= -1e-10
-
-
-class TestMetricDistance:
-    def test_zero(self):
-        assert metric_distance(E2, SpdMetric(np.eye(2))) == 0.0
-
-    def test_scaled(self):
-        assert metric_distance(E2, SpdMetric(4.0 * np.eye(2))) == pytest.approx(
-            3.0 * np.sqrt(2.0)
-        )
-
-    def test_off_diagonal(self):
-        g2 = SpdMetric(np.array([[1.0, 0.1], [0.1, 1.0]]))
-        assert metric_distance(E2, g2) == pytest.approx(0.1 * np.sqrt(2.0))
 
 
 class TestSpdSqrt:
@@ -166,8 +142,9 @@ class TestSoSetDistance:
         for _ in range(300):
             gx = SpdMetric(oracles.random_spd(rng, rng.integers(1, 4)))
             gy = SpdMetric(oracles.random_spd(rng, gx.dim))
-            lam = max(gx.sandwich_bound(), gy.sandwich_bound())
-            bound = 0.5 * np.sqrt(lam) * metric_distance(gx, gy)
+            lam_min, lam_max, _ = spd_extremes(np.stack([gx.gram, gy.gram]))
+            lam = max(lam_max.max(), 1.0 / lam_min.min(), 1.0)
+            bound = 0.5 * np.sqrt(lam) * np.linalg.norm(gx.gram - gy.gram)
             assert bound - so_set_distance(gx, gy) >= -1e-10
 
     def test_against_angle_grid(self):
@@ -228,14 +205,14 @@ class TestNearestIsometry:
 
 class TestNearestIsometryIntoPlane:
     def test_embedded_diagonal_stretch(self):
-        plane = OrientedSubspace.coordinate(3, (0, 1))
+        plane = OrientedSubspace(np.eye(3)[:, [0, 1]])
         t = plane.frame @ np.diag([2.0, 1.0])
         r, dist = nearest_isometry_into_plane(t, E2, plane, oriented=True)
         assert dist == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(r, plane.frame, atol=1e-12)
 
     def test_leak_rejected(self):
-        plane = OrientedSubspace.coordinate(3, (0, 1))
+        plane = OrientedSubspace(np.eye(3)[:, [0, 1]])
         t = plane.frame @ np.eye(2)
         t[2, 0] = 1e-6
         with pytest.raises(ValueError, match="leaves the plane"):
@@ -265,8 +242,8 @@ class TestSubspaceDistance:
         assert subspace_distance(a, b) <= 1e-12
 
     def test_orthogonal_lines(self):
-        a = OrientedSubspace.coordinate(2, (0,))
-        b = OrientedSubspace.coordinate(2, (1,))
+        a = OrientedSubspace(np.eye(2)[:, [0]])
+        b = OrientedSubspace(np.eye(2)[:, [1]])
         assert subspace_distance(a, b) == pytest.approx(np.sqrt(2.0))
 
     def test_symmetry_and_triangle(self):
@@ -290,11 +267,11 @@ class TestSubspaceDistance:
 
 class TestOrientedComplement:
     def test_coordinate_plane(self):
-        comp = oriented_complement(OrientedSubspace.coordinate(3, (0, 1)))
+        comp = oriented_complement(OrientedSubspace(np.eye(3)[:, [0, 1]]))
         np.testing.assert_allclose(comp.frame[:, 0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_line_in_plane(self):
-        comp = oriented_complement(OrientedSubspace.coordinate(2, (0,)))
+        comp = oriented_complement(OrientedSubspace(np.eye(2)[:, [0]]))
         np.testing.assert_allclose(comp.frame[:, 0], [0.0, 1.0], atol=1e-12)
         comp2 = oriented_complement(OrientedSubspace(np.array([[0.0], [1.0]])))
         np.testing.assert_allclose(comp2.frame[:, 0], [-1.0, 0.0], atol=1e-12)
@@ -321,42 +298,25 @@ class TestOrientedComplement:
 
     def test_full_space_rejected(self):
         with pytest.raises(ValueError, match="complement"):
-            oriented_complement(OrientedSubspace.coordinate(2, (0, 1)))
-
-
-class TestProjection:
-    def test_in_span_fixed(self):
-        a = OrientedSubspace.coordinate(3, (0, 1))
-        v = np.array([1.0, -2.0, 0.0])
-        np.testing.assert_allclose(project_onto(a, v), v)
-
-    def test_orthogonal_killed(self):
-        a = OrientedSubspace.coordinate(3, (0, 1))
-        np.testing.assert_allclose(project_onto(a, np.array([0.0, 0.0, 5.0])), 0.0, atol=1e-15)
-
-    def test_pythagoras(self):
-        rng = np.random.default_rng(43)
-        a = OrientedSubspace(oracles.random_frame(rng, 5, 2))
-        v = rng.standard_normal(5)
-        pv = project_onto(a, v)
-        assert np.dot(pv, pv) + np.dot(v - pv, v - pv) == pytest.approx(np.dot(v, v), rel=1e-12)
-        np.testing.assert_allclose(project_onto(a, pv), pv, atol=1e-12)
+            oriented_complement(OrientedSubspace(np.eye(2)[:, [0, 1]]))
 
 
 class TestOrientationUnderProjection:
+    """`projection_keeps_orientation` on one pair of frames."""
+
     def test_same_plane(self):
-        a = OrientedSubspace.coordinate(3, (0, 1))
-        assert orientation_preserved_under_projection(a, a)
+        a = OrientedSubspace(np.eye(3)[:, [0, 1]])
+        assert projection_keeps_orientation(a.frame, a.frame)
 
     def test_reversed_line(self):
         a = OrientedSubspace(np.array([[1.0], [0.0]]))
         b = OrientedSubspace(np.array([[-1.0], [0.0]]))
-        assert not orientation_preserved_under_projection(a, b)
+        assert not projection_keeps_orientation(a.frame, b.frame)
 
     def test_orthogonal_line_degenerate(self):
-        a = OrientedSubspace.coordinate(2, (0,))
-        b = OrientedSubspace.coordinate(2, (1,))
-        assert not orientation_preserved_under_projection(a, b)
+        a = OrientedSubspace(np.eye(2)[:, [0]])
+        b = OrientedSubspace(np.eye(2)[:, [1]])
+        assert not projection_keeps_orientation(a.frame, b.frame)
 
     def test_small_tilt_preserves(self):
         # Perturbations well below the 1/(2d) independence threshold kept the
@@ -375,14 +335,14 @@ class TestOrientationUnderProjection:
             if gap >= 0.5 / (2 * dim):
                 continue
             tested += 1
-            violations += not orientation_preserved_under_projection(p0, p)
+            violations += not projection_keeps_orientation(p0.frame, p.frame)
         assert tested > 200
         assert violations == 0
 
 
 class TestProjectionErrorBound:
     def test_identical_planes(self):
-        plane = OrientedSubspace.coordinate(4, (0, 1))
+        plane = OrientedSubspace(np.eye(4)[:, [0, 1]])
         t = plane.frame @ np.array([[1.2, 0.3], [-0.1, 0.9]])
         report = projection_error_bound_check(t, E2, plane, plane)
         assert report.projection_lhs == pytest.approx(0.0, abs=1e-12)
@@ -403,8 +363,8 @@ class TestProjectionErrorBound:
             assert report.projection_slack >= -1e-10
 
     def test_mismatched_planes_rejected(self):
-        p0 = OrientedSubspace.coordinate(4, (0, 1))
-        p = OrientedSubspace.coordinate(4, (0,))
+        p0 = OrientedSubspace(np.eye(4)[:, [0, 1]])
+        p = OrientedSubspace(np.eye(4)[:, [0]])
         with pytest.raises(ValueError, match="dimension"):
             projection_error_bound_check(np.zeros((4, 2)), E2, p0, p)
 
@@ -466,7 +426,7 @@ class TestStackedKernels:
         np.testing.assert_allclose(spd_inv_sqrt(grams), [g.inv_sqrt for g in metrics], rtol=0, atol=1e-14)
         np.testing.assert_allclose(
             metric_norm(ts, spd_inv_sqrt(grams)),
-            [frobenius_norm(t, g) for t, g in zip(ts, metrics)],
+            [metric_norm(t, g.inv_sqrt) for t, g in zip(ts, metrics)],
             rtol=1e-14,
         )
         np.testing.assert_allclose(
@@ -508,7 +468,7 @@ class TestStackedKernels:
         )
         np.testing.assert_array_equal(
             projection_keeps_orientation(frames, others),
-            [orientation_preserved_under_projection(a, b) for a, b in pairs],
+            [projection_keeps_orientation(a.frame, b.frame) for a, b in pairs],
         )
         coeffs = rng.standard_normal((self.COUNT, dim, dim))
         np.testing.assert_allclose(
@@ -646,7 +606,7 @@ class TestStackedValidation:
         rng = np.random.default_rng(109)
         frames = _frames(rng, 6, 3, 2)
         maps = frames @ rng.standard_normal((6, 2, 2))
-        plane = OrientedSubspace.coordinate(3, (0, 1))
+        plane = OrientedSubspace(np.eye(3)[:, [0, 1]])
         bad = plane.frame @ np.eye(2)
         bad[2, 0] = 1e-6
         _raises_alike(
@@ -736,8 +696,6 @@ class TestClosedFormKernels:
         np.testing.assert_allclose(lam_min, w[:, 0], rtol=1e-14)
         np.testing.assert_allclose(lam_max, w[:, -1], rtol=1e-14)
         np.testing.assert_allclose(sqrt_det, np.sqrt(np.linalg.det(grams)), rtol=1e-14)
-        g = SpdMetric(grams[0])
-        assert g.sandwich_bound() == pytest.approx(max(w[0, -1], 1.0 / w[0, 0], 1.0), rel=1e-14)
 
     @pytest.mark.parametrize("kernel", [spd_sqrt, spd_inv_sqrt, checked_grams])
     @pytest.mark.parametrize(

@@ -449,7 +449,7 @@ class TestTangentPlaneField:
         np.testing.assert_allclose(planes.frames, expected, atol=1e-14)
         comp = np.broadcast_to([0.0, 0.0, 1.0], planes.complements[..., 0].shape)
         np.testing.assert_allclose(planes.complements[..., 0], comp, atol=1e-14)
-        assert planes.plane((0, 0)).dim == 2
+        assert OrientedSubspace(planes.frames[0, 0]).dim == 2
 
     def test_circle_complement_is_the_normal_line(self):
         grid = GridDomain(1, np.pi / 2, 64)
@@ -587,16 +587,14 @@ class TestChooseBasePoint:
     def test_circle_arc_matches_exhaustive_search(self):
         grid = GridDomain(1, np.pi / 2, 24)
         planes = tangent_plane_field(curvature_curve(grid, kappa=1.0))
+        complements = [OrientedSubspace(c) for c in planes.complements]
         for p in (2.0, 4.0):
             chosen = choose_base_point(planes, p=p)
             objective = []
             for c in range(24):
                 total = 0.0
                 for y in range(24):
-                    total += (
-                        subspace_distance(planes.complement((y,)), planes.complement((c,)))
-                        ** p
-                    )
+                    total += subspace_distance(complements[y], complements[c]) ** p
                 objective.append(total)
             # the arc is symmetric, so the two middle cells tie up to rounding
             assert objective[chosen[0]] <= min(objective) + 1e-9
@@ -671,6 +669,22 @@ class TestChooseBasePoint:
     def test_subsampled_candidates_match_unfiltered_scan(self):
         planes = tangent_plane_field(curvature_curve(GridDomain(1, 1.0, 5000), kappa=1.2))
         assert choose_base_point(planes, 3.0, seed=11) == unfiltered_base_point(planes, 3.0, seed=11)
+
+    @pytest.mark.parametrize("ambient, r, p", [(2, 1, 2.0), (3, 1, 3.0), (3, 2, 2.0), (3, 2, 4.0)])
+    def test_stack_with_a_degenerate_cell_equals_one_patch_calls(self, ambient, r, p):
+        # Random complements have no ties, so every path must pick the same cell.
+        rng = np.random.default_rng(211 + 10 * ambient + int(p))
+        comps = np.stack([random_frame(rng, ambient, r) for _ in range(5 * 40)]).reshape(5, 40, ambient, r)
+        good = np.ones((5, 40), dtype=bool)
+        singles = [rigidity._base_cells(comps[s : s + 1], good[s : s + 1], p, 0)[0] for s in range(5)]
+        good[2, singles[2]] = False
+        singles[2] = rigidity._base_cells(comps[2:3], good[2:3], p, 0)[0]
+        with mock.patch.object(rigidity, "_base_cell", wraps=rigidity._base_cell) as loop:
+            plain = np.delete(np.arange(5), 2)
+            assert rigidity._base_cells(comps[plain], good[plain], p, 0).tolist() == [singles[s] for s in plain]
+            assert loop.call_count == 0
+            assert rigidity._base_cells(comps, good, p, 0).tolist() == singles
+            assert loop.call_count == 5
 
     @settings(max_examples=300, deadline=None)
     @given(frames=complement_clouds(), p=st.one_of(st.just(2.0), st.floats(2.0, 12.0)))

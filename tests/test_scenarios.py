@@ -178,13 +178,17 @@ class TestMetricFamilies:
     def test_flat_metric(self):
         g = build_metric(GridDomain(2, 1.0, 8), "flat")
         assert g.lam == pytest.approx(1.0)
-        assert g.lipschitz == pytest.approx(0.0)
+        np.testing.assert_array_equal(g.gram, np.broadcast_to(np.eye(2), g.gram.shape))
 
     def test_linear_metric_statistics(self):
         grid = GridDomain(2, 1.0, 16)
         g = build_metric(grid, "linear", slope=0.5)
         assert g.lam == pytest.approx(1.5, rel=1e-12)
-        assert g.lipschitz == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-12)
+        # the ramp runs along the first axis: its steps over the spacing
+        # have Frobenius norm 0.5 * sqrt(2), and the second axis is constant
+        ramp = np.linalg.norm(np.diff(g.gram, axis=0), axis=(-2, -1)) / grid.spacing
+        assert ramp.max() == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-12)
+        assert not np.diff(g.gram, axis=1).any()
         with pytest.raises(ValueError):
             build_metric(grid, "linear", slope=-1.5)
 
