@@ -393,6 +393,9 @@ def cmd_multiscale(args) -> int:
     shifts = _sweep_list(config, "shifts", args.eps)
     if shifts is None:
         shifts = [spec.length / 4.0, spec.length / 8.0, spec.length / 16.0]
+    # `modulus_decreasing` reads the moduli in this order.
+    if not _strictly_decreasing([abs(shift) for shift in shifts]):
+        raise ConfigError("'shifts' (or --eps) must decrease strictly in absolute value")
     bundle = _build(spec)
     if isinstance(bundle.u, GridMap):
         raise ConfigError("multiscale needs a codimension-one scenario")

@@ -85,38 +85,95 @@ class EuclideanFit:
         return _guarded_ratio(self.lhs, self.rhs)
 
 
+def _entry_sums(sq: np.ndarray) -> np.ndarray:
+    """Sums over the leading axis of `sq` (m >= 2, ...), added in the order
+    `np.sum` adds m contiguous numbers (numpy's pairwise summation).
+
+    That is left to right below 8; up to 128, eight running lanes combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left
+    to right; above that, the sum of two halves split at a multiple of 8.
+    """
+    m = len(sq)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _entry_sums(sq[:half]) + _entry_sums(sq[half:])
+    if m < 8:
+        total, rest = sq[0] + sq[1], range(2, m)
+    else:
+        r = sq[:8]
+        for k in range(8, m - m % 8, 8):
+            r = r + sq[k : k + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = range(m - m % 8, m)
+    for k in rest:
+        total += sq[k]
+    return total
+
+
+def _givens(d: int, i: int, j: int, angles) -> np.ndarray:
+    """Turns by each of `angles` in the (i, j) plane, shape (len(angles), d, d)."""
+    turns = np.empty((len(angles), d, d))
+    turns[:] = np.eye(d)
+    for turn, angle in zip(turns, angles):
+        c, s = np.cos(angle), np.sin(angle)
+        turn[i, i] = turn[j, j] = c
+        turn[i, j], turn[j, i] = -s, s
+    return turns
+
+
 def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray:
     """Coordinate descent over planar rotation angles, seeded near the optimum.
 
-    The objective sum |Du - R|^p is smooth in the angles, so halving the step
-    until the relative improvement drops below 1e-10 is enough here; no
-    gradient information is needed.
+    For each plane (i, j) in turn, the Givens turns by +step and -step are
+    tried on the best rotation so far, and each is kept when it lowers
+    sum |Du - R|^p by more than a relative 1e-10 (`_DESCENT_REL_TOL`); the
+    step halves, from pi/8, after a sweep that keeps none, until it reaches
+    1e-12.  So the descent stops on that relative-improvement rule, not at
+    the exact minimiser: on a 64 x 64 `perturbed_identity` random-metric fit
+    its angle lies 8.7e-7 rad from a golden-section minimiser.
+
+    The cells are transposed once into a (d^2, N) column layout, and both
+    turns of a plane are scored in one pass from the same best rotation.  The
+    squared entries of each cell are added in the order `np.sum` over a
+    cell's d x d entries takes (`_entry_sums`: left to right for d <= 2,
+    ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then + c8, for d = 3),
+    followed by the same `sqrt`, `** p` and sum over the N cells, so every
+    score, and so every decision, equals the cell-by-cell formula's bit for
+    bit.  When the +step is kept, the -step is rebuilt from the new best and
+    scored alone, as a plane-by-plane sweep does: that rotation is the old
+    best up to round-off only, and where the objective is near zero that
+    round-off can decide the comparison.
     """
     d = start.shape[0]
     pairs = list(itertools.combinations(range(d), 2))
     if not pairs:
         return start
+    columns = np.ascontiguousarray(du.reshape(-1, d * d).T)[:, None]
+    squares = np.empty((d * d, 2, columns.shape[-1]))
 
-    def objective(rot: np.ndarray) -> float:
-        return float(np.sum(_flat_norms(du - rot) ** p))
+    def objective(rots: np.ndarray) -> np.ndarray:
+        """sum |Du - R|^p for each R of `rots` (k <= 2, d, d), shape (k,)."""
+        sq = np.subtract(columns, rots.reshape(len(rots), -1).T[:, :, None], out=squares[:, : len(rots)])
+        sq *= sq
+        total = _entry_sums(sq)
+        np.sqrt(total, out=total)
+        np.power(total, p, out=total)
+        return np.sum(total, axis=-1)
 
     best_rot = start
-    best = objective(start)
+    best = objective(start[None])[0]
     step = np.pi / 8
     while step > 1e-12:
         moved = False
         for i, j in pairs:
-            for sign in (1.0, -1.0):
-                c, s = np.cos(sign * step), np.sin(sign * step)
-                givens = np.eye(d)
-                givens[i, i] = c
-                givens[j, j] = c
-                givens[i, j] = -s
-                givens[j, i] = s
-                candidate = givens @ best_rot
-                value = objective(candidate)
-                if value < best * (1.0 - _DESCENT_REL_TOL):
-                    best_rot, best, moved = candidate, value, True
+            candidates = _givens(d, i, j, (step, -step)) @ best_rot
+            plus_value, minus_value = objective(candidates)
+            if plus_value < best * (1.0 - _DESCENT_REL_TOL):
+                best_rot, best, moved = candidates[0], plus_value, True
+                candidates = _givens(d, i, j, (-step,)) @ best_rot
+                (minus_value,) = objective(candidates)
+            if minus_value < best * (1.0 - _DESCENT_REL_TOL):
+                best_rot, best, moved = candidates[-1], minus_value, True
         if not moved:
             step *= 0.5
     return best_rot

@@ -14,6 +14,8 @@ formed directly (never through |a - b|^2 = |a|^2 - 2 a.b + |b|^2), and no
 SVD, eigh or polar step enters.
 """
 
+import itertools
+
 import numpy as np
 
 ANGLE_STEP = 1e-4
@@ -151,3 +153,43 @@ def translation_modulus_per_call(field, zeta) -> tuple[tuple[float, ...], float,
     norms = np.sqrt(np.sum(deviation * deviation, axis=(-2, -1)))
     value = float(grid.cell_volume * np.sum(norms**field.p))
     return tuple(zeta.tolist()), value, count / t**grid.dim
+
+
+def rotation_descent_per_candidate(
+    du: np.ndarray, p: float, start: np.ndarray, accepted: list | None = None
+) -> np.ndarray:
+    """`rigidity._rotation_descent` as it was written before the column
+    layout: each candidate built and scored on its own, as sum |Du - R|^p
+    over the (N, d, d) cells.  The reference its rotation must equal bit for
+    bit.  The sign of every step it keeps is appended to `accepted`."""
+    d = start.shape[0]
+    pairs = list(itertools.combinations(range(d), 2))
+    if not pairs:
+        return start
+
+    def objective(rot: np.ndarray) -> float:
+        diff = du - rot
+        return float(np.sum(np.sqrt(np.sum(diff * diff, axis=(-2, -1))) ** p))
+
+    best_rot = start
+    best = objective(start)
+    step = np.pi / 8
+    while step > 1e-12:
+        moved = False
+        for i, j in pairs:
+            for sign in (1.0, -1.0):
+                c, s = np.cos(sign * step), np.sin(sign * step)
+                givens = np.eye(d)
+                givens[i, i] = c
+                givens[j, j] = c
+                givens[i, j] = -s
+                givens[j, i] = s
+                candidate = givens @ best_rot
+                value = objective(candidate)
+                if value < best * (1.0 - 1e-10):
+                    best_rot, best, moved = candidate, value, True
+                    if accepted is not None:
+                        accepted.append(sign)
+        if not moved:
+            step *= 0.5
+    return best_rot

@@ -460,6 +460,26 @@ class TestMultiscale:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shifts", [[0.1, 0.2], [0.1, 0.1], [0.2, -0.2]])
+    @pytest.mark.parametrize("by_flag", [False, True])
+    def test_shifts_that_do_not_shrink_are_config_errors(self, tmp_path, capsys, shifts, by_flag):
+        # The modulus trend is read along the shifts, so a sweep whose shifts
+        # do not shrink is a bad config, not a failed trend.
+        config = {"scenario": {"family": "curve", "resolution": 64}, "t_values": [1, 2, 4]}
+        flag = ["--eps", ",".join(map(str, shifts))] if by_flag else []
+        cfg = write_config(tmp_path, "multi.json", config if by_flag else config | {"shifts": shifts})
+        assert main(["multiscale", "--config", cfg, *flag, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "error: 'shifts' (or --eps) must decrease strictly in absolute value" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+        # the same sweep in shrinking order runs
+        flag = ["--eps", ",".join(map(str, [0.2, 0.1]))] if by_flag else []
+        cfg = write_config(tmp_path, "multi.json", config if by_flag else config | {"shifts": [0.2, 0.1]})
+        assert main(["multiscale", "--config", cfg, *flag, "--out", str(tmp_path / "out")]) in (0, 1)
+        assert (tmp_path / "out" / "multiscale.json").exists()
+
     def test_equidimensional_scenario_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -23,7 +23,7 @@ from rigidkit.fields import (
     energies,
     oscillation_and_diameter,
 )
-from rigidkit.metric_algebra import OrientedSubspace, subspace_distance
+from rigidkit.metric_algebra import OrientedSubspace, rotation_align, subspace_distance
 from rigidkit.rigidity import (
     _bound_slack,
     _bound_survivors,
@@ -50,7 +50,7 @@ from rigidkit.scenarios import (
     perturbed_inclusion,
 )
 
-from oracles import random_frame, translation_modulus_per_call
+from oracles import random_frame, rotation_descent_per_candidate, translation_modulus_per_call
 
 
 def rotation2(angle):
@@ -386,6 +386,40 @@ class TestEuclideanBestRotation:
             euclidean_best_rotation(du, p=1.0)
         with pytest.raises(ValueError):
             euclidean_best_rotation(np.zeros((10, 3, 2)))
+
+
+class TestRotationDescent:
+    def test_equals_the_per_candidate_descent_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        kept, rebuilt = [], 0
+        for d, p, n in itertools.product((2, 3), (1.5, 3.0, 4.0), (1, 7, 1024, 4096)):
+            du = rotation_align(rng.standard_normal((d, d))) + 0.3 * rng.standard_normal((n, d, d))
+            seed = rotation_align(du.mean(axis=0))
+            quarter = rigidity._givens(d, 0, 1, (np.pi / 4,))[0]
+            for start in (seed, quarter @ seed):
+                accepted = []
+                want = rotation_descent_per_candidate(du, p, start, accepted)
+                with mock.patch.object(rigidity, "_givens", wraps=rigidity._givens) as spy:
+                    got = rigidity._rotation_descent(du, p, start)
+                assert np.array_equal(got, want), (d, p, n)
+                # Each kept +step is followed by one lone -step turn, rebuilt
+                # from the new best.
+                lone = sum(len(call.args[3]) == 1 for call in spy.call_args_list)
+                assert lone == accepted.count(1.0), (d, p, n)
+                kept += accepted
+                rebuilt += lone
+        # both branches ran: kept +steps with their rebuilt -step, and kept -steps
+        assert rebuilt > 0
+        assert kept.count(-1.0) > 0
+
+    def test_entry_sums_add_in_the_order_of_np_sum(self):
+        # m = d^2 entries per cell: left to right below 8, eight lanes up
+        # to 128, and split halves above (d = 12 has 144 entries).
+        rng = np.random.default_rng(29)
+        for d, n in itertools.product(range(2, 13), (1, 5, 300)):
+            sq = rng.standard_normal((n, d, d)) ** 2 * rng.uniform(1e-3, 1e3, (n, d, d))
+            columns = np.ascontiguousarray(sq.reshape(n, d * d).T)
+            assert np.array_equal(rigidity._entry_sums(columns), np.sum(sq, axis=(-2, -1))), d
 
 
 class TestMetricRigidity:

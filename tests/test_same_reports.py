@@ -77,7 +77,11 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
         *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
         *(("scaling", kind, 3) for kind in ("random", "linear", "random", "linear")),
         *(("asymptotic", kind, members) for kind, members in (("random", 1), ("linear", 1), ("random", 3), ("random", 3))),
+        ("rigidity", "random", 0),
+        ("multiscale", "random", 0),
     ]
+    # the last two are the p = 3 fits: three rotation planes, and a descent per subcube
+    assert [(op.config["scenario"]["dim"], op.config["scenario"]["p"]) for op in ops[-2:]] == [(3, 3.0), (2, 3.0)]
     assert [op.index for op in ops] == list(range(len(ops)))
 
     ops_path = tmp_path / "ops.json"
@@ -86,7 +90,8 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     for op, result in zip(ops, results):
         # 1 is a failed trend or threshold check: its reports are written all the same
         assert result["code"] in (0, 1)
-        assert set(result["files"]) == {f"{op.command}.{ext}" for ext in ("json", "csv", "dat")}
+        written = ("json", "csv") if op.command == "rigidity" else ("json", "csv", "dat")
+        assert set(result["files"]) == {f"{op.command}.{ext}" for ext in written}
         subcubes = json.loads(result["subcubes"])
         if op.command == "multiscale":
             t_values = op.config["t_values"]

@@ -10,12 +10,15 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 28
+The workload is one of the benchmark's, or `untimed`: a fixed list of 30
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
 four `scaling` sweeps and four `asymptotic` runs, two with one member and
-two with three.
+two with three; then two p = 3 fits that no benchmark op makes, each on a
+random metric: a d = 3 `perturbed_identity` `rigidity` fit, whose rotation
+descent turns in three planes, and a d = 2 `graph` `multiscale` sweep, with
+one descent per subcube.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -238,6 +241,15 @@ def untimed_ops(seed: int) -> list:
         }
         top = math.exp(draw.uniform(math.log(0.02), math.log(0.1)))
         runs.append((command, {"scenario": scenario, "epsilons": [top / 2**k for k in range(members)]}))
+    for command, family, dim, n, extra in (
+        ("rigidity", "perturbed_identity", 3, 8, {}),
+        ("multiscale", "graph", 2, 32, {"t_values": [1, 2, 4]}),
+    ):
+        scenario = {
+            "family": family, "dim": dim, "resolution": n, "metric_kind": "random", "p": 3.0,
+            "seed": draw.randrange(2**31 - 1), "epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1))),
+        }
+        runs.append((command, {"scenario": scenario, **extra}))
     return [
         workloads.Op("untimed", seed, index, command, config, config["scenario"]["resolution"] ** config["scenario"]["dim"])
         for index, (command, config) in enumerate(runs)
