@@ -427,6 +427,9 @@ def cmd_multiscale(args) -> int:
             shifted = {"t": int(t), "zeta": float(shift), "modulus": float(tm.value)}
             rows.append(head | shifted | {"covered_fraction": float(tm.covered_fraction)})
         # `tm` is the modulus of the last (finest) t, which the loop just measured.
+        # With no admissible subcube it reads 0 and the trend check says nothing.
+        if tm.covered_fraction == 0.0:
+            raise ConfigError(f"shift {shift:g} leaves no admissible subcube at t={t_values[-1]}")
         lines.append(f"zeta={shift:g}: modulus {tm.value:.6e} covered {tm.covered_fraction:.3f}")
 
     residual_ok = _strictly_decreasing(residuals) if len(residuals) > 1 else True

@@ -244,11 +244,14 @@ def _metric_frame_fit(du: np.ndarray, gram: np.ndarray, p: float) -> np.ndarray:
 
     With T the symmetric square root of each patch's base Gram matrix
     (S, d, d), a rotation is fitted to du T^{-1} and pulled back as R =
-    fitted T.  `metric_rigidity` and the local pipeline share it.
+    fitted T.  T^{-1} is shared by every cell of a patch, so du T^{-1} is one
+    product per patch, over its cells' rows stacked (S, N d, d).
+    `metric_rigidity` and the local pipeline share it.
     """
     if not p > 1.0:
         raise ValueError("exponent p must exceed 1")
-    return _fit_rotations(du @ spd_inv_sqrt(gram)[:, None], p) @ spd_sqrt(gram)
+    flat = (du.reshape(du.shape[0], -1, du.shape[-1]) @ spd_inv_sqrt(gram)).reshape(du.shape)
+    return _fit_rotations(flat, p) @ spd_sqrt(gram)
 
 
 def _oscillation_term(grid: GridDomain, oscillation: float, p: float) -> float:
@@ -564,7 +567,7 @@ class _Patches:
 
     `grid` is each patch's own grid.  Every array of `_PATCH_DATA` is an
     attribute holding cell data (S, *cell_shape, ...), one patch per leading
-    index; the pipeline flattens by the per-cell product Fᵀ·du on it.  So is
+    index; the pipeline flattens by Fᵀ·du on it (`_flatten`).  So is
     `corner`, each patch's first cell in the parent grid: the local pipeline
     reads the parent metric's `grams` (*cell_shape, d, d) from it at base
     cells only, and `RotationField.fits` starts each subcube's oscillation box
@@ -605,19 +608,52 @@ class _Patches:
         return _Patches(self.grid, self.target, self.grams, arrays)
 
 
-@dataclass(frozen=True, eq=False)
-class _LocalFits:
-    """The terms of `_local_fits`, one row per patch: `base_index` (S, d),
-    `rotation` (S, D, d), and `lhs`, `stretch`, `bend_scale` and
-    `plane_variation` (S,).  None of them depends on the metric oscillation,
-    which only `osc_term` and `constant` of a report carry."""
+def _flatten(du: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Fᵀ·du for the cell maps du (S, N, D, d) of each patch and its frame F
+    (S, D, d): (S, N, d, d).
 
-    base_index: np.ndarray
-    rotation: np.ndarray
-    lhs: np.ndarray
-    stretch: np.ndarray
-    bend_scale: np.ndarray
-    plane_variation: np.ndarray
+    F is shared by every cell of a patch, so for d >= 2 this is one product
+    per patch: the rows of every cell's du^T, stacked (S, N d, D), times F,
+    then transposed back, which equals the per-cell product bit for bit.  At
+    d = 1 numpy runs that product as one matrix-vector product, which rounds
+    unlike each cell's dot product, so curves keep the per-cell product.
+    """
+    if du.shape[-1] == 1:
+        return np.swapaxes(frame, -1, -2)[:, None] @ du
+    rows = np.swapaxes(du, -1, -2).reshape(du.shape[0], -1, du.shape[-2])
+    return np.swapaxes((rows @ frame).reshape(du.shape[:-2] + du.shape[-1:] * 2), -1, -2)
+
+
+# The terms of `_LocalFits` computed on their first read, in this order.
+_DEFERRED_TERMS = ("stretch", "bend_scale", "plane_variation")
+
+
+class _LocalFits:
+    """The terms of `_local_fits`, one row per patch.
+
+    `base_index` (S, d), `rotation` (S, D, d) and `lhs` (S,) come with the
+    fit.  `stretch`, `bend_scale` and `plane_variation` (S,) are computed on
+    the first read of any of them, by `terms`, a callable returning the three
+    in that order; it holds only the patch arrays those terms read, and is
+    dropped once it has run.  A `multiscale` run reads none of them.  None of
+    the terms depends on the metric oscillation, which only `osc_term` and
+    `constant` of a report carry."""
+
+    def __init__(self, base_index: np.ndarray, rotation: np.ndarray, lhs: np.ndarray, terms):
+        self.base_index = base_index
+        self.rotation = rotation
+        self.lhs = lhs
+        self._terms = terms
+
+    @cached_property
+    def _deferred(self) -> dict[str, np.ndarray]:
+        terms = dict(zip(_DEFERRED_TERMS, self._terms()))
+        del self._terms
+        return terms
+
+    stretch = property(lambda self: self._deferred["stretch"])
+    bend_scale = property(lambda self: self._deferred["bend_scale"])
+    plane_variation = property(lambda self: self._deferred["plane_variation"])
 
     def reports(self, grid: GridDomain, osc, p: float) -> list[RigidityReport]:
         """One report per row, on the patch grid `grid`, `osc` holding each
@@ -658,10 +694,14 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
     flattens through is factored from each base cell's differential alone.
     Every stage is one array computation over the patch axis, with each
     patch's products and sums shaped as for that patch alone, so each row
-    equals the one-patch run bit for bit.  Patches with degenerate cells are
-    fitted one by one, and their rows scattered into the arrays; so is the
-    p != 2 rotation descent.  The metric oscillation is not read here:
-    `_LocalFits.reports` takes it.
+    equals the one-patch run bit for bit.  The factors shared by every cell
+    of a patch, its frame F in Fᵀ·du and T^{-1} in `_metric_frame_fit`, are
+    applied as one product per patch, over its cells' rows stacked.  Patches
+    with degenerate cells are fitted one by one, and their rows scattered
+    into the arrays (the deferred terms when they are read); so is the
+    p != 2 rotation descent.  The stretch, bending, Dirichlet and
+    plane-variation terms run on their first read (see `_LocalFits`), and
+    the metric oscillation is not read here: `_LocalFits.reports` takes it.
     """
     grid, count = patches.grid, patches.degenerate.shape[0]
     d, big, n = grid.dim, patches.target.ambient_dim, grid.cell_count
@@ -673,17 +713,24 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
             for rows in [np.flatnonzero(~ragged), *([s] for s in np.flatnonzero(ragged))]
             if len(rows)
         ]
-        columns = {}
-        for name, first in vars(parts[0][1]).items():
+
+        def scatter(name: str) -> np.ndarray:
+            first = getattr(parts[0][1], name)
             column = np.empty((count,) + first.shape[1:], dtype=first.dtype)
             for rows, part in parts:
                 column[rows] = getattr(part, name)
-            columns[name] = column
-        return _LocalFits(**columns)
+            return column
+
+        return _LocalFits(
+            scatter("base_index"),
+            scatter("rotation"),
+            scatter("lhs"),
+            lambda: tuple(scatter(name) for name in _DEFERRED_TERMS),
+        )
     # Past the split above, only a lone patch can have degenerate cells.
     keep = good[0] if ragged.any() else slice(None)
-    comps = patches.complements
-    base = _base_cells(comps.reshape((count, n) + comps.shape[-2:]), good, p, seed)
+    comps = patches.complements.reshape((count, n) + patches.complements.shape[-2:])
+    base = _base_cells(comps, good, p, seed)
 
     def cells(x: np.ndarray) -> np.ndarray:
         """(S, *cell_shape, ...) as (S, fitted cells, ...)."""
@@ -691,35 +738,30 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
 
     at_base = (np.arange(count), base)
     base_index = np.transpose(np.unravel_index(base, grid.cell_shape))
-    frame = sign_fixed_qr(patches.differential.reshape(count, n, big, d)[at_base])[0]
-    flat = np.swapaxes(frame, -1, -2).reshape((count,) + (1,) * d + (d, big)) @ patches.differential
-    gram = patches.grams[tuple((patches.corner + base_index).T)]
-    rotation = frame @ _metric_frame_fit(cells(flat), gram, p)
-
     du = cells(patches.differential)
+    frame = sign_fixed_qr(patches.differential.reshape(count, n, big, d)[at_base])[0]
+    gram = patches.grams[tuple((patches.corner + base_index).T)]
+    rotation = frame @ _metric_frame_fit(_flatten(du, frame), gram, p)
+
     inv_sqrt = cells(patches.cell_inv_sqrt)
     lhs = grid.cell_volume * np.sum(_flat_norms((du - rotation[:, None]) @ inv_sqrt) ** p, axis=-1)
 
     # On spheres the complements' second column is the radial direction up to
     # sign, and the projection is even in it.
-    normal_diff = _normal_differential(grid, patches.normal)
-    if patches.target.kind == "sphere":
-        normal_diff = _without_radial_part(normal_diff, comps[..., 1])
-    weights = grid.cell_volume * cells(patches.cell_sqrt_det)
-    stretch, bending, dirichlet = _energy_sums(du, cells(normal_diff), inv_sqrt, weights, p)
+    normal, sqrt_det = patches.normal, patches.cell_sqrt_det
+    radial = patches.complements[..., 1] if patches.target.kind == "sphere" else None
 
-    # The base cell's own score in the criterion that chose it.
-    base_comps = comps.reshape(count, n, big, -1)[at_base][:, None]
-    plane_variation = grid.cell_volume * _gap_scores(base_comps, cells(comps), p)[:, 0]
+    def terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        normal_diff = _normal_differential(grid, normal)
+        if radial is not None:
+            normal_diff = _without_radial_part(normal_diff, radial)
+        weights = grid.cell_volume * cells(sqrt_det)
+        stretch, bending, dirichlet = _energy_sums(du, cells(normal_diff), inv_sqrt, weights, p)
+        # The base cell's own score in the criterion that chose it.
+        plane_variation = grid.cell_volume * _gap_scores(comps[at_base][:, None], comps[:, keep], p)[:, 0]
+        return stretch, grid.diameter**p * (bending + dirichlet), plane_variation
 
-    return _LocalFits(
-        base_index=base_index,
-        rotation=rotation,
-        lhs=lhs,
-        stretch=stretch,
-        bend_scale=grid.diameter**p * (bending + dirichlet),
-        plane_variation=plane_variation,
-    )
+    return _LocalFits(base_index, rotation, lhs, terms)
 
 
 def local_rigidity(
@@ -759,8 +801,9 @@ class RotationField:
     order of `_Patches.subcubes`; `rotations` views its fitted maps on a
     (t,) * d grid, and `residual` is the sum of its `lhs`.  `fits`, one
     rigidity report per subcube in the same order, is built on its first
-    read: only then does each subcube's metric oscillation search run, for
-    the reports' `osc_term` and `constant`.
+    read: only then do each subcube's deferred energy terms and metric
+    oscillation search run, for the reports' `stretch`, `bend_scale`,
+    `plane_variation`, `osc_term` and `constant`.
     """
 
     grid: GridDomain
@@ -785,19 +828,6 @@ class RotationField:
             osc = [oscillation_and_diameter(g, box)[0] for box in boxes]
         return tuple(self.local.reports(_subgrid(self.grid, block), osc, self.p))
 
-    @cached_property
-    def _shift_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """What every shift of `translation_modulus` shares, one row per cell
-        in C order: its subcube's index (d, N), its centre (N, d) and the
-        metric's `cell_inv_sqrt` (N, d, d)."""
-        grid = self.grid
-        sub_of_cell = np.indices(grid.cell_shape) // (grid.resolution // self.t)
-        return (
-            sub_of_cell.reshape(grid.dim, -1),
-            grid.cell_centers().reshape(-1, grid.dim),
-            self.metric.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim),
-        )
-
 
 def multiscale_fit(
     u: ImmersionField, g: MetricField, t: int, p: float = 2.0, seed: int = 0
@@ -810,20 +840,25 @@ def multiscale_fit(
     pipeline runs once over a leading axis of all t^d subcubes: the subcube
     data are the parent's per-cell arrays (differentials, normals,
     complements, cell metrics) regrouped subcube by subcube (see
-    `_Patches.subcubes`), flattening is the product Fᵀ·du on that cell
-    data, each subcube's products and sums keep their
-    one-subcube shapes, and so every subcube report equals, bit for bit,
-    what `local_rigidity` gives on a fresh `ImmersionField`/`MetricField`
-    built on the sliced nodes over the sub-grid (at t = 1, on `u` and `g`
-    themselves).  Work runs per subcube only where it is ragged or
-    sequential: subcubes with degenerate cells, the seeded candidate
-    subsample and the bound filter of the base-cell choice, and the p != 2
-    rotation descent.
+    `_Patches.subcubes`), flattening is Fᵀ·du on that cell data, each
+    subcube's products and sums keep their one-subcube shapes (the factors
+    F and T^{-1} that all of a subcube's cells share are one product per
+    subcube, equal to the per-cell products), and so every subcube report
+    equals, bit for bit, what `local_rigidity` gives on a fresh
+    `ImmersionField`/`MetricField` built on the sliced nodes over the
+    sub-grid (at t = 1, on `u` and `g` themselves).  Work runs per subcube
+    only where it is ragged or sequential: subcubes with degenerate cells,
+    the seeded candidate subsample and the bound filter of the base-cell
+    choice, and the p != 2 rotation descent.
 
-    The fit's terms stay arrays.  The subcube reports and the metric
-    oscillation over each subcube's cell box, which their `osc_term`
-    carries, are computed on the first read of `fits` (a constant metric
-    has zero oscillation on every box and runs no search).
+    The fit's terms stay arrays.  The fit computes each subcube's base
+    cell, rotation and lhs, which `rotations`, `residual` and
+    `translation_modulus` read; the stretch, bending, Dirichlet and
+    plane-variation terms run on their first read (see `_LocalFits`).  The
+    subcube reports, those terms and the metric oscillation over each
+    subcube's cell box, which their `osc_term` carries, are computed on the
+    first read of `fits` (a constant metric has zero oscillation on every
+    box and runs no search).  `rigidkit multiscale` reads none of them.
     """
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
@@ -849,7 +884,12 @@ def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
 
     A subcube is admissible when its tripled cube and the shifted tripled
     cube both stay inside the closed domain cube; shifts at least as long as
-    the domain side leave nothing admissible.
+    the domain side leave nothing admissible.  Each condition bounds the
+    subcube index on one axis from one side, so the admissible subcubes are
+    one index interval per axis, and their cells one box of the grid.  The
+    integral runs over that box in C order: each cell's subcube and the
+    subcube its shifted centre lands in are read per axis, and both fitted
+    maps are taken by linear subcube index.
     """
     grid = field.grid
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
@@ -860,28 +900,27 @@ def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
         return empty
 
     t = field.t
+    block = grid.resolution // t
     side = grid.length / t
     tol = 1e-9 * grid.length
-    per_axis = []
-    for a in range(grid.dim):
-        j = np.arange(t)
+    j = np.arange(t)
+    count, box, source, target = 1, [], np.zeros((), dtype=int), np.zeros((), dtype=int)
+    for shift in zeta.tolist():
         inner = (j >= 1) & (j <= t - 2)
-        shifted = ((j - 1) * side + zeta[a] >= -tol) & ((j + 2) * side + zeta[a] <= grid.length + tol)
-        per_axis.append(inner & shifted)
-    admissible = per_axis[0]
-    for ok in per_axis[1:]:
-        admissible = admissible[..., None] & ok
-    count = int(admissible.sum())
-    if count == 0:
-        return empty
-
-    sub_of_cell, centers, inv_sqrt = field._shift_cells
-    cell_ok = admissible[tuple(sub_of_cell)]
-    centers = centers[cell_ok]
-    from_idx = tuple(sub_of_cell[:, cell_ok])
-    to_idx = tuple(np.clip((centers + zeta) // side, 0, t - 1).astype(int).T)
-    diff = field.rotations[to_idx] - field.rotations[from_idx]
-    inv_sqrt = inv_sqrt[cell_ok]
+        shifted = ((j - 1) * side + shift >= -tol) & ((j + 2) * side + shift <= grid.length + tol)
+        admissible = np.flatnonzero(inner & shifted)
+        if admissible.size == 0:
+            return empty
+        cell = np.arange(admissible[0] * block, (admissible[-1] + 1) * block)
+        # the cell centres along this axis, as `GridDomain.cell_centers` has them
+        landing = np.clip(((cell + 0.5) * grid.spacing + shift) // side, 0, t - 1).astype(int)
+        count *= admissible.size
+        box.append(slice(cell[0], cell[-1] + 1))
+        source = source[..., None] * t + cell // block
+        target = target[..., None] * t + landing
+    rotations = field.rotations.reshape((t**grid.dim,) + field.rotations.shape[grid.dim :])
+    diff = rotations.take(target.reshape(-1), axis=0) - rotations.take(source.reshape(-1), axis=0)
+    inv_sqrt = field.metric.cell_inv_sqrt[tuple(box)].reshape(-1, grid.dim, grid.dim)
     value = float(grid.cell_volume * np.sum(_flat_norms(diff @ inv_sqrt) ** field.p))
     return TranslationModulus(tuple(zeta.tolist()), value, count / t**grid.dim)
 

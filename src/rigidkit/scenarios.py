@@ -46,6 +46,14 @@ def perturbation_field(dim: int, out_dim: int, length: float, seed: int):
     the seed and the normalization (unit maximum gradient) is probed on a
     fixed fine lattice, so evaluating on different resolutions samples the
     same continuum field.
+
+    The probe evaluates the field's formula on the lattice without its
+    general steps, with the same operations in the same order: the envelope
+    is the product of one bump per axis, 1 b_0 b_1 ..., from the lattice's
+    1-D axis; the squared gradients are added one component at a time, in
+    the order the sum over (component, axis) of a stacked array takes; and
+    one `sqrt` is taken, of the largest sum (sqrt is monotone and correctly
+    rounded, so that is the largest root).
     """
     rng = np.random.default_rng(seed)
     waves = 3
@@ -53,32 +61,39 @@ def perturbation_field(dim: int, out_dim: int, length: float, seed: int):
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(out_dim, waves))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(out_dim, waves))
 
+    def wave(points: np.ndarray, i: int) -> np.ndarray:
+        """Component i before its envelope."""
+        acc = np.zeros(points.shape[:-1])
+        for k in range(waves):
+            if dim == 1:
+                ray = points[..., 0]
+            else:
+                direction = np.zeros(dim)
+                direction[0] = np.cos(angles[i, k])
+                direction[1] = np.sin(angles[i, k])
+                ray = points @ direction
+            acc += coeffs[i, k] * np.sin(np.pi * (k + 1) * ray / length + phases[i, k])
+        return acc
+
     def raw(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         envelope = np.ones(points.shape[:-1])
         for axis in range(dim):
             envelope = envelope * smooth_bump(2.0 * points[..., axis] / length - 1.0)
-        comps = []
-        for i in range(out_dim):
-            acc = np.zeros(points.shape[:-1])
-            for k in range(waves):
-                if dim == 1:
-                    ray = points[..., 0]
-                else:
-                    direction = np.zeros(dim)
-                    direction[0] = np.cos(angles[i, k])
-                    direction[1] = np.sin(angles[i, k])
-                    ray = points @ direction
-                acc += coeffs[i, k] * np.sin(np.pi * (k + 1) * ray / length + phases[i, k])
-            comps.append(envelope * acc)
-        return np.stack(comps, axis=-1)
+        return np.stack([envelope * wave(points, i) for i in range(out_dim)], axis=-1)
 
-    probe_res = 2048 if dim == 1 else 128
-    probe = GridDomain(dim, length, probe_res)
-    samples = raw(probe.node_coordinates())
-    grads = np.gradient(samples, probe.spacing, axis=tuple(range(dim)))
-    grads = np.stack([grads] if dim == 1 else list(grads), axis=-1)
-    scale = np.sqrt(np.sum(grads**2, axis=(-2, -1))).max()
+    probe = GridDomain(dim, length, 2048 if dim == 1 else 128)
+    bump = smooth_bump(2.0 * probe.node_axis() / length - 1.0)
+    envelope = np.ones(())
+    for _ in range(dim):
+        envelope = envelope[..., None] * bump
+    nodes = probe.node_coordinates()
+    total = np.zeros(probe.node_shape)
+    for i in range(out_dim):
+        grads = np.gradient(envelope * wave(nodes, i), probe.spacing)
+        for grad in [grads] if dim == 1 else grads:
+            total += grad * grad
+    scale = np.sqrt(np.max(total))
     if scale <= 0.0:
         raise ValueError("degenerate perturbation draw")
 

@@ -118,9 +118,10 @@ def random_frame(rng: np.random.Generator, ambient: int, dim: int) -> np.ndarray
 
 def translation_modulus_per_call(field, zeta) -> tuple[tuple[float, ...], float, float]:
     """(shift, value, covered fraction) of `rigidity.translation_modulus`,
-    with the cell geometry that every shift shares (the subcube of each
-    cell, the cell centres and the metric factors) rebuilt on every call:
-    the reference for the field's cached geometry, equal bit for bit."""
+    computed over the whole grid: a boolean mask of the admissible subcubes,
+    one of the cells in them, and fancy gathers of each cell's subcube, its
+    centre, its target subcube and its metric factor.  The reference for
+    the admissible box the library reads, equal bit for bit."""
     grid = field.grid
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     if np.linalg.norm(zeta) >= grid.length:
@@ -193,3 +194,41 @@ def rotation_descent_per_candidate(
         if not moved:
             step *= 0.5
     return best_rot
+
+
+def perturbation_scale_stacked(dim: int, out_dim: int, length: float, seed: int) -> float:
+    """The normalisation `scenarios.perturbation_field` divides by, probed as
+    the field's general formula gives it: the field evaluated at every node
+    of the fixed lattice, its gradients stacked (..., out_dim, dim), and the
+    largest root of their summed squares.  The reference its scale must
+    equal bit for bit."""
+    from rigidkit.fields import GridDomain
+    from rigidkit.scenarios import smooth_bump
+
+    rng = np.random.default_rng(seed)
+    waves = 3
+    coeffs = rng.uniform(-1.0, 1.0, size=(out_dim, waves))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(out_dim, waves))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(out_dim, waves))
+    probe = GridDomain(dim, length, 2048 if dim == 1 else 128)
+    points = probe.node_coordinates()
+    envelope = np.ones(points.shape[:-1])
+    for axis in range(dim):
+        envelope = envelope * smooth_bump(2.0 * points[..., axis] / length - 1.0)
+    comps = []
+    for i in range(out_dim):
+        acc = np.zeros(points.shape[:-1])
+        for k in range(waves):
+            if dim == 1:
+                ray = points[..., 0]
+            else:
+                direction = np.zeros(dim)
+                direction[0] = np.cos(angles[i, k])
+                direction[1] = np.sin(angles[i, k])
+                ray = points @ direction
+            acc += coeffs[i, k] * np.sin(np.pi * (k + 1) * ray / length + phases[i, k])
+        comps.append(envelope * acc)
+    samples = np.stack(comps, axis=-1)
+    grads = np.gradient(samples, probe.spacing, axis=tuple(range(dim)))
+    grads = np.stack([grads] if dim == 1 else list(grads), axis=-1)
+    return float(np.sqrt(np.sum(grads**2, axis=(-2, -1))).max())

@@ -525,6 +525,22 @@ class TestMultiscale:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "multiscale.json").exists()
 
+    @pytest.mark.parametrize(
+        "sweep, shift, t",
+        [
+            ({"t_values": [1, 2]}, "0.25", 2),  # no tripled subcube fits at t < 3
+            ({"t_values": [1, 2, 4], "shifts": [0.9, 0.8]}, "0.9", 4),
+            ({"t_values": [1, 2], "shifts": [0.25]}, "0.25", 2),
+        ],
+    )
+    def test_shift_with_no_admissible_subcube_is_config_error(self, tmp_path, capsys, sweep, shift, t):
+        cfg = write_config(tmp_path, "multi.json", {"scenario": {"family": "curve", "resolution": 64}} | sweep)
+        assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: shift {shift} leaves no admissible subcube at t={t}" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_nearly_degenerate_field_prints_nothing_before_it_exits(self, tmp_path, capsys):
         # The rank test flags 63 of the 64 cells: t = 1 fits, t = 2 has a
         # subcube with no cell to anchor at.

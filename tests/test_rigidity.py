@@ -23,7 +23,7 @@ from rigidkit.fields import (
     energies,
     oscillation_and_diameter,
 )
-from rigidkit.metric_algebra import OrientedSubspace, rotation_align, subspace_distance
+from rigidkit.metric_algebra import OrientedSubspace, rotation_align, spd_inv_sqrt, subspace_distance
 from rigidkit.rigidity import (
     _bound_slack,
     _bound_survivors,
@@ -50,7 +50,7 @@ from rigidkit.scenarios import (
     perturbed_inclusion,
 )
 
-from oracles import random_frame, rotation_descent_per_candidate, translation_modulus_per_call
+from oracles import random_frame, random_spd, rotation_descent_per_candidate, translation_modulus_per_call
 
 
 def rotation2(angle):
@@ -936,6 +936,29 @@ class TestMultiscaleFit:
             field = multiscale_fit(u, flat, 4)
         assert [fit.osc_term for fit in field.fits] == [0.0] * 16
 
+    def test_multiscale_computes_no_subcube_energy_and_fits_compute_them_once(self, tmp_path):
+        spec = ScenarioSpec("graph", 2, 1.0, 16, epsilon=0.05, seed=3)
+        u = build_scenario(spec).u
+        g = build_metric(u.grid, "flat")
+        with mock.patch.object(rigidity, "_energy_sums", wraps=rigidity._energy_sums) as spy:
+            config = tmp_path / "multi.json"
+            config.write_text(json.dumps({"scenario": spec.to_dict(), "t_values": [4, 8]}))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["multiscale", "--config", str(config), "--out", str(tmp_path / "out")]) in (0, 1)
+            assert spy.call_count == 0
+
+            fields = [multiscale_fit(u, g, t) for t in (1, 2, 4)]
+            assert spy.call_count == 0
+            for count, field in enumerate(fields, start=1):
+                fits = field.fits
+                assert spy.call_count == count  # one stacked call per partition
+                assert field.fits is fits
+                field.local.stretch, field.local.plane_variation
+                assert spy.call_count == count
+
+            local_rigidity(u, g)
+            assert spy.call_count == 4
+
     def test_subcube_oscillation_bound_for_linear_metric(self):
         grid = GridDomain(1, 1.0, 32)
         u = curvature_curve(grid, kappa=0.5)
@@ -1097,6 +1120,34 @@ class TestMultiscaleFit:
             np.testing.assert_array_equal(getattr(fit, name), getattr(report, name), err_msg=name)
 
 
+class TestPerPatchProducts:
+    """The factors shared by every cell of a patch are applied as one product
+    per patch; each must equal the per-cell stacked product bit for bit."""
+
+    @pytest.mark.parametrize("big, d", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("count", [1, 4, 64])
+    @pytest.mark.parametrize("n", [1, 7, 64, 1024])
+    def test_frame_transpose_times_du(self, big, d, count, n):
+        rng = np.random.default_rng(1000 * big + 100 * d + count + n)
+        for scale in (1e-3, 1.0, 1e3):
+            du = scale * rng.standard_normal((count, n, big, d))
+            frame = np.stack([random_frame(rng, big, d) for _ in range(count)])
+            per_cell = np.swapaxes(frame, -1, -2)[:, None] @ du
+            assert np.array_equal(rigidity._flatten(du, frame), per_cell)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 4, 64])
+    @pytest.mark.parametrize("n", [1, 7, 64, 1024])
+    def test_du_times_inverse_root(self, d, count, n):
+        rng = np.random.default_rng(100 * d + count + n)
+        du = np.eye(d) + 0.3 * rng.standard_normal((count, n, d, d))
+        gram = np.stack([random_spd(rng, d) for _ in range(count)])
+        with mock.patch.object(rigidity, "_fit_rotations", wraps=rigidity._fit_rotations) as spy:
+            rigidity._metric_frame_fit(du, gram, 2.0)
+        (flat, _), _ = spy.call_args
+        assert np.array_equal(flat, du @ spd_inv_sqrt(gram)[:, None])
+
+
 class TestTranslationModulus:
     def circle_field(self, t=8, n=64):
         grid = GridDomain(1, 1.0, n)
@@ -1140,17 +1191,24 @@ class TestTranslationModulus:
         mod = translation_modulus(field, [0.125, 0.0])
         assert mod.covered_fraction == 0.125
 
-    @pytest.mark.parametrize("family, dim, n, t", [("curve", 1, 64, 8), ("graph", 2, 16, 4)])
+    @pytest.mark.parametrize(
+        "family, dim, n, t",
+        [(family, dim, n, t) for family, dim, n in [("curve", 1, 64), ("graph", 2, 16)] for t in (1, 2, 4, 8)],
+    )
     def test_shared_cell_geometry_equals_a_rebuild_per_shift(self, family, dim, n, t):
         spec = ScenarioSpec(family, dim, 1.0, n, epsilon=0.05, metric_kind="random", seed=9, kappa=1.2)
         bundle = build_scenario(spec)
-        # admissible sets of several sizes, a negative shift, shifts that
-        # leave nothing admissible, and shifts at least as long as the side
-        lengths = [0.25, 0.125, 0.0625, 0.0, -0.125, -0.3, 0.9, 1.0, 1.5]
+        # admissible sets of several sizes, negative shifts, shifts off the
+        # cell lattice, shifts that leave nothing admissible, and shifts at
+        # least as long as the side; in d = 2 along either axis, and along
+        # both diagonals
+        lengths = [0.25, 0.23, 0.125, 0.0625, 0.07, 0.0, -0.11, -0.125, -0.3, 0.9, 1.0, 1.5]
         if dim == 1:
             shifts = [[z] for z in lengths]
         else:
-            shifts = [[z, 0.0] for z in lengths] + [[0.0, -0.25], [0.125, 0.25], [0.8, 0.8]]
+            shifts = [[z, 0.0] for z in lengths] + [[0.0, z] for z in lengths]
+            shifts += [[z, z] for z in lengths] + [[z, -z] for z in lengths]
+            shifts += [[0.0, -0.25], [0.125, 0.25], [-0.125, 0.0625], [0.8, 0.8]]
         # fits read before the moduli on one field, after them on the other
         early, late = (multiscale_fit(bundle.u, bundle.metric, t) for _ in range(2))
         early.fits
@@ -1161,7 +1219,8 @@ class TestTranslationModulus:
                 mod = translation_modulus(field, zeta)
                 assert repr((mod.shift, mod.value, mod.covered_fraction)) == expected
             covered.add(mod.covered_fraction)
-        assert len(covered) >= 3 and 0.0 in covered
+        # no tripled subcube fits at t < 3
+        assert 0.0 in covered and len(covered) >= (3 if t >= 3 else 1)
         for a, b in zip(early.fits, late.fits):
             for name in ("p", "base_index", "rotation", "lhs", "osc_term", "stretch", "bend_scale",
                          "plane_variation", "constant"):

@@ -15,6 +15,8 @@ from rigidkit.scenarios import (
     smooth_bump,
 )
 
+from oracles import perturbation_scale_stacked
+
 
 def flat_metric(grid):
     return build_metric(grid, "flat")
@@ -43,6 +45,18 @@ class TestBumpAndPerturbation:
         phi = perturbation_field(2, 3, 1.0, seed=3)
         edge = np.array([[0.0, 0.3], [1.0, 0.7], [0.5, 0.0], [0.2, 1.0]])
         np.testing.assert_allclose(phi(edge), 0.0, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "dim, out_dim, seeds",
+        # perturbed inclusions (d, d + 1) and perturbed identities (d, d)
+        [(1, 2, 6), (2, 3, 6), (1, 1, 6), (2, 2, 6), (3, 3, 1)],
+    )
+    def test_probe_scale_equals_the_stacked_probe(self, dim, out_dim, seeds):
+        for seed in range(seeds):
+            for length in (1.0, 0.7):
+                phi = perturbation_field(dim, out_dim, length, seed)
+                scale = dict(zip(phi.__code__.co_freevars, (c.cell_contents for c in phi.__closure__)))["scale"]
+                assert scale == perturbation_scale_stacked(dim, out_dim, length, seed)
 
     def test_field_gradient_is_normalized(self):
         phi = perturbation_field(1, 2, 1.0, seed=11)
