@@ -154,19 +154,72 @@ def metric_norm(t: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
     return np.linalg.norm(t @ inv_sqrt, axis=(-2, -1))
 
 
+def determinant(m: np.ndarray) -> np.ndarray:
+    """Determinant of each stacked square matrix (..., d, d).
+
+    Closed forms for d <= 3: the entry, ad - bc, and the triple product
+    r0 . (r1 x r2) of the rows.  Each errs by at most a few ulps of the
+    product of the row lengths, which bounds |det| (Hadamard), so its sign
+    is exact on every matrix whose |det| is not that small: on every
+    rotation, and on every well-conditioned matrix.  d >= 4 runs LU
+    (`np.linalg.det`).
+    """
+    m = np.asarray(m, dtype=float)
+    dim = m.shape[-1]
+    if dim == 1:
+        return m[..., 0, 0].copy()
+    if dim == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if dim == 3:
+        (a, b, c), (d, e, f), (g, h, k) = [[m[..., i, j] for j in range(3)] for i in range(3)]
+        return a * (e * k - f * h) + b * (f * g - d * k) + c * (d * h - e * g)
+    return np.linalg.det(m)
+
+
 def rotation_align(m: np.ndarray) -> np.ndarray:
     """Rotation Q maximizing tr(Q^T m), with the usual determinant sign fix.
 
-    Accepts stacked input (..., d, d).  When the optimum is not unique (tied
-    smallest singular value, or rank-deficient m) the last singular direction
-    is flipped, which picks one maximizer deterministically.
+    Accepts stacked input (..., d, d).  d <= 2 are closed forms:
+
+    - d = 1: Q = 1, exactly what the SVD route gives for every finite m;
+    - d = 2: tr(Q^T m) = c (m00 + m11) + s (m10 - m01) for Q = [[c, -s], [s, c]],
+      so (c, s) is that pair divided by its `hypot`.  When both are zero
+      every rotation ties and Q is the identity.
+
+    For d >= 3 the factor comes from an SVD u s v^T: when the optimum is
+    not unique (tied smallest singular value, or rank-deficient m) the last
+    singular direction is flipped, which picks one maximizer
+    deterministically.
     """
     m = np.asarray(m, dtype=float)
+    dim = m.shape[-1]
+    if dim == 1:
+        return np.ones(m.shape)
+    if dim == 2:
+        cos, sin = m[..., 0, 0] + m[..., 1, 1], m[..., 1, 0] - m[..., 0, 1]
+        size = np.hypot(cos, sin)
+        tie = size == 0.0
+        size = np.where(tie, 1.0, size)
+        cos, sin = np.where(tie, 1.0, cos / size), sin / size
+        q = np.empty(m.shape)
+        q[..., 0, 0] = q[..., 1, 1] = cos
+        q[..., 1, 0] = sin
+        q[..., 0, 1] = -sin
+        return q
     u, _, vt = np.linalg.svd(m)
-    neg = np.linalg.det(u) * np.linalg.det(vt) < 0
+    neg = determinant(u) * determinant(vt) < 0
     u = u.copy()
     u[..., :, -1] = np.where(neg[..., None], -u[..., :, -1], u[..., :, -1])
     return u @ vt
+
+
+# The pairs i < j < _WEDGE_ROWS: those of R^3 in the order of the cross
+# product's components, then j = 3, 4, ... with i descending, so the pairs
+# of i < j < D are the first D(D - 1)/2 for every D up to _WEDGE_ROWS.
+_WEDGE_ROWS = 9
+_WEDGE_I, _WEDGE_J = np.array(
+    [(1, 2), (0, 2), (0, 1)] + [(i, j) for j in range(3, _WEDGE_ROWS) for i in reversed(range(j))]
+).T
 
 
 def isometry_defect(x: np.ndarray, oriented: bool = False) -> np.ndarray:
@@ -185,10 +238,16 @@ def isometry_defect(x: np.ndarray, oriented: bool = False) -> np.ndarray:
       the singular values are c + a and |c - a| and det x = c^2 - a^2, so
       the oriented defect is sqrt(2) hypot(c - 1, a), and the unoriented
       one the same with (max, min) of (c, a) in place of (c, a);
-    - D = 3, d = 2: with columns x0, x1, S = s_1 + s_2 =
-      sqrt(|x0|^2 + |x1|^2 + 2 |x0 x x1|) and
+    - 3 <= D <= 9, d = 2: with columns x0, x1 and the norm of their wedge
+      |x0 ^ x1| = sqrt(sum_{i<j} (x0_i x1_j - x0_j x1_i)^2) = s_1 s_2,
+      S = s_1 + s_2 = sqrt(|x0|^2 + |x1|^2 + 2 |x0 ^ x1|) and
       Delta = s_1 - s_2 = hypot(|x0|^2 - |x1|^2, 2 x0.x1) / S (0 when S = 0),
-      the defect is hypot(S - 2, Delta) / sqrt(2).
+      the defect is hypot(S - 2, Delta) / sqrt(2).  The wedge sums the
+      pairs (1, 2), (0, 2), (0, 1) first, the components of x0 x x1, so at
+      D = 3 every sum adds the terms the cross-product form added, in its
+      order, and zero rows appended below x add exact zeros.  The wedge
+      has D(D - 1)/2 terms, so wider input goes to the SVD, whose cost
+      grows with D only.
 
     None of these subtracts nearly equal squares of singular values, and
     each stays within 16 u (1 + |x|_F) of the SVD value (u the unit
@@ -210,19 +269,19 @@ def isometry_defect(x: np.ndarray, oriented: bool = False) -> np.ndarray:
         if not oriented:
             conformal, anti = np.maximum(conformal, anti), np.minimum(conformal, anti)
         return np.sqrt(2.0) * np.hypot(conformal - 1.0, anti)
-    if cols == 2 and rows == 3:
-        a0, a1, a2 = x[..., 0, 0], x[..., 1, 0], x[..., 2, 0]
-        b0, b1, b2 = x[..., 0, 1], x[..., 1, 1], x[..., 2, 1]
-        sq0, sq1 = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
-        cross = np.sqrt((a1 * b2 - a2 * b1) ** 2 + (a2 * b0 - a0 * b2) ** 2 + (a0 * b1 - a1 * b0) ** 2)
-        total = np.sqrt(sq0 + sq1 + 2.0 * cross)
+    if cols == 2 and 3 <= rows <= _WEDGE_ROWS:
+        a, b = x[..., 0], x[..., 1]
+        i, j = _WEDGE_I[: rows * (rows - 1) // 2], _WEDGE_J[: rows * (rows - 1) // 2]
+        wedge = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+        sq0, sq1 = np.sum(a * a, axis=-1), np.sum(b * b, axis=-1)
+        total = np.sqrt(sq0 + sq1 + 2.0 * np.sqrt(np.sum(wedge * wedge, axis=-1)))
         # total rounds to 0 only when every product underflows, the spread too
-        gap = np.hypot(sq0 - sq1, 2.0 * (a0 * b0 + a1 * b1 + a2 * b2)) / np.where(total > 0.0, total, 1.0)
+        gap = np.hypot(sq0 - sq1, 2.0 * np.sum(a * b, axis=-1)) / np.where(total > 0.0, total, 1.0)
         return np.hypot(total - 2.0, gap) / np.sqrt(2.0)
     s = np.linalg.svd(x, compute_uv=False)
     if oriented:
         s = s.copy()
-        s[..., -1] = np.where(np.linalg.det(x) < 0, -s[..., -1], s[..., -1])
+        s[..., -1] = np.where(determinant(x) < 0, -s[..., -1], s[..., -1])
     return np.sqrt(np.sum((s - 1.0) ** 2, axis=-1))
 
 
@@ -253,10 +312,41 @@ def checked_frames(frames: np.ndarray) -> np.ndarray:
 def sign_fixed_qr(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR factor Q of each stacked matrix (..., D, d), its columns signed so
     that R has a nonnegative diagonal, and that diagonal.  Full-rank input
-    gets the one orthonormal frame of its column span and orientation."""
-    q, r = np.linalg.qr(mats)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], np.abs(diag)
+    gets the one orthonormal frame of its column span and orientation.
+
+    Up to 3 columns (D >= d) run classical Gram-Schmidt with each
+    projection applied twice, which leaves the columns orthonormal to
+    working precision whenever u times the condition number stays well
+    below 1 (Giraud, Langou & Rozloznik 2005); the rank tests of
+    `spanning_frames` and of the pipelines pass only frames inside that
+    range.  Each column is first scaled by the power of two that brings the
+    sum of its |entries| into [1/2, 1), which changes neither Q nor, after
+    scaling back, R, and keeps every square from overflowing or
+    underflowing (for entries below about 1e307).  A column with nothing
+    left after its projections, such as a zero column, has R_ii = 0, and Q
+    is NaN from that column on (R too, after it).  Wider input runs
+    LAPACK's Householder QR.
+    """
+    mats = np.asarray(mats, dtype=float)
+    rows, cols = mats.shape[-2:]
+    if not 1 <= cols <= min(rows, 3):
+        q, r = np.linalg.qr(mats)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], np.abs(diag)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # (subnormal columns keep a finite scale 2^1021, enough to lift them)
+        exponents = np.maximum(np.frexp(np.ones(rows) @ np.abs(mats))[1], -1021)
+        vectors = _swap(mats) * np.ldexp(1.0, -exponents)[..., None]
+        q, norms = np.empty(vectors.shape), np.empty(vectors.shape[:-1])
+        for k in range(cols):
+            # rows (..., 1, D): the column, and its coefficients on the columns done
+            v, done = vectors[..., k, None, :], q[..., :k, :]
+            for _ in range(2 if k else 0):
+                v = v - (v @ _swap(done)) @ done
+            norm = np.sqrt(v @ _swap(v))
+            norms[..., k] = norm[..., 0, 0]
+            np.divide(v, norm, out=q[..., k, None, :])
+        return _swap(q), np.ldexp(norms, exponents)
 
 
 def spanning_frames(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +380,7 @@ def complement_frames(frames: np.ndarray) -> np.ndarray:
     if small == big:
         raise ValueError("the full space has a trivial complement")
     w = np.linalg.svd(frames, full_matrices=True)[0][..., small:].copy()
-    neg = np.linalg.det(np.concatenate([frames, w], axis=-1)) < 0
+    neg = determinant(np.concatenate([frames, w], axis=-1)) < 0
     w[..., -1] = np.where(neg[..., None], -w[..., -1], w[..., -1])
     return checked_frames(w)
 
@@ -307,7 +397,7 @@ def projection_keeps_orientation(frames0: np.ndarray, frames: np.ndarray) -> np.
     Reads off the sign of det(frame0^T frame); a rank-deficient projection
     gives False.
     """
-    return np.linalg.det(_swap(frames0) @ frames) > 0.0
+    return determinant(_swap(frames0) @ frames) > 0.0
 
 
 def plane_coordinates(t: np.ndarray, frames: np.ndarray) -> np.ndarray:

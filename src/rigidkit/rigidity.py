@@ -690,6 +690,10 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
     """The local pipeline of `local_rigidity` on every patch, as arrays with
     one row per patch.
 
+    A fit integrates over a patch's non-degenerate cells only, so a patch
+    that keeps fewer than half of its cells would report on a different
+    domain than the one it names: that raises `DegenerateFieldError`.
+
     One `_base_cells` call chooses the base cells, and the frame the pipeline
     flattens through is factored from each base cell's differential alone.
     Every stage is one array computation over the patch axis, with each
@@ -706,7 +710,12 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
     grid, count = patches.grid, patches.degenerate.shape[0]
     d, big, n = grid.dim, patches.target.ambient_dim, grid.cell_count
     good = ~patches.degenerate.reshape(count, n)
-    ragged = ~good.all(axis=-1)
+    fitted = good.sum(axis=-1)
+    if (2 * fitted < n).any():
+        raise DegenerateFieldError(
+            f"a patch keeps {fitted.min()} of its {n} cells; a fit needs at least half of them non-degenerate"
+        )
+    ragged = fitted < n
     if count > 1 and ragged.any():
         parts = [
             (rows, _local_fits(patches.take(rows), p, seed))

@@ -232,3 +232,77 @@ def perturbation_scale_stacked(dim: int, out_dim: int, length: float, seed: int)
     grads = np.gradient(samples, probe.spacing, axis=tuple(range(dim)))
     grads = np.stack([grads] if dim == 1 else list(grads), axis=-1)
     return float(np.sqrt(np.sum(grads**2, axis=(-2, -1))).max())
+
+
+# --- the lemma suite's draws, one instance at a time -------------------------
+#
+# The sampled runners' draw loops as they were written before the draws went
+# into flat buffers: every array an instance reads is filled by its own
+# generator call, straight into the zero-padded slots.  Each returns the
+# arrays of the runner's `lemma_suite._*_draws` function, in its layout, for
+# an `np.array_equal` comparison.
+
+
+def _draw_gram(rng, dim: int, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raw draws of one random Gram matrix: log-spectrum, then rotation normals."""
+    return rng.uniform(-np.log(lam_max), np.log(lam_max), size=dim), rng.standard_normal((dim, dim))
+
+
+def so_set_draws(config, rng) -> tuple[np.ndarray, ...]:
+    n, wide = config.samples, config.max_dim
+    dims, log_spectra, normals = np.empty(n, dtype=int), np.zeros((n, 2, wide)), np.zeros((n, 2, wide, wide))
+    for i in range(n):
+        dim = dims[i] = int(rng.integers(1, config.max_dim, endpoint=True))
+        for pair in (0, 1):
+            log_spectra[i, pair, :dim], normals[i, pair, :dim, :dim] = _draw_gram(rng, dim, config.lam_max)
+    return dims, log_spectra, normals
+
+
+def projection_draws(config, rng) -> tuple[np.ndarray, ...]:
+    n, top, wide = config.samples, config.max_ambient, config.max_dim
+    dims, log_spectra, planes = np.empty(n, dtype=int), np.zeros((n, wide)), np.zeros((2, n, top, wide))
+    (base, plane), (normals, coeffs) = planes, np.zeros((2, n, wide, wide))
+    for i in range(n):
+        dim = dims[i] = int(rng.integers(1, config.max_dim, endpoint=True))
+        ambient = int(rng.integers(dim + 1, config.max_ambient, endpoint=True))
+        base[i, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        plane[i, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        log_spectra[i, :dim], normals[i, :dim, :dim] = _draw_gram(rng, dim, config.lam_max)
+        coeffs[i, :dim, :dim] = rng.standard_normal((dim, dim))
+    return dims, np.stack([base, plane], axis=1), log_spectra, np.stack([normals, coeffs], axis=1)
+
+
+def volume_draws(config, rng) -> tuple[np.ndarray, ...]:
+    lo, hi = -np.log(config.lam_max), np.log(config.lam_max)
+    dims, cells, weights, log_spectra = [], [], [], []
+    for _ in range(config.samples):
+        dims.append(int(rng.integers(1, config.max_dim, endpoint=True)))
+        cells.append(int(rng.integers(2, 32, endpoint=True)))
+        weights.append(rng.uniform(0.0, 1.0, size=cells[-1]))
+        log_spectra.append(rng.uniform(lo, hi, size=(cells[-1], dims[-1])).ravel())
+    return np.array(dims), np.array(cells), np.concatenate(weights), np.concatenate(log_spectra)
+
+
+def in_plane_draws(config, rng) -> tuple[np.ndarray, ...]:
+    n, top, wide = config.samples, config.max_ambient, config.max_dim
+    dims, log_spectra, plane = np.empty(n, dtype=int), np.zeros((n, wide)), np.zeros((n, top, wide))
+    coords, normals = np.zeros((2, n, wide, wide))
+    for i in range(n):
+        dim = dims[i] = int(rng.integers(1, config.max_dim, endpoint=True))
+        ambient = int(rng.integers(dim, config.max_ambient, endpoint=True))
+        plane[i, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        coords[i, :dim, :dim] = rng.standard_normal((dim, dim))
+        log_spectra[i, :dim], normals[i, :dim, :dim] = _draw_gram(rng, dim, config.lam_max)
+    return dims, plane, coords, log_spectra, normals
+
+
+def orientation_draws(config, rng, chunk: int) -> tuple[np.ndarray, ...]:
+    dims, wiggles = np.empty(chunk, dtype=int), np.empty(chunk)
+    vectors, noise = np.zeros((2, chunk, config.max_ambient, config.max_dim))
+    for attempt in range(chunk):
+        dim = dims[attempt] = int(rng.integers(1, config.max_dim, endpoint=True))
+        ambient = int(rng.integers(dim + 1, config.max_ambient, endpoint=True))
+        vectors[attempt, :ambient, :dim] = rng.standard_normal((ambient, dim))
+        wiggles[attempt] = rng.uniform(0.0, 0.4 * (0.5 / (2.0 * dim)))
+        noise[attempt, :ambient, :dim] = rng.standard_normal((ambient, dim))
+    return dims, vectors, wiggles, noise

@@ -1,15 +1,18 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rigidkit import cli
 from rigidkit.cli import main
 from rigidkit.fields import GridDomain, ImmersionField, TargetSpace, snapshot_save
-from rigidkit.scenarios import FAMILIES, build_metric, latitude_circle
+from rigidkit.scenarios import FAMILIES, build_metric, build_scenario, latitude_circle
 
 
 def write_config(tmp_path, name, payload):
@@ -74,12 +77,77 @@ class TestLemmas:
         assert f"error: bad lemma config: {message}" in capsys.readouterr().err
         assert not (tmp_path / "lemmas.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            ([], {"samples": 10**12}, "sample count must lie in [0, 100000], got 1000000000000"),
+            (["--n", str(10**12)], {}, "sample count must lie in [0, 100000], got 1000000000000"),
+            ([], {"samples": 100_001, "max_ambient": 2, "max_dim": 1}, "sample count must lie in [0, 100000]"),
+            ([], {"samples": 55_556}, "samples * max_ambient * max_dim must be at most 1000000"),
+            ([], {"samples": 1, "max_ambient": 10**12, "max_dim": 1}, "samples * max_ambient * max_dim must be"),
+            ([], {"curve_resolution": 10**9}, "curve resolution must lie in [2, 500000], got 1000000000"),
+        ],
+    )
+    def test_absurd_sizes_exit_2_before_anything_is_allocated(
+        self, tmp_path, capsys, monkeypatch, argv, config, message
+    ):
+        def suite_must_not_run(config):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_all", suite_must_not_run)
+        cfg = write_config(tmp_path, "cfg.json", config)
+        tracemalloc.start()
+        try:
+            code = main(["lemmas", "--config", cfg, "--out", str(tmp_path / "out"), *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"error: bad lemma config: {message}" in capsys.readouterr().err
+        assert peak < 1 << 20  # bytes: no array of the suite was made
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_counts_are_integers(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"samples": 4.0, "curve_resolution": 32.0})
         assert main(["lemmas", "--config", cfg, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "lemmas.json").read_text())
         assert payload["manifest"]["spec"]["lemma_config"]["samples"] == 4
         assert [p["samples"] for p in payload["properties"]] == [4, 4, 4, 4, 4, 32, 4]
+
+
+class TestNearlyEmptyFits:
+    """One rule for both fitting subcommands: a patch (the grid for
+    `rigidity`, each subcube for `multiscale`) that keeps fewer than half of
+    its cells is a degenerate scenario."""
+
+    MESSAGE = "degenerate scenario: a patch keeps 1 of its 64 cells; a fit needs at least half of them non-degenerate\n"
+
+    @pytest.mark.parametrize("command", ["rigidity", "multiscale"])
+    def test_fit_on_one_cell_in_64_exits_3_with_one_message(self, tmp_path, capsys, command):
+        scenario = {"family": "graph", "dim": 2, "resolution": 8, "epsilon": 1e300}
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", self.MESSAGE)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, extra", [("rigidity", {}), ("multiscale", {"t_values": [1, 2, 4]})])
+    def test_one_degenerate_cell_still_fits(self, tmp_path, capsys, monkeypatch, command, extra):
+        def one_collapsed_cell(spec):
+            bundle = build_scenario(spec)
+            values = bundle.u.values.copy()
+            values[11] = values[10]  # cell 10 has zero length
+            u = ImmersionField(bundle.u.grid, bundle.u.target, values)
+            assert u.degenerate_count == 1
+            return type(bundle)(bundle.spec, u, bundle.metric)
+
+        monkeypatch.setattr(cli, "_build", one_collapsed_cell)
+        scenario = {"family": "curve", "dim": 1, "resolution": 64, "kappa": 1.0}
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario} | extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / f"{command}.json").exists()
 
 
 class TestRigidity:
@@ -258,12 +326,12 @@ class TestRigidity:
         assert "error: scenario cannot be built: grid spacing 0.0 is not positive and finite" in err
         assert not (tmp_path / "rigidity.json").exists()
 
-    # A tiny spacing overflows the normal differential against an underflowing
-    # cell volume (bend_scale NaN); a huge perturbation overflows the fit (lhs inf).
+    # A huge spacing overflows the bend scale; a huge perturbation overflows
+    # the fit (lhs inf).
     @pytest.mark.parametrize(
         "scenario, term",
         [
-            ({"family": "graph", "dim": 2, "resolution": 8, "length": 1e-300}, "report.bend_scale is not finite (nan)"),
+            ({"family": "graph", "dim": 2, "resolution": 8, "length": 1e100}, "report.bend_scale is not finite (inf)"),
             (
                 {"family": "perturbed", "dim": 2, "resolution": 8, "kappa": 0.0, "epsilon": 1e300},
                 "report.lhs is not finite (inf)",
@@ -275,6 +343,24 @@ class TestRigidity:
         with np.errstate(all="ignore"):
             assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert f"degenerate scenario: report term {term}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_report_term_is_degenerate(self, tmp_path, capsys, monkeypatch):
+        # A graph with a tiny spacing, whose bend scale is NaN, keeps 1 of its
+        # 64 cells and stops at the half-cells rule first; the fit is patched
+        # instead to lose one term's value.
+        real = cli._fit_report
+
+        def lost_bend_scale(bundle, p, seed):
+            report, route = real(bundle, p, seed)
+            return dataclasses.replace(report, bend_scale=float("nan")), route
+
+        monkeypatch.setattr(cli, "_fit_report", lost_bend_scale)
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": {"family": "graph", "dim": 2, "resolution": 8}})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degenerate scenario: report term report.bend_scale is not finite (nan)" in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_integral_float_dim_is_an_integer(self, tmp_path):
@@ -542,15 +628,15 @@ class TestMultiscale:
         assert not (tmp_path / "out").exists()
 
     def test_nearly_degenerate_field_prints_nothing_before_it_exits(self, tmp_path, capsys):
-        # The rank test flags 63 of the 64 cells: t = 1 fits, t = 2 has a
-        # subcube with no cell to anchor at.
+        # The rank test flags 63 of the 64 cells, so the first fit already
+        # keeps fewer than half of its patch's cells.
         scenario = {"family": "graph", "dim": 2, "resolution": 8, "epsilon": 1e300}
         cfg = write_config(tmp_path, "multi.json", {"scenario": scenario, "t_values": [1, 2]})
         with np.errstate(all="ignore"):
             assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "degenerate scenario: no non-degenerate cells to anchor at" in captured.err
+        assert "degenerate scenario: a patch keeps 1 of its 64 cells" in captured.err
         assert not (tmp_path / "out").exists()
 
         # a run that completes prints its lines in the order of its sweeps

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from rigidkit import lemma_suite
 from rigidkit.lemma_suite import (
     PROPERTY_ORDER,
@@ -38,6 +41,11 @@ class TestConfig:
         "kwargs",
         [
             {"samples": -1},
+            {"samples": 100_001, "max_ambient": 2, "max_dim": 1},
+            {"samples": 10**12},
+            {"samples": 55_556},
+            {"samples": 10, "max_ambient": 100_001, "max_dim": 1},
+            {"curve_resolution": 500_001},
             {"tolerance": -1.0},
             {"tolerance": 0.0},
             {"normal_tolerance": -1e-8},
@@ -61,6 +69,31 @@ class TestConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LemmaConfig(**kwargs)
+
+    def test_sizes_at_their_caps_are_accepted(self):
+        # constructed only: a run at these caps takes seconds (see the README)
+        assert LemmaConfig(samples=100_000, max_dim=2, max_ambient=5).samples == 100_000
+        assert LemmaConfig(samples=55_555).samples == 55_555
+        assert LemmaConfig(samples=1, max_dim=1, max_ambient=1_000_000).max_ambient == 1_000_000
+        assert LemmaConfig(curve_resolution=500_000).curve_resolution == 500_000
+
+    def test_run_at_the_drawn_cap_in_a_wide_ambient_space_stays_small(self):
+        # samples * max_ambient * max_dim = 1e6, one instance of each
+        # dimension in R^250000: every kernel must stay linear in D (no
+        # D x D or D(D - 1)/2 temporaries).
+        tracemalloc.start()
+        try:
+            results = run_all(LemmaConfig(samples=2, max_dim=2, max_ambient=250_000, curve_resolution=64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(result.passed for result in results)
+        assert peak < 256 << 20  # bytes; each drawn array is 8 MB
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_fewer_samples_than_dimensions_runs(self, samples):
+        results = run_all(LemmaConfig(samples=samples, curve_resolution=64))
+        assert all(result.passed for result in results)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_largest_allowed_lam_max_runs(self, seed):
@@ -267,6 +300,98 @@ def test_batched_runner_equals_per_sample_reference(monkeypatch, name, dims):
             if name != "orientation_stability":
                 # Same draws in the same order: the stream ends where the loop's did.
                 assert generators[-1].random() == rng.random(), label
+
+
+# --- the draws: flat buffers against the per-instance loops -----------------
+
+
+class TestGeneratorIdentities:
+    """The numpy `Generator` identities the runners' flat-buffer draws rest on.
+    A numpy release that breaks one fails here, not only in the benchmark's
+    reference check."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_normal_calls_equal_one_of_their_total_size(self, seed):
+        split, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        first, second = split.standard_normal((4, 3)), split.standard_normal((3, 3))
+        np.testing.assert_array_equal(np.concatenate([first.ravel(), second.ravel()]), whole.standard_normal(21))
+        assert split.random() == whole.random()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_normal_into_a_flat_slice_equals_a_sized_call(self, seed):
+        sized, into = np.random.default_rng(seed), np.random.default_rng(seed)
+        buffer = np.full(20, 7.0)
+        into.standard_normal(out=buffer[3:15])
+        np.testing.assert_array_equal(buffer[3:15], sized.standard_normal((4, 3)).ravel())
+        assert (buffer[:3] == 7.0).all() and (buffer[15:] == 7.0).all()
+        assert into.random() == sized.random()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_into_a_slice_equals_unit_uniform(self, seed):
+        uniform, random = np.random.default_rng(seed), np.random.default_rng(seed)
+        buffer = np.zeros(40)
+        random.random(out=buffer[5:37])
+        np.testing.assert_array_equal(buffer[5:37], uniform.uniform(0.0, 1.0, size=32))
+        assert random.random() == uniform.random()
+
+    @pytest.mark.parametrize("lam_max", [1.0, 10.0, 37.0, 1e6])
+    def test_random_scaled_after_the_draw_equals_uniform(self, lam_max):
+        # uniform(lo, hi) is lo + (hi - lo) u on the same u, rounded as numpy
+        # rounds the product and the sum; uniform(0, s) is s u
+        lo, hi = -np.log(lam_max), np.log(lam_max)
+        uniform, random = np.random.default_rng(7), np.random.default_rng(7)
+        np.testing.assert_array_equal(uniform.uniform(lo, hi, size=100_000), lo + (hi - lo) * random.random(100_000))
+        scales = np.random.default_rng(8).uniform(0.0, 1.0, 1000)
+        assert all(uniform.uniform(0.0, s) == s * random.random() for s in scales)
+        assert random.random() == uniform.random()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scalar_integers_interleave_unchanged(self, seed):
+        # The draw order of one instance, with its normal pair drawn as two
+        # sized calls or as one call into a buffer: the integers, and every
+        # draw after them, come out the same.
+        calls, merged = np.random.default_rng(seed), np.random.default_rng(seed)
+        buffer = np.empty(64)
+        for _ in range(50):
+            dim = int(calls.integers(1, 3, endpoint=True))
+            assert int(merged.integers(1, 3, endpoint=True)) == dim
+            ambient = int(calls.integers(dim + 1, 6, endpoint=True))
+            assert int(merged.integers(dim + 1, 6, endpoint=True)) == ambient
+            pair = np.concatenate([calls.standard_normal((ambient, dim)).ravel(), calls.standard_normal(dim)])
+            merged.standard_normal(out=buffer[: (ambient + 1) * dim])
+            np.testing.assert_array_equal(buffer[: (ambient + 1) * dim], pair)
+            assert calls.uniform(-1.0, 2.0) == merged.uniform(-1.0, 2.0)
+        assert calls.random() == merged.random()
+
+
+# runner name -> (stream, its draw function, the per-instance loop it replaced)
+DRAWS = {
+    "so_set_distance_bound": (2, lemma_suite._so_set_draws, oracles.so_set_draws),
+    "projection_error_bound": (3, lemma_suite._projection_draws, oracles.projection_draws),
+    "volume_comparison": (4, lemma_suite._volume_draws, oracles.volume_draws),
+    "in_plane_equality": (5, lemma_suite._in_plane_draws, oracles.in_plane_draws),
+    "orientation_stability": (
+        6,
+        lambda cfg, rng: lemma_suite._orientation_draws(cfg, rng, cfg.samples),
+        lambda cfg, rng: oracles.orientation_draws(cfg, rng, cfg.samples),
+    ),
+}
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 6), (4, 6), (2, 9)])
+@pytest.mark.parametrize("name", sorted(DRAWS))
+def test_runner_draws_equal_the_per_instance_loop(name, dims):
+    stream, draws, loop = DRAWS[name]
+    for samples in (1, 2, 3, 50, 400):
+        for seed in range(4):
+            cfg = LemmaConfig(samples=samples, seed=seed, max_dim=dims[0], max_ambient=dims[1], lam_max=37.0)
+            ours, theirs = np.random.default_rng([stream, seed]), np.random.default_rng([stream, seed])
+            got, want = draws(cfg, ours), loop(cfg, theirs)
+            label = f"{name} samples={samples} seed={seed} dims={dims}"
+            assert len(got) == len(want), label
+            for k, (x, y) in enumerate(zip(got, want)):
+                assert x.shape == y.shape and np.array_equal(x, y), f"{label} array {k}"
+            assert ours.random() == theirs.random(), label
 
 
 def test_sampled_runners_evaluate_one_stack_per_dimension(monkeypatch):

@@ -15,6 +15,7 @@ from rigidkit.metric_algebra import (
     checked_grams,
     checked_spanning_frames,
     complement_frames,
+    determinant,
     frame_distance,
     frames_orthonormal,
     isometry_defect,
@@ -28,6 +29,7 @@ from rigidkit.metric_algebra import (
     projection_terms,
     rotation_align,
     rotation_set_distance,
+    sign_fixed_qr,
     so_set_distance,
     spanning_frames,
     spd_extremes,
@@ -621,6 +623,7 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # (rows, cols), oriented: the shapes `isometry_defect` answers in closed form
 CLOSED_FORM_SHAPES = [((1, 1), False), ((1, 1), True), ((2, 1), False), ((3, 1), False)]
 CLOSED_FORM_SHAPES += [((2, 2), False), ((2, 2), True), ((3, 2), False)]
+CLOSED_FORM_SHAPES += [((4, 2), False), ((6, 2), False), ((9, 2), False)]  # the wedge form past R^3
 
 
 def _svd_defect(x, oriented):
@@ -739,7 +742,7 @@ class TestClosedFormKernels:
 
             return call
 
-        for name in ("svd", "eigh", "eigvalsh"):
+        for name in ("svd", "eigh", "eigvalsh", "qr", "det"):
             monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
         monkeypatch.setenv("RIGIDITY_CLOCK", "1970-01-01T00:00:00+00:00")
         scenarios = [
@@ -755,6 +758,148 @@ class TestClosedFormKernels:
             path.write_text(json.dumps(config))
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path / f"out{k}")]) in (0, 1)
         capsys.readouterr()
-        assert ("svd", "rotation_align") in calls  # the spies see the pipeline's calls
-        assert ("svd", "isometry_defect") not in calls
-        assert not [call for call in calls if call[0] != "svd"]
+        # The spies see the pipeline's calls: the rank test of the fit, and
+        # the normals' complete QR.  The Procrustes factor, the base frame,
+        # the defects and every determinant sign are closed forms at d <= 2.
+        assert ("svd", "_fit_rotations") in calls and ("qr", "_degenerate_and_normal") in calls
+        assert not [call for call in calls if call[1] not in ("_fit_rotations", "_degenerate_and_normal")]
+
+
+# --- closed-form frames, Procrustes factors and signs against LAPACK --------
+
+
+def _lapack_qr(mats):
+    """numpy's Householder QR with the sign rule of `sign_fixed_qr`."""
+    q, r = np.linalg.qr(mats)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], np.abs(diag)
+
+
+def _svd_rotation_align(m):
+    """The SVD route of `rotation_align` (every d before d <= 2 had closed forms)."""
+    u, _, vt = np.linalg.svd(m)
+    neg = np.linalg.det(u) * np.linalg.det(vt) < 0
+    u = u.copy()
+    u[..., :, -1] = np.where(neg[..., None], -u[..., :, -1], u[..., :, -1])
+    return u @ vt
+
+
+# (ambient, dim) with dim <= 3: the Gram-Schmidt shapes
+QR_SHAPES = [(ambient, dim) for dim in (1, 2, 3) for ambient in range(dim, 10)]
+
+
+class TestClosedFormFrames:
+    COUNT = 40
+
+    @pytest.mark.parametrize("ambient, dim", QR_SHAPES)
+    def test_sign_fixed_qr_equals_lapack_across_scales(self, ambient, dim):
+        rng = np.random.default_rng(307 + 11 * ambient + dim)
+        mats = rng.standard_normal((self.COUNT, ambient, dim))
+        # every column at its own scale, from 1e-150 to 1e160
+        mats *= 10.0 ** rng.uniform(-150.0, 160.0, size=(self.COUNT, 1, dim))
+        q, diag = sign_fixed_qr(mats)
+        q_ref, diag_ref = _lapack_qr(mats)
+        np.testing.assert_allclose(diag, diag_ref, rtol=1e-13, atol=0.0)
+        # the same frame: same span and orientation, Q^T Q_ref = I
+        eye = np.broadcast_to(np.eye(dim), (self.COUNT, dim, dim))
+        np.testing.assert_allclose(np.swapaxes(q, -1, -2) @ q_ref, eye, rtol=0, atol=1e-12)
+        assert frames_orthonormal(q).all()
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+        np.testing.assert_array_equal(spanning_frames(mats)[1], diag_ref.min(axis=-1) > 1e-14 * scale)
+
+    @pytest.mark.parametrize("ambient, dim", [s for s in QR_SHAPES if s[1] > 1])
+    def test_dependent_and_nearly_parallel_columns_get_lapacks_verdicts(self, ambient, dim):
+        rng = np.random.default_rng(311 + 11 * ambient + dim)
+        mats = rng.standard_normal((6, self.COUNT, ambient, dim))
+        mats[0, :, :, -1] = 0.0  # one zero column
+        mats[1, :, :, 0] = 0.0
+        mats[2, :, :, -1] = 3.0 * mats[2, :, :, 0]  # parallel to the last bit or so
+        for k, gap in ((3, 1e-6), (4, 1e-12), (5, 1e-17)):  # nearly parallel
+            mats[k, :, :, -1] = mats[k, :, :, 0] + gap * rng.standard_normal((self.COUNT, ambient))
+        independent = spanning_frames(mats)[1]
+        frames, diag = _lapack_qr(mats)
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+        np.testing.assert_array_equal(independent, diag.min(axis=-1) > 1e-14 * scale)
+        assert not independent[:3].any() and independent[3].all() and not independent[5].any()
+        # What the rank test lets through is orthonormal, with R to round-off
+        # of the columns' size; at condition number 1e6 the frame is LAPACK's
+        # to about u * 1e6.
+        q, ours = sign_fixed_qr(mats[3:5])
+        assert frames_orthonormal(q).all()
+        size = np.abs(mats[3:5]).max(axis=-2)
+        assert (np.abs(ours - diag[3:5]) <= 64.0 * UNIT_ROUNDOFF * size).all()
+        eye = np.broadcast_to(np.eye(dim), (self.COUNT, dim, dim))
+        np.testing.assert_allclose(np.swapaxes(q[0], -1, -2) @ frames[3], eye, rtol=0, atol=1e-8)
+
+    def test_zero_column_gives_a_zero_diagonal_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, diag = sign_fixed_qr(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 0.0]]))
+            assert diag[0] == 0.0 and np.isnan(q).all()
+            assert not spanning_frames(np.zeros((4, 3, 2)))[1].any()
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324, 1.0, -1.0])
+    def test_one_dimensional_rotation_is_the_svd_routes_bit_for_bit(self, value):
+        m = np.full((3, 1, 1), value)
+        np.testing.assert_array_equal(rotation_align(m), _svd_rotation_align(m))
+        assert rotation_align(np.array([[value]])).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_two_dimensional_rotation_is_the_svd_routes_and_maximal(self, scale):
+        rng = np.random.default_rng(313)
+        m = scale * rng.standard_normal((600, 2, 2))
+        m[:50, 1] = 2.0 * m[:50, 0]  # rank one
+        # near ties: a reflection's shape, whose rotation part is 1e-9 of it
+        angles = rng.uniform(0.0, 2.0 * np.pi, 100)
+        c, s = np.cos(angles), np.sin(angles)
+        m[500:] = scale * (np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2) + 1e-9 * m[500:] / scale)
+        q = rotation_align(m)
+        np.testing.assert_allclose(q[:500], _svd_rotation_align(m[:500]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(determinant(q), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.swapaxes(q, -1, -2) @ q, np.broadcast_to(np.eye(2), q.shape), atol=1e-15)
+        best = np.trace(np.swapaxes(q, -1, -2) @ m, axis1=-2, axis2=-1)
+        others = np.stack([rotation2(a) for a in np.linspace(0.0, 2.0 * np.pi, 721)])
+        traces = np.trace(np.swapaxes(others, -1, -2)[None] @ m[:, None], axis1=-2, axis2=-1)
+        assert (best[:, None] >= traces - 1e-14 * np.abs(m).sum(axis=(-2, -1))[:, None]).all()
+
+    def test_two_dimensional_tie_is_the_identity(self):
+        # m00 + m11 = m10 - m01 = 0: tr(Q^T m) = 0 for every rotation
+        ties = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, -1.0]], [[-3.0, 0.5], [0.5, 3.0]]])
+        np.testing.assert_array_equal(rotation_align(ties), np.broadcast_to(np.eye(2), ties.shape))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_determinant_signs_equal_lu(self, dim):
+        rng = np.random.default_rng(317 + dim)
+        m = rng.standard_normal((2000, dim, dim))
+        np.testing.assert_allclose(determinant(m), np.linalg.det(m), rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(determinant(m) > 0.0, np.linalg.det(m) > 0.0)
+        rotations = _lapack_qr(m)[0]
+        np.testing.assert_array_equal(determinant(rotations) > 0.0, np.linalg.det(rotations) > 0.0)
+
+    @pytest.mark.parametrize("rows", [3, 4, 6, 9])
+    def test_two_column_defect_keeps_the_three_row_bits(self, rows):
+        # At D = 3 the wedge form adds the cross product's terms in its
+        # order; zero rows below add exact zeros.
+        rng = np.random.default_rng(331 + rows)
+        x = rng.standard_normal((500, 3, 2)) * 10.0 ** rng.integers(-3, 4, size=(500, 1, 2))
+        a0, a1, a2 = x[..., 0, 0], x[..., 1, 0], x[..., 2, 0]
+        b0, b1, b2 = x[..., 0, 1], x[..., 1, 1], x[..., 2, 1]
+        sq0, sq1 = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
+        cross = np.sqrt((a1 * b2 - a2 * b1) ** 2 + (a2 * b0 - a0 * b2) ** 2 + (a0 * b1 - a1 * b0) ** 2)
+        total = np.sqrt(sq0 + sq1 + 2.0 * cross)
+        gap = np.hypot(sq0 - sq1, 2.0 * (a0 * b0 + a1 * b1 + a2 * b2)) / np.where(total > 0.0, total, 1.0)
+        cross_form = np.hypot(total - 2.0, gap) / np.sqrt(2.0)
+        np.testing.assert_array_equal(isometry_defect(_padded(x, rows)), cross_form)
+
+    @pytest.mark.parametrize("rows", [10, 200_000])
+    def test_wide_two_column_defect_runs_the_svd(self, rows, monkeypatch):
+        # The wedge has D(D - 1)/2 terms; past nine rows the SVD, linear in
+        # D, answers instead, as a zero-padded lemma run in a wide R^D needs.
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        x = _padded(np.random.default_rng(337).standard_normal((3, 9, 2)), rows)
+        expected = _svd_defect(x, False)
+        calls.clear()
+        np.testing.assert_allclose(isometry_defect(x), expected, rtol=1e-13, atol=1e-15)
+        assert calls == [(3, rows, 2)]

@@ -523,10 +523,29 @@ class TestTangentPlaneField:
         "name", ["curve_wave", "latitude", "graph", "perturbed_sheet", "clifford", "graph_3d", "rank_deficient"]
     )
     def test_planes_equal_the_qr_formula(self, name):
+        near_tolerance = 0
         for u in pinned_fields(name):
             planes = tangent_plane_field(u)
             frames, comp, flip = qr_tangent_planes(u)
-            np.testing.assert_array_equal(planes.frames, frames)
+            np.testing.assert_array_equal(planes.frames[u.degenerate], frames[u.degenerate])
+            # Gram-Schmidt frames: Householder's to a few ulps on
+            # well-conditioned cells; on every cell, the near-tolerance ones
+            # included, an orthonormal frame whose R = Q^T A is upper
+            # triangular with a positive diagonal and whose span holds A.
+            a, q, ref = u.differential[~u.degenerate], planes.frames[~u.degenerate], frames[~u.degenerate]
+            sing = np.linalg.svd(a, compute_uv=False)
+            cond = sing[:, 0] / sing[:, -1]
+            well = cond < 1e3
+            assert np.abs(q - ref)[well].max(initial=0.0) <= 1e-14
+            assert (np.abs(np.swapaxes(q, -1, -2) @ ref - np.eye(u.grid.dim))[~well].max(axis=(-2, -1))
+                    <= 1e-12 * cond[~well]).all()
+            assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(u.grid.dim)).max(initial=0.0) <= 1e-14
+            size = np.abs(a).max(axis=(-2, -1))[:, None, None]
+            r = np.swapaxes(q, -1, -2) @ (a / size)
+            assert np.abs(q @ r - a / size).max(initial=0.0) <= 1e-14
+            assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-14
+            assert (np.diagonal(r, axis1=-2, axis2=-1) > 0.0).all()
+            near_tolerance += int((~well).sum())
             np.testing.assert_array_equal(planes.complements, comp)
             np.testing.assert_array_equal(planes.degenerate, u.degenerate)
             assert planes.frames is u.frames and planes.complements is u.complements
@@ -536,6 +555,7 @@ class TestTangentPlaneField:
             even_sphere = u.target.kind == "sphere" and u.grid.dim % 2 == 0
             assert (flip[~u.degenerate] == even_sphere).all()
             assert flip.any() == (name == "clifford")
+        assert (near_tolerance > 0) == (name == "rank_deficient")
 
     @pytest.mark.parametrize(
         "name",

@@ -72,7 +72,8 @@ def test_untimed_catches_a_subcube_oscillation_that_multiscale_flat_never_measur
 def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     ops = same_reports.untimed_ops(3)
-    runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in ops]
+    fits, lemmas = ops[:30], ops[30:]
+    runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in fits]
     assert runs == [
         *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
         *(("scaling", kind, 3) for kind in ("random", "linear", "random", "linear")),
@@ -80,9 +81,13 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
         ("rigidity", "random", 0),
         ("multiscale", "random", 0),
     ]
-    # the last two are the p = 3 fits: three rotation planes, and a descent per subcube
-    assert [(op.config["scenario"]["dim"], op.config["scenario"]["p"]) for op in ops[-2:]] == [(3, 3.0), (2, 3.0)]
-    assert [op.index for op in ops] == list(range(len(ops)))
+    # the last two fits are at p = 3: three rotation planes, and a descent per subcube
+    assert [(op.config["scenario"]["dim"], op.config["scenario"]["p"]) for op in fits[-2:]] == [(3, 3.0), (2, 3.0)]
+    # then the lemma suite off its default shapes: d = 4 (LAPACK), R^9, lam_max 1e6
+    defaults = {"max_dim": 3, "max_ambient": 6, "lam_max": 10.0}
+    shapes = [tuple(op.config.get(key, value) for key, value in defaults.items()) for op in lemmas]
+    assert [op.command for op in lemmas] == ["lemmas"] * 3 and shapes == [(4, 6, 10.0), (3, 9, 10.0), (3, 6, 1e6)]
+    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 33
 
     ops_path = tmp_path / "ops.json"
     ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))
@@ -90,7 +95,7 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     for op, result in zip(ops, results):
         # 1 is a failed trend or threshold check: its reports are written all the same
         assert result["code"] in (0, 1)
-        written = ("json", "csv") if op.command == "rigidity" else ("json", "csv", "dat")
+        written = {"rigidity": ("json", "csv"), "lemmas": ("json",)}.get(op.command, ("json", "csv", "dat"))
         assert set(result["files"]) == {f"{op.command}.{ext}" for ext in written}
         subcubes = json.loads(result["subcubes"])
         if op.command == "multiscale":

@@ -10,7 +10,7 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 30
+The workload is one of the benchmark's, or `untimed`: a fixed list of 33
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
@@ -18,7 +18,9 @@ four `scaling` sweeps and four `asymptotic` runs, two with one member and
 two with three; then two p = 3 fits that no benchmark op makes, each on a
 random metric: a d = 3 `perturbed_identity` `rigidity` fit, whose rotation
 descent turns in three planes, and a d = 2 `graph` `multiscale` sweep, with
-one descent per subcube.
+one descent per subcube; then three `lemmas` runs off the default shapes:
+`max_dim` 4, whose d = 4 instances take the LAPACK kernels, `max_ambient`
+9, and `lam_max` 1e6.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -250,8 +252,17 @@ def untimed_ops(seed: int) -> list:
             "seed": draw.randrange(2**31 - 1), "epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1))),
         }
         runs.append((command, {"scenario": scenario, **extra}))
+    for shape in ({"max_dim": 4, "max_ambient": 6}, {"max_ambient": 9}, {"lam_max": 1e6}):
+        runs.append(("lemmas", {"samples": 200, "seed": draw.randrange(2**31 - 1), "curve_resolution": 256, **shape}))
+
+    def size(config: dict) -> int:
+        """Grid cells of a scenario; for the lemma suite, its arc's cells."""
+        if "scenario" not in config:
+            return config["curve_resolution"]
+        return config["scenario"]["resolution"] ** config["scenario"]["dim"]
+
     return [
-        workloads.Op("untimed", seed, index, command, config, config["scenario"]["resolution"] ** config["scenario"]["dim"])
+        workloads.Op("untimed", seed, index, command, config, size(config))
         for index, (command, config) in enumerate(runs)
     ]
 
