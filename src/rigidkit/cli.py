@@ -65,11 +65,25 @@ class ConfigError(ValueError):
     """Anything wrong with the config file or flag combination."""
 
 
-def _load_config(path) -> dict:
-    if path is None:
+# The top-level config keys each subcommand reads; any other key is a config
+# error rather than a setting the run would silently ignore.
+_CONFIG_KEYS = {
+    "lemmas": {f.name for f in dataclasses.fields(LemmaConfig)},
+    "rigidity": {"scenario", "snapshot"},
+    "scaling": {"scenario", "epsilons", "resolutions"},
+    "multiscale": {"scenario", "t_values", "shifts"},
+    "asymptotic": {"scenario", "epsilons", "reference", "threshold"},
+    "snapshot": {"scenario"},
+}
+
+
+def _load_config(args) -> dict:
+    """The JSON object of `args.config` (empty without one), holding only the
+    keys that `args.command` reads."""
+    if args.config is None:
         return {}
     try:
-        raw = Path(path).read_text()
+        raw = Path(args.config).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
@@ -78,6 +92,9 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = set(config) - _CONFIG_KEYS[args.command]
+    if unknown:
+        raise ConfigError(f"unknown {args.command} config keys: {sorted(unknown)}")
     return config
 
 
@@ -161,12 +178,12 @@ def _sweep_list(config: dict, key: str, override, kind=float) -> list | None:
         raise ConfigError(f"'{key}' entries must be {kinds}, got {raw!r}") from exc
 
 
-def _fit_report(bundle, p: float, seed: int):
+def _fit_report(bundle, p: float):
     """Dispatch on ambient dimension: equidimensional maps get the metric
     fit, codimension-one immersions the full local pipeline."""
     if isinstance(bundle.u, GridMap):
         return metric_rigidity(bundle.u, bundle.metric, p=p), "metric"
-    return local_rigidity(bundle.u, bundle.metric, p=p, seed=seed), "local"
+    return local_rigidity(bundle.u, bundle.metric, p=p), "local"
 
 
 def _report_row(report, scenario: str, n: int, epsilon: float | None = None) -> dict:
@@ -224,9 +241,11 @@ def _emit(out_dir: Path, name: str, manifest: RunManifest, payload: dict, rows=N
 
 
 def _log_slope(xs, ys) -> float | None:
+    """Least-squares slope of log ys against log xs, or None where a point is
+    at the floor or not finite (the finite check then stops the run)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.min() <= _SLOPE_FLOOR or ys.min() <= _SLOPE_FLOOR:
+    if not np.isfinite([xs, ys]).all() or min(xs.min(), ys.min()) <= _SLOPE_FLOOR:
         return None
     if np.ptp(np.log(xs)) == 0.0:
         return None
@@ -241,10 +260,7 @@ def _strictly_decreasing(values) -> bool:
 
 
 def cmd_lemmas(args) -> int:
-    config = _load_config(args.config)
-    unknown = set(config) - {f.name for f in dataclasses.fields(LemmaConfig)}
-    if unknown:
-        raise ConfigError(f"unknown lemma config keys: {sorted(unknown)}")
+    config = _load_config(args)
     merged = dict(config)
     if args.n is not None:
         merged["samples"] = args.n
@@ -283,7 +299,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     if "snapshot" in config:
         try:
             u, metric = snapshot_load(config["snapshot"])
@@ -291,8 +307,9 @@ def cmd_rigidity(args) -> int:
             raise ConfigError(f"cannot load snapshot: {exc}") from exc
         p = args.p if args.p is not None else 2.0
         _require_fit_exponent(p)
+        # The manifest echoes the seed; the fit itself draws nothing.
         seed = _seed_override(args.seed) or 0
-        report = local_rigidity(u, metric, p=p, seed=seed)
+        report = local_rigidity(u, metric, p=p)
         route = "local"
         row = _report_row(report, "snapshot", u.grid.resolution)
         spec_echo = {"snapshot": str(config["snapshot"])}
@@ -305,7 +322,7 @@ def cmd_rigidity(args) -> int:
         _require_fit_exponent(spec.p)
         bundle = _build(spec)
         seed = spec.seed
-        report, route = _fit_report(bundle, spec.p, seed)
+        report, route = _fit_report(bundle, spec.p)
         row = _report_row(report, spec.family, spec.resolution, spec.epsilon)
         spec_echo = {"scenario": spec.to_dict()}
 
@@ -331,7 +348,7 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _scenario_spec(config, args)
     _require_fit_exponent(spec.p)
     epsilons = _sweep_list(config, "epsilons", args.eps)
@@ -339,6 +356,8 @@ def cmd_scaling(args) -> int:
         raise ConfigError("scaling needs at least two sweep points in 'epsilons' (or --eps)")
     if len(set(epsilons)) < 2:
         raise ConfigError("scaling sweep points must not be all equal")
+    if min(epsilons) <= 0.0:
+        raise ConfigError(f"scaling sweep points must be positive (its slopes take log epsilon), got {epsilons}")
     resolutions = _sweep_list(config, "resolutions", [args.n] if args.n is not None else None, kind=int)
     if resolutions is None:
         resolutions = [spec.resolution]
@@ -353,7 +372,7 @@ def cmd_scaling(args) -> int:
         defect_roots = []
         for member in members:
             bundle = _build(member)
-            report, _ = _fit_report(bundle, member.p, member.seed)
+            report, _ = _fit_report(bundle, member.p)
             rows.append(_report_row(report, member.family, n, member.epsilon))
             lhs_roots.append(report.lhs ** (1.0 / member.p))
             defect_roots.append(report.stretch ** (1.0 / member.p))
@@ -384,7 +403,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_multiscale(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _scenario_spec(config, args)
     _require_fit_exponent(spec.p)
     t_values = _sweep_list(config, "t_values", None, kind=int) or [1, 2, 4, 8]
@@ -410,7 +429,7 @@ def cmd_multiscale(args) -> int:
     lines = []
     head = {"scenario": spec.family, "p": float(spec.p), "n": int(spec.resolution)}
     for t in t_values:
-        field = multiscale_fit(bundle.u, bundle.metric, t, p=spec.p, seed=spec.seed)
+        field = multiscale_fit(bundle.u, bundle.metric, t, p=spec.p)
         fields[t] = field
         residuals.append(field.residual)
         rows.append(head | {"t": int(t), "residual": float(field.residual)})
@@ -456,7 +475,7 @@ def cmd_multiscale(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _scenario_spec(config, args)
     epsilons = _sweep_list(config, "epsilons", args.eps)
     if not epsilons:
@@ -559,7 +578,7 @@ def cmd_asymptotic(args) -> int:
 
 def cmd_snapshot(args) -> int:
     if args.mode == "write":
-        config = _load_config(args.config)
+        config = _load_config(args)
         spec = _scenario_spec(config, args)
         bundle = _build(spec)
         if isinstance(bundle.u, GridMap):

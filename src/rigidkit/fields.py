@@ -64,6 +64,14 @@ def config_number(value, kind=float):
     return number
 
 
+def _power(base: float, dim: int) -> float:
+    """base**dim, or inf where Python's float power overflows."""
+    try:
+        return base**dim
+    except OverflowError:
+        return float("inf")
+
+
 def _full_rank(sing: np.ndarray) -> np.ndarray:
     """The rank test on singular values (..., k) in descending order: the
     least must exceed 1e-12 times max(1, the largest)."""
@@ -113,11 +121,11 @@ class GridDomain:
 
     @property
     def cell_volume(self) -> float:
-        return self.spacing**self.dim
+        return _power(self.spacing, self.dim)
 
     @property
     def volume(self) -> float:
-        return self.length**self.dim
+        return _power(self.length, self.dim)
 
     @property
     def diameter(self) -> float:

@@ -109,6 +109,12 @@ def _spd_root(gram: np.ndarray, inverse: bool) -> np.ndarray:
     ill-conditioned g, s carries det's relative error u * lam_max / lam_min,
     the same order as the small eigenvalue of `eigh`, which computes the
     roots for d >= 3.  The floor test runs before any root is taken.
+
+    For d = 2 the closed form runs on 4^k g, with k chosen so that ac lies
+    in [1/4, 8): det cannot overflow there, as it does once the entries pass
+    about 1e154.  The root of g is then 2^-k (2^k for the inverse) times that
+    root.  Scaling by a power of two is exact, so wherever nothing over- or
+    underflows without it, every root keeps its bits.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.shape[-1] > 2:
@@ -116,10 +122,14 @@ def _spd_root(gram: np.ndarray, inverse: bool) -> np.ndarray:
         _require(w[..., 0] >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
         root = np.sqrt(w)[..., None, :]
         return (v / root if inverse else v * root) @ _swap(v)
-    lam_min, _, s = spd_extremes(gram)
-    _require(lam_min >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
     if gram.shape[-1] == 1:
+        lam_min, _, s = spd_extremes(gram)
+        _require(lam_min >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
         return 1.0 / s[..., None, None] if inverse else s[..., None, None]
+    k = -((np.frexp(gram[..., 0, 0])[1] + np.frexp(gram[..., 1, 1])[1]) // 4)
+    gram = np.ldexp(gram, 2 * k[..., None, None])
+    lam_min, _, s = spd_extremes(gram)
+    _require(np.ldexp(lam_min, -2 * k) >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
     a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
     t = np.sqrt(a + c + 2.0 * s)
     scale = t
@@ -129,7 +139,7 @@ def _spd_root(gram: np.ndarray, inverse: bool) -> np.ndarray:
     root[..., 0, 0] = (a + s) / scale
     root[..., 1, 1] = (c + s) / scale
     root[..., 0, 1] = root[..., 1, 0] = b / scale
-    return root
+    return np.ldexp(root, (k if inverse else -k)[..., None, None])
 
 
 def spd_sqrt(gram: np.ndarray) -> np.ndarray:

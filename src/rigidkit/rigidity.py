@@ -39,7 +39,6 @@ from .metric_algebra import (
 )
 
 RHS_GUARD = 1e-14
-CANDIDATE_CAP = 4096
 _DESCENT_REL_TOL = 1e-10
 # Candidate-pool pairs below which `choose_base_point` scores every candidate:
 # the bound's fixed cost exceeds the direct scan there.
@@ -461,16 +460,12 @@ def _bound_survivors(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray
     return ~(bound > best + _bound_slack(best, base, pool.shape[0], p))
 
 
-def _base_cell(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> int:
+def _base_cell(comps: np.ndarray, good: np.ndarray, p: float) -> int:
     """`_base_cells` for one patch (M, D, r), with its ragged steps: the pool
-    of non-degenerate cells, the seeded candidate subsample past 4096 cells,
-    and the bound filter."""
-    good_idx = np.nonzero(good)[0]
-    if good_idx.size > CANDIDATE_CAP:
-        rng = np.random.default_rng(seed)
-        candidates = np.sort(rng.choice(good_idx, CANDIDATE_CAP, replace=False))
-    else:
-        candidates = good_idx
+    of non-degenerate cells, each of them a candidate, and the bound filter.
+    Rows and pool are separate copies: numpy runs A @ A.T on one buffer as a
+    symmetric product, which rounds differently."""
+    candidates = np.flatnonzero(good)
     pool = comps[good]
     rows = comps[candidates]
     if comps.shape[-1] == 1 and p == 2.0:
@@ -483,15 +478,15 @@ def _base_cell(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> int:
     return int(candidates[int(np.argmin(scores))])
 
 
-def _base_cells(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> np.ndarray:
+def _base_cells(comps: np.ndarray, good: np.ndarray, p: float) -> np.ndarray:
     """Linear index of each patch's base cell, for complements (S, M, D, r)
     and non-degenerate flags (S, M); see `choose_base_point`.
 
-    When every cell of every patch is both a candidate and a pool member, and
-    the bound filter would not run, all patches are scored as one stack.
-    Otherwise each patch goes through `_base_cell`.  The pipelines never mix
-    the two: `_local_fits` passes one patch, or only patches without
-    degenerate cells, which share one cell count.
+    When every cell of every patch is non-degenerate, and the bound filter
+    would not run, all patches are scored as one stack.  Otherwise each
+    patch goes through `_base_cell`.  The pipelines never mix the two:
+    `_local_fits` passes one patch, or only patches without degenerate
+    cells, which share one cell count.
     """
     if not good.any(axis=-1).all():
         raise DegenerateFieldError("no non-degenerate cells to anchor at")
@@ -499,8 +494,8 @@ def _base_cells(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> np.
         raise ValueError("complement codimension above 2 is not supported")
     lines = comps.shape[-1] == 1 and p == 2.0
     count = good.shape[-1]
-    if not (good.all() and count <= CANDIDATE_CAP and (lines or count * count < _BOUND_MIN_PAIRS)):
-        return np.array([_base_cell(c, g, p, seed) for c, g in zip(comps, good)])
+    if not (good.all() and (lines or count * count < _BOUND_MIN_PAIRS)):
+        return np.array([_base_cell(c, g, p) for c, g in zip(comps, good)])
     if lines:
         scores = _line_scores(comps, comps)
     else:
@@ -510,14 +505,13 @@ def _base_cells(comps: np.ndarray, good: np.ndarray, p: float, seed: int) -> np.
     return np.argmin(scores, axis=-1)
 
 
-def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tuple[int, ...]:
+def choose_base_point(planes: PlaneField, p: float = 2.0) -> tuple[int, ...]:
     """Cell whose complement minimizes the summed oriented-gap p-power.
 
-    The sum always runs over every non-degenerate cell; only the candidate
-    set is subsampled (seeded, without replacement) once the grid exceeds
-    4096 cells.  Ties among equal computed scores break to the lowest linear
-    cell index; mirror-image cells, tied in exact arithmetic, can differ by
-    round-off, which then picks one of them.
+    Every non-degenerate cell is a candidate, and each sum runs over all of
+    them, at every grid size.  Ties among equal computed scores break to the
+    lowest linear cell index; mirror-image cells, tied in exact arithmetic,
+    can differ by round-off, which then picks one of them.
 
     For p >= 2, complements that are unit lines or 2-frames in R^3 map to
     unit vectors whose distances are the gaps, and a convexity lower bound
@@ -528,12 +522,12 @@ def choose_base_point(planes: PlaneField, p: float = 2.0, seed: int = 0) -> tupl
 
     The pipelines call `_base_cells` directly, in `_local_fits`, on one patch
     or on all subcubes of a partition: it scores them as one stack, unless a
-    patch has degenerate cells or needs a subsampled candidate set or the
-    bound filter, and then loops over the patches.
+    patch has degenerate cells or needs the bound filter, and then loops
+    over the patches.
     """
     shape = planes.complements.shape
     comps = planes.complements.reshape((1, -1) + shape[-2:])
-    cell = _base_cells(comps, ~planes.degenerate.reshape(1, -1), p, seed)[0]
+    cell = _base_cells(comps, ~planes.degenerate.reshape(1, -1), p)[0]
     return tuple(int(i) for i in np.unravel_index(cell, planes.grid.cell_shape))
 
 
@@ -686,7 +680,7 @@ class _LocalFits:
         return reports
 
 
-def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
+def _local_fits(patches: _Patches, p: float) -> _LocalFits:
     """The local pipeline of `local_rigidity` on every patch, as arrays with
     one row per patch.
 
@@ -718,7 +712,7 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
     ragged = fitted < n
     if count > 1 and ragged.any():
         parts = [
-            (rows, _local_fits(patches.take(rows), p, seed))
+            (rows, _local_fits(patches.take(rows), p))
             for rows in [np.flatnonzero(~ragged), *([s] for s in np.flatnonzero(ragged))]
             if len(rows)
         ]
@@ -739,7 +733,7 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
     # Past the split above, only a lone patch can have degenerate cells.
     keep = good[0] if ragged.any() else slice(None)
     comps = patches.complements.reshape((count, n) + patches.complements.shape[-2:])
-    base = _base_cells(comps, good, p, seed)
+    base = _base_cells(comps, good, p)
 
     def cells(x: np.ndarray) -> np.ndarray:
         """(S, *cell_shape, ...) as (S, fitted cells, ...)."""
@@ -773,12 +767,7 @@ def _local_fits(patches: _Patches, p: float, seed: int) -> _LocalFits:
     return _LocalFits(base_index, rotation, lhs, terms)
 
 
-def local_rigidity(
-    u: ImmersionField,
-    g: MetricField,
-    p: float = 2.0,
-    seed: int = 0,
-) -> RigidityReport:
+def local_rigidity(u: ImmersionField, g: MetricField, p: float = 2.0) -> RigidityReport:
     """Full constructive pipeline for an immersed cube patch.
 
     A base cell is chosen from the oriented complements by the summed
@@ -798,7 +787,7 @@ def local_rigidity(
     """
     if g.grid != u.grid:
         raise ValueError("immersion and metric live on different grids")
-    fits = _local_fits(_Patches.subcubes(u, g, 1), p, seed)
+    fits = _local_fits(_Patches.subcubes(u, g, 1), p)
     return fits.reports(u.grid, [g._oscillation], p)[0]
 
 
@@ -838,9 +827,7 @@ class RotationField:
         return tuple(self.local.reports(_subgrid(self.grid, block), osc, self.p))
 
 
-def multiscale_fit(
-    u: ImmersionField, g: MetricField, t: int, p: float = 2.0, seed: int = 0
-) -> RotationField:
+def multiscale_fit(u: ImmersionField, g: MetricField, t: int, p: float = 2.0) -> RotationField:
     """Fit every subcube of the t-fold uniform partition independently.
 
     Each subcube runs the full local pipeline of `local_rigidity`; the
@@ -857,8 +844,8 @@ def multiscale_fit(
     `ImmersionField`/`MetricField` built on the sliced nodes over the
     sub-grid (at t = 1, on `u` and `g` themselves).  Work runs per subcube
     only where it is ragged or sequential: subcubes with degenerate cells,
-    the seeded candidate subsample and the bound filter of the base-cell
-    choice, and the p != 2 rotation descent.
+    the bound filter of the base-cell choice, and the p != 2 rotation
+    descent.
 
     The fit's terms stay arrays.  The fit computes each subcube's base
     cell, rotation and lhs, which `rotations`, `residual` and
@@ -872,7 +859,7 @@ def multiscale_fit(
     grid = u.grid
     if t < 1 or grid.resolution % t != 0:
         raise ValueError(f"partition parameter {t} does not divide resolution {grid.resolution}")
-    local = _local_fits(_Patches.subcubes(u, g, t), p, seed)
+    local = _local_fits(_Patches.subcubes(u, g, t), p)
     rotations = local.rotation.reshape((t,) * grid.dim + local.rotation.shape[1:])
     # Python's sum, left to right in C order: np.sum adds pairwise.
     residual = float(sum(local.lhs.tolist()))

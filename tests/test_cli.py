@@ -326,12 +326,13 @@ class TestRigidity:
         assert "error: scenario cannot be built: grid spacing 0.0 is not positive and finite" in err
         assert not (tmp_path / "rigidity.json").exists()
 
-    # A huge spacing overflows the bend scale; a huge perturbation overflows
-    # the fit (lhs inf).
+    # A huge spacing overflows the bend scale, and a larger one the cell
+    # volume, so the fit (lhs inf); so does a huge perturbation.
     @pytest.mark.parametrize(
         "scenario, term",
         [
             ({"family": "graph", "dim": 2, "resolution": 8, "length": 1e100}, "report.bend_scale is not finite (inf)"),
+            ({"family": "graph", "dim": 2, "resolution": 8, "length": 1e200}, "report.lhs is not finite (inf)"),
             (
                 {"family": "perturbed", "dim": 2, "resolution": 8, "kappa": 0.0, "epsilon": 1e300},
                 "report.lhs is not finite (inf)",
@@ -345,14 +346,21 @@ class TestRigidity:
         assert f"degenerate scenario: report term {term}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_metric_ends_without_a_traceback(self, tmp_path):
+        # Gram entries near 1e300: the 2 x 2 roots are taken on a rescaled Gram
+        scenario = {"family": "graph", "dim": 2, "resolution": 8, "metric_kind": "linear", "metric_slope": 1e300}
+        cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
+        with np.errstate(all="ignore"):
+            assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 3)
+
     def test_nan_report_term_is_degenerate(self, tmp_path, capsys, monkeypatch):
         # A graph with a tiny spacing, whose bend scale is NaN, keeps 1 of its
         # 64 cells and stops at the half-cells rule first; the fit is patched
         # instead to lose one term's value.
         real = cli._fit_report
 
-        def lost_bend_scale(bundle, p, seed):
-            report, route = real(bundle, p, seed)
+        def lost_bend_scale(bundle, p):
+            report, route = real(bundle, p)
             return dataclasses.replace(report, bend_scale=float("nan")), route
 
         monkeypatch.setattr(cli, "_fit_report", lost_bend_scale)
@@ -493,6 +501,28 @@ class TestScaling:
         captured = capsys.readouterr()
         assert "error: 'resolutions' must not repeat a value" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_non_positive_epsilon_is_config_error(self, tmp_path, capsys, source):
+        # the slopes take log epsilon
+        if source == "config":
+            cfg, extra = self.base_config(tmp_path, epsilons=[0.1, -0.05]), []
+        else:
+            cfg, extra = self.base_config(tmp_path), ["--eps", "0.1,0"]
+        assert main(["scaling", "--config", cfg, *extra, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "error: scaling sweep points must be positive" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_sweep_is_degenerate(self, tmp_path, capsys):
+        # the lhs is inf, so its slope is undefined rather than a LAPACK error
+        scenario = {"family": "graph", "dim": 2, "resolution": 8, "length": 1e200}
+        cfg = write_config(tmp_path, "scaling.json", {"scenario": scenario, "epsilons": [0.1, 0.05]})
+        with np.errstate(all="ignore"):
+            assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "degenerate scenario: report term rows[0].lhs is not finite (inf)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_eps_flag_overrides_file(self, tmp_path):
@@ -748,6 +778,29 @@ _SWEEP_COMMANDS = {
     "asymptotic-two": (["asymptotic"], {"epsilons": [0.1, 0.05]}),
     "snapshot-write": (["snapshot", "write"], {}),
 }
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("rigidity", "p"),
+        ("scaling", "resolution"),
+        ("multiscale", "t_value"),
+        ("asymptotic-two", "treshold"),
+        ("snapshot-write", "epsilons"),
+    ],
+)
+def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command, key):
+    """A misspelt or misplaced key would otherwise run with the default it
+    meant to replace."""
+    argv, extra = _SWEEP_COMMANDS[command]
+    scenario = {"family": "perturbed", "dim": 1, "resolution": 16, "kappa": 1.0}
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario, **extra, key: 1e300})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown {argv[0]} config keys: ['{key}']\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

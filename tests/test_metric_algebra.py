@@ -691,6 +691,18 @@ class TestClosedFormKernels:
         assert residual(inv_root) <= 2.0 * residual(eigh_inv_root) + 16.0 * UNIT_ROUNDOFF
         assert np.abs(root @ root - gram).max() <= 16.0 * UNIT_ROUNDOFF * np.abs(gram).max()
 
+    @pytest.mark.parametrize("k", [500, -500])
+    def test_two_by_two_roots_scale_exactly_by_powers_of_four(self, k):
+        # 2^1000 g has entries near 1e301, where det = ac - b^2 overflows
+        # unless the closed form rescales; at k < 0 the large Gram is the base
+        gram = self._ill_conditioned_grams(1e6, count=200)
+        if k < 0:
+            gram = np.ldexp(gram, 1000)
+        scaled = np.ldexp(gram, 2 * k)
+        np.testing.assert_array_equal(spd_sqrt(scaled), np.ldexp(spd_sqrt(gram), k))
+        np.testing.assert_array_equal(spd_inv_sqrt(scaled), np.ldexp(spd_inv_sqrt(gram), -k))
+        assert np.isfinite(spd_sqrt(scaled)).all() and np.isfinite(spd_inv_sqrt(scaled)).all()
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_spd_extremes_equal_eigvalsh(self, dim):
         grams = _grams(np.random.default_rng(223 + dim), 50, dim)

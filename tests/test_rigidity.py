@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -65,18 +66,14 @@ def flat_inclusion(n=8, length=1.0):
     return ImmersionField(grid, TargetSpace.euclidean(2), values)
 
 
-def unfiltered_base_point(planes, p, seed=0):
-    """The base-point scan with no bound filter: every candidate scored against
-    the whole pool in 512-row blocks, argmin taking the lowest index on ties."""
+def unfiltered_base_point(planes, p):
+    """The base-point scan with no bound filter: every non-degenerate cell
+    scored against all of them in 512-row blocks, argmin taking the lowest
+    index on ties."""
     good = ~planes.degenerate.reshape(-1)
     shape = planes.complements.shape
     comps = planes.complements.reshape(-1, shape[-2], shape[-1])
-    good_idx = np.nonzero(good)[0]
-    if good_idx.size > 4096:
-        rng = np.random.default_rng(seed)
-        candidates = np.sort(rng.choice(good_idx, 4096, replace=False))
-    else:
-        candidates = good_idx
+    candidates = np.nonzero(good)[0]
     pool = comps[good]
     r = shape[-1]
     if r == 1 and p == 2.0:
@@ -655,13 +652,6 @@ class TestChooseBasePoint:
             assert 8 <= chosen[0] < 16
             assert objective[chosen[0]] <= np.mean(objective) + 1e-12
 
-    def test_subsampled_candidates_are_deterministic(self):
-        grid = GridDomain(1, 1.0, 5000)
-        planes = tangent_plane_field(curvature_curve(grid, kappa=1.0))
-        first = choose_base_point(planes, seed=11)
-        second = choose_base_point(planes, seed=11)
-        assert first == second
-
     def test_all_degenerate_rejected(self):
         grid = GridDomain(1, 1.0, 4)
         u = ImmersionField(grid, TargetSpace.euclidean(1), np.zeros((5, 2)))
@@ -720,9 +710,23 @@ class TestChooseBasePoint:
         with mock.patch.object(rigidity, "_bound_survivors", side_effect=AssertionError):
             assert choose_base_point(small, 3.0) == unfiltered_base_point(small, 3.0)
 
-    def test_subsampled_candidates_match_unfiltered_scan(self):
-        planes = tangent_plane_field(curvature_curve(GridDomain(1, 1.0, 5000), kappa=1.2))
-        assert choose_base_point(planes, 3.0, seed=11) == unfiltered_base_point(planes, 3.0, seed=11)
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["curve", "latitude", "graph"])
+    def test_every_cell_is_a_candidate_past_4096_cells(self, kind, p):
+        # lines, 2-frames in R^3 and a surface, each past 4096 cells
+        if kind == "curve":
+            u = curvature_curve(GridDomain(1, 1.0, 5000), kappa=1.2, profile="wave")
+        elif kind == "latitude":
+            u = latitude_circle(GridDomain(1, 1.5, 4400), 1.0, 1.1)
+        else:
+            u = graph_surface(GridDomain(2, 1.0, 65), 0.08)
+        planes = tangent_plane_field(u)
+        assert planes.degenerate.size > 4096 and not planes.degenerate.any()
+        assert choose_base_point(planes, p) == unfiltered_base_point(planes, p)
+
+    def test_no_fit_takes_a_seed(self):
+        for fit in (choose_base_point, local_rigidity, multiscale_fit):
+            assert "seed" not in inspect.signature(fit).parameters, fit.__name__
 
     @pytest.mark.parametrize("ambient, r, p", [(2, 1, 2.0), (3, 1, 3.0), (3, 2, 2.0), (3, 2, 4.0)])
     def test_stack_with_a_degenerate_cell_equals_one_patch_calls(self, ambient, r, p):
@@ -730,14 +734,14 @@ class TestChooseBasePoint:
         rng = np.random.default_rng(211 + 10 * ambient + int(p))
         comps = np.stack([random_frame(rng, ambient, r) for _ in range(5 * 40)]).reshape(5, 40, ambient, r)
         good = np.ones((5, 40), dtype=bool)
-        singles = [rigidity._base_cells(comps[s : s + 1], good[s : s + 1], p, 0)[0] for s in range(5)]
+        singles = [rigidity._base_cells(comps[s : s + 1], good[s : s + 1], p)[0] for s in range(5)]
         good[2, singles[2]] = False
-        singles[2] = rigidity._base_cells(comps[2:3], good[2:3], p, 0)[0]
+        singles[2] = rigidity._base_cells(comps[2:3], good[2:3], p)[0]
         with mock.patch.object(rigidity, "_base_cell", wraps=rigidity._base_cell) as loop:
             plain = np.delete(np.arange(5), 2)
-            assert rigidity._base_cells(comps[plain], good[plain], p, 0).tolist() == [singles[s] for s in plain]
+            assert rigidity._base_cells(comps[plain], good[plain], p).tolist() == [singles[s] for s in plain]
             assert loop.call_count == 0
-            assert rigidity._base_cells(comps, good, p, 0).tolist() == singles
+            assert rigidity._base_cells(comps, good, p).tolist() == singles
             assert loop.call_count == 5
 
     @settings(max_examples=300, deadline=None)
@@ -1017,7 +1021,7 @@ class TestMultiscaleFit:
             ("graph", 2, 1.0, 24, 3, 1.5, "central", "random"),
             # 128-cell subcubes: 128 * 128 pairs reach the bound filter
             ("latitude", 1, 1.0, 256, 2, 2.0, "forward", "random"),
-            # 4100-cell subcubes: the seeded candidate subsample
+            # 4100-cell subcubes: more candidates than any benchmark fit scores
             ("curve", 1, 1.0, 8200, 2, 3.0, "forward", "random"),
             # 4096 cells: 16 subcubes of 256 cells in one stacked pass
             ("graph", 2, 1.0, 64, 4, 2.0, "central", "random"),
@@ -1039,7 +1043,7 @@ class TestMultiscaleFit:
         if variant == "collapsed":
             u = collapsed_cells(u, n // t)
             assert 0 < u.degenerate_count < n**dim
-        field = multiscale_fit(u, g, t, p=p, seed=4)
+        field = multiscale_fit(u, g, t, p=p)
 
         block = n // t
         assert len(field.fits) == t**dim
@@ -1050,7 +1054,7 @@ class TestMultiscaleFit:
             sub = subcube_grid(u, block)
             sub_u = ImmersionField(sub, u.target, u.values[nodes], u.mode)
             sub_g = MetricField(sub, g.gram[nodes])
-            report = local_rigidity(sub_u, sub_g, p, 4)
+            report = local_rigidity(sub_u, sub_g, p)
 
             assert fit.base_index == report.base_index
             np.testing.assert_array_equal(fit.rotation, report.rotation)
@@ -1106,13 +1110,13 @@ class TestMultiscaleFit:
         u = build_scenario(spec).u
         if collapsed:
             u = collapsed_cells(u, n // t)
-        field = multiscale_fit(u, build_metric(u.grid, "flat"), t, p=p, seed=4)
+        field = multiscale_fit(u, build_metric(u.grid, "flat"), t, p=p)
         block = n // t
         assert len(field.fits) == t**dim
         for fit, index in zip(field.fits, itertools.product(range(t), repeat=dim)):
             nodes = tuple(slice(block * i, block * (i + 1) + 1) for i in index)
             sub_u = ImmersionField(subcube_grid(u, block), u.target, u.values[nodes])
-            assert fit.base_index == unfiltered_base_point(tangent_plane_field(sub_u), p, 4)
+            assert fit.base_index == unfiltered_base_point(tangent_plane_field(sub_u), p)
 
     @pytest.mark.parametrize(
         "family, dim, length, n, p, metric_kind",
@@ -1133,8 +1137,8 @@ class TestMultiscaleFit:
         )
         bundle = build_scenario(spec)
         u, g = bundle.u, bundle.metric
-        (fit,) = multiscale_fit(u, g, 1, p=p, seed=4).fits
-        report = local_rigidity(u, g, p, 4)
+        (fit,) = multiscale_fit(u, g, 1, p=p).fits
+        report = local_rigidity(u, g, p)
         for name in ("p", "base_index", "rotation", "lhs", "osc_term", "stretch", "bend_scale",
                      "plane_variation", "constant"):
             np.testing.assert_array_equal(getattr(fit, name), getattr(report, name), err_msg=name)

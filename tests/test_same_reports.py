@@ -72,7 +72,7 @@ def test_untimed_catches_a_subcube_oscillation_that_multiscale_flat_never_measur
 def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     ops = same_reports.untimed_ops(3)
-    fits, lemmas = ops[:30], ops[30:]
+    fits, lemmas, large = ops[:30], ops[30:33], ops[33:]
     runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in fits]
     assert runs == [
         *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
@@ -87,7 +87,11 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     defaults = {"max_dim": 3, "max_ambient": 6, "lam_max": 10.0}
     shapes = [tuple(op.config.get(key, value) for key, value in defaults.items()) for op in lemmas]
     assert [op.command for op in lemmas] == ["lemmas"] * 3 and shapes == [(4, 6, 10.0), (3, 9, 10.0), (3, 6, 1e6)]
-    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 33
+    # last, the exact base-cell scan past 4096 cells: a 65^2 graph and a 4400-cell arc, p = 3, random metric
+    shapes = [(op.command, op.config["scenario"]["family"], op.grid_cells, op.config["scenario"]["p"]) for op in large]
+    assert shapes == [("rigidity", "graph", 65**2, 3.0), ("rigidity", "latitude", 4400, 3.0)]
+    assert all(op.config["scenario"]["metric_kind"] == "random" for op in large)
+    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 35
 
     ops_path = tmp_path / "ops.json"
     ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))
@@ -108,7 +112,7 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
 
 
 def test_rtol_forgives_a_one_ulp_float_but_not_a_changed_base_index(tmp_path, capsys):
-    fit = "        report, route = _fit_report(bundle, spec.p, seed)\n"
+    fit = "        report, route = _fit_report(bundle, spec.p)\n"
     one_ulp = fit + '        report = __import__("dataclasses").replace(report, lhs=np.nextafter(report.lhs, np.inf))\n'
     ulp_tree = _patched_tree(tmp_path / "ulp", fit, one_ulp)
     index = '"base_index": list(report.base_index),'

@@ -10,7 +10,7 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 33
+The workload is one of the benchmark's, or `untimed`: a fixed list of 35
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
@@ -20,7 +20,9 @@ random metric: a d = 3 `perturbed_identity` `rigidity` fit, whose rotation
 descent turns in three planes, and a d = 2 `graph` `multiscale` sweep, with
 one descent per subcube; then three `lemmas` runs off the default shapes:
 `max_dim` 4, whose d = 4 instances take the LAPACK kernels, `max_ambient`
-9, and `lam_max` 1e6.
+9, and `lam_max` 1e6; last, two p = 3 `rigidity` fits on a random metric
+past 4096 cells, where the base cell is chosen from more candidates than
+any benchmark op has: a 65 x 65 `graph` and a 4400-cell `latitude` arc.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -254,6 +256,15 @@ def untimed_ops(seed: int) -> list:
         runs.append((command, {"scenario": scenario, **extra}))
     for shape in ({"max_dim": 4, "max_ambient": 6}, {"max_ambient": 9}, {"lam_max": 1e6}):
         runs.append(("lemmas", {"samples": 200, "seed": draw.randrange(2**31 - 1), "curve_resolution": 256, **shape}))
+    for family, dim, n, shape in (
+        ("graph", 2, 65, {"epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1)))}),
+        ("latitude", 1, 4400, {"polar": draw.uniform(math.pi / 4, 3 * math.pi / 4)}),
+    ):
+        scenario = {
+            "family": family, "dim": dim, "resolution": n, "metric_kind": "random", "p": 3.0,
+            "seed": draw.randrange(2**31 - 1), **shape,
+        }
+        runs.append(("rigidity", {"scenario": scenario}))
 
     def size(config: dict) -> int:
         """Grid cells of a scenario; for the lemma suite, its arc's cells."""
