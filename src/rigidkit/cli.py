@@ -367,6 +367,7 @@ def cmd_scaling(args) -> int:
     sweep = {n: [_replace(spec, epsilon=e, resolution=n) for e in epsilons] for n in resolutions}
     rows = []
     slopes = {}
+    lines = []
     for n, members in sweep.items():
         lhs_roots = []
         defect_roots = []
@@ -380,9 +381,9 @@ def cmd_scaling(args) -> int:
         slope_defect = _log_slope(defect_roots, lhs_roots)
         slopes[str(n)] = {"vs_epsilon": slope_eps, "vs_defect": slope_defect}
         if slope_eps is None:
-            print(f"warning: slope undefined at n={n} (flat or vanishing sweep)")
+            lines.append(f"warning: slope undefined at n={n} (flat or vanishing sweep)")
         else:
-            print(f"n={n}: slope vs epsilon {slope_eps:.4f}, slope vs defect {slope_defect}")
+            lines.append(f"n={n}: slope vs epsilon {slope_eps:.4f}, slope vs defect {slope_defect}")
 
     defined = all(v["vs_epsilon"] is not None for v in slopes.values())
     manifest = RunManifest(
@@ -399,6 +400,8 @@ def cmd_scaling(args) -> int:
         rows=rows,
         plot_columns=("n", "epsilon", "lhs", "stretch", "constant"),
     )
+    for line in lines:
+        print(line)
     return EXIT_PASS
 
 

@@ -78,6 +78,35 @@ def _full_rank(sing: np.ndarray) -> np.ndarray:
     return sing[..., -1] > _RANK_TOL * np.maximum(sing[..., 0], 1.0)
 
 
+def _square_extremes(x: np.ndarray) -> np.ndarray:
+    """The singular values `_full_rank` reads, (..., k) in descending order,
+    of square maps x (..., d, d): |x| for d = 1, (s_max, s_min) for d = 2,
+    and a value-only SVD for d >= 3.
+
+    For d = 2, s_max = c + a from the conformal split of `isometry_defect`
+    (c = hypot(x00 + x11, x10 - x01) / 2, a = hypot(x00 - x11, x10 + x01) / 2)
+    and s_min = |det x| / s_max, with no square of an entry to overflow or
+    a Gram to square the condition number.  The determinant is taken with
+    the first column scaled by 2^-e, e the `frexp` exponent of its largest
+    |entry|, and divided by 2^-e s_max >= 1/2: exact scalings, so s_min
+    neither overflows nor loses bits to them.  Both values are within a few
+    u s_max of the SVD's, so the verdicts agree except within a relative
+    1e-3 of the 1e-12 threshold, where the SVD's own rounding decides.
+    """
+    dim = x.shape[-1]
+    if dim == 1:
+        return np.abs(x[..., 0])
+    if dim > 2:
+        return np.linalg.svd(x, compute_uv=False)
+    x00, x01, x10, x11 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    s_max = 0.5 * (np.hypot(x00 + x11, x10 - x01) + np.hypot(x00 - x11, x10 + x01))
+    shift = -np.frexp(np.maximum(np.abs(x00), np.abs(x10)))[1]
+    det = np.ldexp(x00, shift) * x11 - np.ldexp(x10, shift) * x01
+    scaled = np.ldexp(s_max, shift)
+    s_min = np.divide(np.abs(det), scaled, out=np.zeros_like(scaled), where=scaled > 0.0)
+    return np.stack([s_max, s_min], axis=-1)
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Regular grid on the open cube (0, length)^dim with `resolution` cells per axis.
@@ -176,21 +205,23 @@ def grid_differential(grid: GridDomain, values: np.ndarray, mode: str = "forward
     grid_axes = range(-grid.dim - 1, -1)
     cols = []
     for axis in grid_axes:
-        upper = np.take(values, range(1, n + 1), axis=axis)
-        lower = np.take(values, range(0, n), axis=axis)
-        diff = (upper - lower) / grid.spacing
+        diff = (_cut(values, axis, 1, n + 1) - _cut(values, axis, 0, n)) / grid.spacing
         for other in grid_axes:
             if other == axis:
                 continue
             if mode == "forward":
-                diff = np.take(diff, range(0, n), axis=other)
+                diff = _cut(diff, other, 0, n)
             else:
-                diff = 0.5 * (
-                    np.take(diff, range(1, n + 1), axis=other)
-                    + np.take(diff, range(0, n), axis=other)
-                )
+                diff = 0.5 * (_cut(diff, other, 1, n + 1) + _cut(diff, other, 0, n))
         cols.append(diff)
     return np.stack(cols, axis=-1)
+
+
+def _cut(x: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
+    """The view x[lo:hi] along `axis` (a basic slice, not a gather)."""
+    index = [slice(None)] * x.ndim
+    index[axis] = slice(lo, hi)
+    return x[tuple(index)]
 
 
 def corner_average(values: np.ndarray, dim: int) -> np.ndarray:
@@ -198,7 +229,7 @@ def corner_average(values: np.ndarray, dim: int) -> np.ndarray:
     out = np.asarray(values, dtype=float)
     for axis in range(dim):
         n = out.shape[axis] - 1
-        out = 0.5 * (np.take(out, range(1, n + 1), axis=axis) + np.take(out, range(0, n), axis=axis))
+        out = 0.5 * (_cut(out, axis, 1, n + 1) + _cut(out, axis, 0, n))
     return out
 
 
@@ -242,10 +273,15 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
     of points survive, so the cost is linear in the point count.
     """
     pts = points.reshape(points.shape[0], -1)
-    n = pts.shape[0]
-    if n <= 1 or (np.ptp(pts, axis=0) == 0.0).all():
+    if pts.shape[0] <= 1:
         return 0.0
-    centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    # min and max along each row of one contiguous copy of the coordinates,
+    # far cheaper than along axis 0; both are exact in any order
+    coords = np.ascontiguousarray(pts.T)
+    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    if (lo == hi).all():
+        return 0.0
+    centre = 0.5 * (lo + hi)
     radial = np.sqrt(_sq_distances(pts, centre))
     reach = float(radial.max())
     far = int(np.argmax(radial))

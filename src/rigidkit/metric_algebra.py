@@ -64,21 +64,50 @@ def spd_extremes(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rounding of lam_max.  NaN entries give NaN, which fails such a test
     too.  Non-SPD input returns without warnings.  For d >= 3 the values
     come from `eigvalsh` and `det`.
+
+    Where some step of the d = 2 closed form over- or underflows, as
+    ac - b^2 does once the entries pass about 1e154, the stack is run again
+    on the rescaled 4^k g of `_quarter_scaled`, where no SPD matrix's does,
+    and the three values are scaled back by 4^-k.  Scaling by a power of
+    two is exact and commutes with every rounding above, so the rerun
+    changes no bit of a matrix whose steps stayed in range.
     """
     gram = np.asarray(gram, dtype=float)
     dim = gram.shape[-1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if dim == 1:
-            g = gram[..., 0, 0]
+    if dim == 1:
+        g = gram[..., 0, 0]
+        with np.errstate(invalid="ignore"):
             return g, g, np.sqrt(g)
-        if dim == 2:
-            a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
-            det = a * c - b * b
-            lam_max = 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
-            lam_min = np.minimum(det / lam_max, 0.5 * (a + c))
-            return lam_min, lam_max, np.sqrt(det)
-        w = np.linalg.eigvalsh(gram)
+    if dim == 2:
+        try:
+            with np.errstate(over="raise", under="raise"):
+                return _closed_extremes(gram)
+        except FloatingPointError:
+            k, scaled = _quarter_scaled(gram)
+            with np.errstate(over="ignore", under="ignore"):
+                return tuple(np.ldexp(value, -2 * k) for value in _closed_extremes(scaled))
+    w = np.linalg.eigvalsh(gram)
+    with np.errstate(invalid="ignore"):
         return w[..., 0], w[..., -1], np.sqrt(np.linalg.det(gram))
+
+
+def _quarter_scaled(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 4^k g) for stacked 2 x 2 matrices, k chosen from the exponents of
+    the diagonal so that ac lies in [1/4, 16): there the closed forms'
+    products of entries cannot overflow, as they do once the entries pass
+    about 1e154."""
+    k = -((np.frexp(gram[..., 0, 0])[1] + np.frexp(gram[..., 1, 1])[1]) // 4)
+    return k, np.ldexp(gram, 2 * k[..., None, None])
+
+
+def _closed_extremes(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`spd_extremes`' closed form on stacked 2 x 2 matrices, as given."""
+    a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        det = a * c - b * b
+        lam_max = 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
+        lam_min = np.minimum(det / lam_max, 0.5 * (a + c))
+        return lam_min, lam_max, np.sqrt(det)
 
 
 def checked_grams(gram: np.ndarray) -> np.ndarray:
@@ -110,11 +139,10 @@ def _spd_root(gram: np.ndarray, inverse: bool) -> np.ndarray:
     the same order as the small eigenvalue of `eigh`, which computes the
     roots for d >= 3.  The floor test runs before any root is taken.
 
-    For d = 2 the closed form runs on 4^k g, with k chosen so that ac lies
-    in [1/4, 8): det cannot overflow there, as it does once the entries pass
-    about 1e154.  The root of g is then 2^-k (2^k for the inverse) times that
-    root.  Scaling by a power of two is exact, so wherever nothing over- or
-    underflows without it, every root keeps its bits.
+    For d = 2 the closed form runs on the 4^k g of `_quarter_scaled`, where
+    det cannot overflow.  The root of g is then 2^-k (2^k for the inverse)
+    times that root.  Scaling by a power of two is exact, so wherever
+    nothing over- or underflows without it, every root keeps its bits.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.shape[-1] > 2:
@@ -126,9 +154,8 @@ def _spd_root(gram: np.ndarray, inverse: bool) -> np.ndarray:
         lam_min, _, s = spd_extremes(gram)
         _require(lam_min >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
         return 1.0 / s[..., None, None] if inverse else s[..., None, None]
-    k = -((np.frexp(gram[..., 0, 0])[1] + np.frexp(gram[..., 1, 1])[1]) // 4)
-    gram = np.ldexp(gram, 2 * k[..., None, None])
-    lam_min, _, s = spd_extremes(gram)
+    k, gram = _quarter_scaled(gram)
+    lam_min, _, s = _closed_extremes(gram)
     _require(np.ldexp(lam_min, -2 * k) >= _EIGENVALUE_FLOOR, _NOT_POSITIVE_DEFINITE)
     a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
     t = np.sqrt(a + c + 2.0 * s)

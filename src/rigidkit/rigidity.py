@@ -25,6 +25,7 @@ from .fields import (
     _energy_sums,
     _full_rank,
     _normal_differential,
+    _square_extremes,
     _subgrid,
     _without_radial_part,
     energies,
@@ -189,8 +190,8 @@ def _fit_rotations(du: np.ndarray, p: float) -> np.ndarray:
     """
     if du.shape[-3] == 0:
         raise DegenerateFieldError("no cells available for rotation fitting")
-    unsure = ~_full_rank(np.linalg.svd(du[:, 0], compute_uv=False))
-    if unsure.any() and not _full_rank(np.linalg.svd(du[unsure], compute_uv=False)).any(axis=-1).all():
+    unsure = ~_full_rank(_square_extremes(du[:, 0]))
+    if unsure.any() and not _full_rank(_square_extremes(du[unsure])).any(axis=-1).all():
         raise DegenerateFieldError("every cell differential is rank deficient")
     rotation = rotation_align(du.mean(axis=-3))
     if p != 2.0:

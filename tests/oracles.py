@@ -196,12 +196,45 @@ def rotation_descent_per_candidate(
     return best_rot
 
 
-def perturbation_scale_stacked(dim: int, out_dim: int, length: float, seed: int) -> float:
-    """The normalisation `scenarios.perturbation_field` divides by, probed as
-    the field's general formula gives it: the field evaluated at every node
-    of the fixed lattice, its gradients stacked (..., out_dim, dim), and the
-    largest root of their summed squares.  The reference its scale must
-    equal bit for bit."""
+def max_pairwise_distance_axis0(points: np.ndarray) -> float:
+    """`fields._max_pairwise_distance` as it took its constant test and its
+    bounding box from `ptp`, `min` and `max` along axis 0 of the points."""
+    from rigidkit.fields import _FARTHEST_POINT_SWEEPS, _PRUNE_SLACK, _sq_distances
+
+    pts = points.reshape(points.shape[0], -1)
+    n = pts.shape[0]
+    if n <= 1 or (np.ptp(pts, axis=0) == 0.0).all():
+        return 0.0
+    centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    radial = np.sqrt(_sq_distances(pts, centre))
+    reach = float(radial.max())
+    far = int(np.argmax(radial))
+    bound_sq = 0.0
+    for _ in range(_FARTHEST_POINT_SWEEPS):
+        d2 = _sq_distances(pts, pts[far])
+        far = int(np.argmax(d2))
+        if d2[far] <= bound_sq:
+            break
+        bound_sq = float(d2[far])
+    keep = radial + reach >= np.sqrt(bound_sq) * (1.0 - _PRUNE_SLACK)
+    pts = np.unique(pts[keep], axis=0)
+    m = pts.shape[0]
+    chunk = max(1, (1 << 20) // (m * pts.shape[1]))
+    best = bound_sq
+    for start in range(0, m, chunk):
+        block = pts[start : start + chunk]
+        d2 = _sq_distances(block[:, None, :], pts[None, start:, :])
+        best = max(best, float(d2.max()))
+    return float(np.sqrt(best))
+
+
+def perturbation_sums_stacked(dim: int, out_dim: int, length: float, seed: int) -> np.ndarray:
+    """The summed squared gradients `scenarios.perturbation_field` probes, on
+    every node of its fixed lattice, as the field's general formula gives
+    them: the field evaluated at every node, its gradients stacked
+    (..., out_dim, dim), and their squares added to zeros one at a time in
+    (component, axis) order.  (`np.sum` over the last two axes adds nine
+    terms, at d = 3, in another order.)"""
     from rigidkit.fields import GridDomain
     from rigidkit.scenarios import smooth_bump
 
@@ -231,7 +264,18 @@ def perturbation_scale_stacked(dim: int, out_dim: int, length: float, seed: int)
     samples = np.stack(comps, axis=-1)
     grads = np.gradient(samples, probe.spacing, axis=tuple(range(dim)))
     grads = np.stack([grads] if dim == 1 else list(grads), axis=-1)
-    return float(np.sqrt(np.sum(grads**2, axis=(-2, -1))).max())
+    terms = (grads**2).reshape(grads.shape[:-2] + (-1,))
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
+def perturbation_scale_stacked(dim: int, out_dim: int, length: float, seed: int) -> float:
+    """The normalisation `scenarios.perturbation_field` divides by: the
+    largest root of `perturbation_sums_stacked`, the full-lattice probe its
+    scale must equal bit for bit."""
+    return float(np.sqrt(perturbation_sums_stacked(dim, out_dim, length, seed)).max())
 
 
 # --- the lemma suite's draws, one instance at a time -------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -347,10 +348,12 @@ class TestRigidity:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_metric_ends_without_a_traceback(self, tmp_path):
-        # Gram entries near 1e300: the 2 x 2 roots are taken on a rescaled Gram
+        # Gram entries near 1e300: the 2 x 2 extremes and roots are taken on
+        # a rescaled Gram, so nothing overflows on the way
         scenario = {"family": "graph", "dim": 2, "resolution": 8, "metric_kind": "linear", "metric_slope": 1e300}
         cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario})
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 3)
 
     def test_nan_report_term_is_degenerate(self, tmp_path, capsys, monkeypatch):
@@ -517,12 +520,15 @@ class TestScaling:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_sweep_is_degenerate(self, tmp_path, capsys):
-        # the lhs is inf, so its slope is undefined rather than a LAPACK error
+        # the lhs is inf, so its slope is undefined rather than a LAPACK
+        # error, and the run stops before it prints any slope line
         scenario = {"family": "graph", "dim": 2, "resolution": 8, "length": 1e200}
         cfg = write_config(tmp_path, "scaling.json", {"scenario": scenario, "epsilons": [0.1, 0.05]})
         with np.errstate(all="ignore"):
             assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        assert "degenerate scenario: report term rows[0].lhs is not finite (inf)" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "degenerate scenario: report term rows[0].lhs is not finite (inf)" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_eps_flag_overrides_file(self, tmp_path):

@@ -382,6 +382,34 @@ class TestOscillation:
         assert value == pytest.approx(brute_diameter(points), rel=1e-12, abs=0.0)
 
 
+class TestBoundingBox:
+    """`_max_pairwise_distance` reads its constant test and bounding box off
+    one contiguous copy of the transposed points; these pin it to the
+    axis-0 reductions it replaced."""
+
+    @staticmethod
+    def metric_points(kind):
+        grid = GridDomain(2, 1.0, 64)
+        if kind == "constant":
+            gram = MetricField.constant(grid, [[2.0, 0.5], [0.5, 1.0]]).gram
+        else:
+            gram = build_metric(grid, kind, seed=7).gram
+        return gram.reshape(-1, 4)
+
+    @pytest.mark.parametrize("kind", ["constant", "linear", "random"])
+    def test_equals_the_axis_zero_form(self, kind):
+        # the linear metric's Grams lie on a line: a rank-one spread
+        points = self.metric_points(kind)
+        assert _max_pairwise_distance(points) == oracles.max_pairwise_distance_axis0(points)
+        rng = np.random.default_rng(5)
+        for cloud in (rng.normal(size=(300, 3)), rng.normal(size=(40, 1)) * [1.0, -2.0, 0.5], points[::7]):
+            assert _max_pairwise_distance(cloud) == oracles.max_pairwise_distance_axis0(cloud)
+
+    def test_constant_metric_returns_zero_before_any_search(self):
+        with mock.patch("rigidkit.fields._sq_distances", side_effect=AssertionError("searched")):
+            assert _max_pairwise_distance(self.metric_points("constant")) == 0.0
+
+
 class TestReferenceShape:
     def test_asymmetric_rejected(self):
         grid = GridDomain(2, 1.0, 2)

@@ -712,6 +712,26 @@ class TestClosedFormKernels:
         np.testing.assert_allclose(lam_max, w[:, -1], rtol=1e-14)
         np.testing.assert_allclose(sqrt_det, np.sqrt(np.linalg.det(grams)), rtol=1e-14)
 
+    @pytest.mark.parametrize("k", [-500, -250, 250, 500])
+    def test_spd_extremes_scale_exactly_by_powers_of_four(self, k):
+        # 4^500 g has entries near 1e301, where ac - b^2 overflows unless
+        # the closed form rescales, and 4^-500 g entries near 1e-301
+        grams = _grams(np.random.default_rng(227), 50, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = spd_extremes(np.ldexp(grams, 2 * k))
+            for value, base in zip(scaled, spd_extremes(grams)):
+                np.testing.assert_array_equal(value, np.ldexp(base, 2 * k))
+
+    def test_spd_extremes_of_a_gram_near_the_overflow(self):
+        gram = np.array([[4e300, 1e150], [1e150, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam_min, lam_max, sqrt_det = spd_extremes(gram)
+        w = np.linalg.eigvalsh(gram)
+        assert lam_min == pytest.approx(w[0], rel=1e-14) and lam_max == pytest.approx(w[1], rel=1e-14)
+        assert sqrt_det == pytest.approx(np.sqrt(w[0]) * np.sqrt(w[1]), rel=1e-14)
+
     @pytest.mark.parametrize("kernel", [spd_sqrt, spd_inv_sqrt, checked_grams])
     @pytest.mark.parametrize(
         "gram",
@@ -770,11 +790,11 @@ class TestClosedFormKernels:
             path.write_text(json.dumps(config))
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path / f"out{k}")]) in (0, 1)
         capsys.readouterr()
-        # The spies see the pipeline's calls: the rank test of the fit, and
-        # the normals' complete QR.  The Procrustes factor, the base frame,
-        # the defects and every determinant sign are closed forms at d <= 2.
-        assert ("svd", "_fit_rotations") in calls and ("qr", "_degenerate_and_normal") in calls
-        assert not [call for call in calls if call[1] not in ("_fit_rotations", "_degenerate_and_normal")]
+        # The spies see one pipeline call: the normals' complete QR.  The
+        # fit's rank test, the Procrustes factor, the base frame, the defects
+        # and every determinant sign are closed forms at d <= 2.
+        assert ("qr", "_degenerate_and_normal") in calls
+        assert not [call for call in calls if call != ("qr", "_degenerate_and_normal")]
 
 
 # --- closed-form frames, Procrustes factors and signs against LAPACK --------

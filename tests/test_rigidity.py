@@ -20,6 +20,8 @@ from rigidkit.fields import (
     ImmersionField,
     MetricField,
     TargetSpace,
+    _full_rank,
+    _square_extremes,
     _subgrid,
     energies,
     oscillation_and_diameter,
@@ -573,6 +575,58 @@ class TestTangentPlaneField:
             for u in (graph, huge):
                 assert u.degenerate_count == 8 and u.degenerate[:, 2].all()
             assert tiny.degenerate.all()
+
+
+class TestFitRankTest:
+    """`_fit_rotations` tests its square cell maps for rank through
+    `_square_extremes`; these pin its verdicts to a value-only SVD's."""
+
+    @staticmethod
+    def verdicts(x):
+        return _full_rank(_square_extremes(x)), _full_rank(np.linalg.svd(x, compute_uv=False))
+
+    def test_verdicts_equal_the_svd_on_the_pinned_fields(self):
+        # each differential's R factor (its singular values) and its top
+        # square block, on the fields whose cells straddle the threshold
+        deficient = 0
+        for u in pinned_fields("rank_deficient"):
+            du = u.differential
+            for x in (np.linalg.qr(du)[1], du[..., : u.grid.dim, :]):
+                ours, svd = self.verdicts(x)
+                np.testing.assert_array_equal(ours, svd)
+                deficient += int((~svd).sum())
+        assert deficient > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponent=st.floats(-3.0, 300.0),
+        offset=st.floats(0.01, 2.0),
+        below=st.booleans(),
+        angles=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+        reflect=st.booleans(),
+    )
+    def test_verdicts_equal_the_svd_near_the_threshold(self, exponent, offset, below, angles, reflect):
+        # s1 over 303 decades and s2 = 1e-12 max(s1, 1) 10^(-+offset): at
+        # least 2% off the threshold, far past the few u s1 both round by
+        s1 = 10.0**exponent
+        s2 = 1e-12 * max(s1, 1.0) * 10.0 ** (-offset if below else offset)
+
+        def turn(t):
+            return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+        x = (turn(angles[0]) @ np.diag([s1, -s2 if reflect else s2]) @ turn(angles[1]))[None]
+        ours, svd = self.verdicts(x)
+        assert ours[0] == svd[0] == (not below)
+        values, reference = _square_extremes(x)[0], np.linalg.svd(x, compute_uv=False)[0]
+        assert abs(values[0] - reference[0]) <= 1e-15 * reference[0]
+        assert abs(values[1] - reference[1]) <= 1e-15 * reference[0]
+
+    def test_zero_and_one_dimensional_maps(self):
+        x = np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 1.0]], [[1e-300, 0.0], [0.0, 1e-300]]])
+        np.testing.assert_array_equal(_square_extremes(x)[:, 1], [0.0, 0.0, 1e-300])
+        np.testing.assert_array_equal(_full_rank(_square_extremes(x)), [False, False, False])
+        line = np.array([[[-3.0]], [[1e-13]], [[0.0]]])
+        np.testing.assert_array_equal(_square_extremes(line), np.linalg.svd(line, compute_uv=False))
 
 
 class TestNormalsMatchTheSvdPath:

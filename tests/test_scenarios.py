@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidkit.fields import GridDomain, GridMap, ImmersionField, energies
 from rigidkit.scenarios import (
     ScenarioSpec,
+    _perturbation_draw,
+    _probe_estimate,
     build_metric,
     build_scenario,
     curvature_curve,
@@ -15,7 +19,26 @@ from rigidkit.scenarios import (
     smooth_bump,
 )
 
-from oracles import perturbation_scale_stacked
+from oracles import perturbation_scale_stacked, perturbation_sums_stacked
+
+
+def probe_scale(phi):
+    """The scale a perturbation field divides by, read off its closure."""
+    return dict(zip(phi.__code__.co_freevars, (c.cell_contents for c in phi.__closure__)))["scale"]
+
+
+# a probe: d, out_dim = d + extra, a length over six decades and a seed
+PROBE_DRAWS = {
+    "dim": st.sampled_from([1, 2]),
+    "extra": st.sampled_from([0, 1]),
+    "length": st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    "seed": st.integers(0, 2**31 - 2),
+}
+
+
+def probe_estimate(dim, out_dim, length, seed):
+    probe = GridDomain(dim, length, 2048 if dim == 1 else 128)
+    return _probe_estimate(probe, *_perturbation_draw(out_dim, seed))
 
 
 def flat_metric(grid):
@@ -46,17 +69,48 @@ class TestBumpAndPerturbation:
         edge = np.array([[0.0, 0.3], [1.0, 0.7], [0.5, 0.0], [0.2, 1.0]])
         np.testing.assert_allclose(phi(edge), 0.0, atol=1e-300)
 
-    @pytest.mark.parametrize(
-        "dim, out_dim, seeds",
+    @settings(max_examples=150, deadline=None)
+    @given(**PROBE_DRAWS)
+    def test_probe_scale_equals_the_stacked_probe(self, dim, extra, length, seed):
         # perturbed inclusions (d, d + 1) and perturbed identities (d, d)
-        [(1, 2, 6), (2, 3, 6), (1, 1, 6), (2, 2, 6), (3, 3, 1)],
-    )
-    def test_probe_scale_equals_the_stacked_probe(self, dim, out_dim, seeds):
-        for seed in range(seeds):
-            for length in (1.0, 0.7):
-                phi = perturbation_field(dim, out_dim, length, seed)
-                scale = dict(zip(phi.__code__.co_freevars, (c.cell_contents for c in phi.__closure__)))["scale"]
-                assert scale == perturbation_scale_stacked(dim, out_dim, length, seed)
+        phi = perturbation_field(dim, dim + extra, length, seed)
+        assert probe_scale(phi) == perturbation_scale_stacked(dim, dim + extra, length, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PROBE_DRAWS)
+    def test_estimate_bound_holds_at_every_node(self, dim, extra, length, seed):
+        estimate, slack = probe_estimate(dim, dim + extra, length, seed)
+        sums = perturbation_sums_stacked(dim, dim + extra, length, seed)
+        assert estimate.shape == sums.shape
+        assert np.abs(estimate - sums).max() <= slack
+
+    @settings(max_examples=200, deadline=None)
+    @given(**PROBE_DRAWS)
+    def test_exact_pass_sees_a_handful_of_nodes(self, dim, extra, length, seed):
+        estimate, slack = probe_estimate(dim, dim + extra, length, seed)
+        assert 1 <= np.count_nonzero(estimate >= estimate.max() - 2.0 * slack) <= 4
+
+    @pytest.mark.parametrize("seed, length", [(0, 1.0), (5, 0.37)])
+    def test_three_dimensional_probe_equals_the_stacked_probe(self, seed, length):
+        # one full-lattice probe takes about a second at d = 3
+        sums = perturbation_sums_stacked(3, 3, length, seed)
+        assert probe_scale(perturbation_field(3, 3, length, seed)) == np.sqrt(sums).max()
+        estimate, slack = probe_estimate(3, 3, length, seed)
+        assert np.abs(estimate - sums).max() <= slack
+        assert np.count_nonzero(estimate >= estimate.max() - 2.0 * slack) <= 4
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("length", [1e-200, 1e-150, 1e155, 1e200, 1.5e308])
+    def test_probe_keeps_the_stacked_outcome_at_extreme_lengths(self, dim, length):
+        # overflow (inf), underflow (a zero maximum) and NaN arguments alike
+        with np.errstate(all="ignore"):
+            expected = perturbation_scale_stacked(dim, dim + 1, length, 1)
+            if expected == 0.0:
+                with pytest.raises(ValueError, match="degenerate perturbation draw"):
+                    perturbation_field(dim, dim + 1, length, 1)
+                return
+            scale = probe_scale(perturbation_field(dim, dim + 1, length, 1))
+        assert scale == expected or (np.isnan(scale) and np.isnan(expected))
 
     def test_field_gradient_is_normalized(self):
         phi = perturbation_field(1, 2, 1.0, seed=11)

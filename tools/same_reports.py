@@ -10,7 +10,7 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 35
+The workload is one of the benchmark's, or `untimed`: a fixed list of 37
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
@@ -22,7 +22,11 @@ one descent per subcube; then three `lemmas` runs off the default shapes:
 `max_dim` 4, whose d = 4 instances take the LAPACK kernels, `max_ambient`
 9, and `lam_max` 1e6; last, two p = 3 `rigidity` fits on a random metric
 past 4096 cells, where the base cell is chosen from more candidates than
-any benchmark op has: a 65 x 65 `graph` and a 4400-cell `latitude` arc.
+any benchmark op has: a 65 x 65 `graph` and a 4400-cell `latitude` arc;
+then, on a linear metric, a d = 2 `perturbed` `multiscale` sweep and a
+d = 2 `perturbed_identity` `rigidity` fit, each with a drawn `length` in
+[0.3, 3], which no benchmark op sets, though the perturbation's probe
+lattice and scale follow it.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -265,6 +269,16 @@ def untimed_ops(seed: int) -> list:
             "seed": draw.randrange(2**31 - 1), **shape,
         }
         runs.append(("rigidity", {"scenario": scenario}))
+    for command, family, shape, extra in (
+        ("multiscale", "perturbed", {"kappa": 0.0}, {"t_values": [2, 4, 8]}),
+        ("rigidity", "perturbed_identity", {"rotation": draw.uniform(-math.pi, math.pi)}, {}),
+    ):
+        scenario = {
+            "family": family, "dim": 2, "resolution": 32, "metric_kind": "linear", "p": 2.0,
+            "seed": draw.randrange(2**31 - 1), "length": draw.uniform(0.3, 3.0),
+            "epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1))), **shape,
+        }
+        runs.append((command, {"scenario": scenario, **extra}))
 
     def size(config: dict) -> int:
         """Grid cells of a scenario; for the lemma suite, its arc's cells."""
