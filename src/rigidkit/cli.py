@@ -10,6 +10,9 @@ which wins over the file), writes reports under --out, and exits with:
     2  config error
     3  degenerate scenario
 
+Every handler returns a `_Run` record, and `main` finishes each run the same
+way: it checks the reports, writes them, then prints.  So exits 2 and 3
+print nothing on stdout, and exit 1 always follows a printed FAIL line.
 Reports embed a RunManifest echoing the resolved configuration, so a rerun
 with the same config and seed (and a pinned RIGIDITY_CLOCK) reproduces
 every output byte for byte.
@@ -47,7 +50,7 @@ from .rigidity import (
     multiscale_fit,
     translation_modulus,
 )
-from .scenarios import ScenarioSpec, build_scenario
+from .scenarios import ScenarioBundle, ScenarioSpec, build_scenario
 
 SEED_ENV = "RIGIDITY_SEED"
 
@@ -59,22 +62,33 @@ EXIT_DEGENERATE = 3
 _SLOPE_FLOOR = 1e-15
 # Rigidity report terms in printed order; the CSV row has all but plane_variation.
 _REPORT_TERMS = ("lhs", "osc_term", "stretch", "bend_scale", "plane_variation", "constant")
+_SNAPSHOT = "snapshot.json"
 
 
 class ConfigError(ValueError):
     """Anything wrong with the config file or flag combination."""
 
 
-# The top-level config keys each subcommand reads; any other key is a config
-# error rather than a setting the run would silently ignore.
-_CONFIG_KEYS = {
-    "lemmas": {f.name for f in dataclasses.fields(LemmaConfig)},
-    "rigidity": {"scenario", "snapshot"},
-    "scaling": {"scenario", "epsilons", "resolutions"},
-    "multiscale": {"scenario", "t_values", "shifts"},
-    "asymptotic": {"scenario", "epsilons", "reference", "threshold"},
-    "snapshot": {"scenario"},
-}
+@dataclasses.dataclass
+class _Run:
+    """What a handler hands `main`: the report stem `name` (None for
+    `snapshot read`, which writes no report), the JSON `payload`, the CSV
+    `rows` and their gnuplot `plot_columns`, the `lines` to print, the
+    manifest's `spec`, `seed` and `checks`, and the `verdict` label of the
+    closing PASS/FAIL line, which reads the checks and sets the exit code
+    (None: exit 0 once written).  `snapshot write` also saves its bundle,
+    `snapshot`, beside the report."""
+
+    name: str | None
+    payload: dict
+    lines: list
+    spec: dict = dataclasses.field(default_factory=dict)
+    seed: int = 0
+    checks: dict = dataclasses.field(default_factory=dict)
+    rows: list | None = None
+    plot_columns: tuple | None = None
+    verdict: str | None = None
+    snapshot: ScenarioBundle | None = None
 
 
 def _load_config(args) -> dict:
@@ -92,7 +106,7 @@ def _load_config(args) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(config) - _CONFIG_KEYS[args.command]
+    unknown = set(config) - _COMMANDS[args.command][2]
     if unknown:
         raise ConfigError(f"unknown {args.command} config keys: {sorted(unknown)}")
     return config
@@ -163,6 +177,15 @@ def _build(spec: ScenarioSpec):
         raise ConfigError(f"scenario cannot be built: {exc}") from exc
 
 
+def _load_snapshot(path):
+    if not isinstance(path, str):
+        raise ConfigError(f"'snapshot' must be a file path, got {path!r}")
+    try:
+        return snapshot_load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot load snapshot: {exc}") from exc
+
+
 def _sweep_list(config: dict, key: str, override, kind=float) -> list | None:
     if override is not None:
         return [kind(v) for v in override]
@@ -172,10 +195,9 @@ def _sweep_list(config: dict, key: str, override, kind=float) -> list | None:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"'{key}' must be a nonempty list")
     try:
-        return [config_number(v, kind) for v in raw]
-    except (TypeError, ValueError, OverflowError) as exc:
-        kinds = "integers" if kind is int else "finite numbers"
-        raise ConfigError(f"'{key}' entries must be {kinds}, got {raw!r}") from exc
+        return [config_number(v, f"'{key}' entry", kind) for v in raw]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fit_report(bundle, p: float):
@@ -211,33 +233,32 @@ def _non_finite_term(value, name: str):
     return None
 
 
-def _require_finite(payload: dict, rows=None) -> None:
-    """Stop the run, as a degenerate scenario, on a report term that
-    overflowed or lost its value."""
-    bad = _non_finite_term(payload, "") or _non_finite_term(rows or [], "rows")
+def _emit(out_dir: Path, command: str, run: _Run) -> None:
+    """Check the run's reports, then write them: the snapshot, CSV and
+    gnuplot data from `rows`, then the JSON payload with the manifest.  A
+    report term that overflowed or lost its value stops the run, as a
+    degenerate scenario, before any file is written."""
+    bad = _non_finite_term(run.payload, "") or _non_finite_term(run.rows or [], "rows")
     if bad is not None:
         raise DegenerateFieldError(f"report term {bad[0]} is not finite ({float(bad[1])})")
-
-
-def _emit(out_dir: Path, name: str, manifest: RunManifest, payload: dict, rows=None, plot_columns=None):
-    """Write the run's reports: CSV and gnuplot data from `rows`, then the JSON
-    payload with the manifest.  Every subcommand's reports go through here,
-    so `_require_finite` stops the run before any file is written."""
-    _require_finite(payload, rows)
+    if run.name is None:
+        return
     out_dir.mkdir(parents=True, exist_ok=True)
-    if rows is not None:
-        csv_path = out_dir / f"{name}.csv"
-        write_csv(csv_path, rows)
+    manifest = RunManifest(command=command, spec=run.spec, seed=run.seed, checks=run.checks)
+    if run.snapshot is not None:
+        snapshot_save(out_dir / _SNAPSHOT, run.snapshot.u, run.snapshot.metric)
+        manifest.record_output(out_dir / _SNAPSHOT)
+    if run.rows is not None:
+        csv_path = out_dir / f"{run.name}.csv"
+        write_csv(csv_path, run.rows)
         manifest.record_output(csv_path)
-        if plot_columns:
-            dat_path = out_dir / f"{name}.dat"
-            write_gnuplot_data(dat_path, rows, plot_columns)
+        if run.plot_columns:
+            dat_path = out_dir / f"{run.name}.dat"
+            write_gnuplot_data(dat_path, run.rows, run.plot_columns)
             manifest.record_output(dat_path)
-    json_path = out_dir / f"{name}.json"
+    json_path = out_dir / f"{run.name}.json"
     manifest.record_output(json_path)
-    payload = dict(payload)
-    payload["manifest"] = manifest.to_dict()
-    write_json_report(json_path, payload)
+    write_json_report(json_path, run.payload | {"manifest": manifest.to_dict()})
 
 
 def _log_slope(xs, ys) -> float | None:
@@ -259,8 +280,7 @@ def _strictly_decreasing(values) -> bool:
 # --- subcommand handlers ---------------------------------------------------
 
 
-def cmd_lemmas(args) -> int:
-    config = _load_config(args)
+def cmd_lemmas(args, config: dict) -> _Run:
     merged = dict(config)
     if args.n is not None:
         merged["samples"] = args.n
@@ -274,37 +294,27 @@ def cmd_lemmas(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad lemma config: {exc}") from exc
 
+    lines = []
     if lemma_config.samples == 0:
-        print("warning: sample count is 0, every sampled property passes vacuously")
+        lines.append("warning: sample count is 0, every sampled property passes vacuously")
     results = run_all(lemma_config)
     for result in results:
         verdict = "PASS" if result.passed else "FAIL"
-        print(f"{result.name:26s} {verdict}  min slack {result.min_slack:+.3e}  ({result.samples} samples)")
-    all_passed = all(r.passed for r in results)
-
-    manifest = RunManifest(
-        command="lemmas",
+        lines.append(f"{result.name:26s} {verdict}  min slack {result.min_slack:+.3e}  ({result.samples} samples)")
+    return _Run(
+        "lemmas",
+        {"properties": [r.to_dict() for r in results], "passed": all(r.passed for r in results)},
+        lines,
         spec={"lemma_config": dataclasses.asdict(lemma_config)},
         seed=lemma_config.seed,
         checks={r.name: r.passed for r in results},
+        verdict="suite",
     )
-    _emit(
-        Path(args.out),
-        "lemmas",
-        manifest,
-        {"properties": [r.to_dict() for r in results], "passed": all_passed},
-    )
-    print("suite:", "PASS" if all_passed else "FAIL")
-    return EXIT_PASS if all_passed else EXIT_FAIL
 
 
-def cmd_rigidity(args) -> int:
-    config = _load_config(args)
+def cmd_rigidity(args, config: dict) -> _Run:
     if "snapshot" in config:
-        try:
-            u, metric = snapshot_load(config["snapshot"])
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot load snapshot: {exc}") from exc
+        u, metric = _load_snapshot(config["snapshot"])
         p = args.p if args.p is not None else 2.0
         _require_fit_exponent(p)
         # The manifest echoes the seed; the fit itself draws nothing.
@@ -326,12 +336,6 @@ def cmd_rigidity(args) -> int:
         row = _report_row(report, spec.family, spec.resolution, spec.epsilon)
         spec_echo = {"scenario": spec.to_dict()}
 
-    manifest = RunManifest(
-        command="rigidity",
-        spec=spec_echo,
-        seed=seed,
-        checks={"completed": True},
-    )
     payload = {
         "route": route,
         "report": {
@@ -340,15 +344,11 @@ def cmd_rigidity(args) -> int:
             **{name: getattr(report, name) for name in _REPORT_TERMS},
         },
     }
-    _emit(Path(args.out), "rigidity", manifest, payload, rows=[row])
-    print(f"route: {route}")
-    for name in _REPORT_TERMS:
-        print(f"{name:17s}{getattr(report, name):.6e}")
-    return EXIT_PASS
+    lines = [f"route: {route}", *(f"{name:17s}{getattr(report, name):.6e}" for name in _REPORT_TERMS)]
+    return _Run("rigidity", payload, lines, spec=spec_echo, seed=seed, checks={"completed": True}, rows=[row])
 
 
-def cmd_scaling(args) -> int:
-    config = _load_config(args)
+def cmd_scaling(args, config: dict) -> _Run:
     spec = _scenario_spec(config, args)
     _require_fit_exponent(spec.p)
     epsilons = _sweep_list(config, "epsilons", args.eps)
@@ -385,28 +385,19 @@ def cmd_scaling(args) -> int:
         else:
             lines.append(f"n={n}: slope vs epsilon {slope_eps:.4f}, slope vs defect {slope_defect}")
 
-    defined = all(v["vs_epsilon"] is not None for v in slopes.values())
-    manifest = RunManifest(
-        command="scaling",
+    return _Run(
+        "scaling",
+        {"slopes": slopes},
+        lines,
         spec={"scenario": spec.to_dict(), "epsilons": epsilons, "resolutions": resolutions},
         seed=spec.seed,
-        checks={"slope_defined": defined},
-    )
-    _emit(
-        Path(args.out),
-        "scaling",
-        manifest,
-        {"slopes": slopes},
+        checks={"slope_defined": all(v["vs_epsilon"] is not None for v in slopes.values())},
         rows=rows,
         plot_columns=("n", "epsilon", "lhs", "stretch", "constant"),
     )
-    for line in lines:
-        print(line)
-    return EXIT_PASS
 
 
-def cmd_multiscale(args) -> int:
-    config = _load_config(args)
+def cmd_multiscale(args, config: dict) -> _Run:
     spec = _scenario_spec(config, args)
     _require_fit_exponent(spec.p)
     t_values = _sweep_list(config, "t_values", None, kind=int) or [1, 2, 4, 8]
@@ -428,7 +419,6 @@ def cmd_multiscale(args) -> int:
     rows = []
     residuals = []
     fields = {}
-    # Printed only once every fit and the finite check have passed.
     lines = []
     head = {"scenario": spec.family, "p": float(spec.p), "n": int(spec.resolution)}
     for t in t_values:
@@ -454,56 +444,46 @@ def cmd_multiscale(args) -> int:
             raise ConfigError(f"shift {shift:g} leaves no admissible subcube at t={t_values[-1]}")
         lines.append(f"zeta={shift:g}: modulus {tm.value:.6e} covered {tm.covered_fraction:.3f}")
 
-    residual_ok = _strictly_decreasing(residuals) if len(residuals) > 1 else True
-    modulus_ok = _strictly_decreasing(moduli) if len(moduli) > 1 else True
-    manifest = RunManifest(
-        command="multiscale",
+    return _Run(
+        "multiscale",
+        {"residuals": residuals, "moduli": moduli},
+        lines,
         spec={"scenario": spec.to_dict(), "t_values": t_values, "shifts": shifts},
         seed=spec.seed,
-        checks={"residual_decreasing": residual_ok, "modulus_decreasing": modulus_ok},
-    )
-    _emit(
-        Path(args.out),
-        "multiscale",
-        manifest,
-        {"residuals": residuals, "moduli": moduli},
+        checks={
+            "residual_decreasing": _strictly_decreasing(residuals),
+            "modulus_decreasing": _strictly_decreasing(moduli),
+        },
         rows=rows,
         plot_columns=("t", "zeta", "residual", "modulus", "covered_fraction"),
+        verdict="trends",
     )
-    for line in lines:
-        print(line)
-    passed = residual_ok and modulus_ok
-    print("trends:", "PASS" if passed else "FAIL")
-    return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_asymptotic(args) -> int:
-    config = _load_config(args)
+def cmd_asymptotic(args, config: dict) -> _Run:
     spec = _scenario_spec(config, args)
     epsilons = _sweep_list(config, "epsilons", args.eps)
     if not epsilons:
         raise ConfigError("asymptotic needs an 'epsilons' schedule (or --eps)")
-    if len(epsilons) > 1 and not _strictly_decreasing(epsilons):
-        raise ConfigError("the epsilon schedule must decrease strictly")
     reference = config.get("reference", "curvature")
     if reference not in ("curvature", "none"):
         raise ConfigError("'reference' must be 'curvature' or 'none'")
     try:
-        threshold = config_number(config.get("threshold", 1e-4))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"'threshold' must be a number: {exc}") from exc
+        threshold = config_number(config.get("threshold", 1e-4), "'threshold'")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if threshold <= 0.0:
         raise ConfigError("'threshold' must be positive")
 
-    first = _build(_replace(spec, epsilon=epsilons[0]))
+    members = [_build(_replace(spec, epsilon=e)) for e in epsilons]
+    first = members[0]
     if isinstance(first.u, GridMap):
         raise ConfigError("asymptotic needs a codimension-one scenario")
     ref = None
     if reference == "curvature":
         ref = ReferenceShape(first.u.grid, spec.kappa * first.metric.gram)
 
-    rows = []
-    if len(epsilons) == 1:
+    if len(members) == 1:
         # Single-member schedule: the discretization oracle (typically eps=0).
         report = energies(first.u, first.metric, ref, p=spec.p)
         defect = _lebesgue_isometry_defect(first.u, first.metric, spec.p)
@@ -514,9 +494,8 @@ def cmd_asymptotic(args) -> int:
         checks = {"final_defect": defect <= threshold}
         shape_norm = None if recovery is None else recovery ** (1.0 / spec.p)
     else:
-        specs = [_replace(spec, epsilon=e) for e in epsilons]
         try:
-            run = asymptotic_sequence_run(specs, ref=ref, p=spec.p)
+            run = asymptotic_sequence_run(members, ref=ref, p=spec.p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         stretches = [er.stretch for er in run.energy_reports]
@@ -531,6 +510,7 @@ def cmd_asymptotic(args) -> int:
         if ref is not None:
             checks["recovery_decreasing"] = _strictly_decreasing(recoveries)
 
+    rows = []
     for eps, stretch, recovery, gap in zip(epsilons, stretches, recoveries, gaps):
         row = {
             "scenario": spec.family,
@@ -544,23 +524,9 @@ def cmd_asymptotic(args) -> int:
             row["bend_scale"] = float(recovery)
         rows.append(row)
 
-    print(f"final isometry defect {defect:.6e} (threshold {threshold:g})")
+    lines = [f"final isometry defect {defect:.6e} (threshold {threshold:g})"]
     if shape_norm is not None:
-        print(f"shape recovery error  {shape_norm:.6e}")
-    passed = all(checks.values())
-    print("asymptotic:", "PASS" if passed else "FAIL")
-
-    manifest = RunManifest(
-        command="asymptotic",
-        spec={
-            "scenario": spec.to_dict(),
-            "epsilons": epsilons,
-            "reference": reference,
-            "threshold": threshold,
-        },
-        seed=spec.seed,
-        checks=checks,
-    )
+        lines.append(f"shape recovery error  {shape_norm:.6e}")
     payload = {
         "stretch": stretches,
         "recovery": recoveries,
@@ -568,54 +534,65 @@ def cmd_asymptotic(args) -> int:
         "final_defect": defect,
         "shape_error_norm": shape_norm,
     }
-    _emit(
-        Path(args.out),
+    return _Run(
         "asymptotic",
-        manifest,
         payload,
+        lines,
+        spec={"scenario": spec.to_dict(), "epsilons": epsilons, "reference": reference, "threshold": threshold},
+        seed=spec.seed,
+        checks=checks,
         rows=rows,
         plot_columns=("epsilon", "stretch", "bend_scale", "residual"),
+        verdict="asymptotic",
     )
-    return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_snapshot(args) -> int:
-    if args.mode == "write":
-        config = _load_config(args)
-        spec = _scenario_spec(config, args)
-        bundle = _build(spec)
-        if isinstance(bundle.u, GridMap):
-            raise ConfigError("snapshots store codimension-one immersions only")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "snapshot.json"
-        snapshot_save(path, bundle.u, bundle.metric)
-        manifest = RunManifest(
-            command="snapshot",
-            spec={"scenario": spec.to_dict()},
-            seed=spec.seed,
-            checks={"written": True},
-        )
-        manifest.record_output(path)
-        _emit(out_dir, "snapshot_report", manifest, {"snapshot": path.name})
-        print(f"wrote {path}")
-        return EXIT_PASS
-    try:
-        u, metric = snapshot_load(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load snapshot: {exc}") from exc
-    if u.degenerate.all():
-        raise DegenerateFieldError("every cell of the snapshot is degenerate")
-    report = energies(u, metric, p=2.0)
-    _require_finite({"stretch": report.stretch, "bending": report.bending})
-    print(f"grid: d={u.grid.dim} n={u.grid.resolution} l={u.grid.length:g}")
-    print(f"target: {u.target.kind} (ambient {u.target.ambient_dim})")
-    print(f"degenerate cells: {u.degenerate_count}")
-    print(f"stretch {report.stretch:.6e}  bending {report.bending:.6e}")
-    return EXIT_PASS
+def cmd_snapshot(args, config: dict) -> _Run:
+    if args.mode == "read":
+        if not args.path:
+            raise ConfigError("snapshot read needs a path")
+        u, metric = _load_snapshot(args.path)
+        if u.degenerate.all():
+            raise DegenerateFieldError("every cell of the snapshot is degenerate")
+        report = energies(u, metric, p=2.0)
+        lines = [
+            f"grid: d={u.grid.dim} n={u.grid.resolution} l={u.grid.length:g}",
+            f"target: {u.target.kind} (ambient {u.target.ambient_dim})",
+            f"degenerate cells: {u.degenerate_count}",
+            f"stretch {report.stretch:.6e}  bending {report.bending:.6e}",
+        ]
+        return _Run(None, {"stretch": report.stretch, "bending": report.bending}, lines)
+    spec = _scenario_spec(config, args)
+    bundle = _build(spec)
+    if isinstance(bundle.u, GridMap):
+        raise ConfigError("snapshots store codimension-one immersions only")
+    return _Run(
+        "snapshot_report",
+        {"snapshot": _SNAPSHOT},
+        [f"wrote {Path(args.out) / _SNAPSHOT}"],
+        spec={"scenario": spec.to_dict()},
+        seed=spec.seed,
+        checks={"written": True},
+        snapshot=bundle,
+    )
 
 
-# --- argument parsing ------------------------------------------------------
+# --- argument parsing and main --------------------------------------------
+
+# Subcommand -> (help, handler, the top-level config keys it reads); any other
+# key is a config error rather than a setting the run would silently ignore.
+_COMMANDS = {
+    "lemmas": ("run the random property suite", cmd_lemmas, {f.name for f in dataclasses.fields(LemmaConfig)}),
+    "rigidity": ("one scenario, one rigidity fit", cmd_rigidity, {"scenario", "snapshot"}),
+    "scaling": ("epsilon sweep with log-log slopes", cmd_scaling, {"scenario", "epsilons", "resolutions"}),
+    "multiscale": ("partition sweep and translation modulus", cmd_multiscale, {"scenario", "t_values", "shifts"}),
+    "asymptotic": (
+        "shrinking-perturbation family run",
+        cmd_asymptotic,
+        {"scenario", "epsilons", "reference", "threshold"},
+    ),
+    "snapshot": ("write or read immersion snapshots", cmd_snapshot, {"scenario"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,17 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="rigidkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("lemmas", parents=[shared], help="run the random property suite").set_defaults(handler=cmd_lemmas)
-    sub.add_parser("rigidity", parents=[shared], help="one scenario, one rigidity fit").set_defaults(handler=cmd_rigidity)
-    sub.add_parser("scaling", parents=[shared], help="epsilon sweep with log-log slopes").set_defaults(handler=cmd_scaling)
-    sub.add_parser("multiscale", parents=[shared], help="partition sweep and translation modulus").set_defaults(handler=cmd_multiscale)
-    sub.add_parser("asymptotic", parents=[shared], help="shrinking-perturbation family run").set_defaults(handler=cmd_asymptotic)
-
-    snap = sub.add_parser("snapshot", parents=[shared], help="write or read immersion snapshots")
-    snap.add_argument("mode", choices=("write", "read"))
-    snap.add_argument("path", nargs="?", help="snapshot file (read mode)")
-    snap.set_defaults(handler=cmd_snapshot)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=help_text)
+    sub.choices["snapshot"].add_argument("mode", choices=("write", "read"))
+    sub.choices["snapshot"].add_argument("path", nargs="?", help="snapshot file (read mode)")
     return parser
 
 
@@ -650,17 +620,22 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "mode", None) == "read" and not args.path:
-        print("error: snapshot read needs a path", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        return args.handler(args)
+        run = _COMMANDS[args.command][1](args, _load_config(args))
+        _emit(Path(args.out), args.command, run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateFieldError as exc:
         print(f"degenerate scenario: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    for line in run.lines:
+        print(line)
+    if run.verdict is None:
+        return EXIT_PASS
+    passed = all(run.checks.values())
+    print(f"{run.verdict}:", "PASS" if passed else "FAIL")
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -41,27 +41,24 @@ class DegenerateFieldError(RuntimeError):
     """Raised when a fitting pipeline finds no usable (full-rank) cells."""
 
 
-def config_number(value, kind=float):
-    """A config entry as a finite float, or for kind int as an int of integral value.
+def config_number(value, name: str, kind=float):
+    """Config entry `name` as a finite float, or for kind int as an int of integral value.
 
     Booleans and strings are rejected, although Python counts booleans as
-    integers and `float` parses numeric strings.  Raises TypeError,
-    ValueError or OverflowError on anything else that does not fit.
+    integers and `float` parses numeric strings.  Anything else that does
+    not fit raises a ValueError naming `name`.
     """
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
-    if isinstance(value, (str, bytes)):
-        raise TypeError("a string is not a number")
-    if kind is int and isinstance(value, (int, np.integer)):
-        return int(value)
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError("not finite")
-    if kind is int:
-        if not number.is_integer():
-            raise ValueError("not integral")
-        return int(number)
-    return number
+    if not isinstance(value, (bool, str, bytes)):
+        if kind is int and isinstance(value, (int, np.integer)):
+            return int(value)
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = np.nan
+        if np.isfinite(number) and (kind is float or number.is_integer()):
+            return int(number) if kind is int else number
+    kinds = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{name} must be {kinds}, got {value!r}")
 
 
 def _power(base: float, dim: int) -> float:
@@ -802,24 +799,19 @@ def snapshot_load(path) -> tuple[ImmersionField, MetricField]:
     integers.  One without a mode, written before modes were saved, reads as forward."""
     with open(path) as handle:
         doc = json.load(handle)
-
-    def number(section: dict, name: str, kind=float):
-        value = section[name]
-        try:
-            return config_number(value, kind)
-        except (TypeError, ValueError, OverflowError) as exc:
-            what = "an integer" if kind is int else "a finite number"
-            raise ValueError(f"snapshot field {name} must be {what}, got {value!r}") from exc
-
     try:
         gd = doc["grid"]
-        grid = GridDomain(number(gd, "d", int), number(gd, "l"), number(gd, "n", int))
+        grid = GridDomain(
+            config_number(gd["d"], "snapshot field d", int),
+            config_number(gd["l"], "snapshot field l"),
+            config_number(gd["n"], "snapshot field n", int),
+        )
         td = doc["target"]
         if td["kind"] == "sphere":
-            target = TargetSpace.sphere(grid.dim, number(td, "rho"))
+            target = TargetSpace.sphere(grid.dim, config_number(td["rho"], "snapshot field rho"))
         else:
             target = TargetSpace.euclidean(grid.dim)
-        if number(td, "D", int) != target.ambient_dim:
+        if config_number(td["D"], "snapshot field D", int) != target.ambient_dim:
             raise ValueError(f"snapshot ambient dimension {td['D']} is inconsistent")
         values = np.array(doc["values"], dtype=float).reshape(
             grid.node_shape + (target.ambient_dim,)

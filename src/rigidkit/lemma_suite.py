@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fields import GridDomain
+from .fields import GridDomain, config_number
 from .metric_algebra import (
     OrientedSubspace,
     checked_grams,
@@ -62,7 +62,7 @@ from .metric_algebra import (
     spd_inv_sqrt,
     spd_sqrt,
 )
-from .scenarios import config_field, latitude_arc_fits, latitude_circle
+from .scenarios import latitude_arc_fits, latitude_circle
 
 DEFAULT_TOLERANCE = 1e-10
 NORMAL_BOUND_TOLERANCE = 1e-8
@@ -112,9 +112,9 @@ class LemmaConfig:
 
     def __post_init__(self) -> None:
         for name in ("samples", "max_dim", "max_ambient", "seed", "curve_resolution"):
-            object.__setattr__(self, name, config_field(self, name, int))
+            object.__setattr__(self, name, config_number(getattr(self, name), name, int))
         for name in ("lam_max", "tolerance", "normal_tolerance", "sphere_radius", "polar_angle"):
-            config_field(self, name, float)
+            config_number(getattr(self, name), name)
         if not 0 <= self.samples <= _MOST_SAMPLES:
             raise ValueError(f"sample count must lie in [0, {_MOST_SAMPLES}], got {self.samples}")
         if self.seed < 0:
@@ -478,7 +478,8 @@ def run_normal_derivative_bound(config: LemmaConfig) -> PropertyResult:
     dnu = np.linalg.norm(u.normal_differential, axis=-2) ** 2
     proj = np.linalg.norm(u.projected_normal_differential, axis=-2) ** 2
     du = np.linalg.norm(u.differential, axis=-2) ** 2
-    slack = proj + du / config.sphere_radius**2 - dnu
+    # a radius past 1e154 squares to inf (C = 0) instead of raising OverflowError
+    slack = proj + du / np.float64(config.sphere_radius) ** 2 - dnu
     per_cell = slack.min()
     return PropertyResult(
         name="normal_derivative_bound",

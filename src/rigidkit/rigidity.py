@@ -950,19 +950,18 @@ def _lebesgue_isometry_defect(u: ImmersionField, g: MetricField, p: float) -> fl
 
 
 def asymptotic_sequence_run(
-    specs, ref: ReferenceShape | None = None, p: float | None = None
+    bundles, ref: ReferenceShape | None = None, p: float | None = None
 ) -> AsymptoticReport:
     """Run a strictly shrinking perturbation family and measure its limits.
 
-    Members must be the perturbed-inclusion family, identical except for a
-    strictly decreasing perturbation size.  Reported per member: the energy
-    suite and the W^{1,p} gap of the differential to the final member.  For
-    the final member: the distance to metric-compatible frames (Lebesgue
-    measure) and, with a reference form, the shape-recovery error.
+    `bundles` are the built members (`ScenarioBundle`s) of the
+    perturbed-inclusion family, identical except for a strictly decreasing
+    perturbation size.  Reported per member: the energy suite and the
+    W^{1,p} gap of the differential to the final member.  For the final
+    member: the distance to metric-compatible frames (Lebesgue measure)
+    and, with a reference form, the shape-recovery error.
     """
-    from .scenarios import build_scenario
-
-    specs = list(specs)
+    specs = [b.spec for b in bundles]
     if len(specs) < 2:
         raise ValueError("asymptotic runs need at least two family members")
     eps = [s.epsilon for s in specs]
@@ -977,7 +976,6 @@ def asymptotic_sequence_run(
     if p is None:
         p = specs[0].p
 
-    bundles = [build_scenario(s) for s in specs]
     metric = bundles[0].metric
     members = [b.u for b in bundles]
     grid = members[0].grid

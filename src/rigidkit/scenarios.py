@@ -19,16 +19,6 @@ FAMILIES = ("curve", "graph", "latitude", "perturbed", "perturbed_identity")
 METRIC_KINDS = ("flat", "linear", "random")
 
 
-def config_field(config, name: str, kind=float):
-    """Field `name` of a config dataclass through `config_number`, as a ValueError naming it."""
-    value = getattr(config, name)
-    try:
-        return config_number(value, kind)
-    except (TypeError, ValueError, OverflowError) as exc:
-        kinds = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"{name} must be {kinds}, got {value!r}") from exc
-
-
 def smooth_bump(s: np.ndarray) -> np.ndarray:
     """C-infinity bump supported on (-1, 1), normalized to 1 at the center."""
     s = np.asarray(s, dtype=float)
@@ -406,6 +396,9 @@ def build_metric(
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
+# Size cap (see `ScenarioSpec`)
+_MOST_CELLS = 1 << 20
+
 _FLOAT_FIELDS = (
     "length", "p", "kappa", "wave_amplitude", "epsilon", "rho", "polar", "rotation",
     "metric_slope", "metric_lam",
@@ -419,6 +412,16 @@ class ScenarioSpec:
     `dim`, `resolution` and `seed` must be integers (an integral float is
     taken as one, a boolean is not).  Every other numeric field must be a
     finite number; it is checked but kept as given, so the manifest echoes it.
+
+    The size is capped so that an absurd scenario fails here, before
+    anything is allocated: a grid has at most 2^20 cells, and the
+    perturbation families cover d <= 3, since their probe lattice has 129^d
+    nodes (2.06 GiB per float array at d = 4).  A `rigidity` fit at the cap
+    on a random metric peaked at 126-646 MB of resident memory, the
+    interpreter included: 126, 310 and 646 MB for
+    `perturbed_identity` at d = 1, 2, 3 (101^3 cells), 225 MB for a
+    curve, 230 and 480 MB for `perturbed` at d = 1, 2, 501 MB for a
+    latitude arc and 519 MB for a graph.
     """
 
     family: str
@@ -441,17 +444,22 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         for name in ("dim", "resolution", "seed"):
-            object.__setattr__(self, name, config_field(self, name, int))
+            object.__setattr__(self, name, config_number(getattr(self, name), name, int))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown scenario family {self.family!r}")
         if self.metric_kind not in METRIC_KINDS:
             raise ValueError(f"unknown metric kind {self.metric_kind!r}")
         if self.resolution < 2:
             raise ValueError("scenario grids need at least two cells per axis")
+        # resolution >= 2, so past 20 axes the grid has more than 2^20 cells
+        if self.dim > 20 or self.resolution**self.dim > _MOST_CELLS:
+            raise ValueError(f"scenario grids have at most 2^20 cells, got {self.resolution}^{self.dim}")
+        if self.family in ("perturbed", "perturbed_identity") and self.dim > 3:
+            raise ValueError(f"perturbation fields cover d <= 3 (a 129^d probe lattice), got d = {self.dim}")
         if not 1.0 <= self.p < np.inf:
             raise ValueError(f"exponent p must be finite and at least 1, got {self.p}")
         for name in _FLOAT_FIELDS:
-            config_field(self, name, float)
+            config_number(getattr(self, name), name)
 
     def replace(self, **changes) -> "ScenarioSpec":
         data = asdict(self)

@@ -267,10 +267,10 @@ def test_criterion_7_multiscale_compactness():
 def test_criterion_8_asymptotic_rigidity():
     start = time.monotonic()
     base = ScenarioSpec(family="perturbed", dim=1, resolution=512, kappa=1.0, seed=2)
-    specs = [base.replace(epsilon=2.0**-k) for k in range(9)]
-    first = build_scenario(specs[0])
+    members = [build_scenario(base.replace(epsilon=2.0**-k)) for k in range(9)]
+    first = members[0]
     ref = ReferenceShape(first.u.grid, base.kappa * first.metric.gram)
-    run = asymptotic_sequence_run(specs, ref=ref, p=2.0)
+    run = asymptotic_sequence_run(members, ref=ref, p=2.0)
     stretches = [er.stretch for er in run.energy_reports]
 
     fine = base.replace(resolution=1024, epsilon=2.0**-9)

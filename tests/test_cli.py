@@ -222,6 +222,12 @@ class TestRigidity:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("path", [1.5, True, ["a.json"]])
+    def test_snapshot_path_must_be_a_string(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path, "cfg.json", {"snapshot": path})
+        assert main(["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: 'snapshot' must be a file path, got {path!r}" in capsys.readouterr().err
+
     def test_degenerate_snapshot_exits_3(self, tmp_path):
         grid = GridDomain(1, 1.0, 4)
         u = ImmersionField(grid, TargetSpace.euclidean(1), np.ones((5, 2)))
@@ -493,7 +499,7 @@ class TestScaling:
     def test_non_integral_resolution_is_config_error(self, tmp_path, capsys):
         cfg = self.base_config(tmp_path, resolutions=[8.7])
         assert main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "error: 'resolutions' entries must be integers" in capsys.readouterr().err
+        assert "error: 'resolutions' entry must be an integer, got 8.7" in capsys.readouterr().err
         assert not (tmp_path / "scaling.csv").exists()
 
     def test_repeated_resolution_is_config_error(self, tmp_path, capsys):
@@ -634,10 +640,10 @@ class TestMultiscale:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ('"shifts": [NaN]', "'shifts' entries must be finite numbers"),
-            ('"shifts": [1e400]', "'shifts' entries must be finite numbers"),
-            ('"t_values": [2.5]', "'t_values' entries must be integers"),
-            ('"t_values": [true]', "'t_values' entries must be integers"),
+            ('"shifts": [NaN]', "'shifts' entry must be a finite number, got nan"),
+            ('"shifts": [1e400]', "'shifts' entry must be a finite number, got inf"),
+            ('"t_values": [2.5]', "'t_values' entry must be an integer, got 2.5"),
+            ('"t_values": [true]', "'t_values' entry must be an integer, got True"),
         ],
     )
     def test_bad_sweep_entry_is_config_error(self, tmp_path, capsys, entry, message):
@@ -744,7 +750,7 @@ class TestAsymptotic:
     def test_non_numeric_threshold_is_config_error(self, tmp_path, capsys):
         cfg = self.base(tmp_path, threshold="abc")
         assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "error: 'threshold' must be a number" in capsys.readouterr().err
+        assert "error: 'threshold' must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["true", '"1e-3"', '"nan"', "1e400"])
     def test_threshold_must_be_a_finite_number(self, tmp_path, capsys, raw):
@@ -752,7 +758,7 @@ class TestAsymptotic:
         cfg = self.base(tmp_path, threshold="@")
         (tmp_path / "asym.json").write_text((tmp_path / "asym.json").read_text().replace('"@"', raw))
         assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "error: 'threshold' must be a number" in capsys.readouterr().err
+        assert "error: 'threshold' must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "asymptotic.json").exists()
 
     @pytest.mark.parametrize("epsilons", [[0.0], [0.1, 0.05]])

@@ -1321,18 +1321,18 @@ class TestAsymptoticRun:
         ]
 
     def test_monotone_requirements(self):
-        specs = self.family(3)
-        with pytest.raises(ValueError):
-            asymptotic_sequence_run(list(reversed(specs)))
-        with pytest.raises(ValueError):
-            asymptotic_sequence_run(specs[:1])
-        mixed = [specs[0], specs[1].replace(kappa=2.0)]
-        with pytest.raises(ValueError):
+        members = [build_scenario(s) for s in self.family(3)]
+        with pytest.raises(ValueError, match="perturbation sizes must decrease strictly"):
+            asymptotic_sequence_run(list(reversed(members)))
+        with pytest.raises(ValueError, match="at least two family members"):
+            asymptotic_sequence_run(members[:1])
+        mixed = [members[0], build_scenario(members[1].spec.replace(kappa=2.0))]
+        with pytest.raises(ValueError, match="differ only in epsilon"):
             asymptotic_sequence_run(mixed)
         graphs = [
-            ScenarioSpec(family="graph", dim=2, resolution=8, epsilon=e) for e in (0.1, 0.05)
+            build_scenario(ScenarioSpec(family="graph", dim=2, resolution=8, epsilon=e)) for e in (0.1, 0.05)
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="perturbed-inclusion family"):
             asymptotic_sequence_run(graphs)
 
     def test_shrinking_family_converges(self):
@@ -1342,7 +1342,7 @@ class TestAsymptoticRun:
         from rigidkit.fields import ReferenceShape
 
         ref = ReferenceShape(grid, 1.0 * metric.gram)
-        report = asymptotic_sequence_run(specs, ref=ref)
+        report = asymptotic_sequence_run([build_scenario(s) for s in specs], ref=ref)
         stretch = [r.stretch for r in report.energy_reports]
         assert all(a > b for a, b in zip(stretch, stretch[1:]))
         assert all(a > b for a, b in zip(report.gaps, report.gaps[1:]))
@@ -1352,6 +1352,6 @@ class TestAsymptoticRun:
         assert report.shape_error_norm < 0.5
 
     def test_reference_is_optional(self):
-        report = asymptotic_sequence_run(self.family(2, n=32))
+        report = asymptotic_sequence_run([build_scenario(s) for s in self.family(2, n=32)])
         assert report.shape_error is None
         assert report.shape_error_norm is None

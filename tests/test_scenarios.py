@@ -291,6 +291,26 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(family="curve", p=0.5)
 
+    @pytest.mark.parametrize(
+        "family, dim, resolution, allowed",
+        [
+            ("graph", 2, 1024, True),
+            ("graph", 2, 1025, False),
+            ("curve", 1, 1 << 20, True),
+            ("curve", 1, (1 << 20) + 1, False),
+            ("perturbed_identity", 3, 101, True),
+            ("perturbed_identity", 3, 102, False),
+            ("perturbed_identity", 4, 2, False),
+            ("curve", 10**9, 2, False),  # refused before 2^(10^9) is computed
+        ],
+    )
+    def test_size_caps(self, family, dim, resolution, allowed):
+        if allowed:
+            ScenarioSpec(family=family, dim=dim, resolution=resolution)
+        else:
+            with pytest.raises(ValueError, match="at most 2\\^20 cells|cover d <= 3"):
+                ScenarioSpec(family=family, dim=dim, resolution=resolution)
+
     def test_replace(self):
         spec = ScenarioSpec(family="curve", resolution=64)
         finer = spec.replace(resolution=128)
