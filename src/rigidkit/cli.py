@@ -43,7 +43,6 @@ from .fields import (
 from .lemma_suite import LemmaConfig, run_all
 from .reports import RunManifest, write_csv, write_gnuplot_data, write_json_report
 from .rigidity import (
-    _lebesgue_isometry_defect,
     asymptotic_sequence_run,
     local_rigidity,
     metric_rigidity,
@@ -314,6 +313,10 @@ def cmd_lemmas(args, config: dict) -> _Run:
 
 def cmd_rigidity(args, config: dict) -> _Run:
     if "snapshot" in config:
+        if "scenario" in config:
+            raise ConfigError("a rigidity config holds a 'scenario' or a 'snapshot', not both")
+        if args.n is not None or args.eps is not None:
+            raise ConfigError("--n and --eps change a scenario; a snapshot has none")
         u, metric = _load_snapshot(config["snapshot"])
         p = args.p if args.p is not None else 2.0
         _require_fit_exponent(p)
@@ -475,38 +478,27 @@ def cmd_asymptotic(args, config: dict) -> _Run:
     if threshold <= 0.0:
         raise ConfigError("'threshold' must be positive")
 
-    members = [_build(_replace(spec, epsilon=e)) for e in epsilons]
-    first = members[0]
-    if isinstance(first.u, GridMap):
+    specs = [_replace(spec, epsilon=e) for e in epsilons]
+    final = _build(specs[-1])
+    if isinstance(final.u, GridMap):
         raise ConfigError("asymptotic needs a codimension-one scenario")
     ref = None
     if reference == "curvature":
-        ref = ReferenceShape(first.u.grid, spec.kappa * first.metric.gram)
-
-    if len(members) == 1:
-        # Single-member schedule: the discretization oracle (typically eps=0).
-        report = energies(first.u, first.metric, ref, p=spec.p)
-        defect = _lebesgue_isometry_defect(first.u, first.metric, spec.p)
-        recovery = report.bending_ref if ref is not None else None
-        stretches = [report.stretch]
-        recoveries = [recovery]
-        gaps = [0.0]
-        checks = {"final_defect": defect <= threshold}
-        shape_norm = None if recovery is None else recovery ** (1.0 / spec.p)
-    else:
-        try:
-            run = asymptotic_sequence_run(members, ref=ref, p=spec.p)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        stretches = [er.stretch for er in run.energy_reports]
-        recoveries = [er.bending_ref for er in run.energy_reports]
-        gaps = list(run.gaps)
-        defect = run.final_defect
-        shape_norm = run.shape_error_norm
-        checks = {
-            "stretch_decreasing": _strictly_decreasing(stretches),
-            "final_defect": defect <= threshold,
-        }
+        ref = ReferenceShape(final.u.grid, spec.kappa * final.metric.gram)
+    try:
+        # `map` builds each earlier member only when the run asks for it
+        run = asymptotic_sequence_run(final, map(_build, specs[:-1]), ref=ref, p=spec.p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    stretches = [er.stretch for er in run.energy_reports]
+    recoveries = [er.bending_ref for er in run.energy_reports]
+    gaps = list(run.gaps)
+    defect = run.final_defect
+    shape_norm = run.shape_error_norm
+    checks = {"final_defect": defect <= threshold}
+    if len(specs) > 1:
+        # trends need at least two members
+        checks["stretch_decreasing"] = _strictly_decreasing(stretches)
         if ref is not None:
             checks["recovery_decreasing"] = _strictly_decreasing(recoveries)
 

@@ -761,7 +761,9 @@ def energies(
         cell_forms = corner_average(ref.form, u.grid.dim)
         ref_shape = np.linalg.solve(g.cell_grams, cell_forms)[good]
         misfit = du @ (u.shape_operator[good] - ref_shape)
-        ref_density = np.linalg.norm(misfit @ inv_sqrt, axis=(-2, -1))
+        # a misfit past 1e154 squares to inf, which the report's finite check stops
+        with np.errstate(over="ignore"):
+            ref_density = np.linalg.norm(misfit @ inv_sqrt, axis=(-2, -1))
         bending_ref = float(np.sum(ref_density**p * w))
 
     return EnergyReport(

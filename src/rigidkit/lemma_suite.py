@@ -479,7 +479,8 @@ def run_normal_derivative_bound(config: LemmaConfig) -> PropertyResult:
     proj = np.linalg.norm(u.projected_normal_differential, axis=-2) ** 2
     du = np.linalg.norm(u.differential, axis=-2) ** 2
     # a radius past 1e154 squares to inf (C = 0) instead of raising OverflowError
-    slack = proj + du / np.float64(config.sphere_radius) ** 2 - dnu
+    with np.errstate(over="ignore"):
+        slack = proj + du / np.float64(config.sphere_radius) ** 2 - dnu
     per_cell = slack.min()
     return PropertyResult(
         name="normal_derivative_bound",

@@ -950,52 +950,52 @@ def _lebesgue_isometry_defect(u: ImmersionField, g: MetricField, p: float) -> fl
 
 
 def asymptotic_sequence_run(
-    bundles, ref: ReferenceShape | None = None, p: float | None = None
+    final, earlier=(), ref: ReferenceShape | None = None, p: float | None = None
 ) -> AsymptoticReport:
     """Run a strictly shrinking perturbation family and measure its limits.
 
-    `bundles` are the built members (`ScenarioBundle`s) of the
-    perturbed-inclusion family, identical except for a strictly decreasing
-    perturbation size.  Reported per member: the energy suite and the
-    W^{1,p} gap of the differential to the final member.  For the final
-    member: the distance to metric-compatible frames (Lebesgue measure)
-    and, with a reference form, the shape-recovery error.
+    `final` is the built last member (a `ScenarioBundle`, the smallest ε)
+    of the perturbed-inclusion family, and `earlier` yields the members
+    before it in schedule order, possibly none.  Members are identical
+    except for a strictly decreasing perturbation size.  Each earlier member
+    is measured as it is yielded and dropped before the next one is asked
+    for, so a generator that builds them keeps at most two members alive:
+    the final one and the current one.  Reported per member: the energy
+    suite and the W^{1,p} gap of the differential to the final member.  For
+    the final member: the distance to metric-compatible frames (Lebesgue
+    measure) and, with a reference form, the shape-recovery error.
     """
-    specs = [b.spec for b in bundles]
-    if len(specs) < 2:
-        raise ValueError("asymptotic runs need at least two family members")
-    eps = [s.epsilon for s in specs]
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("perturbation sizes must decrease strictly")
-    base = specs[0].replace(epsilon=0.0)
-    for s in specs:
-        if s.family != "perturbed":
-            raise ValueError("asymptotic runs cover the perturbed-inclusion family")
-        if s.replace(epsilon=0.0) != base:
-            raise ValueError("family members may differ only in epsilon")
+    base = final.spec.replace(epsilon=0.0)
     if p is None:
-        p = specs[0].p
+        p = base.p
+    metric = final.metric
+    grid = final.u.grid
 
-    metric = bundles[0].metric
-    members = [b.u for b in bundles]
-    grid = members[0].grid
+    def check(spec) -> None:
+        if spec.family != "perturbed":
+            raise ValueError("asymptotic runs cover the perturbed-inclusion family")
+        if spec.replace(epsilon=0.0) != base:
+            raise ValueError("family members may differ only in epsilon")
 
-    reports = tuple(energies(m, metric, ref, p=p) for m in members)
-    final = members[-1]
-    gaps = tuple(
-        float(
-            (grid.cell_volume * np.sum(_flat_norms(m.differential - final.differential) ** p))
-            ** (1.0 / p)
-        )
-        for m in members
-    )
-    final_defect = _lebesgue_isometry_defect(final, metric, p)
-    shape_error = reports[-1].bending_ref if ref is not None else None
+    check(final.spec)
+    epsilons, reports, gaps = [], [], []
+    for bundle in earlier:
+        eps = bundle.spec.epsilon
+        if not final.spec.epsilon < eps < (epsilons[-1] if epsilons else np.inf):
+            raise ValueError("perturbation sizes must decrease strictly")
+        check(bundle.spec)
+        epsilons.append(eps)
+        reports.append(energies(bundle.u, metric, ref, p=p))
+        diff = bundle.u.differential - final.u.differential
+        gaps.append(float((grid.cell_volume * np.sum(_flat_norms(diff) ** p)) ** (1.0 / p)))
+        # drop the member before `earlier` builds the next one
+        del bundle, diff
+    final_report = energies(final.u, metric, ref, p=p)
     return AsymptoticReport(
         p=p,
-        epsilons=tuple(float(e) for e in eps),
-        energy_reports=reports,
-        gaps=gaps,
-        final_defect=final_defect,
-        shape_error=shape_error,
+        epsilons=tuple(float(e) for e in [*epsilons, final.spec.epsilon]),
+        energy_reports=(*reports, final_report),
+        gaps=(*gaps, 0.0),
+        final_defect=_lebesgue_isometry_defect(final.u, metric, p),
+        shape_error=final_report.bending_ref if ref is not None else None,
     )

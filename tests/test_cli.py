@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -772,13 +773,33 @@ class TestAsymptotic:
         assert "error: asymptotic needs a codimension-one scenario" in capsys.readouterr().err
         assert not (tmp_path / "asymptotic.json").exists()
 
-    def test_wrong_family_is_config_error(self, tmp_path):
-        cfg = self.base(tmp_path)
-        parsed = json.loads(open(cfg).read())
-        parsed["scenario"]["family"] = "graph"
-        parsed["scenario"]["dim"] = 2
-        cfg = write_config(tmp_path, "asym2.json", parsed)
-        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("epsilons", [[0.05], [0.2, 0.1, 0.05]])
+    @pytest.mark.parametrize("family, dim", [("graph", 2), ("curve", 1)])
+    def test_wrong_family_is_config_error(self, tmp_path, capsys, family, dim, epsilons):
+        scenario = {"family": family, "dim": dim, "resolution": 16}
+        cfg = write_config(tmp_path, "asym.json", {"scenario": scenario, "epsilons": epsilons})
+        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "error: asymptotic runs cover the perturbed-inclusion family\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_builds_each_member_once_and_keeps_two_alive(self, tmp_path, monkeypatch):
+        fields, built, alive = [], [], []
+
+        def build(spec):
+            bundle = build_scenario(spec)
+            fields.append(weakref.ref(bundle.u))
+            built.append(spec.epsilon)
+            alive.append(sum(ref() is not None for ref in fields))
+            return bundle
+
+        monkeypatch.setattr(cli, "build_scenario", build)
+        epsilons = [0.5, 0.25, 0.125, 0.0625, 0.03125]
+        cfg = self.base(tmp_path, epsilons=epsilons)
+        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 0
+        # the final member first, then the others in schedule order
+        assert built == epsilons[-1:] + epsilons[:-1]
+        assert max(alive) == 2
+        assert all(ref() is None for ref in fields)
 
 
 # Each subcommand with the sweep entries its config needs.
@@ -898,6 +919,27 @@ class TestSnapshotAndPlumbing:
         assert manifest_seed(["--seed", "5"]) == 5
         monkeypatch.setenv("RIGIDITY_SEED", "4")
         assert manifest_seed([]) == 4
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            (
+                {"scenario": {"family": "graph", "dim": 2, "resolution": 8}},
+                [],
+                "a rigidity config holds a 'scenario' or a 'snapshot', not both",
+            ),
+            ({}, ["--n", "16"], "--n and --eps change a scenario; a snapshot has none"),
+            ({}, ["--eps", "0.1"], "--n and --eps change a scenario; a snapshot has none"),
+        ],
+    )
+    def test_snapshot_fit_takes_no_scenario_settings(self, tmp_path, capsys, config, flags, message):
+        cfg = write_config(tmp_path, "snap.json", {"scenario": {"family": "curve", "resolution": 16}})
+        assert main(["snapshot", "write", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rig = write_config(tmp_path, "rig.json", {"snapshot": str(tmp_path / "snapshot.json"), **config})
+        assert main(["rigidity", "--config", rig, "--out", str(tmp_path / "out"), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_snapshot_read_missing_path(self, tmp_path):
         assert main(["snapshot", "read"]) == 2

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from rigidkit.cli import main
 from rigidkit.scenarios import FAMILIES, METRIC_KINDS
 
 KAPPA_1E200 = {"scenario": {"family": "perturbed", "dim": 1, "resolution": 16, "kappa": 1e200}, "epsilons": [0.1, 0.05]}
+RADIUS_1E200 = {"samples": 0, "curve_resolution": 2, "sphere_radius": 1e200}
 # a 129^4 probe lattice (2.06 GiB) and a 10^12-cell grid (7.28 TiB)
 OVERSIZE = [
     ({"family": "perturbed_identity", "dim": 4, "resolution": 2}, "perturbation fields cover d <= 3"),
@@ -139,7 +141,7 @@ def run_main(argv: list, out: Path) -> int:
 @example(run=("asymptotic", KAPPA_1E200))
 @example(run=("multiscale", {"scenario": {"family": "graph", "dim": 2, "resolution": 8, "epsilon": 1e300}}))
 @example(run=("scaling", {"scenario": {"family": "curve", "length": 1e200}, "epsilons": [0.1, 0.05]}))
-@example(run=("lemmas", {"samples": 0, "curve_resolution": 2, "sphere_radius": 1e200}))  # an OverflowError once
+@example(run=("lemmas", RADIUS_1E200))  # an OverflowError once
 @example(run=("rigidity", {"scenario": OVERSIZE[0][0]}))
 @example(run=("scaling", {"scenario": OVERSIZE[1][0], "epsilons": [0.1, 0.05]}))
 def test_every_subcommand_keeps_the_exit_code_contract(run):
@@ -158,15 +160,24 @@ def test_every_subcommand_keeps_the_exit_code_contract(run):
             run_main(["snapshot", "read", str(out / "snapshot.json"), "--out", str(read)], read)
 
 
-def test_overflowing_asymptotic_reference_exits_3_before_printing(tmp_path, capsys):
-    path = tmp_path / "asym.json"
-    path.write_text(json.dumps(KAPPA_1E200))
-    with pytest.warns(RuntimeWarning):
-        assert main(["asymptotic", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+@pytest.mark.parametrize(
+    "command, config, code, err",
+    [
+        ("asymptotic", KAPPA_1E200, 3, "degenerate scenario: report term recovery[0] is not finite (inf)\n"),
+        # the sphere's C = 1/radius^2 reads 0, which the bound allows
+        ("lemmas", RADIUS_1E200, 0, ""),
+    ],
+)
+def test_overflow_prints_only_the_outcome(tmp_path, capsys, command, config, code, err):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "degenerate scenario: report term recovery[0] is not finite (inf)" in captured.err
-    assert not (tmp_path / "out").exists()
+    assert captured.err == err
+    assert (captured.out == "") == (code == 3)
+    assert (tmp_path / "out").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("scenario, message", OVERSIZE)

@@ -1323,17 +1323,21 @@ class TestAsymptoticRun:
     def test_monotone_requirements(self):
         members = [build_scenario(s) for s in self.family(3)]
         with pytest.raises(ValueError, match="perturbation sizes must decrease strictly"):
-            asymptotic_sequence_run(list(reversed(members)))
-        with pytest.raises(ValueError, match="at least two family members"):
-            asymptotic_sequence_run(members[:1])
-        mixed = [members[0], build_scenario(members[1].spec.replace(kappa=2.0))]
+            asymptotic_sequence_run(members[0], reversed(members[1:]))
+        with pytest.raises(ValueError, match="perturbation sizes must decrease strictly"):
+            asymptotic_sequence_run(members[1], [members[0], members[2]])
+        one = asymptotic_sequence_run(members[0])
+        assert (one.epsilons, one.gaps, len(one.energy_reports)) == ((1.0,), (0.0,), 1)
+        mixed = build_scenario(members[1].spec.replace(kappa=2.0))
         with pytest.raises(ValueError, match="differ only in epsilon"):
-            asymptotic_sequence_run(mixed)
+            asymptotic_sequence_run(members[2], [members[0], mixed])
         graphs = [
             build_scenario(ScenarioSpec(family="graph", dim=2, resolution=8, epsilon=e)) for e in (0.1, 0.05)
         ]
         with pytest.raises(ValueError, match="perturbed-inclusion family"):
-            asymptotic_sequence_run(graphs)
+            asymptotic_sequence_run(graphs[-1], graphs[:-1])
+        with pytest.raises(ValueError, match="perturbed-inclusion family"):
+            asymptotic_sequence_run(graphs[-1])
 
     def test_shrinking_family_converges(self):
         specs = self.family(5)
@@ -1342,7 +1346,7 @@ class TestAsymptoticRun:
         from rigidkit.fields import ReferenceShape
 
         ref = ReferenceShape(grid, 1.0 * metric.gram)
-        report = asymptotic_sequence_run([build_scenario(s) for s in specs], ref=ref)
+        report = asymptotic_sequence_run(build_scenario(specs[-1]), map(build_scenario, specs[:-1]), ref=ref)
         stretch = [r.stretch for r in report.energy_reports]
         assert all(a > b for a, b in zip(stretch, stretch[1:]))
         assert all(a > b for a, b in zip(report.gaps, report.gaps[1:]))
@@ -1352,6 +1356,7 @@ class TestAsymptoticRun:
         assert report.shape_error_norm < 0.5
 
     def test_reference_is_optional(self):
-        report = asymptotic_sequence_run([build_scenario(s) for s in self.family(2, n=32)])
+        first, final = (build_scenario(s) for s in self.family(2, n=32))
+        report = asymptotic_sequence_run(final, [first])
         assert report.shape_error is None
         assert report.shape_error_norm is None

@@ -81,6 +81,9 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
         ("rigidity", "random", 0),
         ("multiscale", "random", 0),
     ]
+    # every asymptotic run is on the `perturbed` family, the only one it admits
+    asymptotic = [(op.config["scenario"]["family"], op.config["scenario"]["dim"]) for op in fits[24:28]]
+    assert asymptotic == [("perturbed", 2), ("perturbed", 1), ("perturbed", 1), ("perturbed", 2)]
     # the last two fits are at p = 3: three rotation planes, and a descent per subcube
     assert [(op.config["scenario"]["dim"], op.config["scenario"]["p"]) for op in fits[-2:]] == [(3, 3.0), (2, 3.0)]
     # then the lemma suite off its default shapes: d = 4 (LAPACK), R^9, lam_max 1e6

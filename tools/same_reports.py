@@ -14,11 +14,12 @@ The workload is one of the benchmark's, or `untimed`: a fixed list of 37
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
-four `scaling` sweeps and four `asymptotic` runs, two with one member and
-two with three; then two p = 3 fits that no benchmark op makes, each on a
-random metric: a d = 3 `perturbed_identity` `rigidity` fit, whose rotation
-descent turns in three planes, and a d = 2 `graph` `multiscale` sweep, with
-one descent per subcube; then three `lemmas` runs off the default shapes:
+four `scaling` sweeps and four `asymptotic` runs on `perturbed` families,
+two with one member (d = 2 and d = 1) and two with three; then two p = 3
+fits that no benchmark op makes, each on a random metric: a d = 3
+`perturbed_identity` `rigidity` fit, whose rotation descent turns in three
+planes, and a d = 2 `graph` `multiscale` sweep, with one descent per
+subcube; then three `lemmas` runs off the default shapes:
 `max_dim` 4, whose d = 4 instances take the LAPACK kernels, `max_ambient`
 9, and `lam_max` 1e6; last, two p = 3 `rigidity` fits on a random metric
 past 4096 cells, where the base cell is chosen from more candidates than
@@ -238,7 +239,7 @@ def untimed_ops(seed: int) -> list:
         ("scaling", "perturbed_identity", 2, 32, "linear", 3.0, 3),
         ("scaling", "perturbed", 1, 512, "random", 3.0, 3),
         ("scaling", "perturbed", 2, 32, "linear", 2.0, 3),
-        ("asymptotic", "graph", 2, 32, "random", 2.0, 1),
+        ("asymptotic", "perturbed", 2, 32, "random", 2.0, 1),
         ("asymptotic", "perturbed", 1, 512, "linear", 2.0, 1),
         ("asymptotic", "perturbed", 1, 256, "random", 2.0, 3),
         ("asymptotic", "perturbed", 2, 32, "random", 3.0, 3),
