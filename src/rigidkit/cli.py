@@ -34,6 +34,7 @@ import numpy as np
 from .fields import (
     DegenerateFieldError,
     GridMap,
+    MetricField,
     ReferenceShape,
     config_number,
     energies,
@@ -49,7 +50,7 @@ from .rigidity import (
     multiscale_fit,
     translation_modulus,
 )
-from .scenarios import ScenarioBundle, ScenarioSpec, build_scenario
+from .scenarios import ScenarioBundle, ScenarioSpec, build_map, build_scenario
 
 SEED_ENV = "RIGIDITY_SEED"
 
@@ -169,9 +170,13 @@ def _replace(spec: ScenarioSpec, **changes) -> ScenarioSpec:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
-def _build(spec: ScenarioSpec):
+def _build(spec: ScenarioSpec, metric: MetricField | None = None) -> ScenarioBundle:
+    """The scenario of `spec`.  Given `metric`, the metric field of another
+    member of the same family, only the map is built and the metric shared."""
     try:
-        return build_scenario(spec)
+        if metric is None:
+            return build_scenario(spec)
+        return ScenarioBundle(spec, build_map(spec), metric)
     except ValueError as exc:
         raise ConfigError(f"scenario cannot be built: {exc}") from exc
 
@@ -485,9 +490,11 @@ def cmd_asymptotic(args, config: dict) -> _Run:
     ref = None
     if reference == "curvature":
         ref = ReferenceShape(final.u.grid, spec.kappa * final.metric.gram)
+    # The family rule gives every member the final member's metric, so an
+    # earlier member builds only its map, and only when the run asks for it.
+    earlier = (_build(s, final.metric) for s in specs[:-1])
     try:
-        # `map` builds each earlier member only when the run asks for it
-        run = asymptotic_sequence_run(final, map(_build, specs[:-1]), ref=ref, p=spec.p)
+        run = asymptotic_sequence_run(final, earlier, ref=ref, p=spec.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     stretches = [er.stretch for er in run.energy_reports]

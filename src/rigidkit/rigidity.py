@@ -9,6 +9,7 @@ reports carry measured empirical constants rather than existence claims.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,6 +122,131 @@ def _givens(d: int, i: int, j: int, angles) -> np.ndarray:
     return turns
 
 
+class _TurnBounds:
+    """Lower bounds on the descent's score of every Givens turn of one rotation.
+
+    Built for the best rotation B of `_rotation_descent`, its computed score
+    `best` and the squared distances its scoring computed, on the cells'
+    (d^2, N) column layout, for p >= 2.  The turn by an angle t in plane
+    (i, j) is the candidate fl(G~ B), where G~ holds the computed cos t and
+    sin t.  `floor(i, j, t)` is at most that candidate's computed score V,
+    and `excludes(i, j, t)` is True when the floor shows that V cannot pass
+    the keep test V < best (1 - _DESCENT_REL_TOL), so the descent need not
+    build the candidate.
+
+    The bound.  With G(t) the exact turn, P_k = X_k B^T, a_k = P_ii + P_jj
+    and b_k = P_ji - P_ij, each cell's e_k(t) = |X_k - G(t) B|^2 is exactly
+    e_k(0) + 4 a_k sin^2(t/2) - 2 b_k sin t, for any B (G is orthogonal, so
+    |G B| = |B|).  For q = p/2 >= 1, x^q is convex, so its tangent at any
+    x0 >= 0 lies below it: x^q >= x0^q + q x0^(q-1) (x - x0).  With
+    x0 = e~_k, the computed e_k(0), and w_k = q e~_k^(q-1),
+        F(t) = sum e_k(t)^q >= sum e~_k^q + sum w_k (e_k(0) - e~_k)
+                               + 4 A sin^2(t/2) - 2 Bb sin t,
+    A = sum w_k a_k, Bb = sum w_k b_k.  Both are read off one weighted
+    sum M = sum w_k X_k (a (d^2, N) @ (N,) product): with Q = M B^T,
+    A = Q_ii + Q_jj and Bb = Q_ji - Q_ij for every plane at once.  The
+    computed bound is L = best + 4 A sin^2(t/2) - 2 Bb sin t.
+
+    The slack.  Let u = 2^-53; cos, sin and pow are taken within 4 ulp
+    (8u relative).  Write nB = |B|_F, W = sum w, T = sum w sqrt(e~),
+    h = 2 |sin(t/2)| nB >= |(G(t) - I) B|_F, g = 4 sin^2(t/2) + 2 |sin t|,
+    Z = nB (T + nB W) and K = p (d^2 + 4) / 2 + log2 N + 33.
+    - best against F(B).  A computed score, here the descent's objective,
+      has relative error eta_V = K u: e~ is within eta_e = (d^2 + 2) u
+      relative (one rounded difference and square per entry, d^2 - 1
+      additions of non-negative terms), the square root halves that and
+      adds u, the p-th power multiplies by p and adds 8u, and numpy's
+      pairwise sum over N adds (log2 N + 25) u.  So F(B) >= best (1 - eta_V).
+    - The tangent point being the computed e~.  The tangent inequality
+      holds at any x0, and sum e~^q >= (1 - q eta_e) F(B); the term
+      sum w (e(0) - e~) >= -q eta_e sum e~^q; so the first two terms are
+      >= best (1 - 2 q eta_e - eta_V) >= best - 3 K u best, up to O(u^2).
+      The computed weights are off by 9u relative, which moves the bound
+      by at most 9u sum w |e(t) - e~| <= 9u (2 h T + h^2 W), since
+      |e(t) - e(0)| <= h (2 sqrt(e(0)) + h); the e~ part is O(u^2).
+    - The rounded cos, sin and product of the candidate.  The computed G~
+      is within 8 sqrt(2) u of G(t) in the Frobenius norm, and the d-term
+      products of fl(G~ B) add gamma_d |G~| |B| entrywise, so the candidate
+      R~ satisfies |R~ - G(t) B|_F <= delta = sqrt(2) (d + 8) u nB.
+      Convexity of x^p gives |X - R~|^p >= r^p - p r^(p-1) delta with
+      r = |X - G(t) B|, and r <= sqrt(e~) (1 + eta_e) + h, so
+      sum r^(p-1) <= 2^(p-2) (T / q + N h^(p-1)) up to O(u).  So the exact
+      score of R~ is >= F(t) - p delta 2^(p-2) (T / q + N h^(p-1)), and its
+      computed score V >= (1 - eta_V) times that.
+    - The rounding of the sums.  M is N-term sums and Q, A and Bb add d + 1
+      more terms, in any order, of the products w_k B_cm X_k,cm, whose
+      absolute values sum, per plane, to at most nB sum w |X_k|_F <=
+      nB (T + nB W) = Z (|X_k| <= sqrt(e_k) + nB).  So 4 A sin^2(t/2) and
+      2 Bb sin t are within (N + d + 1) u g Z of their exact values, and
+      forming L (its sines within 8u, three products, two sums) adds
+      u (best + |L|) and 21 u g Z.
+    So V >= L - slack with
+        slack = 2 [3 K u (best + |L|) + (N + d + 22) u g Z
+                   + 9u (2 h T + h^2 W)
+                   + p sqrt(2) (d + 8) u nB 2^(p-2) (T / q + N h^(p-1))]
+                + N 2^(p-1000),
+    where the factor 2 covers every O(u^2) term above for N < 2^40 and
+    the last term covers results that fall below the normal range, which
+    carry an absolute error of 2^-1074 times factors below 2^(p+74).  The
+    turn is excluded when L - slack >= best (1 - _DESCENT_REL_TOL).  A NaN
+    or overflow anywhere leaves the comparison false, so the turn is scored.
+    """
+
+    def __init__(self, columns: np.ndarray, rot: np.ndarray, p: float, best: float, sq_dist: np.ndarray):
+        """Bounds for the rotation `rot` (d, d) on the cells' `columns` (d^2, N),
+        given its computed score `best` and each cell's computed |X_k - rot|^2,
+        `sq_dist` (N,), within (d^2 + 2) u relative."""
+        d, n = rot.shape[0], columns.shape[-1]
+        q = 0.5 * p
+        with np.errstate(all="ignore"):
+            w = q * sq_dist ** (q - 1.0)
+            tangent = float(w @ np.sqrt(sq_dist))
+            weight = float(w.sum())
+            self._q = ((columns @ w).reshape(d, d) @ rot.T).tolist()
+            norm = float(np.sqrt(np.sum(rot * rot)))
+        u = 2.0**-53
+        self._best = float(best)
+        self._threshold = self._best * (1.0 - _DESCENT_REL_TOL)
+        self._p, self._n, self._norm = p, n, norm
+        self._tangent, self._weight = tangent, weight
+        self._relative = 3.0 * u * (p * (d * d + 4) / 2.0 + math.log2(n) + 33.0)
+        self._sums = (n + d + 22) * u * norm * (tangent + norm * weight)
+        try:
+            self._turn = p * math.sqrt(2.0) * (d + 8) * u * norm * 2.0 ** (p - 2.0)
+            self._tiny = n * 2.0 ** (p - 1000.0)
+        except OverflowError:
+            self._turn = self._tiny = math.inf
+
+    def floor(self, i: int, j: int, angle: float) -> float:
+        """L - slack: at most the computed score of the turn by `angle` in
+        plane (i, j).  NaN or -inf where a term is not finite."""
+        half, sine = math.sin(0.5 * angle), math.sin(angle)
+        q = self._q
+        curve = 4.0 * half * half
+        bound = self._best + curve * (q[i][i] + q[j][j]) - 2.0 * sine * (q[j][i] - q[i][j])
+        h = 2.0 * abs(half) * self._norm
+        tangent, weight = self._tangent, self._weight
+        try:
+            reach = self._turn * (tangent / (0.5 * self._p) + self._n * h ** (self._p - 1.0))
+        except OverflowError:
+            return -math.inf
+        slack = (
+            2.0
+            * (
+                self._relative * (self._best + abs(bound))
+                + (curve + 2.0 * abs(sine)) * self._sums
+                + 9.0 * 2.0**-53 * (2.0 * h * tangent + h * h * weight)
+                + reach
+            )
+            + self._tiny
+        )
+        return bound - slack
+
+    def excludes(self, i: int, j: int, angle: float) -> bool:
+        """True when the turn by `angle` in plane (i, j) certainly fails the keep test."""
+        return self.floor(i, j, angle) >= self._threshold
+
+
 def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray:
     """Coordinate descent over planar rotation angles, seeded near the optimum.
 
@@ -132,17 +258,30 @@ def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray
     the exact minimiser: on a 64 x 64 `perturbed_identity` random-metric fit
     its angle lies 8.7e-7 rad from a golden-section minimiser.
 
-    The cells are transposed once into a (d^2, N) column layout, and both
-    turns of a plane are scored in one pass from the same best rotation.  The
+    The cells are transposed once into a (d^2, N) column layout.  The
     squared entries of each cell are added in the order `np.sum` over a
     cell's d x d entries takes (`_entry_sums`: left to right for d <= 2,
     ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then + c8, for d = 3),
     followed by the same `sqrt`, `** p` and sum over the N cells, so every
     score, and so every decision, equals the cell-by-cell formula's bit for
-    bit.  When the +step is kept, the -step is rebuilt from the new best and
-    scored alone, as a plane-by-plane sweep does: that rotation is the old
-    best up to round-off only, and where the objective is near zero that
-    round-off can decide the comparison.
+    bit; a score does not depend on how many turns one pass holds.
+
+    For p >= 2 a turn is built and scored only when `_TurnBounds` cannot
+    show that it fails the keep test: one pass over the columns, at the
+    start and after every kept turn, bounds the score of every turn of every
+    plane from below, and most turns of a fit, all of them once the
+    rotation has settled, are excluded that way.  Excluded turns would not
+    have been kept, so the kept turns, and the returned rotation, are those
+    of scoring every turn.  What still costs is a pass per kept turn, the
+    turns the bound leaves open, a few of the large early steps and, where
+    the cells lie within about 1e-4 of the rotation, the small late steps
+    whose candidate round-off the slack must allow for; below p = 2,
+    x^(p/2) is concave and every turn is scored.  Turns the bound leaves
+    open in both directions are scored in one pass from the same best
+    rotation.  When the +step is kept, the -step is rebuilt from the new
+    best and bounded or scored alone, as a plane-by-plane sweep does: that
+    rotation is the old best up to round-off only, and where the objective
+    is near zero that round-off can decide the comparison.
     """
     d = start.shape[0]
     pairs = list(itertools.combinations(range(d), 2))
@@ -151,29 +290,43 @@ def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray
     columns = np.ascontiguousarray(du.reshape(-1, d * d).T)[:, None]
     squares = np.empty((d * d, 2, columns.shape[-1]))
 
-    def objective(rots: np.ndarray) -> np.ndarray:
-        """sum |Du - R|^p for each R of `rots` (k <= 2, d, d), shape (k,)."""
+    def objective(rots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum |Du - R|^p for each R of `rots` (k <= 2, d, d), shape (k,), and
+        each cell's |Du - R|^2, shape (k, N)."""
         sq = np.subtract(columns, rots.reshape(len(rots), -1).T[:, :, None], out=squares[:, : len(rots)])
         sq *= sq
-        total = _entry_sums(sq)
-        np.sqrt(total, out=total)
+        sq_dist = _entry_sums(sq)
+        total = np.sqrt(sq_dist)
         np.power(total, p, out=total)
-        return np.sum(total, axis=-1)
+        return np.sum(total, axis=-1), sq_dist
+
+    def bounds(sq_dist: np.ndarray) -> _TurnBounds | None:
+        return _TurnBounds(columns[:, 0], best_rot, p, best, sq_dist) if p >= 2.0 else None
+
+    def scored(i: int, j: int, angles: tuple) -> tuple:
+        """The turns among `angles` of the best rotation that the bounds
+        leave open, built, with their scores and cells' squared distances."""
+        open_angles = [a for a in angles if turn_bounds is None or not turn_bounds.excludes(i, j, a)]
+        if not open_angles:
+            return open_angles, None, None, None
+        candidates = _givens(d, i, j, open_angles) @ best_rot
+        return (open_angles, candidates, *objective(candidates))
 
     best_rot = start
-    best = objective(start[None])[0]
+    (best,), (sq_dist,) = objective(start[None])
+    turn_bounds = bounds(sq_dist)
     step = np.pi / 8
     while step > 1e-12:
         moved = False
         for i, j in pairs:
-            candidates = _givens(d, i, j, (step, -step)) @ best_rot
-            plus_value, minus_value = objective(candidates)
-            if plus_value < best * (1.0 - _DESCENT_REL_TOL):
-                best_rot, best, moved = candidates[0], plus_value, True
-                candidates = _givens(d, i, j, (-step,)) @ best_rot
-                (minus_value,) = objective(candidates)
-            if minus_value < best * (1.0 - _DESCENT_REL_TOL):
-                best_rot, best, moved = candidates[-1], minus_value, True
+            angles, candidates, values, sq_dist = scored(i, j, (step, -step))
+            if angles[:1] == [step] and values[0] < best * (1.0 - _DESCENT_REL_TOL):
+                best_rot, best, moved = candidates[0], values[0], True
+                turn_bounds = bounds(sq_dist[0])
+                angles, candidates, values, sq_dist = scored(i, j, (-step,))
+            if angles[-1:] == [-step] and values[-1] < best * (1.0 - _DESCENT_REL_TOL):
+                best_rot, best, moved = candidates[-1], values[-1], True
+                turn_bounds = bounds(sq_dist[-1])
         if not moved:
             step *= 0.5
     return best_rot
@@ -183,7 +336,11 @@ def _fit_rotations(du: np.ndarray, p: float) -> np.ndarray:
     """Best rotation for each patch of square cell maps du (S, N, d, d): (S, d, d).
 
     The oriented Procrustes factor of each patch's cell average, then, for
-    p != 2, the descent from it, run patch by patch.  Raises when a patch has
+    p != 2, the descent from it, run patch by patch.  For p > 2 a patch's
+    descent scores only the turns its convexity bound leaves open (see
+    `_TurnBounds`), a few per fit once the seed is near the minimiser, so
+    small patches cost a handful of numpy calls per kept step rather than
+    two scored turns per step.  Raises when a patch has
     no cells or no full-rank cell.  One full-rank cell settles a patch, so
     each patch's first cell is tested alone, and every cell only of the
     patches where that one fails.

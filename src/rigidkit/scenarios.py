@@ -487,18 +487,22 @@ class ScenarioBundle:
     metric: MetricField
 
 
-def build_scenario(spec: ScenarioSpec) -> ScenarioBundle:
-    """Materialize a scenario: the map and the metric field on its grid."""
+def build_map(spec: ScenarioSpec) -> ImmersionField | GridMap:
+    """The scenario's map alone, from its family builder."""
     grid = GridDomain(spec.dim, spec.length, spec.resolution)
     if spec.family == "curve":
-        u = curvature_curve(grid, spec.kappa, spec.profile, spec.wave_amplitude, mode=spec.mode)
-    elif spec.family == "graph":
-        u = graph_surface(grid, spec.epsilon, mode=spec.mode)
-    elif spec.family == "latitude":
-        u = latitude_circle(grid, spec.rho, spec.polar, mode=spec.mode)
-    elif spec.family == "perturbed":
-        u = perturbed_inclusion(grid, spec.epsilon, spec.kappa, spec.seed, mode=spec.mode)
-    else:
-        u = perturbed_identity(grid, spec.epsilon, spec.rotation, spec.seed, mode=spec.mode)
-    metric = build_metric(grid, spec.metric_kind, spec.metric_slope, spec.metric_lam, spec.seed)
+        return curvature_curve(grid, spec.kappa, spec.profile, spec.wave_amplitude, mode=spec.mode)
+    if spec.family == "graph":
+        return graph_surface(grid, spec.epsilon, mode=spec.mode)
+    if spec.family == "latitude":
+        return latitude_circle(grid, spec.rho, spec.polar, mode=spec.mode)
+    if spec.family == "perturbed":
+        return perturbed_inclusion(grid, spec.epsilon, spec.kappa, spec.seed, mode=spec.mode)
+    return perturbed_identity(grid, spec.epsilon, spec.rotation, spec.seed, mode=spec.mode)
+
+
+def build_scenario(spec: ScenarioSpec) -> ScenarioBundle:
+    """Materialize a scenario: the map and the metric field on its grid."""
+    u = build_map(spec)
+    metric = build_metric(u.grid, spec.metric_kind, spec.metric_slope, spec.metric_lam, spec.seed)
     return ScenarioBundle(spec, u, metric)

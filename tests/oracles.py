@@ -157,12 +157,14 @@ def translation_modulus_per_call(field, zeta) -> tuple[tuple[float, ...], float,
 
 
 def rotation_descent_per_candidate(
-    du: np.ndarray, p: float, start: np.ndarray, accepted: list | None = None
+    du: np.ndarray, p: float, start: np.ndarray, accepted: list | None = None, visit=None
 ) -> np.ndarray:
     """`rigidity._rotation_descent` as it was written before the column
     layout: each candidate built and scored on its own, as sum |Du - R|^p
     over the (N, d, d) cells.  The reference its rotation must equal bit for
-    bit.  The sign of every step it keeps is appended to `accepted`."""
+    bit.  The sign of every step it keeps is appended to `accepted`, and
+    `visit(best_rot, best, i, j, angle, value)` sees every candidate, the
+    turn of `best_rot` by `angle` in plane (i, j), before it is tested."""
     d = start.shape[0]
     pairs = list(itertools.combinations(range(d), 2))
     if not pairs:
@@ -187,6 +189,8 @@ def rotation_descent_per_candidate(
                 givens[j, i] = s
                 candidate = givens @ best_rot
                 value = objective(candidate)
+                if visit is not None:
+                    visit(best_rot, best, i, j, sign * step, value)
                 if value < best * (1.0 - 1e-10):
                     best_rot, best, moved = candidate, value, True
                     if accepted is not None:

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigidkit import cli
+from rigidkit import cli, scenarios
 from rigidkit.cli import main
 from rigidkit.fields import GridDomain, ImmersionField, TargetSpace, snapshot_save
-from rigidkit.scenarios import FAMILIES, build_metric, build_scenario, latitude_circle
+from rigidkit.scenarios import FAMILIES, build_map, build_metric, build_scenario, latitude_circle
 
 
 def write_config(tmp_path, name, payload):
@@ -785,14 +785,20 @@ class TestAsymptotic:
     def test_builds_each_member_once_and_keeps_two_alive(self, tmp_path, monkeypatch):
         fields, built, alive = [], [], []
 
-        def build(spec):
-            bundle = build_scenario(spec)
-            fields.append(weakref.ref(bundle.u))
-            built.append(spec.epsilon)
-            alive.append(sum(ref() is not None for ref in fields))
-            return bundle
+        def watched(build):
+            def watch(spec):
+                member = build(spec)
+                u = getattr(member, "u", member)
+                fields.append(weakref.ref(u))
+                built.append(spec.epsilon)
+                alive.append(sum(ref() is not None for ref in fields))
+                return member
 
-        monkeypatch.setattr(cli, "build_scenario", build)
+            return watch
+
+        # the final member is a whole scenario, the earlier ones only maps
+        monkeypatch.setattr(cli, "build_scenario", watched(build_scenario))
+        monkeypatch.setattr(cli, "build_map", watched(build_map))
         epsilons = [0.5, 0.25, 0.125, 0.0625, 0.03125]
         cfg = self.base(tmp_path, epsilons=epsilons)
         assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -800,6 +806,22 @@ class TestAsymptotic:
         assert built == epsilons[-1:] + epsilons[:-1]
         assert max(alive) == 2
         assert all(ref() is None for ref in fields)
+
+    def test_builds_the_metric_once(self, tmp_path, monkeypatch):
+        # Every member of a family has the final member's metric field.
+        metrics = []
+
+        def build(*args):
+            metrics.append(build_metric(*args))
+            return metrics[-1]
+
+        monkeypatch.setattr(scenarios, "build_metric", build)
+        scenario = {"family": "perturbed", "dim": 1, "resolution": 64, "kappa": 1.0, "metric_kind": "random"}
+        cfg = self.base(tmp_path, scenario=scenario, epsilons=[0.5, 0.25, 0.125, 0.0625, 0.03125])
+        # the random metric is not flat, so the final defect stays above the threshold
+        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert len(metrics) == 1
+        assert len(json.loads((tmp_path / "asymptotic.json").read_text())["stretch"]) == 5
 
 
 # Each subcommand with the sweep entries its config needs.

@@ -387,29 +387,92 @@ class TestEuclideanBestRotation:
             euclidean_best_rotation(np.zeros((10, 3, 2)))
 
 
+def _turn_bounds(du: np.ndarray, p: float, rot: np.ndarray, best: float) -> rigidity._TurnBounds:
+    """The descent's bounds for the turns of `rot`, on the cells (N, d, d) in
+    its (d^2, N) column layout, from freshly computed squared distances."""
+    columns = np.ascontiguousarray(du.reshape(len(du), -1).T)
+    return rigidity._TurnBounds(columns, rot, p, best, np.sum((columns - rot.reshape(-1, 1)) ** 2, axis=0))
+
+
 class TestRotationDescent:
     def test_equals_the_per_candidate_descent_bit_for_bit(self):
         rng = np.random.default_rng(23)
         kept, rebuilt = [], 0
-        for d, p, n in itertools.product((2, 3), (1.5, 3.0, 4.0), (1, 7, 1024, 4096)):
-            du = rotation_align(rng.standard_normal((d, d))) + 0.3 * rng.standard_normal((n, d, d))
+        draws = itertools.product((2, 3), (1.5, 2.5, 3.0, 4.0, 8.0), (1, 7, 1024, 4096), (0.3, 1e-8))
+        for d, p, n, spread in draws:
+            du = rotation_align(rng.standard_normal((d, d))) + spread * rng.standard_normal((n, d, d))
             seed = rotation_align(du.mean(axis=0))
             quarter = rigidity._givens(d, 0, 1, (np.pi / 4,))[0]
             for start in (seed, quarter @ seed):
                 accepted = []
                 want = rotation_descent_per_candidate(du, p, start, accepted)
-                with mock.patch.object(rigidity, "_givens", wraps=rigidity._givens) as spy:
+                with (
+                    mock.patch.object(rigidity, "_givens", wraps=rigidity._givens) as spy,
+                    mock.patch.object(rigidity, "_TurnBounds", wraps=rigidity._TurnBounds) as passes,
+                ):
                     got = rigidity._rotation_descent(du, p, start)
-                assert np.array_equal(got, want), (d, p, n)
-                # Each kept +step is followed by one lone -step turn, rebuilt
-                # from the new best.
-                lone = sum(len(call.args[3]) == 1 for call in spy.call_args_list)
-                assert lone == accepted.count(1.0), (d, p, n)
+                assert np.array_equal(got, want), (d, p, n, spread)
+                if p < 2.0:
+                    # Every turn is scored.  Each kept +step is followed by
+                    # one lone -step turn, rebuilt from the new best.
+                    lone = sum(len(call.args[3]) == 1 for call in spy.call_args_list)
+                    assert lone == accepted.count(1.0), (d, p, n, spread)
+                    assert passes.call_count == 0
+                    rebuilt += lone
+                else:
+                    # One bound pass at the start and one after each kept
+                    # step, from which the -step after a kept +step is
+                    # bounded or rebuilt.
+                    assert passes.call_count == 1 + len(accepted), (d, p, n, spread)
                 kept += accepted
-                rebuilt += lone
         # both branches ran: kept +steps with their rebuilt -step, and kept -steps
         assert rebuilt > 0
         assert kept.count(-1.0) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from((2, 3)),
+        n=st.integers(1, 4096),
+        p=st.sampled_from((2.0, 2.0 + 1e-9, 2.5, 3.0, 4.0, 8.0)),
+        spread=st.floats(-9.0, math.log10(2.0)).map(lambda x: 10.0**x),
+        turned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_exclude_only_turns_that_fail_the_keep_test(self, d, n, p, spread, turned, seed):
+        # Along the per-candidate descent's path, every score is at least
+        # its floor, and a turn the bounds exclude is one whose score does
+        # not pass the keep test.
+        rng = np.random.default_rng(seed)
+        du = rotation_align(rng.standard_normal((d, d))) + spread * rng.standard_normal((n, d, d))
+        start = rotation_align(du.mean(axis=0))
+        if turned:
+            start = rigidity._givens(d, 0, 1, (np.pi / 4,))[0] @ start
+        passes = {}
+
+        def visit(best_rot, best, i, j, angle, value):
+            key = (best_rot.tobytes(), float(best))
+            if key not in passes:
+                passes[key] = _turn_bounds(du, p, best_rot, best)
+            assert passes[key].floor(i, j, angle) <= value, (i, j, angle, value, best)
+            if passes[key].excludes(i, j, angle):
+                assert not value < best * (1.0 - rigidity._DESCENT_REL_TOL), (i, j, angle, value, best)
+
+        rotation_descent_per_candidate(du, p, start, visit=visit)
+
+    @pytest.mark.parametrize("d, spread, most", [(2, 0.3, 0.25), (3, 0.3, 0.25), (2, 1e-6, 0.5)])
+    def test_bounds_leave_few_turns_to_score(self, d, spread, most):
+        # A 4096-cell p = 3 fit scores a small share of the candidates that
+        # the per-candidate descent scores.
+        rng = np.random.default_rng(31)
+        du = rotation_align(rng.standard_normal((d, d))) + spread * rng.standard_normal((4096, d, d))
+        start = rotation_align(du.mean(axis=0))
+        candidates = []
+        want = rotation_descent_per_candidate(du, 3.0, start, visit=lambda *args: candidates.append(args))
+        with mock.patch.object(rigidity, "_givens", wraps=rigidity._givens) as spy:
+            got = rigidity._rotation_descent(du, 3.0, start)
+        assert np.array_equal(got, want)
+        scored = sum(len(call.args[3]) for call in spy.call_args_list)
+        assert scored <= most * len(candidates), (scored, len(candidates))
 
     def test_entry_sums_add_in_the_order_of_np_sum(self):
         # m = d^2 entries per cell: left to right below 8, eight lanes up
