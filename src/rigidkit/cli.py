@@ -379,8 +379,12 @@ def cmd_scaling(args, config: dict) -> _Run:
     for n, members in sweep.items():
         lhs_roots = []
         defect_roots = []
+        # The members of one resolution differ in epsilon only, so the first
+        # member's metric field serves them all.
+        metric = None
         for member in members:
-            bundle = _build(member)
+            bundle = _build(member, metric)
+            metric = bundle.metric
             report, _ = _fit_report(bundle, member.p)
             rows.append(_report_row(report, member.family, n, member.epsilon))
             lhs_roots.append(report.lhs ** (1.0 / member.p))

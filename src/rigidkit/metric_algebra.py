@@ -65,12 +65,15 @@ def spd_extremes(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     too.  Non-SPD input returns without warnings.  For d >= 3 the values
     come from `eigvalsh` and `det`.
 
-    Where some step of the d = 2 closed form over- or underflows, as
-    ac - b^2 does once the entries pass about 1e154, the stack is run again
-    on the rescaled 4^k g of `_quarter_scaled`, where no SPD matrix's does,
-    and the three values are scaled back by 4^-k.  Scaling by a power of
-    two is exact and commutes with every rounding above, so the rerun
-    changes no bit of a matrix whose steps stayed in range.
+    For d = 2 the closed form runs on the 4^k g of `_quarter_scaled`, where
+    no SPD matrix's steps over- or underflow, as ac - b^2 would once the
+    entries pass about 1e154, and the three values are scaled back by
+    4^-k.  Scaling by a power of two is exact and commutes with every
+    rounding above, so an SPD matrix whose steps stay in range unscaled
+    gets the same bits either way.  Only a non-SPD matrix whose b dwarfs
+    its diagonal can overflow after scaling alone, reading lam_min = -inf
+    where the unscaled form gives a finite negative value; both fail a
+    floor test.
     """
     gram = np.asarray(gram, dtype=float)
     dim = gram.shape[-1]
@@ -79,13 +82,9 @@ def spd_extremes(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         with np.errstate(invalid="ignore"):
             return g, g, np.sqrt(g)
     if dim == 2:
-        try:
-            with np.errstate(over="raise", under="raise"):
-                return _closed_extremes(gram)
-        except FloatingPointError:
-            k, scaled = _quarter_scaled(gram)
-            with np.errstate(over="ignore", under="ignore"):
-                return tuple(np.ldexp(value, -2 * k) for value in _closed_extremes(scaled))
+        k, scaled = _quarter_scaled(gram)
+        with np.errstate(over="ignore", under="ignore"):
+            return tuple(np.ldexp(value, -2 * k) for value in _closed_extremes(scaled))
     w = np.linalg.eigvalsh(gram)
     with np.errstate(invalid="ignore"):
         return w[..., 0], w[..., -1], np.sqrt(np.linalg.det(gram))

@@ -111,15 +111,13 @@ def _entry_sums(sq: np.ndarray) -> np.ndarray:
     return total
 
 
-def _givens(d: int, i: int, j: int, angles) -> np.ndarray:
-    """Turns by each of `angles` in the (i, j) plane, shape (len(angles), d, d)."""
-    turns = np.empty((len(angles), d, d))
-    turns[:] = np.eye(d)
-    for turn, angle in zip(turns, angles):
-        c, s = np.cos(angle), np.sin(angle)
-        turn[i, i] = turn[j, j] = c
-        turn[i, j], turn[j, i] = -s, s
-    return turns
+def _givens(d: int, i: int, j: int, angle: float) -> np.ndarray:
+    """The turn by `angle` in the (i, j) plane, shape (d, d)."""
+    turn = np.eye(d)
+    c, s = np.cos(angle), np.sin(angle)
+    turn[i, i] = turn[j, j] = c
+    turn[i, j], turn[j, i] = -s, s
+    return turn
 
 
 class _TurnBounds:
@@ -264,7 +262,7 @@ def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray
     ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then + c8, for d = 3),
     followed by the same `sqrt`, `** p` and sum over the N cells, so every
     score, and so every decision, equals the cell-by-cell formula's bit for
-    bit; a score does not depend on how many turns one pass holds.
+    bit.
 
     For p >= 2 a turn is built and scored only when `_TurnBounds` cannot
     show that it fails the keep test: one pass over the columns, at the
@@ -276,57 +274,43 @@ def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray
     turns the bound leaves open, a few of the large early steps and, where
     the cells lie within about 1e-4 of the rotation, the small late steps
     whose candidate round-off the slack must allow for; below p = 2,
-    x^(p/2) is concave and every turn is scored.  Turns the bound leaves
-    open in both directions are scored in one pass from the same best
-    rotation.  When the +step is kept, the -step is rebuilt from the new
-    best and bounded or scored alone, as a plane-by-plane sweep does: that
-    rotation is the old best up to round-off only, and where the objective
-    is near zero that round-off can decide the comparison.
+    x^(p/2) is concave and every turn is scored, each in its own pass.
     """
     d = start.shape[0]
     pairs = list(itertools.combinations(range(d), 2))
     if not pairs:
         return start
-    columns = np.ascontiguousarray(du.reshape(-1, d * d).T)[:, None]
-    squares = np.empty((d * d, 2, columns.shape[-1]))
+    columns = np.ascontiguousarray(du.reshape(-1, d * d).T)
+    squares = np.empty_like(columns)
 
-    def objective(rots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum |Du - R|^p for each R of `rots` (k <= 2, d, d), shape (k,), and
-        each cell's |Du - R|^2, shape (k, N)."""
-        sq = np.subtract(columns, rots.reshape(len(rots), -1).T[:, :, None], out=squares[:, : len(rots)])
+    def objective(rot: np.ndarray) -> tuple[float, np.ndarray]:
+        """sum |Du - R|^p for the rotation `rot` (d, d), and each cell's
+        |Du - R|^2, shape (N,)."""
+        sq = np.subtract(columns, rot.reshape(-1, 1), out=squares)
         sq *= sq
         sq_dist = _entry_sums(sq)
         total = np.sqrt(sq_dist)
         np.power(total, p, out=total)
-        return np.sum(total, axis=-1), sq_dist
+        return np.sum(total), sq_dist
 
     def bounds(sq_dist: np.ndarray) -> _TurnBounds | None:
-        return _TurnBounds(columns[:, 0], best_rot, p, best, sq_dist) if p >= 2.0 else None
-
-    def scored(i: int, j: int, angles: tuple) -> tuple:
-        """The turns among `angles` of the best rotation that the bounds
-        leave open, built, with their scores and cells' squared distances."""
-        open_angles = [a for a in angles if turn_bounds is None or not turn_bounds.excludes(i, j, a)]
-        if not open_angles:
-            return open_angles, None, None, None
-        candidates = _givens(d, i, j, open_angles) @ best_rot
-        return (open_angles, candidates, *objective(candidates))
+        return _TurnBounds(columns, best_rot, p, best, sq_dist) if p >= 2.0 else None
 
     best_rot = start
-    (best,), (sq_dist,) = objective(start[None])
+    best, sq_dist = objective(start)
     turn_bounds = bounds(sq_dist)
     step = np.pi / 8
     while step > 1e-12:
         moved = False
         for i, j in pairs:
-            angles, candidates, values, sq_dist = scored(i, j, (step, -step))
-            if angles[:1] == [step] and values[0] < best * (1.0 - _DESCENT_REL_TOL):
-                best_rot, best, moved = candidates[0], values[0], True
-                turn_bounds = bounds(sq_dist[0])
-                angles, candidates, values, sq_dist = scored(i, j, (-step,))
-            if angles[-1:] == [-step] and values[-1] < best * (1.0 - _DESCENT_REL_TOL):
-                best_rot, best, moved = candidates[-1], values[-1], True
-                turn_bounds = bounds(sq_dist[-1])
+            for angle in (step, -step):
+                if turn_bounds is not None and turn_bounds.excludes(i, j, angle):
+                    continue
+                candidate = _givens(d, i, j, angle) @ best_rot
+                value, sq_dist = objective(candidate)
+                if value < best * (1.0 - _DESCENT_REL_TOL):
+                    best_rot, best, moved = candidate, value, True
+                    turn_bounds = bounds(sq_dist)
         if not moved:
             step *= 0.5
     return best_rot

@@ -513,6 +513,28 @@ class TestScaling:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_builds_the_metric_once_per_resolution(self, tmp_path, monkeypatch):
+        # The members of one resolution share its metric field, and read
+        # what a fresh build of each member reads.
+        scenario = {"family": "perturbed_identity", "dim": 2, "resolution": 16, "seed": 3, "metric_kind": "random"}
+        cfg = self.base_config(tmp_path, scenario=scenario, resolutions=[8, 16])
+        resolutions = []
+
+        def build(grid, *args):
+            resolutions.append(grid.resolution)
+            return build_metric(grid, *args)
+
+        monkeypatch.setattr(scenarios, "build_metric", build)
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "shared")]) == 0
+        assert resolutions == [8, 16]
+
+        build_each = cli._build
+        monkeypatch.setattr(cli, "_build", lambda spec, metric=None: build_each(spec))
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "each")]) == 0
+        assert resolutions == [8, 16] + [8] * 3 + [16] * 3
+        for name in ("scaling.json", "scaling.csv", "scaling.dat"):
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "each" / name).read_bytes()
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_non_positive_epsilon_is_config_error(self, tmp_path, capsys, source):
         # the slopes take log epsilon

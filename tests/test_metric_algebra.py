@@ -36,6 +36,7 @@ from rigidkit.metric_algebra import (
     spd_inv_sqrt,
     spd_sqrt,
     subspace_distance,
+    _closed_extremes,
 )
 
 import oracles
@@ -731,6 +732,15 @@ class TestClosedFormKernels:
         w = np.linalg.eigvalsh(gram)
         assert lam_min == pytest.approx(w[0], rel=1e-14) and lam_max == pytest.approx(w[1], rel=1e-14)
         assert sqrt_det == pytest.approx(np.sqrt(w[0]) * np.sqrt(w[1]), rel=1e-14)
+
+    def test_spd_extremes_equal_the_unscaled_closed_form_where_it_stays_in_range(self):
+        # The closed form always runs rescaled; where the unscaled one
+        # neither over- nor underflows, no bit differs.
+        grams = np.concatenate([np.ldexp(_grams(np.random.default_rng(229), 20, 2), 2 * k) for k in (-200, 0, 200)])
+        with np.errstate(over="raise", under="raise"):
+            unscaled = _closed_extremes(grams)
+        for value, base in zip(spd_extremes(grams), unscaled):
+            np.testing.assert_array_equal(value, base)
 
     @pytest.mark.parametrize("kernel", [spd_sqrt, spd_inv_sqrt, checked_grams])
     @pytest.mark.parametrize(

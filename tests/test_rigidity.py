@@ -397,15 +397,15 @@ def _turn_bounds(du: np.ndarray, p: float, rot: np.ndarray, best: float) -> rigi
 class TestRotationDescent:
     def test_equals_the_per_candidate_descent_bit_for_bit(self):
         rng = np.random.default_rng(23)
-        kept, rebuilt = [], 0
+        kept = []
         draws = itertools.product((2, 3), (1.5, 2.5, 3.0, 4.0, 8.0), (1, 7, 1024, 4096), (0.3, 1e-8))
         for d, p, n, spread in draws:
             du = rotation_align(rng.standard_normal((d, d))) + spread * rng.standard_normal((n, d, d))
             seed = rotation_align(du.mean(axis=0))
-            quarter = rigidity._givens(d, 0, 1, (np.pi / 4,))[0]
+            quarter = rigidity._givens(d, 0, 1, np.pi / 4)
             for start in (seed, quarter @ seed):
-                accepted = []
-                want = rotation_descent_per_candidate(du, p, start, accepted)
+                accepted, candidates = [], []
+                want = rotation_descent_per_candidate(du, p, start, accepted, lambda *args: candidates.append(args))
                 with (
                     mock.patch.object(rigidity, "_givens", wraps=rigidity._givens) as spy,
                     mock.patch.object(rigidity, "_TurnBounds", wraps=rigidity._TurnBounds) as passes,
@@ -413,20 +413,16 @@ class TestRotationDescent:
                     got = rigidity._rotation_descent(du, p, start)
                 assert np.array_equal(got, want), (d, p, n, spread)
                 if p < 2.0:
-                    # Every turn is scored.  Each kept +step is followed by
-                    # one lone -step turn, rebuilt from the new best.
-                    lone = sum(len(call.args[3]) == 1 for call in spy.call_args_list)
-                    assert lone == accepted.count(1.0), (d, p, n, spread)
+                    # Every candidate the per-candidate descent scores is
+                    # built once, and no bound is formed.
+                    assert spy.call_count == len(candidates), (d, p, n, spread)
                     assert passes.call_count == 0
-                    rebuilt += lone
                 else:
-                    # One bound pass at the start and one after each kept
-                    # step, from which the -step after a kept +step is
-                    # bounded or rebuilt.
+                    # One bound pass at the start and one after each kept turn.
                     assert passes.call_count == 1 + len(accepted), (d, p, n, spread)
                 kept += accepted
-        # both branches ran: kept +steps with their rebuilt -step, and kept -steps
-        assert rebuilt > 0
+        # kept turns in both directions
+        assert kept.count(1.0) > 0
         assert kept.count(-1.0) > 0
 
     @settings(max_examples=40, deadline=None)
@@ -446,7 +442,7 @@ class TestRotationDescent:
         du = rotation_align(rng.standard_normal((d, d))) + spread * rng.standard_normal((n, d, d))
         start = rotation_align(du.mean(axis=0))
         if turned:
-            start = rigidity._givens(d, 0, 1, (np.pi / 4,))[0] @ start
+            start = rigidity._givens(d, 0, 1, np.pi / 4) @ start
         passes = {}
 
         def visit(best_rot, best, i, j, angle, value):
@@ -471,8 +467,7 @@ class TestRotationDescent:
         with mock.patch.object(rigidity, "_givens", wraps=rigidity._givens) as spy:
             got = rigidity._rotation_descent(du, 3.0, start)
         assert np.array_equal(got, want)
-        scored = sum(len(call.args[3]) for call in spy.call_args_list)
-        assert scored <= most * len(candidates), (scored, len(candidates))
+        assert spy.call_count <= most * len(candidates), (spy.call_count, len(candidates))
 
     def test_entry_sums_add_in_the_order_of_np_sum(self):
         # m = d^2 entries per cell: left to right below 8, eight lanes up

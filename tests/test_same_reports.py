@@ -72,7 +72,7 @@ def test_untimed_catches_a_subcube_oscillation_that_multiscale_flat_never_measur
 def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     ops = same_reports.untimed_ops(3)
-    fits, lemmas, large, lengths = ops[:30], ops[30:33], ops[33:35], ops[35:]
+    fits, lemmas, large, lengths, below = ops[:30], ops[30:33], ops[33:35], ops[35:37], ops[37:]
     runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in fits]
     assert runs == [
         *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
@@ -98,7 +98,11 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     shapes = [(op.command, op.config["scenario"]["family"], op.config["scenario"]["dim"]) for op in lengths]
     assert shapes == [("multiscale", "perturbed", 2), ("rigidity", "perturbed_identity", 2)]
     assert all(0.3 <= op.config["scenario"]["length"] <= 3.0 for op in lengths)
-    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 37
+    # last, p = 1.5 descents on a random metric: a d = 2 fit and a d = 2 sweep
+    shapes = [(op.command, op.config["scenario"]["family"], op.grid_cells, op.config["scenario"]["p"]) for op in below]
+    assert shapes == [("rigidity", "perturbed_identity", 32**2, 1.5), ("multiscale", "graph", 32**2, 1.5)]
+    assert all(op.config["scenario"]["metric_kind"] == "random" for op in below)
+    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 39
 
     ops_path = tmp_path / "ops.json"
     ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))

@@ -10,7 +10,7 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 37
+The workload is one of the benchmark's, or `untimed`: a fixed list of 39
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
@@ -27,7 +27,9 @@ any benchmark op has: a 65 x 65 `graph` and a 4400-cell `latitude` arc;
 then, on a linear metric, a d = 2 `perturbed` `multiscale` sweep and a
 d = 2 `perturbed_identity` `rigidity` fit, each with a drawn `length` in
 [0.3, 3], which no benchmark op sets, though the perturbation's probe
-lattice and scale follow it.
+lattice and scale follow it; last, the two p = 3 fits again at p = 1.5,
+the d = 3 fit now at d = 2 and n = 32: below p = 2 the rotation descent
+scores every turn, and no benchmark op runs it.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -250,15 +252,21 @@ def untimed_ops(seed: int) -> list:
         }
         top = math.exp(draw.uniform(math.log(0.02), math.log(0.1)))
         runs.append((command, {"scenario": scenario, "epsilons": [top / 2**k for k in range(members)]}))
-    for command, family, dim, n, extra in (
-        ("rigidity", "perturbed_identity", 3, 8, {}),
-        ("multiscale", "graph", 2, 32, {"t_values": [1, 2, 4]}),
-    ):
-        scenario = {
-            "family": family, "dim": dim, "resolution": n, "metric_kind": "random", "p": 3.0,
-            "seed": draw.randrange(2**31 - 1), "epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1))),
-        }
-        runs.append((command, {"scenario": scenario, **extra}))
+
+    def descents(p: float, dim: int, n: int) -> None:
+        """A `perturbed_identity` `rigidity` fit on a d-cube and a d = 2 `graph`
+        `multiscale` sweep, both on a random metric at `p`."""
+        for command, grid, extra in (
+            ("rigidity", {"family": "perturbed_identity", "dim": dim, "resolution": n}, {}),
+            ("multiscale", {"family": "graph", "dim": 2, "resolution": 32}, {"t_values": [1, 2, 4]}),
+        ):
+            scenario = grid | {
+                "metric_kind": "random", "p": p,
+                "seed": draw.randrange(2**31 - 1), "epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1))),
+            }
+            runs.append((command, {"scenario": scenario, **extra}))
+
+    descents(3.0, 3, 8)
     for shape in ({"max_dim": 4, "max_ambient": 6}, {"max_ambient": 9}, {"lam_max": 1e6}):
         runs.append(("lemmas", {"samples": 200, "seed": draw.randrange(2**31 - 1), "curve_resolution": 256, **shape}))
     for family, dim, n, shape in (
@@ -280,6 +288,7 @@ def untimed_ops(seed: int) -> list:
             "epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1))), **shape,
         }
         runs.append((command, {"scenario": scenario, **extra}))
+    descents(1.5, 2, 32)
 
     def size(config: dict) -> int:
         """Grid cells of a scenario; for the lemma suite, its arc's cells."""
