@@ -309,6 +309,22 @@ class MetricField:
     positive definite at every node.  `lam` is the smallest constant with
     I/lam <= gram <= lam*I at every node.  The cell data are derived on
     first read.
+
+    A constant metric (`constant`, and so the flat one of `build_metric`) is
+    stored once: `gram` is a read-only broadcast view of one Gram matrix,
+    with zero strides on the node axes, and that is how the constructor
+    tells it apart, without a flag of its own.  It validates that one
+    matrix, and `cell_grams`, `cell_inv_sqrt` and `cell_sqrt_det` run their
+    kernels on one cell and are read-only broadcast views of it, zero
+    strides on the cell axes.  The kernels work matrix by matrix, so each
+    entry has the bits the kernel gives on the materialised arrays.
+    `constant` copies its (d, d) input, so the metric owns its one matrix.
+    Callers may not write into these arrays, and should not copy or
+    reshape them whole where a view will do: a 1024^2 grid would
+    materialise 33 MB per array.  Slices and `_subcube_major` keep them
+    views, while a boolean or integer index gathers a per-cell copy, and
+    `_times_inv_sqrt` multiplies by a view that repeats one factor as one
+    matrix.
     """
 
     def __init__(self, grid: GridDomain, gram: np.ndarray):
@@ -316,38 +332,56 @@ class MetricField:
         expected = grid.node_shape + (grid.dim, grid.dim)
         if gram.shape != expected:
             raise ValueError(f"gram field shape {gram.shape}, expected {expected}")
+        self.grid = grid
+        self.gram = gram
+        # A constant metric's one matrix gives the extremes every node would.
+        checked = gram[(0,) * grid.dim] if self._constant else gram
         # Written as `not ... <=` so that a NaN or infinite entry, which makes
         # the symmetry defect NaN, fails the test instead of slipping past it.
         with np.errstate(invalid="ignore"):
-            sym_defect = np.abs(gram - np.swapaxes(gram, -1, -2)).max()
+            sym_defect = np.abs(checked - np.swapaxes(checked, -1, -2)).max()
         if not sym_defect <= _SYMMETRY_TOL:
             raise ValueError("gram field is not finite and symmetric at every node")
-        lam_min, lam_max, _ = spd_extremes(gram)
+        lam_min, lam_max, _ = spd_extremes(checked)
         lam_min, lam_max = lam_min.min(), lam_max.max()
         if not lam_min >= _EIGENVALUE_FLOOR:
             raise ValueError("gram field is not positive definite at every node")
-        self.grid = grid
-        self.gram = gram
         self.lam = float(max(lam_max, 1.0 / lam_min, 1.0))
 
     @classmethod
     def constant(cls, grid: GridDomain, gram: np.ndarray) -> "MetricField":
-        gram = np.asarray(gram, dtype=float)
-        field = np.broadcast_to(gram, grid.node_shape + gram.shape).copy()
-        return cls(grid, field)
+        """The metric equal to `gram` (d, d) at every node, stored once."""
+        gram = np.array(gram, dtype=float)
+        return cls(grid, np.broadcast_to(gram, grid.node_shape + gram.shape))
+
+    @property
+    def _constant(self) -> bool:
+        """Whether `gram` is one matrix repeated: zero strides on every node axis."""
+        return _repeats_one(self.gram, self.grid.dim)
+
+    def _per_cell(self, kernel, data: np.ndarray, width: int) -> np.ndarray:
+        """Cell data kernel(data) from node or cell data `data`.  On a constant
+        metric the kernel runs on the first `width` entries per axis only
+        (2 node entries, or 1 cell entry, make the first cell's data), and
+        its value is broadcast to every cell, read-only."""
+        if not self._constant:
+            return kernel(data)
+        dim = self.grid.dim
+        first = kernel(data[(slice(0, width),) * dim])
+        return np.broadcast_to(first, self.grid.cell_shape + first.shape[dim:])
 
     @cached_property
     def cell_grams(self) -> np.ndarray:
         """Cell-centered metric: arithmetic average of the corner Gram matrices."""
-        return corner_average(self.gram, self.grid.dim)
+        return self._per_cell(lambda nodes: corner_average(nodes, self.grid.dim), self.gram, 2)
 
     @cached_property
     def cell_inv_sqrt(self) -> np.ndarray:
-        return spd_inv_sqrt(self.cell_grams)
+        return self._per_cell(spd_inv_sqrt, self.cell_grams, 1)
 
     @cached_property
     def cell_sqrt_det(self) -> np.ndarray:
-        return spd_extremes(self.cell_grams)[2]
+        return self._per_cell(lambda grams: spd_extremes(grams)[2], self.cell_grams, 1)
 
     @cached_property
     def _oscillation(self) -> float:
@@ -707,6 +741,39 @@ class EnergyReport:
     degenerate_cells: int
 
 
+def _repeats_one(x: np.ndarray, lead: int) -> bool:
+    """Whether `x` holds one entry repeated over its first `lead` axes: it is
+    nonempty, and its stride is zero on each of those axes longer than 1."""
+    return x.size > 0 and all(s == 0 or n == 1 for n, s in zip(x.shape[:lead], x.strides[:lead]))
+
+
+def _times_inv_sqrt(x: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """x @ inv_sqrt for cell maps x (..., D, d) and metric factors g^(-1/2)
+    (..., d, d), where x carries every leading axis of the factors.
+
+    Every product by a cell's g^(-1/2) goes through here.  When the factors
+    are one matrix repeated (zero strides on every leading axis, as a
+    constant metric's `cell_inv_sqrt`, its slices and its `_subcube_major`
+    regroupings have), this is a single product: the rows of every x
+    stacked (M, d), times that one (d, d) matrix.  Each entry is then the
+    same d-term dot product of a row of x with a column of the factor as
+    in the cell-by-cell product, which numpy runs as one small gemm per
+    cell.  The two give the same bits, as the one product
+    per patch of `_flatten` does: at d = 1 both are one multiplication per
+    entry (numpy runs neither through BLAS), and for d = 2, 3 both are
+    OpenBLAS gemm calls with k = d, whose kernels accumulate an entry alike
+    at any row count.  That is a property of the kernels, not of the
+    arithmetic, so `tests/test_fields.py` checks it for D = d to d + 2 and
+    up to 8192 cells.  The stride test reads a few shape and stride
+    entries, about a microsecond per call, which d = 1 sweeps pay too.
+    """
+    if inv_sqrt.ndim > 2 and _repeats_one(inv_sqrt, inv_sqrt.ndim - 2):
+        one = inv_sqrt[(0,) * (inv_sqrt.ndim - 2)]
+        rows = np.reshape(x, (-1, x.shape[-1])) @ one
+        return rows.reshape(x.shape[:-1] + one.shape[-1:])
+    return x @ inv_sqrt
+
+
 def _energy_sums(
     du: np.ndarray, normal_diff: np.ndarray, inv_sqrt: np.ndarray, weights: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -717,9 +784,10 @@ def _energy_sums(
     quadrature weights (..., N); each leading index is one patch and gets one
     sum of each kind, taken along the contiguous cell axis.
     """
-    x = du @ inv_sqrt
+    x = _times_inv_sqrt(du, inv_sqrt)
     stretch = np.sum(isometry_defect(x) ** p * weights, axis=-1)
-    bending = np.sum(np.linalg.norm(normal_diff @ inv_sqrt, axis=(-2, -1)) ** p * weights, axis=-1)
+    bending_density = np.linalg.norm(_times_inv_sqrt(normal_diff, inv_sqrt), axis=(-2, -1))
+    bending = np.sum(bending_density**p * weights, axis=-1)
     dirichlet = np.sum(np.linalg.norm(x, axis=(-2, -1)) ** p * weights, axis=-1)
     return stretch, bending, dirichlet
 
@@ -763,7 +831,7 @@ def energies(
         misfit = du @ (u.shape_operator[good] - ref_shape)
         # a misfit past 1e154 squares to inf, which the report's finite check stops
         with np.errstate(over="ignore"):
-            ref_density = np.linalg.norm(misfit @ inv_sqrt, axis=(-2, -1))
+            ref_density = np.linalg.norm(_times_inv_sqrt(misfit, inv_sqrt), axis=(-2, -1))
         bending_ref = float(np.sum(ref_density**p * w))
 
     return EnergyReport(

@@ -102,6 +102,15 @@ def brute_subspace_distance(frame_a: np.ndarray, frame_b: np.ndarray, qs: np.nda
     return float(vals.min())
 
 
+# One constant Gram matrix per dimension that is not the identity: SPD, with
+# off-diagonal entries, and none of its roots a short binary fraction.
+SPD_GRAMS = {
+    1: [[2.25]],
+    2: [[2.0, 0.5], [0.5, 1.0]],
+    3: [[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 0.8]],
+}
+
+
 def random_spd(rng: np.random.Generator, dim: int, lam_max: float = 10.0) -> np.ndarray:
     """Random SPD matrix with eigenvalues inside [1/lam_max, lam_max]."""
     eigs = rng.uniform(1.0 / lam_max, lam_max, size=dim)

@@ -45,16 +45,46 @@ dist(I + eps A, SO(2)) = eps |sym A| + O(eps^2), so the constant tends to
 the discrete Korn quotient (Horgan, SIAM Rev. 1995)
     R(phi) = sum |A - W|^2 / sum |sym A|^2
 with a relative error O(eps).
+
+The exact-isometry row is u(x) = Q T x + b on a constant metric g, T = g^(1/2)
+and Q a rotation: Du = Q T at every cell, and Q T is the metric-compatible
+frame `metric_rigidity` fits (R^T R = T^2 = g), so lhs, the stretch and
+the frame's distance to Q T are zero up to the round-off of the difference
+quotients, about |u| u / h per entry (u = 2^-53 here).
+
+The graph row is the `graph` surface, u(x) = (x, f(x)) with
+f = eps sin(pi x1 / L) sin(pi x2 / L), on a flat metric at p = 2.  Du^T Du
+= I + grad f grad f^T has the singular values W = sqrt(1 + |grad f|^2) and
+1, so the stretch integrand is (W - 1)^2; the unit normal is
+n = (-grad f, 1) / W, and the bending integrand is |Dn|^2, with
+d_j n = (d_j m) / W - m (d_j W) / W^2 for m = (-grad f, 1).  Neither
+integral has a closed form, so both are taken by Gauss-Legendre quadrature
+(`numpy.polynomial.legendre.leggauss`, 64 points per axis), which is exact
+to round-off on these analytic integrands.  With forward differences both
+errors are O(h^2): the stretch error is -0.0074873 h^2 + O(h^4), and the
+bending's is C2 h^2 + C3 h^3 + ..., with C2 = -5.988 and C3 near -77, read
+off a quadratic fit of error / h^2 in h over the resolutions.
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from rigidkit.fields import GridDomain, energies, grid_differential
+from rigidkit.fields import GridDomain, GridMap, MetricField, energies, grid_differential
+from rigidkit.metric_algebra import spd_sqrt
 from rigidkit.rigidity import local_rigidity, metric_rigidity
-from rigidkit.scenarios import build_metric, curvature_curve, latitude_circle, perturbation_field, perturbed_identity
+from rigidkit.scenarios import (
+    build_metric,
+    curvature_curve,
+    graph_surface,
+    latitude_circle,
+    perturbation_field,
+    perturbed_identity,
+)
+
+from oracles import SPD_GRAMS
 
 KAPPA, LENGTH = 0.5, 1.0
 RESOLUTIONS = (64, 128, 256, 512, 1024)
@@ -197,3 +227,95 @@ def test_korn_row_tends_to_the_discrete_korn_quotient():
     assert observed >= 0.9, observed
     small = epsilons <= 1e-2
     np.testing.assert_allclose(errors[small] / epsilons[small], 0.0322, rtol=1e-2)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("metric", ["flat", "constant"])
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (3, 8), (3, 16)])
+def test_metric_rigidity_of_an_exact_metric_isometry_is_zero_to_round_off(dim, n, metric, p):
+    grid = GridDomain(dim, 1.0, n)
+    rng = np.random.default_rng(dim)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    if metric == "flat":
+        g = build_metric(grid, "flat")
+    else:
+        g = MetricField.constant(grid, SPD_GRAMS[dim])
+    frame = q @ spd_sqrt(g.gram[(0,) * dim])
+    u = GridMap(grid, grid.node_coordinates() @ frame.T + rng.standard_normal(dim))
+    report = metric_rigidity(u, g, p=p)
+    # measured: lhs^(1/p) is 3 to 19 n u and the frame 1.4 to 13 n u off
+    unit = n * 2.0**-53
+    assert report.lhs ** (1.0 / p) <= 64 * unit
+    assert report.stretch ** (1.0 / p) <= 64 * unit
+    assert np.abs(report.rotation - frame).max() <= 64 * unit
+    assert report.osc_term == 0.0 and report.constant == 0.0
+
+
+GRAPH_EPSILON = 0.2
+GRAPH_RESOLUTIONS = (32, 64, 128, 256, 512)
+
+
+def _graph_integrands(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's stretch and bending integrands (W - 1)^2 and |Dn|^2 at (x1, x2)."""
+    k = np.pi / LENGTH
+    s1, c1, s2, c2 = np.sin(k * x1), np.cos(k * x1), np.sin(k * x2), np.cos(k * x2)
+    f1, f2 = GRAPH_EPSILON * k * c1 * s2, GRAPH_EPSILON * k * s1 * c2
+    f11 = f22 = -GRAPH_EPSILON * k * k * s1 * s2
+    f12 = GRAPH_EPSILON * k * k * c1 * c2
+    w = np.sqrt(1.0 + f1 * f1 + f2 * f2)
+    m = np.stack([-f1, -f2, np.ones_like(f1)])
+    bending = np.zeros_like(w)
+    for fj1, fj2 in ((f11, f12), (f12, f22)):
+        dm = np.stack([-fj1, -fj2, np.zeros_like(f1)])
+        dw = (f1 * fj1 + f2 * fj2) / w
+        bending += np.sum((dm / w - m * dw / w**2) ** 2, axis=0)
+    return (w - 1.0) ** 2, bending
+
+
+def _graph_quadrature(points: int) -> dict[str, float]:
+    nodes, weights = leggauss(points)
+    x = 0.5 * LENGTH * (nodes + 1.0)
+    w = np.outer(0.5 * LENGTH * weights, 0.5 * LENGTH * weights)
+    stretch, bending = _graph_integrands(*np.meshgrid(x, x, indexing="ij"))
+    return {"stretch": float(np.sum(w * stretch)), "bending": float(np.sum(w * bending))}
+
+
+@pytest.fixture(scope="module")
+def graph_errors() -> dict[str, np.ndarray]:
+    exact = _graph_quadrature(64)
+    errors = {"stretch": [], "bending": []}
+    for n in GRAPH_RESOLUTIONS:
+        grid = GridDomain(2, LENGTH, n)
+        energy = energies(graph_surface(grid, GRAPH_EPSILON), build_metric(grid, "flat"), p=2.0)
+        for name in errors:
+            errors[name].append(getattr(energy, name) - exact[name])
+    return {name: np.array(values) for name, values in errors.items()}
+
+
+def test_graph_quadrature_is_exact_to_round_off():
+    coarse, fine = _graph_quadrature(48), _graph_quadrature(64)
+    for name in fine:
+        assert coarse[name] == pytest.approx(fine[name], rel=1e-14, abs=0.0)
+    assert fine["stretch"] == pytest.approx(0.0107514033, abs=5e-11)
+    assert fine["bending"] == pytest.approx(3.2764940669, abs=5e-11)
+
+
+def test_graph_stretch_converges_at_second_order_with_the_pinned_constant(graph_errors):
+    spacings = LENGTH / np.array(GRAPH_RESOLUTIONS)
+    errors = graph_errors["stretch"]
+    observed = np.polyfit(np.log(spacings), np.log(np.abs(errors)), 1)[0]
+    assert observed >= 1.9, observed
+    np.testing.assert_allclose(errors[1:] / spacings[1:] ** 2, -0.0074873, rtol=1e-3)
+
+
+def test_graph_bending_converges_at_second_order_with_the_pinned_constant(graph_errors):
+    spacings = LENGTH / np.array(GRAPH_RESOLUTIONS)
+    errors = graph_errors["bending"]
+    observed = np.polyfit(np.log(spacings), np.log(np.abs(errors)), 1)[0]
+    assert observed >= 1.9, observed
+    _, slope, leading = np.polyfit(spacings, errors / spacings**2, 2)
+    assert leading == pytest.approx(-5.988, rel=1e-3)
+    assert slope == pytest.approx(-77.0, rel=0.05)

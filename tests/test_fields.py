@@ -23,6 +23,8 @@ from rigidkit.fields import (
     _energy_sums,
     _max_pairwise_distance,
     _normal_differential,
+    _repeats_one,
+    _times_inv_sqrt,
 )
 from rigidkit.rigidity import _PATCH_DATA, _Patches
 from rigidkit.scenarios import ScenarioSpec, build_metric, build_scenario
@@ -296,6 +298,85 @@ class TestMetricField:
         grams[1, 2][entry[::-1]] = bad
         with pytest.raises(ValueError, match="not finite and symmetric"):
             MetricField(grid, grams)
+
+
+class TestConstantMetric:
+    """A constant metric is one Gram matrix: its node and cell arrays are
+    read-only broadcast views with zero strides, and every one equals, bit
+    for bit, what the kernels give on the materialised arrays."""
+
+    CELL_ARRAYS = ("cell_grams", "cell_inv_sqrt", "cell_sqrt_det")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["eye", "spd"])
+    def test_equals_the_materialised_field_and_keeps_no_per_cell_array(self, dim, kind):
+        grid = GridDomain(dim, 0.9, {1: 40, 2: 12, 3: 6}[dim])
+        g = MetricField.constant(grid, np.eye(dim) if kind == "eye" else oracles.SPD_GRAMS[dim])
+        h = MetricField(grid, g.gram.copy())  # materialised: not known to be constant
+        assert g._constant and not h._constant
+        assert g.lam == h.lam
+        for name in ("gram", *self.CELL_ARRAYS):
+            ours, theirs = getattr(g, name), getattr(h, name)
+            np.testing.assert_array_equal(ours, theirs, err_msg=name)
+            assert ours.shape == theirs.shape, name
+            assert ours.strides[:dim] == (0,) * dim, name
+            assert not ours.flags.writeable, name
+        assert sorted(vars(g)) == sorted(["gram", "grid", "lam", *self.CELL_ARRAYS])
+        box = ((1, grid.resolution - 1),) + ((0, 2),) * (dim - 1)
+        assert oscillation_and_diameter(g, box) == oscillation_and_diameter(h, box)
+        assert g._oscillation == h._oscillation == 0.0
+
+    def test_owns_its_one_matrix(self):
+        gram = np.array(oracles.SPD_GRAMS[2])
+        g = MetricField.constant(GridDomain(2, 1.0, 8), gram)
+        before, lam = g.gram.copy(), g.lam
+        gram[:] = [[1.0, 5.0], [5.0, 1.0]]  # not positive definite
+        np.testing.assert_array_equal(g.gram, before)
+        assert g.lam == lam
+        assert not np.shares_memory(g.gram, gram)
+
+    @pytest.mark.parametrize(
+        "gram, message",
+        [
+            ([[1.0, 0.5], [0.4, 1.0]], "not finite and symmetric"),
+            ([[1.0, np.nan], [np.nan, 1.0]], "not finite and symmetric"),
+            ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+            ([[0.0]], "not positive definite"),
+        ],
+    )
+    def test_the_one_matrix_is_validated(self, gram, message):
+        dim = len(gram)
+        grid = GridDomain(dim, 1.0, 4)
+        with pytest.raises(ValueError, match=message):
+            MetricField.constant(grid, gram)
+        with pytest.raises(ValueError, match=message):
+            MetricField(grid, np.broadcast_to(np.asarray(gram), grid.node_shape + (dim, dim)).copy())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_product_helper_equals_the_per_cell_product(self, dim, extra):
+        big = dim + extra
+        rng = np.random.default_rng(10 * dim + extra)
+        for lead in ((1, 1), (1, 7), (3, 64), (2, 4096), (5,)):
+            x = rng.standard_normal(lead + (big, dim)) * rng.uniform(0.1, 10.0, size=lead + (1, 1))
+            one = rng.standard_normal((dim, dim))
+            factor = np.broadcast_to(one, lead + (dim, dim))
+            assert _repeats_one(factor, len(lead))
+            expected = x @ factor.copy()
+            np.testing.assert_array_equal(_times_inv_sqrt(x, factor), expected, err_msg=f"{lead}")
+            # a strided x, and a factor that is not one matrix, take the per-cell product
+            np.testing.assert_array_equal(_times_inv_sqrt(x[..., ::-1, :], factor), x[..., ::-1, :] @ factor.copy())
+            varied = factor.copy()
+            varied[(0,) * len(lead)] += 1.0
+            np.testing.assert_array_equal(_times_inv_sqrt(x, varied), x @ varied)
+
+    def test_subcube_regrouping_keeps_the_metric_arrays_views(self):
+        u = flat_inclusion(n=16)
+        g = MetricField.constant(u.grid, oracles.SPD_GRAMS[2])
+        for t in (1, 2, 16):
+            patches = _Patches.subcubes(u, g, t)
+            for name in ("cell_inv_sqrt", "cell_sqrt_det"):
+                assert _repeats_one(getattr(patches, name), 3), (t, name)
 
 
 def brute_diameter(points):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import itertools
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidkit import cli, rigidity
+from rigidkit import cli, fields, rigidity
 from rigidkit.fields import (
     DegenerateFieldError,
     GridDomain,
     GridMap,
     ImmersionField,
     MetricField,
+    ReferenceShape,
     TargetSpace,
     _full_rank,
     _square_extremes,
@@ -53,7 +55,7 @@ from rigidkit.scenarios import (
     perturbed_inclusion,
 )
 
-from oracles import random_frame, random_spd, rotation_descent_per_candidate, translation_modulus_per_call
+from oracles import SPD_GRAMS, random_frame, random_spd, rotation_descent_per_candidate, translation_modulus_per_call
 
 
 def rotation2(angle):
@@ -1282,6 +1284,113 @@ class TestPerPatchProducts:
             rigidity._metric_frame_fit(du, gram, 2.0)
         (flat, _), _ = spy.call_args
         assert np.array_equal(flat, du @ spd_inv_sqrt(gram)[:, None])
+
+
+def assert_same_terms(ours, theirs, what=""):
+    """Every field of two report dataclasses is equal, bit for bit."""
+    for item in dataclasses.fields(ours):
+        np.testing.assert_array_equal(getattr(ours, item.name), getattr(theirs, item.name), err_msg=f"{what}{item.name}")
+
+
+def constant_metric_fields(u, kind):
+    """The constant metric `kind` ("eye" or "spd") on `u`'s grid, and the
+    same metric on a materialised node array, which takes the per-cell path."""
+    dim = u.grid.dim
+    g = MetricField.constant(u.grid, np.eye(dim) if kind == "eye" else SPD_GRAMS[dim])
+    return g, MetricField(u.grid, g.gram.copy())
+
+
+class TestConstantMetricReports:
+    """Every report on a constant metric, whose g^{-1/2} is one matrix
+    applied as one product, equals the report on the same metric
+    materialised node by node, where each cell's factor is multiplied alone."""
+
+    @staticmethod
+    def immersions():
+        sheet = flat_inclusion(16)
+        values = sheet.values.copy()
+        values[5, :, 0] = values[4, :, 0]  # the row of cells at 4 drops rank: ragged subcubes
+        return [
+            ("latitude", latitude_circle(GridDomain(1, 1.2, 64), 1.0, 1.0)),
+            ("curve", curvature_curve(GridDomain(1, 1.0, 64), 1.3)),
+            ("graph", graph_surface(GridDomain(2, 1.0, 16), 0.2)),
+            ("perturbed", perturbed_inclusion(GridDomain(2, 0.8, 16), 0.05, seed=4)),
+            ("ragged", ImmersionField(sheet.grid, sheet.target, values)),
+        ]
+
+    @pytest.mark.parametrize("kind", ["eye", "spd"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_immersion_reports_equal_the_materialised_metric(self, kind, p):
+        for name, u in self.immersions():
+            g, h = constant_metric_fields(u, kind)
+            ref = ReferenceShape(u.grid, 0.7 * h.gram)
+            assert_same_terms(energies(u, g, ref, p), energies(u, h, ref, p), f"{name} energies: ")
+            assert_same_terms(local_rigidity(u, g, p), local_rigidity(u, h, p), f"{name} local: ")
+            assert rigidity._lebesgue_isometry_defect(u, g, p) == rigidity._lebesgue_isometry_defect(u, h, p)
+            for t in (1, 2, 4, 8):
+                ours, theirs = multiscale_fit(u, g, t, p), multiscale_fit(u, h, t, p)
+                assert ours.residual == theirs.residual, (name, t)
+                assert np.array_equal(ours.rotations, theirs.rotations), (name, t)
+                for k, (a, b) in enumerate(zip(ours.fits, theirs.fits, strict=True)):
+                    assert_same_terms(a, b, f"{name} t={t} subcube {k}: ")
+                for zeta in ([0.1] * u.grid.dim, [0.3, -0.05][: u.grid.dim]):
+                    assert_same_terms(translation_modulus(ours, zeta), translation_modulus(theirs, zeta))
+
+    @pytest.mark.parametrize("kind", ["eye", "spd"])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 6)])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_metric_rigidity_equals_the_materialised_metric(self, kind, dim, n, p):
+        u = perturbed_identity(GridDomain(dim, 1.0, n), 0.05, seed=9)
+        g, h = constant_metric_fields(u, kind)
+        assert_same_terms(metric_rigidity(u, g, p), metric_rigidity(u, h, p))
+
+    def test_every_metric_product_goes_through_the_helper(self):
+        seen, product = [], fields._times_inv_sqrt
+
+        def spy(x, inv_sqrt):
+            seen.append(inv_sqrt.ndim == 2 or fields._repeats_one(inv_sqrt, inv_sqrt.ndim - 2))
+            return product(x, inv_sqrt)
+
+        with mock.patch.object(fields, "_times_inv_sqrt", spy), mock.patch.object(rigidity, "_times_inv_sqrt", spy):
+            for name, u in self.immersions():
+                g = MetricField.constant(u.grid, SPD_GRAMS[u.grid.dim])
+                seen.clear()
+                field = multiscale_fit(u, g, 4, 3.0)
+                field.fits
+                translation_modulus(field, [0.1] * u.grid.dim)
+                if name == "ragged":
+                    # Five parts (its four subcubes with degenerate cells
+                    # alone), each with the lhs and two energy terms, on
+                    # patches an index has gathered, then the modulus.
+                    assert len(seen) == 16 and seen[-1]
+                else:
+                    # The fit's lhs and its reports' two energy terms, then
+                    # the modulus, each on the one matrix.
+                    assert seen == [True] * 4, name
+                seen.clear()
+                energies(u, g, ReferenceShape(u.grid, np.zeros(u.grid.node_shape + (u.grid.dim,) * 2)))
+                rigidity._lebesgue_isometry_defect(u, g, 2.0)
+                # energies 3 and the defect 1, on the non-degenerate cells
+                # a mask has gathered.
+                assert len(seen) == 4, name
+            v = perturbed_identity(GridDomain(2, 1.0, 8), 0.05, seed=9)
+            seen.clear()
+            metric_rigidity(v, MetricField.constant(v.grid, np.eye(2)))
+            assert seen == [True] * 2
+
+
+class TestFlatNorms:
+    # 2 to 7 entries take the left-to-right sum, 1 and 8 to 12 keep np.sum
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_equals_the_summed_squares(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        x = rng.standard_normal((4, 300, rows, cols)) * 10.0 ** rng.uniform(-200, 200, size=(4, 300, 1, 1))
+        x[0, :7].flat[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, 1e200]
+        for mats in (x, x[1], x[2, 5], x[..., ::-1, :], np.asfortranarray(x[3]), x.transpose(1, 0, 2, 3)):
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                expected = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
+                np.testing.assert_array_equal(rigidity._flat_norms(mats), expected)
 
 
 class TestTranslationModulus:

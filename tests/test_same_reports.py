@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import sys
@@ -72,7 +73,7 @@ def test_untimed_catches_a_subcube_oscillation_that_multiscale_flat_never_measur
 def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     ops = same_reports.untimed_ops(3)
-    fits, lemmas, large, lengths, below = ops[:30], ops[30:33], ops[33:35], ops[35:37], ops[37:]
+    fits, lemmas, large, lengths, below, flat = ops[:30], ops[30:33], ops[33:35], ops[35:37], ops[37:39], ops[39:]
     runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in fits]
     assert runs == [
         *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
@@ -102,7 +103,23 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     shapes = [(op.command, op.config["scenario"]["family"], op.grid_cells, op.config["scenario"]["p"]) for op in below]
     assert shapes == [("rigidity", "perturbed_identity", 32**2, 1.5), ("multiscale", "graph", 32**2, 1.5)]
     assert all(op.config["scenario"]["metric_kind"] == "random" for op in below)
-    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 39
+    # last, flat-metric fits on both routes, a scaling sweep and an asymptotic family
+    shapes = [(op.command, op.config["scenario"]["family"], op.grid_cells, op.config["scenario"]["p"]) for op in flat]
+    assert shapes == [
+        ("rigidity", "graph", 32**2, 2.0),
+        ("rigidity", "latitude", 512, 3.0),
+        ("rigidity", "perturbed_identity", 32**2, 2.0),
+        ("rigidity", "perturbed_identity", 8**3, 3.0),
+        ("scaling", "perturbed", 32**2, 2.0),
+        ("asymptotic", "perturbed", 512, 3.0),
+    ]
+    assert all(op.config["scenario"]["metric_kind"] == "flat" for op in flat)
+    assert [len(op.config.get("epsilons", ())) for op in flat] == [0, 0, 0, 0, 3, 3]
+    # the flat ops are drawn after every earlier draw, so ops 0-38 keep the
+    # configs they had before the flat ops came: this digest of their list
+    earlier = json.dumps([[op.command, op.config] for op in ops[:39]], sort_keys=True).encode()
+    assert hashlib.sha256(earlier).hexdigest() == "b663104a09a24f4c4595fb8ba435fb7ce3140ccb04ed4e7b6f2c5eca208d95f3"
+    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 45
 
     ops_path = tmp_path / "ops.json"
     ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))

@@ -10,7 +10,7 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 39
+The workload is one of the benchmark's, or `untimed`: a fixed list of 45
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
@@ -29,7 +29,12 @@ d = 2 `perturbed_identity` `rigidity` fit, each with a drawn `length` in
 [0.3, 3], which no benchmark op sets, though the perturbation's probe
 lattice and scale follow it; last, the two p = 3 fits again at p = 1.5,
 the d = 3 fit now at d = 2 and n = 32: below p = 2 the rotation descent
-scores every turn, and no benchmark op runs it.
+scores every turn, and no benchmark op runs it; last, six runs on a flat
+metric, which the benchmark only sweeps with `multiscale`: `rigidity` fits
+on the local route (a d = 2 `graph` at p = 2 and a d = 1 `latitude` arc
+at p = 3) and on the metric route (`perturbed_identity` at d = 2, p = 2,
+and d = 3, p = 3), a d = 2 `scaling` sweep and a three-member d = 1
+`asymptotic` run at p = 3, both on `perturbed`.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -289,6 +294,27 @@ def untimed_ops(seed: int) -> list:
         }
         runs.append((command, {"scenario": scenario, **extra}))
     descents(1.5, 2, 32)
+    # Flat-metric runs beyond the `multiscale` sweeps: `rigidity` fits on the
+    # local route (a surface and an arc) and on the metric route (d = 2, 3),
+    # then a `scaling` sweep and an `asymptotic` run on `perturbed`.
+    for family, dim, n, p, shape in (
+        ("graph", 2, 32, 2.0, {"epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1)))}),
+        ("latitude", 1, 512, 3.0, {"polar": draw.uniform(math.pi / 4, 3 * math.pi / 4)}),
+        ("perturbed_identity", 2, 32, 2.0, {"epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1)))}),
+        ("perturbed_identity", 3, 8, 3.0, {"epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1)))}),
+    ):
+        scenario = {
+            "family": family, "dim": dim, "resolution": n, "metric_kind": "flat", "p": p,
+            "seed": draw.randrange(2**31 - 1), **shape,
+        }
+        runs.append(("rigidity", {"scenario": scenario}))
+    for command, dim, n, p in (("scaling", 2, 32, 2.0), ("asymptotic", 1, 512, 3.0)):
+        scenario = {
+            "family": "perturbed", "dim": dim, "resolution": n, "metric_kind": "flat", "p": p,
+            "seed": draw.randrange(2**31 - 1), "kappa": draw.uniform(0.5, 2.0) if dim == 1 else 0.0,
+        }
+        top = math.exp(draw.uniform(math.log(0.02), math.log(0.1)))
+        runs.append((command, {"scenario": scenario, "epsilons": [top / 2**k for k in range(3)]}))
 
     def size(config: dict) -> int:
         """Grid cells of a scenario; for the lemma suite, its arc's cells."""
