@@ -415,6 +415,10 @@ def cmd_multiscale(args, config: dict) -> _Run:
     t_values = _sweep_list(config, "t_values", None, kind=int) or [1, 2, 4, 8]
     if not _strictly_decreasing(t_values[::-1]):
         raise ConfigError("'t_values' must increase strictly")
+    # checked before the build, which can take up to 2^20 cells
+    for t in t_values:
+        if t < 1 or spec.resolution % t != 0:
+            raise ConfigError(f"t={t} does not divide the resolution {spec.resolution}")
     shifts = _sweep_list(config, "shifts", args.eps)
     if shifts is None:
         shifts = [spec.length / 4.0, spec.length / 8.0, spec.length / 16.0]
@@ -424,9 +428,6 @@ def cmd_multiscale(args, config: dict) -> _Run:
     bundle = _build(spec)
     if isinstance(bundle.u, GridMap):
         raise ConfigError("multiscale needs a codimension-one scenario")
-    for t in t_values:
-        if t < 1 or spec.resolution % t != 0:
-            raise ConfigError(f"t={t} does not divide the resolution {spec.resolution}")
 
     rows = []
     residuals = []

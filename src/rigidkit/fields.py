@@ -19,7 +19,11 @@ import numpy as np
 from .metric_algebra import (
     _EIGENVALUE_FLOOR,
     _SYMMETRY_TOL,
+    _repeats_one,
+    _times_inv_sqrt,
+    frobenius,
     isometry_defect,
+    metric_norm,
     sign_fixed_qr,
     spd_extremes,
     spd_inv_sqrt,
@@ -323,8 +327,8 @@ class MetricField:
     reshape them whole where a view will do: a 1024^2 grid would
     materialise 33 MB per array.  Slices and `_subcube_major` keep them
     views, while a boolean or integer index gathers a per-cell copy, and
-    `_times_inv_sqrt` multiplies by a view that repeats one factor as one
-    matrix.
+    `metric_algebra._times_inv_sqrt` (so `metric_norm`) multiplies by a view
+    that repeats one factor as one matrix.
     """
 
     def __init__(self, grid: GridDomain, gram: np.ndarray):
@@ -698,7 +702,7 @@ class ImmersionField:
     def shape_residual(self) -> np.ndarray:
         """Frobenius residual of the shape solve, zero on degenerate cells."""
         misfit = self.differential @ self.shape_operator - self.projected_normal_differential
-        residual = np.linalg.norm(misfit, axis=(-2, -1))
+        residual = frobenius(misfit)
         residual[self.degenerate] = 0.0
         return residual
 
@@ -741,39 +745,6 @@ class EnergyReport:
     degenerate_cells: int
 
 
-def _repeats_one(x: np.ndarray, lead: int) -> bool:
-    """Whether `x` holds one entry repeated over its first `lead` axes: it is
-    nonempty, and its stride is zero on each of those axes longer than 1."""
-    return x.size > 0 and all(s == 0 or n == 1 for n, s in zip(x.shape[:lead], x.strides[:lead]))
-
-
-def _times_inv_sqrt(x: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """x @ inv_sqrt for cell maps x (..., D, d) and metric factors g^(-1/2)
-    (..., d, d), where x carries every leading axis of the factors.
-
-    Every product by a cell's g^(-1/2) goes through here.  When the factors
-    are one matrix repeated (zero strides on every leading axis, as a
-    constant metric's `cell_inv_sqrt`, its slices and its `_subcube_major`
-    regroupings have), this is a single product: the rows of every x
-    stacked (M, d), times that one (d, d) matrix.  Each entry is then the
-    same d-term dot product of a row of x with a column of the factor as
-    in the cell-by-cell product, which numpy runs as one small gemm per
-    cell.  The two give the same bits, as the one product
-    per patch of `_flatten` does: at d = 1 both are one multiplication per
-    entry (numpy runs neither through BLAS), and for d = 2, 3 both are
-    OpenBLAS gemm calls with k = d, whose kernels accumulate an entry alike
-    at any row count.  That is a property of the kernels, not of the
-    arithmetic, so `tests/test_fields.py` checks it for D = d to d + 2 and
-    up to 8192 cells.  The stride test reads a few shape and stride
-    entries, about a microsecond per call, which d = 1 sweeps pay too.
-    """
-    if inv_sqrt.ndim > 2 and _repeats_one(inv_sqrt, inv_sqrt.ndim - 2):
-        one = inv_sqrt[(0,) * (inv_sqrt.ndim - 2)]
-        rows = np.reshape(x, (-1, x.shape[-1])) @ one
-        return rows.reshape(x.shape[:-1] + one.shape[-1:])
-    return x @ inv_sqrt
-
-
 def _energy_sums(
     du: np.ndarray, normal_diff: np.ndarray, inv_sqrt: np.ndarray, weights: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -782,13 +753,13 @@ def _energy_sums(
     Takes per-cell differentials (..., N, D, d), tangential normal
     differentials (..., N, D, d), metric factors g^(-1/2) (..., N, d, d) and
     quadrature weights (..., N); each leading index is one patch and gets one
-    sum of each kind, taken along the contiguous cell axis.
+    sum of each kind, taken along the contiguous cell axis.  The densities
+    are `metric_algebra`'s norm kernels, under their rounding contract.
     """
     x = _times_inv_sqrt(du, inv_sqrt)
     stretch = np.sum(isometry_defect(x) ** p * weights, axis=-1)
-    bending_density = np.linalg.norm(_times_inv_sqrt(normal_diff, inv_sqrt), axis=(-2, -1))
-    bending = np.sum(bending_density**p * weights, axis=-1)
-    dirichlet = np.sum(np.linalg.norm(x, axis=(-2, -1)) ** p * weights, axis=-1)
+    bending = np.sum(metric_norm(normal_diff, inv_sqrt) ** p * weights, axis=-1)
+    dirichlet = np.sum(frobenius(x) ** p * weights, axis=-1)
     return stretch, bending, dirichlet
 
 
@@ -831,7 +802,7 @@ def energies(
         misfit = du @ (u.shape_operator[good] - ref_shape)
         # a misfit past 1e154 squares to inf, which the report's finite check stops
         with np.errstate(over="ignore"):
-            ref_density = np.linalg.norm(_times_inv_sqrt(misfit, inv_sqrt), axis=(-2, -1))
+            ref_density = metric_norm(misfit, inv_sqrt)
         bending_ref = float(np.sum(ref_density**p * w))
 
     return EnergyReport(

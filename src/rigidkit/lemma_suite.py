@@ -51,6 +51,7 @@ from .metric_algebra import (
     determinant,
     frame_distance,
     frames_orthonormal,
+    frobenius,
     isometry_defect,
     metric_norm,
     plane_coordinates,
@@ -260,7 +261,7 @@ def run_norm_equivalence(config: LemmaConfig) -> PropertyResult:
         rows = rng.integers(dim, config.max_ambient, endpoint=True, size=count)
         t[np.arange(config.max_ambient)[None, :] >= rows[:, None]] = 0.0
         fn_g = metric_norm(t, inv_sqrt)
-        eu = np.linalg.norm(t, axis=(-2, -1))
+        eu = frobenius(t)
         root = np.sqrt(lam)
         slack = np.minimum(eu - fn_g / root, root * fn_g - eu)
         # (a dimension gets no instance when samples < max_dim)
@@ -298,7 +299,7 @@ def run_so_set_distance_bound(config: LemmaConfig) -> PropertyResult:
     worst = np.inf
     for dim, rows in _by_dim(dims):
         gram, lam = _grams(log_spectra[rows, :, :dim], normals[rows, :, :dim, :dim])
-        bound = 0.5 * np.sqrt(lam.max(axis=-1)) * np.linalg.norm(gram[:, 0] - gram[:, 1], axis=(-2, -1))
+        bound = 0.5 * np.sqrt(lam.max(axis=-1)) * frobenius(gram[:, 0] - gram[:, 1])
         root = spd_sqrt(gram)
         slack = bound - rotation_set_distance(root[:, 0], root[:, 1])
         worst = min(worst, float(slack.min()))

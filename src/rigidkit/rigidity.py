@@ -28,13 +28,16 @@ from .fields import (
     _normal_differential,
     _square_extremes,
     _subgrid,
-    _times_inv_sqrt,
     _without_radial_part,
     energies,
     oscillation_and_diameter,
 )
 from .metric_algebra import (
+    _entry_sums,
+    _times_inv_sqrt,
+    frobenius,
     isometry_defect,
+    metric_norm,
     rotation_align,
     sign_fixed_qr,
     spd_inv_sqrt,
@@ -46,30 +49,6 @@ _DESCENT_REL_TOL = 1e-10
 # Candidate-pool pairs below which `choose_base_point` scores every candidate:
 # the bound's fixed cost exceeds the direct scan there.
 _BOUND_MIN_PAIRS = 2**13
-
-
-def _flat_norms(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norms of stacked matrices (..., a, b), as
-    np.sqrt(np.sum(mats * mats, axis=(-2, -1))) gives them, bit for bit.
-
-    On a C-contiguous stack np.sum reduces each matrix's a x b entries as one
-    contiguous run, and numpy's pairwise summation adds a run of fewer than
-    8 numbers left to right (it unrolls only from 8 on, see `_entry_sums`).
-    So the 2 to 7 squared entries of such a stack are added here left to
-    right in C order, one array addition per entry, with no reduction
-    machinery: about 3x faster on (4096, 3, 2).  Other layouts and 8 or
-    more entries keep np.sum, whose order there follows the memory layout
-    or the pairwise blocks.
-    """
-    sq = mats * mats
-    count = sq.shape[-2] * sq.shape[-1]
-    if not 2 <= count < 8 or not sq.flags.c_contiguous:
-        return np.sqrt(np.sum(sq, axis=(-2, -1)))
-    entries = sq.reshape(sq.shape[:-2] + (count,))
-    total = entries[..., 0] + entries[..., 1]
-    for k in range(2, count):
-        total += entries[..., k]
-    return np.sqrt(total)
 
 
 def _guarded_ratio(lhs: float, rhs: float) -> float:
@@ -95,7 +74,7 @@ class EuclideanFit:
 
     @cached_property
     def lhs(self) -> float:
-        return float(self._cell_volume * np.sum(_flat_norms(self._cells - self.rotation) ** self.p))
+        return float(self._cell_volume * np.sum(frobenius(self._cells - self.rotation) ** self.p))
 
     @cached_property
     def rhs(self) -> float:
@@ -105,31 +84,6 @@ class EuclideanFit:
     @cached_property
     def constant(self) -> float:
         return _guarded_ratio(self.lhs, self.rhs)
-
-
-def _entry_sums(sq: np.ndarray) -> np.ndarray:
-    """Sums over the leading axis of `sq` (m >= 2, ...), added in the order
-    `np.sum` adds m contiguous numbers (numpy's pairwise summation).
-
-    That is left to right below 8; up to 128, eight running lanes combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left
-    to right; above that, the sum of two halves split at a multiple of 8.
-    """
-    m = len(sq)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _entry_sums(sq[:half]) + _entry_sums(sq[half:])
-    if m < 8:
-        total, rest = sq[0] + sq[1], range(2, m)
-    else:
-        r = sq[:8]
-        for k in range(8, m - m % 8, 8):
-            r = r + sq[k : k + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = range(m - m % 8, m)
-    for k in rest:
-        total += sq[k]
-    return total
 
 
 def _givens(d: int, i: int, j: int, angle: float) -> np.ndarray:
@@ -278,12 +232,12 @@ def _rotation_descent(du: np.ndarray, p: float, start: np.ndarray) -> np.ndarray
     its angle lies 8.7e-7 rad from a golden-section minimiser.
 
     The cells are transposed once into a (d^2, N) column layout.  The
-    squared entries of each cell are added in the order `np.sum` over a
-    cell's d x d entries takes (`_entry_sums`: left to right for d <= 2,
-    ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then + c8, for d = 3),
-    followed by the same `sqrt`, `** p` and sum over the N cells, so every
-    score, and so every decision, equals the cell-by-cell formula's bit for
-    bit.
+    squared entries of each cell are added by `metric_algebra._entry_sums`,
+    in the order `np.sum` over a cell's d x d entries takes (left to right
+    for d <= 2, ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then + c8,
+    for d = 3), followed by the same `sqrt`, `** p` and sum over the N
+    cells, so every score, and so every decision, equals the cell-by-cell
+    formula's, `frobenius(du - R) ** p` summed, bit for bit.
 
     For p >= 2 a turn is built and scored only when `_TurnBounds` cannot
     show that it fails the keep test: one pass over the columns, at the
@@ -440,8 +394,7 @@ def metric_rigidity(u: GridMap, g: MetricField, p: float = 2.0) -> RigidityRepor
     inv_sqrt = g.cell_inv_sqrt.reshape(-1, grid.dim, grid.dim)
     rotation = _metric_frame_fit(du[None], g.cell_grams[base_index][None], p)[0]
 
-    deviation = _times_inv_sqrt(du - rotation, inv_sqrt)
-    lhs = float(grid.cell_volume * np.sum(_flat_norms(deviation) ** p))
+    lhs = float(grid.cell_volume * np.sum(metric_norm(du - rotation, inv_sqrt) ** p))
     defect = isometry_defect(_times_inv_sqrt(du, inv_sqrt), oriented=True)
     stretch = float(grid.cell_volume * np.sum(defect**p))
     osc_term = _oscillation_term(grid, g._oscillation, p)
@@ -862,7 +815,7 @@ def _local_fits(patches: _Patches, p: float) -> _LocalFits:
     applied as one product per patch, over its cells' rows stacked; on a
     constant metric every cell's g^{-1/2} is one matrix, and the lhs and
     energy terms apply it as one product over all patches (see
-    `_times_inv_sqrt`), unless a mask below gathers it.  Patches
+    `metric_algebra.metric_norm`), unless a mask below gathers it.  Patches
     with degenerate cells are fitted one by one, and their rows scattered
     into the arrays (the deferred terms when they are read); so is the
     p != 2 rotation descent.  The stretch, bending, Dirichlet and
@@ -915,8 +868,7 @@ def _local_fits(patches: _Patches, p: float) -> _LocalFits:
     rotation = frame @ _metric_frame_fit(_flatten(du, frame), gram, p)
 
     inv_sqrt = cells(patches.cell_inv_sqrt)
-    deviation = _times_inv_sqrt(du - rotation[:, None], inv_sqrt)
-    lhs = grid.cell_volume * np.sum(_flat_norms(deviation) ** p, axis=-1)
+    lhs = grid.cell_volume * np.sum(metric_norm(du - rotation[:, None], inv_sqrt) ** p, axis=-1)
 
     # On spheres the complements' second column is the radial direction up to
     # sign, and the projection is even in it.
@@ -1086,7 +1038,7 @@ def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
     rotations = field.rotations.reshape((t**grid.dim,) + field.rotations.shape[grid.dim :])
     diff = rotations.take(target.reshape(-1), axis=0) - rotations.take(source.reshape(-1), axis=0)
     inv_sqrt = field.metric.cell_inv_sqrt[tuple(box)].reshape(-1, grid.dim, grid.dim)
-    value = float(grid.cell_volume * np.sum(_flat_norms(_times_inv_sqrt(diff, inv_sqrt)) ** field.p))
+    value = float(grid.cell_volume * np.sum(metric_norm(diff, inv_sqrt) ** field.p))
     return TranslationModulus(tuple(zeta.tolist()), value, count / t**grid.dim)
 
 
@@ -1156,7 +1108,7 @@ def asymptotic_sequence_run(
         epsilons.append(eps)
         reports.append(energies(bundle.u, metric, ref, p=p))
         diff = bundle.u.differential - final.u.differential
-        gaps.append(float((grid.cell_volume * np.sum(_flat_norms(diff) ** p)) ** (1.0 / p)))
+        gaps.append(float((grid.cell_volume * np.sum(frobenius(diff) ** p)) ** (1.0 / p)))
         # drop the member before `earlier` builds the next one
         del bundle, diff
     final_report = energies(final.u, metric, ref, p=p)

@@ -588,7 +588,10 @@ class TestMultiscale:
             "modulus_decreasing": True,
         }
 
-    def test_non_dividing_t_is_config_error(self, tmp_path):
+    def test_non_dividing_t_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # found before the scenario is built, which can take up to 2^20 cells
+        builds = []
+        monkeypatch.setattr(cli, "_build", lambda *args: builds.append(args))
         cfg = write_config(
             tmp_path,
             "multi.json",
@@ -598,6 +601,8 @@ class TestMultiscale:
             },
         )
         assert main(["multiscale", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: t=3 does not divide the resolution 64\n"
+        assert builds == []
 
     @pytest.mark.parametrize("t_values", [[1, 1, 2], [2, 1]])
     def test_t_values_that_do_not_increase_are_config_errors(self, tmp_path, capsys, t_values):

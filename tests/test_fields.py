@@ -23,9 +23,8 @@ from rigidkit.fields import (
     _energy_sums,
     _max_pairwise_distance,
     _normal_differential,
-    _repeats_one,
-    _times_inv_sqrt,
 )
+from rigidkit.metric_algebra import _repeats_one, _times_inv_sqrt, metric_norm
 from rigidkit.rigidity import _PATCH_DATA, _Patches
 from rigidkit.scenarios import ScenarioSpec, build_metric, build_scenario
 
@@ -364,6 +363,8 @@ class TestConstantMetric:
             assert _repeats_one(factor, len(lead))
             expected = x @ factor.copy()
             np.testing.assert_array_equal(_times_inv_sqrt(x, factor), expected, err_msg=f"{lead}")
+            norms = np.linalg.norm(expected, axis=(-2, -1))
+            np.testing.assert_array_equal(metric_norm(x, factor), norms, err_msg=f"{lead}")
             # a strided x, and a factor that is not one matrix, take the per-cell product
             np.testing.assert_array_equal(_times_inv_sqrt(x[..., ::-1, :], factor), x[..., ::-1, :] @ factor.copy())
             varied = factor.copy()

@@ -18,6 +18,7 @@ from rigidkit.metric_algebra import (
     determinant,
     frame_distance,
     frames_orthonormal,
+    frobenius,
     isometry_defect,
     metric_norm,
     nearest_isometry,
@@ -70,7 +71,27 @@ class TestSpdMetric:
 
 
 class TestFrobeniusNorm:
-    """The metric Frobenius norm, `metric_norm(t, g^(-1/2))`."""
+    """The Frobenius norm `frobenius(x)` and the metric one, `metric_norm(t, g^(-1/2))`."""
+
+    # 2 to 7 entries take `_entry_sums`' left-to-right sum, 1 and 8 to 15
+    # keep np.sum; `metric_norm` first multiplies (S, N, D, d) stacks,
+    # D = d to d + 2 among them, by per-cell factors or by one repeated matrix
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_equals_the_summed_squares(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        x = rng.standard_normal((4, 300, rows, cols)) * 10.0 ** rng.uniform(-200, 200, size=(4, 300, 1, 1))
+        x[0, :7].flat[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, 1e200]
+        one = rng.standard_normal((cols, cols))
+        for mats in (x, x[1], x[2, 5], x[..., ::-1, :], np.asfortranarray(x[3]), x.transpose(1, 0, 2, 3)):
+            shape = mats.shape[:-2] + (cols, cols)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                expected = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
+                np.testing.assert_array_equal(np.linalg.norm(mats, axis=(-2, -1)), expected)
+                np.testing.assert_array_equal(frobenius(mats), expected)
+                for w in (rng.standard_normal(shape), np.broadcast_to(one, shape)):
+                    product = np.linalg.norm(mats @ w.copy(), axis=(-2, -1))
+                    np.testing.assert_array_equal(metric_norm(mats, w), product)
 
     def test_identity_euclidean(self):
         assert metric_norm(np.eye(2), E2.inv_sqrt) == pytest.approx(np.sqrt(2.0))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidkit import cli, fields, rigidity
+from rigidkit import cli, fields, metric_algebra, rigidity
 from rigidkit.fields import (
     DegenerateFieldError,
     GridDomain,
@@ -478,7 +478,7 @@ class TestRotationDescent:
         for d, n in itertools.product(range(2, 13), (1, 5, 300)):
             sq = rng.standard_normal((n, d, d)) ** 2 * rng.uniform(1e-3, 1e3, (n, d, d))
             columns = np.ascontiguousarray(sq.reshape(n, d * d).T)
-            assert np.array_equal(rigidity._entry_sums(columns), np.sum(sq, axis=(-2, -1))), d
+            assert np.array_equal(metric_algebra._entry_sums(columns), np.sum(sq, axis=(-2, -1))), d
 
 
 class TestMetricRigidity:
@@ -1345,13 +1345,15 @@ class TestConstantMetricReports:
         assert_same_terms(metric_rigidity(u, g, p), metric_rigidity(u, h, p))
 
     def test_every_metric_product_goes_through_the_helper(self):
-        seen, product = [], fields._times_inv_sqrt
+        seen, product = [], metric_algebra._times_inv_sqrt
 
         def spy(x, inv_sqrt):
-            seen.append(inv_sqrt.ndim == 2 or fields._repeats_one(inv_sqrt, inv_sqrt.ndim - 2))
+            seen.append(inv_sqrt.ndim == 2 or metric_algebra._repeats_one(inv_sqrt, inv_sqrt.ndim - 2))
             return product(x, inv_sqrt)
 
-        with mock.patch.object(fields, "_times_inv_sqrt", spy), mock.patch.object(rigidity, "_times_inv_sqrt", spy):
+        with contextlib.ExitStack() as stack:
+            for module in (metric_algebra, fields, rigidity):
+                stack.enter_context(mock.patch.object(module, "_times_inv_sqrt", spy))
             for name, u in self.immersions():
                 g = MetricField.constant(u.grid, SPD_GRAMS[u.grid.dim])
                 seen.clear()
@@ -1377,20 +1379,6 @@ class TestConstantMetricReports:
             seen.clear()
             metric_rigidity(v, MetricField.constant(v.grid, np.eye(2)))
             assert seen == [True] * 2
-
-
-class TestFlatNorms:
-    # 2 to 7 entries take the left-to-right sum, 1 and 8 to 12 keep np.sum
-    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
-    @pytest.mark.parametrize("cols", [1, 2, 3])
-    def test_equals_the_summed_squares(self, rows, cols):
-        rng = np.random.default_rng(10 * rows + cols)
-        x = rng.standard_normal((4, 300, rows, cols)) * 10.0 ** rng.uniform(-200, 200, size=(4, 300, 1, 1))
-        x[0, :7].flat[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, 1e200]
-        for mats in (x, x[1], x[2, 5], x[..., ::-1, :], np.asfortranarray(x[3]), x.transpose(1, 0, 2, 3)):
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                expected = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
-                np.testing.assert_array_equal(rigidity._flat_norms(mats), expected)
 
 
 class TestTranslationModulus:
