@@ -44,6 +44,7 @@ from .fields import (
 from .lemma_suite import LemmaConfig, run_all
 from .reports import RunManifest, write_csv, write_gnuplot_data, write_json_report
 from .rigidity import (
+    admissible_subcubes,
     asymptotic_sequence_run,
     local_rigidity,
     metric_rigidity,
@@ -291,8 +292,6 @@ def cmd_lemmas(args, config: dict) -> _Run:
     seed = _seed_override(args.seed)
     if seed is not None:
         merged["seed"] = seed
-    if args.p is not None or args.eps is not None:
-        print("warning: --p/--eps have no effect on the lemma suite", file=sys.stderr)
     try:
         lemma_config = LemmaConfig(**merged)
     except (TypeError, ValueError) as exc:
@@ -425,6 +424,11 @@ def cmd_multiscale(args, config: dict) -> _Run:
     # `modulus_decreasing` reads the moduli in this order.
     if not _strictly_decreasing([abs(shift) for shift in shifts]):
         raise ConfigError("'shifts' (or --eps) must decrease strictly in absolute value")
+    # Along the first axis; the trend reads the finest t, where a shift with no admissible subcube reads 0.
+    zetas = [np.array([shift] + [0.0] * (spec.dim - 1)) for shift in shifts]
+    for shift, zeta in zip(shifts, zetas):
+        if admissible_subcubes(spec.length, t_values[-1], zeta) is None:
+            raise ConfigError(f"shift {shift:g} leaves no admissible subcube at t={t_values[-1]}")
     bundle = _build(spec)
     if isinstance(bundle.u, GridMap):
         raise ConfigError("multiscale needs a codimension-one scenario")
@@ -442,9 +446,7 @@ def cmd_multiscale(args, config: dict) -> _Run:
         lines.append(f"t={t}: residual {field.residual:.6e}")
 
     moduli = []
-    for shift in shifts:
-        zeta = np.zeros(spec.dim)
-        zeta[0] = shift
+    for shift, zeta in zip(shifts, zetas):
         for t in t_values:
             tm = translation_modulus(fields[t], zeta)
             if t == t_values[-1]:
@@ -452,9 +454,6 @@ def cmd_multiscale(args, config: dict) -> _Run:
             shifted = {"t": int(t), "zeta": float(shift), "modulus": float(tm.value)}
             rows.append(head | shifted | {"covered_fraction": float(tm.covered_fraction)})
         # `tm` is the modulus of the last (finest) t, which the loop just measured.
-        # With no admissible subcube it reads 0 and the trend check says nothing.
-        if tm.covered_fraction == 0.0:
-            raise ConfigError(f"shift {shift:g} leaves no admissible subcube at t={t_values[-1]}")
         lines.append(f"zeta={shift:g}: modulus {tm.value:.6e} covered {tm.covered_fraction:.3f}")
 
     return _Run(
@@ -583,20 +582,38 @@ def cmd_snapshot(args, config: dict) -> _Run:
 
 # --- argument parsing and main --------------------------------------------
 
-# Subcommand -> (help, handler, the top-level config keys it reads); any other
-# key is a config error rather than a setting the run would silently ignore.
+# The flags that override a setting of the run, and subcommand -> (help,
+# handler, the top-level config keys it reads, the flags of `_FLAGS` it reads,
+# by mode for `snapshot`); any other key is a config error rather than a
+# setting the run would silently ignore, and any other flag draws a warning.
+_FLAGS = ("p", "n", "eps", "seed")
 _COMMANDS = {
-    "lemmas": ("run the random property suite", cmd_lemmas, {f.name for f in dataclasses.fields(LemmaConfig)}),
-    "rigidity": ("one scenario, one rigidity fit", cmd_rigidity, {"scenario", "snapshot"}),
-    "scaling": ("epsilon sweep with log-log slopes", cmd_scaling, {"scenario", "epsilons", "resolutions"}),
-    "multiscale": ("partition sweep and translation modulus", cmd_multiscale, {"scenario", "t_values", "shifts"}),
-    "asymptotic": (
-        "shrinking-perturbation family run",
-        cmd_asymptotic,
-        {"scenario", "epsilons", "reference", "threshold"},
+    "lemmas": (
+        "run the random property suite", cmd_lemmas, {f.name for f in dataclasses.fields(LemmaConfig)}, {"n", "seed"}
     ),
-    "snapshot": ("write or read immersion snapshots", cmd_snapshot, {"scenario"}),
+    "rigidity": ("one scenario, one rigidity fit", cmd_rigidity, {"scenario", "snapshot"}, _FLAGS),
+    "scaling": ("epsilon sweep with log-log slopes", cmd_scaling, {"scenario", "epsilons", "resolutions"}, _FLAGS),
+    "multiscale": (
+        "partition sweep and translation modulus", cmd_multiscale, {"scenario", "t_values", "shifts"}, _FLAGS
+    ),
+    "asymptotic": (
+        "shrinking-perturbation family run", cmd_asymptotic, {"scenario", "epsilons", "reference", "threshold"}, _FLAGS
+    ),
+    "snapshot": (
+        "write or read immersion snapshots", cmd_snapshot, {"scenario"}, {"write": {"p", "n", "seed"}, "read": ()}
+    ),
 }
+
+
+def _warn_ignored_flags(args) -> None:
+    """Name on stderr the flags of `_FLAGS` the run does not read, when any of them is given."""
+    reads, run = _COMMANDS[args.command][3], "the lemma suite" if args.command == "lemmas" else args.command
+    if isinstance(reads, dict):
+        reads, run = reads[args.mode], f"{args.command} {args.mode}"
+    ignored = [f"--{flag}" for flag in _FLAGS if flag not in reads]
+    if any(getattr(args, flag[2:]) is not None for flag in ignored):
+        verb = "has" if len(ignored) == 1 else "have"
+        print(f"warning: {'/'.join(ignored)} {verb} no effect on {run}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -610,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="rigidkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
+    for name, (help_text, *_) in _COMMANDS.items():
         sub.add_parser(name, parents=[shared], help=help_text)
     sub.choices["snapshot"].add_argument("mode", choices=("write", "read"))
     sub.choices["snapshot"].add_argument("path", nargs="?", help="snapshot file (read mode)")
@@ -625,7 +642,9 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        run = _COMMANDS[args.command][1](args, _load_config(args))
+        config = _load_config(args)
+        _warn_ignored_flags(args)
+        run = _COMMANDS[args.command][1](args, config)
         _emit(Path(args.out), args.command, run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

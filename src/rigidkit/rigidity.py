@@ -46,8 +46,8 @@ from .metric_algebra import (
 
 RHS_GUARD = 1e-14
 _DESCENT_REL_TOL = 1e-10
-# Candidate-pool pairs below which `choose_base_point` scores every candidate:
-# the bound's fixed cost exceeds the direct scan there.
+# Candidate pairs of a patch below which `_base_cells` scores every candidate,
+# with no bound filter: the bound's fixed cost exceeds the direct scan there.
 _BOUND_MIN_PAIRS = 2**13
 
 
@@ -474,12 +474,12 @@ def _gap_scores(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
     return scores.reshape(lead + (m,))
 
 
-def _line_scores(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """`_gap_scores` at r = 1, p = 2 up to a shift and scale, for ranking:
-    sum |w_c - w_y|^2 = 2 N - 2 <w_c, sum w_y>, so the score is
-    -<w_c, sum w_y>, one pass over the pool and one matrix-vector product."""
-    total = pool[..., 0].sum(axis=-2)
-    return -(rows[..., 0] @ total[..., None])[..., 0]
+def _line_scores(comps: np.ndarray) -> np.ndarray:
+    """`_gap_scores` of lines (S, M, D, 1) over themselves at p = 2 up to a
+    shift and scale, for ranking: sum |w_c - w_y|^2 = 2 M - 2 <w_c, sum w_y>,
+    so the score is -<w_c, sum w_y>, one pass and one matrix-vector product."""
+    total = comps[..., 0].sum(axis=-2)
+    return -(comps[..., 0] @ total[..., None])[..., 0]
 
 
 def _gap_directions(comps: np.ndarray) -> np.ndarray | None:
@@ -496,33 +496,30 @@ def _gap_directions(comps: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _unit(vec: np.ndarray) -> np.ndarray | None:
-    norm = np.linalg.norm(vec)
-    return vec / norm if np.isfinite(norm) and norm > 0.0 else None
-
-
-def _score_bounds(w_rows: np.ndarray, w_pool: np.ndarray, p: float):
-    """Lower bounds on S(c) = sum_y |w_c - w_y|^p for each row, for p >= 2.
+def _score_bounds(w: np.ndarray, p: float):
+    """Lower bounds on S(c) = sum_y |w_c - w_y|^p for each of one patch's unit
+    vectors w (M, D), the sum running over all of them, for p >= 2.
 
     t -> t^(p/2) is convex, so its tangent at |x0 - w_y|^2, applied to
     |w_c - w_y|^2 = |x0 - w_y|^2 + 2 (x0 - w_y).(w_c - x0) + |w_c - x0|^2,
     gives, with a_y = |x0 - w_y|^(p-2), the bound
         S(c) >= sum a_y |x0 - w_y|^2 + p (w_c - x0).sum a_y (x0 - w_y)
                 + (p/2) |w_c - x0|^2 sum a_y,
-    exact at p = 2 and O(1) per row once the three sums are taken.  The
-    anchor x0 is the normalised mean of the pool.  Returns the bounds and the
-    first sum, or None when the mean has no direction.
+    exact at p = 2 and O(1) per cell once the three sums are taken.  The
+    anchor x0 is the normalised mean of w; w_c - x0 = -(x0 - w_c) exactly,
+    so the slope and curvature terms reuse those differences.  Returns the
+    bounds and the first sum, or None when the mean has no direction.
     """
-    anchor = _unit(w_pool.sum(axis=0))
-    if anchor is None:
+    total = w.sum(axis=0)
+    norm = np.linalg.norm(total)
+    if not (np.isfinite(norm) and norm > 0.0):
         return None
-    diff = anchor - w_pool
+    diff = total / norm - w
     dist_sq = np.einsum("nd,nd->n", diff, diff)
     weights = dist_sq ** (p / 2.0 - 1.0)
     base = float(weights @ dist_sq)
-    step = w_rows - anchor
     curvature = 0.5 * p * float(weights.sum())
-    bound = base + p * (step @ (weights @ diff)) + curvature * np.einsum("md,md->m", step, step)
+    bound = base - p * (diff @ (weights @ diff)) + curvature * dist_sq
     return bound, base
 
 
@@ -555,80 +552,51 @@ def _bound_slack(best, base: float, n: int, p: float):
     return 2.0**-40 * p * p * (best + base + n)
 
 
-def _bound_survivors(rows: np.ndarray, pool: np.ndarray, p: float) -> np.ndarray:
-    """Mask of the rows whose summed gap p-power can still be the smallest.
+def _bound_survivors(comps: np.ndarray, p: float) -> np.ndarray:
+    """Mask of one patch's candidates (M, D, r) whose score can still be the smallest.
 
-    The rows' scores are bounded below through `_gap_directions` and
-    `_score_bounds`; one exact score, of the row with the lowest bound, sets
-    the threshold.  Every row is kept for p < 2, without an embedding, and
-    with an undefined anchor.
+    The scores are bounded below through one `_gap_directions` and
+    `_score_bounds`; one exact score, of the candidate with the lowest bound,
+    sets the threshold.  Every candidate is kept for p < 2, without an
+    embedding, and with an undefined anchor.
     """
-    keep = np.ones(rows.shape[0], dtype=bool)
-    if not p >= 2.0:
-        return keep
-    w_pool = _gap_directions(pool)
-    bounds = None if w_pool is None else _score_bounds(_gap_directions(rows), w_pool, p)
+    w = _gap_directions(comps) if p >= 2.0 else None
+    bounds = None if w is None else _score_bounds(w, p)
     if bounds is None:
-        return keep
+        return np.ones(comps.shape[0], dtype=bool)
     bound, base = bounds
     first = int(np.argmin(bound))
-    best = float(_gap_scores(rows[first : first + 1], pool, p)[0])
-    # `not >` keeps a row whose bound is NaN, for instance after overflow
-    return ~(bound > best + _bound_slack(best, base, pool.shape[0], p))
+    best = float(_gap_scores(comps[first : first + 1], comps, p)[0])
+    # `not >` keeps a candidate whose bound is NaN, for instance after overflow
+    return ~(bound > best + _bound_slack(best, base, comps.shape[0], p))
 
 
-def _base_cell(comps: np.ndarray, good: np.ndarray, p: float) -> int:
-    """`_base_cells` for one patch (M, D, r), with its ragged steps: the pool
-    of non-degenerate cells, each of them a candidate, and the bound filter.
-    Rows and pool are separate copies: numpy runs A @ A.T on one buffer as a
-    symmetric product, which rounds differently."""
-    candidates = np.flatnonzero(good)
-    pool = comps[good]
-    rows = comps[candidates]
-    if comps.shape[-1] == 1 and p == 2.0:
-        scores = _line_scores(rows, pool)
-    else:
-        if candidates.size * pool.shape[0] >= _BOUND_MIN_PAIRS:
-            keep = _bound_survivors(rows, pool, p)
-            candidates, rows = candidates[keep], rows[keep]
-        scores = _gap_scores(rows, pool, p)
-    return int(candidates[int(np.argmin(scores))])
-
-
-def _base_cells(comps: np.ndarray, good: np.ndarray, p: float) -> np.ndarray:
-    """Linear index of each patch's base cell, for complements (S, M, D, r)
-    and non-degenerate flags (S, M); see `choose_base_point`.
-
-    When every cell of every patch is non-degenerate, and the bound filter
-    would not run, all patches are scored as one stack.  Otherwise each
-    patch goes through `_base_cell`.  The pipelines never mix the two:
-    `_local_fits` passes one patch, or only patches without degenerate
-    cells, which share one cell count.
-    """
-    if not good.any(axis=-1).all():
-        raise DegenerateFieldError("no non-degenerate cells to anchor at")
+def _base_cells(comps: np.ndarray, p: float) -> np.ndarray:
+    """Index of each patch's base cell among its candidates (S, M, D, r),
+    every cell a candidate (callers drop degenerate cells); see
+    `choose_base_point`.  Lines at p = 2 (`_line_scores`) and patches below
+    `_BOUND_MIN_PAIRS` (`_gap_scores`) are scored as one stack, larger
+    patches one by one after the bound filter.  Scored rows and pool are
+    separate buffers: numpy runs A @ A.T on one buffer as a symmetric
+    product, which rounds differently."""
     if comps.shape[-1] not in (1, 2):
         raise ValueError("complement codimension above 2 is not supported")
-    lines = comps.shape[-1] == 1 and p == 2.0
-    count = good.shape[-1]
-    if not (good.all() and (lines or count * count < _BOUND_MIN_PAIRS)):
-        return np.array([_base_cell(c, g, p) for c, g in zip(comps, good)])
-    if lines:
-        scores = _line_scores(comps, comps)
-    else:
-        # Rows and pool in separate buffers, as in `_base_cell`: numpy runs
-        # A @ A.T on one buffer as a symmetric product, which rounds differently.
-        scores = _gap_scores(comps, comps.copy(), p)
-    return np.argmin(scores, axis=-1)
+    if comps.shape[-1] == 1 and p == 2.0:
+        return np.argmin(_line_scores(comps), axis=-1)
+    if comps.shape[-3] ** 2 < _BOUND_MIN_PAIRS:
+        return np.argmin(_gap_scores(comps, comps.copy(), p), axis=-1)
+    survivors = [np.flatnonzero(_bound_survivors(patch, p)) for patch in comps]
+    return np.array([kept[np.argmin(_gap_scores(patch[kept], patch, p))] for patch, kept in zip(comps, survivors)])
 
 
 def choose_base_point(planes: PlaneField, p: float = 2.0) -> tuple[int, ...]:
     """Cell whose complement minimizes the summed oriented-gap p-power.
 
     Every non-degenerate cell is a candidate, and each sum runs over all of
-    them, at every grid size.  Ties among equal computed scores break to the
-    lowest linear cell index; mirror-image cells, tied in exact arithmetic,
-    can differ by round-off, which then picks one of them.
+    them, at every grid size (`DegenerateFieldError` when there is none).
+    Ties among equal computed scores break to the lowest linear cell index;
+    mirror-image cells, tied in exact arithmetic, can differ by round-off,
+    which then picks one of them.
 
     For p >= 2, complements that are unit lines or 2-frames in R^3 map to
     unit vectors whose distances are the gaps, and a convexity lower bound
@@ -638,13 +606,13 @@ def choose_base_point(planes: PlaneField, p: float = 2.0) -> tuple[int, ...]:
     every candidate is scored.
 
     The pipelines call `_base_cells` directly, in `_local_fits`, on one patch
-    or on all subcubes of a partition: it scores them as one stack, unless a
-    patch has degenerate cells or needs the bound filter, and then loops
-    over the patches.
+    or on all subcubes of a partition, each without its degenerate cells.
     """
-    shape = planes.complements.shape
-    comps = planes.complements.reshape((1, -1) + shape[-2:])
-    cell = _base_cells(comps, ~planes.degenerate.reshape(1, -1), p)[0]
+    keep = ~planes.degenerate.reshape(-1)
+    if not keep.any():
+        raise DegenerateFieldError("no non-degenerate cells to anchor at")
+    comps = planes.complements.reshape((-1,) + planes.complements.shape[-2:])[keep]
+    cell = np.flatnonzero(keep)[_base_cells(comps[None], p)[0]]
     return tuple(int(i) for i in np.unravel_index(cell, planes.grid.cell_shape))
 
 
@@ -806,8 +774,10 @@ def _local_fits(patches: _Patches, p: float) -> _LocalFits:
     that keeps fewer than half of its cells would report on a different
     domain than the one it names: that raises `DegenerateFieldError`.
 
-    One `_base_cells` call chooses the base cells, and the frame the pipeline
-    flattens through is factored from each base cell's differential alone.
+    Every stage, the base-cell choice too, reads only the kept cells
+    (`cells`).  One `_base_cells` call chooses the base cells, and the frame
+    the pipeline flattens through is factored from each base cell's
+    differential alone.
     Every stage is one array computation over the patch axis, with each
     patch's products and sums shaped as for that patch alone, so each row
     equals the one-patch run bit for bit.  The factors shared by every cell
@@ -853,13 +823,14 @@ def _local_fits(patches: _Patches, p: float) -> _LocalFits:
         )
     # Past the split above, only a lone patch can have degenerate cells.
     keep = good[0] if ragged.any() else slice(None)
-    comps = patches.complements.reshape((count, n) + patches.complements.shape[-2:])
-    base = _base_cells(comps, good, p)
 
     def cells(x: np.ndarray) -> np.ndarray:
         """(S, *cell_shape, ...) as (S, fitted cells, ...)."""
         return x.reshape((count, n) + x.shape[d + 1 :])[:, keep]
 
+    comps = cells(patches.complements)
+    chosen = _base_cells(comps, p)
+    base = np.arange(n)[keep][chosen]
     at_base = (np.arange(count), base)
     base_index = np.transpose(np.unravel_index(base, grid.cell_shape))
     du = cells(patches.differential)
@@ -882,7 +853,7 @@ def _local_fits(patches: _Patches, p: float) -> _LocalFits:
         weights = grid.cell_volume * cells(sqrt_det)
         stretch, bending, dirichlet = _energy_sums(du, cells(normal_diff), inv_sqrt, weights, p)
         # The base cell's own score in the criterion that chose it.
-        plane_variation = grid.cell_volume * _gap_scores(comps[at_base][:, None], comps[:, keep], p)[:, 0]
+        plane_variation = grid.cell_volume * _gap_scores(comps[np.arange(count), chosen][:, None], comps, p)[:, 0]
         return stretch, grid.diameter**p * (bending + dirichlet), plane_variation
 
     return _LocalFits(base_index, rotation, lhs, terms)
@@ -996,15 +967,34 @@ class TranslationModulus:
     covered_fraction: float
 
 
+def admissible_subcubes(length: float, t: int, zeta) -> list[range] | None:
+    """Per axis, the admissible subcube indices of the t-fold partition of
+    [0, length]^d for the shift `zeta` (d,), or None when there is none.
+
+    A subcube is admissible when its tripled cube and the shifted tripled
+    cube both stay inside the closed domain cube, up to 1e-9 length, and the
+    shift is shorter than the domain side.  Each condition bounds the index
+    on one axis from one side, so each axis holds one index interval.
+    """
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    if np.linalg.norm(zeta) >= length:
+        return None
+    side, tol = length / t, 1e-9 * length
+    axes = []
+    for s in zeta.tolist():
+        inside = [j for j in range(1, t - 1) if (j - 1) * side + s >= -tol and (j + 2) * side + s <= length + tol]
+        if not inside:
+            return None
+        axes.append(range(inside[0], inside[-1] + 1))
+    return axes
+
+
 def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
     """Integral of |G(x + zeta) - G(x)|^p, p the field's, over the admissible subcubes.
 
-    A subcube is admissible when its tripled cube and the shifted tripled
-    cube both stay inside the closed domain cube; shifts at least as long as
-    the domain side leave nothing admissible.  Each condition bounds the
-    subcube index on one axis from one side, so the admissible subcubes are
-    one index interval per axis, and their cells one box of the grid.  The
-    integral runs over that box in C order: each cell's subcube and the
+    The admissible subcubes (see `admissible_subcubes`) are one index
+    interval per axis, so their cells are one box of the grid.  The integral
+    runs over that box in C order: each cell's subcube and the
     subcube its shifted centre lands in are read per axis, and both fitted
     maps are taken by linear subcube index.
     """
@@ -1012,26 +1002,16 @@ def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     if zeta.shape[0] != grid.dim:
         raise ValueError("shift vector dimension does not match the grid")
-    empty = TranslationModulus(tuple(zeta.tolist()), 0.0, 0.0)
-    if np.linalg.norm(zeta) >= grid.length:
-        return empty
-
     t = field.t
-    block = grid.resolution // t
-    side = grid.length / t
-    tol = 1e-9 * grid.length
-    j = np.arange(t)
-    count, box, source, target = 1, [], np.zeros((), dtype=int), np.zeros((), dtype=int)
-    for shift in zeta.tolist():
-        inner = (j >= 1) & (j <= t - 2)
-        shifted = ((j - 1) * side + shift >= -tol) & ((j + 2) * side + shift <= grid.length + tol)
-        admissible = np.flatnonzero(inner & shifted)
-        if admissible.size == 0:
-            return empty
+    axes = admissible_subcubes(grid.length, t, zeta)
+    if axes is None:
+        return TranslationModulus(tuple(zeta.tolist()), 0.0, 0.0)
+    block, side = grid.resolution // t, grid.length / t
+    box, source, target = [], np.zeros((), dtype=int), np.zeros((), dtype=int)
+    for shift, admissible in zip(zeta.tolist(), axes):
         cell = np.arange(admissible[0] * block, (admissible[-1] + 1) * block)
         # the cell centres along this axis, as `GridDomain.cell_centers` has them
         landing = np.clip(((cell + 0.5) * grid.spacing + shift) // side, 0, t - 1).astype(int)
-        count *= admissible.size
         box.append(slice(cell[0], cell[-1] + 1))
         source = source[..., None] * t + cell // block
         target = target[..., None] * t + landing
@@ -1039,7 +1019,7 @@ def translation_modulus(field: RotationField, zeta) -> TranslationModulus:
     diff = rotations.take(target.reshape(-1), axis=0) - rotations.take(source.reshape(-1), axis=0)
     inv_sqrt = field.metric.cell_inv_sqrt[tuple(box)].reshape(-1, grid.dim, grid.dim)
     value = float(grid.cell_volume * np.sum(metric_norm(diff, inv_sqrt) ** field.p))
-    return TranslationModulus(tuple(zeta.tolist()), value, count / t**grid.dim)
+    return TranslationModulus(tuple(zeta.tolist()), value, math.prod(map(len, axes)) / t**grid.dim)
 
 
 @dataclass(frozen=True, eq=False)

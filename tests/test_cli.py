@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -691,7 +692,9 @@ class TestMultiscale:
     )
     def test_shift_with_no_admissible_subcube_is_config_error(self, tmp_path, capsys, sweep, shift, t):
         cfg = write_config(tmp_path, "multi.json", {"scenario": {"family": "curve", "resolution": 64}} | sweep)
-        assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        with mock.patch.object(cli, "_build", wraps=cli._build) as build:
+            assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert build.call_count == 0  # found before the scenario is built
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: shift {shift} leaves no admissible subcube at t={t}" in captured.err
@@ -701,7 +704,7 @@ class TestMultiscale:
         # The rank test flags 63 of the 64 cells, so the first fit already
         # keeps fewer than half of its patch's cells.
         scenario = {"family": "graph", "dim": 2, "resolution": 8, "epsilon": 1e300}
-        cfg = write_config(tmp_path, "multi.json", {"scenario": scenario, "t_values": [1, 2]})
+        cfg = write_config(tmp_path, "multi.json", {"scenario": scenario, "t_values": [1, 4]})
         with np.errstate(all="ignore"):
             assert main(["multiscale", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
@@ -989,6 +992,41 @@ class TestSnapshotAndPlumbing:
         assert main(["rigidity", "--config", rig, "--out", str(tmp_path / "out"), *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, warning",
+        [
+            (["lemmas"], ["--p", "3"], "--p/--eps have no effect on the lemma suite"),
+            (["lemmas"], ["--eps", "0.3"], "--p/--eps have no effect on the lemma suite"),
+            (["snapshot", "read"], ["--p", "3"], "--p/--n/--eps/--seed have no effect on snapshot read"),
+            (["snapshot", "read"], ["--n", "32"], "--p/--n/--eps/--seed have no effect on snapshot read"),
+            (["snapshot", "read"], ["--eps", "0.3"], "--p/--n/--eps/--seed have no effect on snapshot read"),
+            (["snapshot", "read"], ["--seed", "4"], "--p/--n/--eps/--seed have no effect on snapshot read"),
+            (["snapshot", "write"], ["--eps", "0.3"], "--eps has no effect on snapshot write"),
+        ],
+    )
+    def test_ignored_flags_are_named_on_stderr(self, tmp_path, capsys, argv, flag, warning):
+        snap = {"scenario": {"family": "graph", "dim": 2, "resolution": 8, "epsilon": 0.1}}
+        lemmas = {"samples": 5, "curve_resolution": 32}
+        cfg = write_config(tmp_path, "cfg.json", lemmas if argv == ["lemmas"] else snap)
+        writer = ["snapshot", "write", "--config", write_config(tmp_path, "snap.json", snap)]
+        assert main(writer + ["--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        run = argv + ([str(tmp_path / "snapshot.json")] if argv[-1] == "read" else ["--config", cfg])
+        out = tmp_path / "out"
+        outputs = []
+        for extra in ([], flag):
+            assert main(run + ["--out", str(out)] + extra) == 0
+            written = sorted((p.name, p.read_bytes()) for p in out.iterdir()) if out.exists() else []
+            outputs.append((capsys.readouterr(), written))
+        (plain, plain_files), (flagged, flagged_files) = outputs
+        assert plain.err == "" and flagged.err == f"warning: {warning}\n"
+        # the flag changes nothing but that line: the same printout, the same files
+        assert flagged.out == plain.out and flagged_files == plain_files
+        # the flags a subcommand reads draw no warning
+        if argv[-1] != "read":
+            assert main(run + ["--out", str(out), "--n", "8", "--seed", "4"]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_snapshot_read_missing_path(self, tmp_path):
         assert main(["snapshot", "read"]) == 2

@@ -68,6 +68,7 @@ DELETED = [
     (rigidity.PlaneField, "plane"),
     (rigidity.PlaneField, "complement"),
     (rigidity, "_as_cell_index"),
+    (rigidity, "_base_cell"),
 ]
 
 

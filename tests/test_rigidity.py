@@ -35,6 +35,7 @@ from rigidkit.rigidity import (
     _gap_directions,
     _gap_scores,
     _score_bounds,
+    admissible_subcubes,
     asymptotic_sequence_run,
     choose_base_point,
     euclidean_best_rotation,
@@ -127,7 +128,13 @@ def family_field(family):
 
 
 def family_planes(family):
-    return tangent_plane_field(family_field(family))
+    """The planes of a `family_field` family, or for "collapsed_<family>" of
+    that family with `collapsed_cells` made degenerate."""
+    u = family_field(family.removeprefix("collapsed_"))
+    if family.startswith("collapsed_"):
+        u = collapsed_cells(u, 4)
+        assert u.degenerate_count > 0
+    return tangent_plane_field(u)
 
 
 def pinned_fields(name):
@@ -775,7 +782,11 @@ class TestChooseBasePoint:
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0])
     @pytest.mark.parametrize(
         "family",
-        ["graph", "curve_constant", "curve_wave", "latitude", "perturbed_sheet", "perturbed_curve"],
+        [
+            prefix + name
+            for prefix in ("", "collapsed_")
+            for name in ("graph", "curve_constant", "curve_wave", "latitude", "perturbed_sheet", "perturbed_curve")
+        ],
     )
     def test_filter_matches_unfiltered_scan(self, family, p):
         planes = family_planes(family)
@@ -805,20 +816,20 @@ class TestChooseBasePoint:
             assert choose_base_point(planes, p) == unfiltered_base_point(planes, p)
         # an exactly cancelling pool has no anchor direction: every row is kept
         ring = np.concatenate([comps[:100], -comps[:100]])
-        assert _bound_survivors(ring, ring, 3.0).all()
+        assert _bound_survivors(ring, 3.0).all()
 
     def test_keep_everything_cases(self):
         r4 = tangent_plane_field(clifford_patch(12))
         comps = r4.complements.reshape(-1, 4, 2)
         assert comps.shape[0] ** 2 >= rigidity._BOUND_MIN_PAIRS
         assert _gap_directions(comps) is None
-        assert _bound_survivors(comps, comps, 3.0).all()
+        assert _bound_survivors(comps, 3.0).all()
         assert choose_base_point(r4, 3.0) == unfiltered_base_point(r4, 3.0)
         planes = family_planes("latitude")
         comps = planes.complements.reshape(-1, 3, 2)
-        assert _bound_survivors(comps, comps, 1.5).all()
+        assert _bound_survivors(comps, 1.5).all()
         assert choose_base_point(planes, 1.5) == unfiltered_base_point(planes, 1.5)
-        assert not _bound_survivors(comps, comps, 3.0).all()
+        assert not _bound_survivors(comps, 3.0).all()
         small = tangent_plane_field(latitude_circle(GridDomain(1, 0.3, 64), 1.0, 1.1))
         assert 64**2 < rigidity._BOUND_MIN_PAIRS
         with mock.patch.object(rigidity, "_bound_survivors", side_effect=AssertionError):
@@ -846,17 +857,31 @@ class TestChooseBasePoint:
     def test_stack_with_a_degenerate_cell_equals_one_patch_calls(self, ambient, r, p):
         # Random complements have no ties, so every path must pick the same cell.
         rng = np.random.default_rng(211 + 10 * ambient + int(p))
-        comps = np.stack([random_frame(rng, ambient, r) for _ in range(5 * 40)]).reshape(5, 40, ambient, r)
-        good = np.ones((5, 40), dtype=bool)
-        singles = [rigidity._base_cells(comps[s : s + 1], good[s : s + 1], p)[0] for s in range(5)]
-        good[2, singles[2]] = False
-        singles[2] = rigidity._base_cells(comps[2:3], good[2:3], p)[0]
-        with mock.patch.object(rigidity, "_base_cell", wraps=rigidity._base_cell) as loop:
-            plain = np.delete(np.arange(5), 2)
-            assert rigidity._base_cells(comps[plain], good[plain], p).tolist() == [singles[s] for s in plain]
-            assert loop.call_count == 0
-            assert rigidity._base_cells(comps, good, p).tolist() == singles
-            assert loop.call_count == 5
+        lines = r == 1 and p == 2.0
+        # 40 candidates a patch are scored as one stack, 100 go through the bound filter
+        for m in (40, 100):
+            filtered = not lines and m * m >= rigidity._BOUND_MIN_PAIRS
+            comps = np.stack([random_frame(rng, ambient, r) for _ in range(5 * m)]).reshape(5, m, ambient, r)
+            singles = [rigidity._base_cells(comps[s : s + 1], p)[0] for s in range(5)]
+            with mock.patch.object(rigidity, "_gap_directions", wraps=rigidity._gap_directions) as directions:
+                assert rigidity._base_cells(comps, p).tolist() == singles
+            # one embedding per filtered patch, serving both sides of its bound
+            assert directions.call_count == (5 if filtered else 0)
+
+            # Patch 2's winner turns degenerate, with a coordinate frame for
+            # its placeholder complement: it leaves the candidates before
+            # `_base_cells` sees them, and the choice is the one among the rest.
+            degenerate = np.zeros(m, dtype=bool)
+            degenerate[singles[2]] = True
+            placeholder = comps[2].copy()
+            placeholder[singles[2]] = np.eye(ambient)[:, ambient - r :]
+            grid = GridDomain(1, 1.0, m)
+            planes = rigidity.PlaneField(grid, np.zeros((m, ambient, 1)), placeholder, degenerate)
+            with mock.patch.object(rigidity, "_base_cells", wraps=rigidity._base_cells) as choose:
+                cell = choose_base_point(planes, p)
+            (seen, _), _ = choose.call_args
+            np.testing.assert_array_equal(seen, comps[2][None, ~degenerate])
+            assert cell == unfiltered_base_point(planes, p) != (singles[2],)
 
     @settings(max_examples=300, deadline=None)
     @given(frames=complement_clouds(), p=st.one_of(st.just(2.0), st.floats(2.0, 12.0)))
@@ -872,9 +897,9 @@ class TestChooseBasePoint:
             exact = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(w[k], w[0]))
             assert abs(Fraction(gap_sq[k]) - exact) <= 72 * 2.0**-53 + 3.5 * (delta[k] + delta[0])
         scores = _gap_scores(frames, frames, p)
-        keep = _bound_survivors(frames, frames, p)
+        keep = _bound_survivors(frames, p)
         assert keep[scores == scores.min()].all()
-        bounds = _score_bounds(w, w, p)
+        bounds = _score_bounds(w, p)
         if bounds is None:
             assert keep.all()
             return
@@ -1224,7 +1249,12 @@ class TestMultiscaleFit:
         u = build_scenario(spec).u
         if collapsed:
             u = collapsed_cells(u, n // t)
-        field = multiscale_fit(u, build_metric(u.grid, "flat"), t, p=p)
+        with mock.patch.object(rigidity, "_base_cells", wraps=rigidity._base_cells) as choose:
+            field = multiscale_fit(u, build_metric(u.grid, "flat"), t, p=p)
+        # every non-degenerate cell reaches the choice once, and no degenerate one
+        assert sum(call.args[0].shape[0] * call.args[0].shape[1] for call in choose.call_args_list) == (
+            u.grid.cell_count - u.degenerate_count
+        )
         block = n // t
         assert len(field.fits) == t**dim
         for fit, index in zip(field.fits, itertools.product(range(t), repeat=dim)):
@@ -1386,6 +1416,29 @@ class TestTranslationModulus:
         grid = GridDomain(1, 1.0, n)
         u = curvature_curve(grid, kappa=1.0)
         return multiscale_fit(u, build_metric(grid, "flat"), t)
+
+    @pytest.mark.parametrize("dim, n", [(1, 60), (2, 12)])
+    def test_admissible_rule_agrees_with_the_covered_fraction(self, dim, n):
+        # Every t from 1 to 6 that divides n; shifts inside the domain, of
+        # either sign, and at least as long as its side.
+        length = 1.5
+        grid = GridDomain(dim, length, n)
+        u = curvature_curve(grid, kappa=1.0) if dim == 1 else flat_inclusion(n, length)
+        g = build_metric(grid, "flat")
+        steps = [0.0, 0.1, 0.25, 0.5, 0.75, 0.99, 1.0, 1.2]
+        shifts = [length * s for s in steps] + [-length * s for s in steps[1:]]
+        zetas = [[s] for s in shifts] if dim == 1 else [[s, z] for s in shifts for z in (0.0, 0.2, -0.6)]
+        outcomes = set()
+        for t in (t for t in range(1, 7) if n % t == 0):
+            field = multiscale_fit(u, g, t)
+            for zeta in zetas:
+                axes = admissible_subcubes(length, t, zeta)
+                covered = translation_modulus(field, zeta).covered_fraction
+                assert (axes is not None) == (covered > 0.0), (t, zeta)
+                if axes is not None:
+                    assert covered == math.prod(len(a) for a in axes) / t**dim
+                outcomes.add(axes is not None)
+        assert outcomes == {True, False}
 
     def test_zero_shift_is_exactly_zero(self):
         field = self.circle_field()

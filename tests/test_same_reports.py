@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rigidkit.scenarios import ScenarioSpec, build_map
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -73,7 +75,8 @@ def test_untimed_catches_a_subcube_oscillation_that_multiscale_flat_never_measur
 def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     ops = same_reports.untimed_ops(3)
-    fits, lemmas, large, lengths, below, flat = ops[:30], ops[30:33], ops[33:35], ops[35:37], ops[37:39], ops[39:]
+    fits, lemmas, large, lengths, below = ops[:30], ops[30:33], ops[33:35], ops[35:37], ops[37:39]
+    flat, ragged = ops[39:45], ops[45:]
     runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in fits]
     assert runs == [
         *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
@@ -115,11 +118,25 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     ]
     assert all(op.config["scenario"]["metric_kind"] == "flat" for op in flat)
     assert [len(op.config.get("epsilons", ())) for op in flat] == [0, 0, 0, 0, 3, 3]
+    # last, a graph with degenerate cells: a p = 3 fit and a p = 2 sweep
+    shapes = [
+        (op.command, op.grid_cells, op.config["scenario"]["p"], op.config["scenario"]["metric_kind"]) for op in ragged
+    ]
+    assert shapes == [("rigidity", 32**2, 3.0, "random"), ("multiscale", 32**2, 2.0, "linear")]
+    degenerate = build_map(ScenarioSpec.from_dict(ragged[1].config["scenario"])).degenerate
+    assert all(op.config["scenario"]["family"] == "graph" for op in ragged) and degenerate.any()
+    # fewer than half of every subcube's cells, so each fit runs on its ragged patches
+    for t in ragged[1].config["t_values"]:
+        per_subcube = degenerate.reshape(t, 32 // t, t, 32 // t).sum(axis=(1, 3))
+        assert (2 * per_subcube < (32 // t) ** 2).all(), t
     # the flat ops are drawn after every earlier draw, so ops 0-38 keep the
     # configs they had before the flat ops came: this digest of their list
     earlier = json.dumps([[op.command, op.config] for op in ops[:39]], sort_keys=True).encode()
     assert hashlib.sha256(earlier).hexdigest() == "b663104a09a24f4c4595fb8ba435fb7ce3140ccb04ed4e7b6f2c5eca208d95f3"
-    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 45
+    # and so are the degenerate-cell ops: ops 0-44 keep theirs from before them
+    earlier = json.dumps([[op.command, op.config] for op in ops[:45]], sort_keys=True).encode()
+    assert hashlib.sha256(earlier).hexdigest() == "da67fe173e646d35d552a07f2a267a50af5d854c622abd44d597826ad65703b0"
+    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 47
 
     ops_path = tmp_path / "ops.json"
     ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))

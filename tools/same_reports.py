@@ -10,7 +10,7 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 45
+The workload is one of the benchmark's, or `untimed`: a fixed list of 47
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
@@ -34,7 +34,10 @@ metric, which the benchmark only sweeps with `multiscale`: `rigidity` fits
 on the local route (a d = 2 `graph` at p = 2 and a d = 1 `latitude` arc
 at p = 3) and on the metric route (`perturbed_identity` at d = 2, p = 2,
 and d = 3, p = 3), a d = 2 `scaling` sweep and a three-member d = 1
-`asymptotic` run at p = 3, both on `perturbed`.
+`asymptotic` run at p = 3, both on `perturbed`; last, two runs on a 32 x 32
+`graph` at epsilon 3.4e11, whose rank test flags some cells as degenerate,
+so the base-cell choice drops them: a p = 3 `rigidity` fit on a random
+metric and a p = 2 `multiscale` sweep on a linear metric.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -315,6 +318,20 @@ def untimed_ops(seed: int) -> list:
         }
         top = math.exp(draw.uniform(math.log(0.02), math.log(0.1)))
         runs.append((command, {"scenario": scenario, "epsilons": [top / 2**k for k in range(3)]}))
+    # Last, a 32 x 32 `graph` at epsilon 3.4e11, whose rank test flags 88
+    # cells as degenerate, at most 13 of the 64 in any t = 4 subcube: a p = 3
+    # `rigidity` fit on a random metric, one ragged patch through the bound
+    # filter, and a p = 2 `multiscale` sweep on a linear metric, whose ragged
+    # subcubes split off the stack.
+    for command, kind, p, extra in (
+        ("rigidity", "random", 3.0, {}),
+        ("multiscale", "linear", 2.0, {"t_values": [1, 2, 4]}),
+    ):
+        scenario = {
+            "family": "graph", "dim": 2, "resolution": 32, "epsilon": 3.4e11, "metric_kind": kind, "p": p,
+            "seed": draw.randrange(2**31 - 1),
+        }
+        runs.append((command, {"scenario": scenario, **extra}))
 
     def size(config: dict) -> int:
         """Grid cells of a scenario; for the lemma suite, its arc's cells."""
