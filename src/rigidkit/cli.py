@@ -107,9 +107,10 @@ def _load_config(args) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(config) - _COMMANDS[args.command][2]
+    run, keys, _ = _reads(args)
+    unknown = set(config) - keys
     if unknown:
-        raise ConfigError(f"unknown {args.command} config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {run} config keys: {sorted(unknown)}")
     return config
 
 
@@ -572,7 +573,7 @@ def cmd_snapshot(args, config: dict) -> _Run:
     return _Run(
         "snapshot_report",
         {"snapshot": _SNAPSHOT},
-        [f"wrote {Path(args.out) / _SNAPSHOT}"],
+        [f"wrote {Path(args.out or '.') / _SNAPSHOT}"],
         spec={"scenario": spec.to_dict()},
         seed=spec.seed,
         checks={"written": True},
@@ -584,7 +585,7 @@ def cmd_snapshot(args, config: dict) -> _Run:
 
 # The flags that override a setting of the run, and subcommand -> (help,
 # handler, the top-level config keys it reads, the flags of `_FLAGS` it reads,
-# by mode for `snapshot`); any other key is a config error rather than a
+# both by mode for `snapshot`); any other key is a config error rather than a
 # setting the run would silently ignore, and any other flag draws a warning.
 _FLAGS = ("p", "n", "eps", "seed")
 _COMMANDS = {
@@ -600,26 +601,38 @@ _COMMANDS = {
         "shrinking-perturbation family run", cmd_asymptotic, {"scenario", "epsilons", "reference", "threshold"}, _FLAGS
     ),
     "snapshot": (
-        "write or read immersion snapshots", cmd_snapshot, {"scenario"}, {"write": {"p", "n", "seed"}, "read": ()}
+        "write or read immersion snapshots",
+        cmd_snapshot,
+        {"write": {"scenario"}, "read": set()},
+        {"write": {"p", "n", "seed"}, "read": ()},
     ),
 }
 
 
+def _reads(args) -> tuple[str, set, set]:
+    """The run as messages name it, and the config keys and flags of `_FLAGS` it reads."""
+    _, _, keys, flags = _COMMANDS[args.command]
+    if isinstance(keys, dict):
+        return f"{args.command} {args.mode}", keys[args.mode], flags[args.mode]
+    return args.command, keys, flags
+
+
 def _warn_ignored_flags(args) -> None:
-    """Name on stderr the flags of `_FLAGS` the run does not read, when any of them is given."""
-    reads, run = _COMMANDS[args.command][3], "the lemma suite" if args.command == "lemmas" else args.command
-    if isinstance(reads, dict):
-        reads, run = reads[args.mode], f"{args.command} {args.mode}"
+    """Name on stderr the given flags the run does not read: of `_FLAGS`, and --out on `snapshot read`."""
+    run, _, reads = _reads(args)
     ignored = [f"--{flag}" for flag in _FLAGS if flag not in reads]
     if any(getattr(args, flag[2:]) is not None for flag in ignored):
         verb = "has" if len(ignored) == 1 else "have"
-        print(f"warning: {'/'.join(ignored)} {verb} no effect on {run}", file=sys.stderr)
+        suite = "the lemma suite" if run == "lemmas" else run
+        print(f"warning: {'/'.join(ignored)} {verb} no effect on {suite}", file=sys.stderr)
+    if args.out is not None and run == "snapshot read":
+        print(f"warning: --out has no effect on {run}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file")
-    shared.add_argument("--out", default=".", help="output directory (default: current)")
+    shared.add_argument("--out", help="output directory (default: current)")
     shared.add_argument("--p", type=float, help="override the exponent p")
     shared.add_argument("--seed", type=int, help="override the seed (beats RIGIDITY_SEED and the file)")
     shared.add_argument("--n", type=int, help="override the resolution (sample count for lemmas)")
@@ -645,7 +658,7 @@ def main(argv=None) -> int:
         config = _load_config(args)
         _warn_ignored_flags(args)
         run = _COMMANDS[args.command][1](args, config)
-        _emit(Path(args.out), args.command, run)
+        _emit(Path(args.out or "."), args.command, run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,9 @@ import numpy as np
 from .metric_algebra import (
     _EIGENVALUE_FLOOR,
     _SYMMETRY_TOL,
+    _full_rank,
     _repeats_one,
+    _square_extremes,
     _times_inv_sqrt,
     frobenius,
     isometry_defect,
@@ -29,7 +31,6 @@ from .metric_algebra import (
     spd_inv_sqrt,
 )
 
-_RANK_TOL = 1e-12
 _ON_MANIFOLD_TOL = 1e-8
 # Diameter pruning: the lower bound comes from at most this many
 # farthest-point sweeps, and the filter compares with this much relative
@@ -71,41 +72,6 @@ def _power(base: float, dim: int) -> float:
         return base**dim
     except OverflowError:
         return float("inf")
-
-
-def _full_rank(sing: np.ndarray) -> np.ndarray:
-    """The rank test on singular values (..., k) in descending order: the
-    least must exceed 1e-12 times max(1, the largest)."""
-    return sing[..., -1] > _RANK_TOL * np.maximum(sing[..., 0], 1.0)
-
-
-def _square_extremes(x: np.ndarray) -> np.ndarray:
-    """The singular values `_full_rank` reads, (..., k) in descending order,
-    of square maps x (..., d, d): |x| for d = 1, (s_max, s_min) for d = 2,
-    and a value-only SVD for d >= 3.
-
-    For d = 2, s_max = c + a from the conformal split of `isometry_defect`
-    (c = hypot(x00 + x11, x10 - x01) / 2, a = hypot(x00 - x11, x10 + x01) / 2)
-    and s_min = |det x| / s_max, with no square of an entry to overflow or
-    a Gram to square the condition number.  The determinant is taken with
-    the first column scaled by 2^-e, e the `frexp` exponent of its largest
-    |entry|, and divided by 2^-e s_max >= 1/2: exact scalings, so s_min
-    neither overflows nor loses bits to them.  Both values are within a few
-    u s_max of the SVD's, so the verdicts agree except within a relative
-    1e-3 of the 1e-12 threshold, where the SVD's own rounding decides.
-    """
-    dim = x.shape[-1]
-    if dim == 1:
-        return np.abs(x[..., 0])
-    if dim > 2:
-        return np.linalg.svd(x, compute_uv=False)
-    x00, x01, x10, x11 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
-    s_max = 0.5 * (np.hypot(x00 + x11, x10 - x01) + np.hypot(x00 - x11, x10 + x01))
-    shift = -np.frexp(np.maximum(np.abs(x00), np.abs(x10)))[1]
-    det = np.ldexp(x00, shift) * x11 - np.ldexp(x10, shift) * x01
-    scaled = np.ldexp(s_max, shift)
-    s_min = np.divide(np.abs(det), scaled, out=np.zeros_like(scaled), where=scaled > 0.0)
-    return np.stack([s_max, s_min], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -571,13 +537,9 @@ class ImmersionField:
         lies outside about [6.7e-139, 1.5e138].  4 x 3 windows (d = 3, or
         d = 2 on S^3) take another dgesdd path and agree to round-off.
 
-        A cell is degenerate when the window's least singular value is at
-        most 1e-12 times max(1, its largest), or on spheres when its cell
-        point has zero norm.  The values are R's: |r00| for one column; for
-        R = [[a, b], [0, c]], s_max = (hypot(a + c, b) + hypot(a - c, b))/2
-        and s_min = |a| (|c| / s_max), with no square or determinant to
-        cancel near rank loss or to overflow; larger R (D >= 4) take a
-        value-only SVD.  On spheres the window's test covers the test on the
+        A cell is degenerate when the window fails `metric_algebra`'s rank
+        test, read off R's square block, or on spheres when its cell point
+        has zero norm.  On spheres the window's test covers the test on the
         differential alone: appending a column interlaces the singular
         values, so the window's least one is at most the differential's and
         its largest at least theirs.
@@ -608,25 +570,19 @@ class ImmersionField:
         q, r = np.linalg.qr(window, mode="complete")
         normal = q[..., -1].copy()
         del q
+        degenerate = ~_full_rank(_square_extremes(r[..., : big - 1, :]))
         if big == 2:
-            extremes = np.abs(r[..., :1, 0])
             orient = du[..., 0, 0] * normal[..., 1] - du[..., 1, 0] * normal[..., 0]
         elif big == 3:
-            a, b, c = r[..., 0, 0], r[..., 0, 1], r[..., 1, 1]
-            s_max = 0.5 * (np.hypot(a + c, b) + np.hypot(a - c, b))
-            ratio = np.divide(np.abs(c), s_max, out=np.zeros_like(s_max), where=s_max > 0.0)
-            extremes = np.stack([s_max, np.abs(a) * ratio], axis=-1)
             if sphere:
                 first, second = self.radial, du[..., 0]
             else:
-                first, second = np.ldexp(du[..., 0], -np.frexp(a)[1][..., None]), du[..., 1]
+                first, second = np.ldexp(du[..., 0], -np.frexp(r[..., 0, 0])[1][..., None]), du[..., 1]
             orient = np.einsum("...i,...i->...", normal, np.cross(first, second))
         else:
-            extremes = np.linalg.svd(r[..., : big - 1, :], compute_uv=False)
             radial = [self.radial[..., :, None]] if sphere else []
             orient = np.linalg.det(np.concatenate([*radial, du, normal[..., :, None]], axis=-1))
         del r
-        degenerate = ~_full_rank(extremes)
         if sphere:
             degenerate |= ~self.radial.any(axis=-1)
         flip = orient < 0

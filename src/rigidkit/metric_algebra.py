@@ -4,12 +4,14 @@ Linear maps are plain float arrays of shape (rows, cols).  A map T from
 (R^d, g) into (R^D, euclidean) is measured in the metric Frobenius norm,
 which equals the Euclidean Frobenius norm of T @ g^(-1/2).  Every such norm
 of a stack in the package is `metric_norm(T, g^(-1/2))`, and every other
-two-axis Frobenius norm `frobenius`, under one rounding contract: both
-equal `np.linalg.norm(..., axis=(-2, -1))` of their matrices bit for bit,
-and on a constant metric the product is one (M, d) x (d, d).  Isometries from
-(R^d, g) are the matrices R with R^T R = gram(g); the orientation-preserving
-ones additionally have positive determinant in any positively oriented frame
-of their image.
+two-axis Frobenius norm `frobenius`, under one rounding contract: both equal
+`np.linalg.norm(..., axis=(-2, -1))` of their matrices bit for bit, and on a
+constant metric the product is one (M, d) x (d, d).  A map has full rank
+when its least singular value exceeds 1e-12 max(1, its largest); every rank
+test in the package is `_full_rank(_square_extremes(x))` on a square map x.
+Isometries from (R^d, g) are the matrices R with R^T R = gram(g); the
+orientation-preserving ones additionally have positive determinant in any
+positively oriented frame of their image.
 
 Every formula is written once, as an array kernel over leading axes: it
 takes stacks (..., r, c) of maps, Gram matrices or frames and returns one
@@ -32,6 +34,7 @@ REL_TOL = 1e-8
 _SYMMETRY_TOL = 1e-12
 _EIGENVALUE_FLOOR = 1e-14
 _FRAME_TOL = 1e-10
+_RANK_TOL = 1e-12
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -111,6 +114,39 @@ def _closed_extremes(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         lam_max = 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
         lam_min = np.minimum(det / lam_max, 0.5 * (a + c))
         return lam_min, lam_max, np.sqrt(det)
+
+
+def _full_rank(sing: np.ndarray) -> np.ndarray:
+    """The rank test on singular values (..., k) in descending order."""
+    return sing[..., -1] > _RANK_TOL * np.maximum(sing[..., 0], 1.0)
+
+
+def _square_extremes(x: np.ndarray) -> np.ndarray:
+    """The singular values `_full_rank` reads, (..., k) in descending order,
+    of square maps x (..., d, d): |x| for d = 1, (s_max, s_min) for d = 2,
+    and a value-only SVD for d >= 3.
+
+    For d = 2, s_max = c + a from the conformal split of `isometry_defect`
+    and s_min = |det x| / s_max, with no square of an entry to overflow or
+    a Gram to square the condition number.  The determinant is taken with
+    the first column scaled by 2^-e, e the `frexp` exponent of its largest
+    |entry|, and divided by 2^-e s_max >= 1/2: exact scalings, so s_min
+    neither overflows nor loses bits to them.  Both values are within a few
+    u s_max of the SVD's, so the verdicts agree except within a relative
+    1e-3 of the threshold, where the SVD's own rounding decides.
+    """
+    dim = x.shape[-1]
+    if dim == 1:
+        return np.abs(x[..., 0])
+    if dim > 2:
+        return np.linalg.svd(x, compute_uv=False)
+    x00, x01, x10, x11 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    s_max = 0.5 * (np.hypot(x00 + x11, x10 - x01) + np.hypot(x00 - x11, x10 + x01))
+    shift = -np.frexp(np.maximum(np.abs(x00), np.abs(x10)))[1]
+    det = np.ldexp(x00, shift) * x11 - np.ldexp(x10, shift) * x01
+    scaled = np.ldexp(s_max, shift)
+    s_min = np.divide(np.abs(det), scaled, out=np.zeros_like(scaled), where=scaled > 0.0)
+    return np.stack([s_max, s_min], axis=-1)
 
 
 def checked_grams(gram: np.ndarray) -> np.ndarray:

@@ -24,9 +24,7 @@ from .fields import (
     MetricField,
     ReferenceShape,
     _energy_sums,
-    _full_rank,
     _normal_differential,
-    _square_extremes,
     _subgrid,
     _without_radial_part,
     energies,
@@ -34,6 +32,8 @@ from .fields import (
 )
 from .metric_algebra import (
     _entry_sums,
+    _full_rank,
+    _square_extremes,
     _times_inv_sqrt,
     frobenius,
     isometry_defect,
@@ -690,16 +690,9 @@ class _Patches:
 
 def _flatten(du: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Fᵀ·du for the cell maps du (S, N, D, d) of each patch and its frame F
-    (S, D, d): (S, N, d, d).
-
-    F is shared by every cell of a patch, so for d >= 2 this is one product
-    per patch: the rows of every cell's du^T, stacked (S, N d, D), times F,
-    then transposed back, which equals the per-cell product bit for bit.  At
-    d = 1 numpy runs that product as one matrix-vector product, which rounds
-    unlike each cell's dot product, so curves keep the per-cell product.
-    """
-    if du.shape[-1] == 1:
-        return np.swapaxes(frame, -1, -2)[:, None] @ du
+    (S, D, d): (S, N, d, d), as one product per patch: the rows of every
+    cell's du^T, stacked (S, N d, D), times F, then transposed back.  For
+    d >= 2 that equals the per-cell product bit for bit."""
     rows = np.swapaxes(du, -1, -2).reshape(du.shape[0], -1, du.shape[-2])
     return np.swapaxes((rows @ frame).reshape(du.shape[:-2] + du.shape[-1:] * 2), -1, -2)
 
@@ -931,7 +924,7 @@ def multiscale_fit(u: ImmersionField, g: MetricField, t: int, p: float = 2.0) ->
     `_Patches.subcubes`), flattening is Fᵀ·du on that cell data, each
     subcube's products and sums keep their one-subcube shapes (the factors
     F and T^{-1} that all of a subcube's cells share are one product per
-    subcube, equal to the per-cell products), and so every subcube report
+    subcube, shaped as for that subcube alone), and so every subcube report
     equals, bit for bit, what `local_rigidity` gives on a fresh
     `ImmersionField`/`MetricField` built on the sliced nodes over the
     sub-grid (at t = 1, on `u` and `g` themselves).  Work runs per subcube

@@ -192,11 +192,12 @@ class TestRigidity:
         snap = tmp_path / "antipodes.json"
         snapshot_save(snap, ImmersionField(grid, TargetSpace.sphere(1, 1.0), values), build_metric(grid, "flat"))
         if command == "rigidity":
-            argv = ["rigidity", "--config", write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})]
+            cfg = write_config(tmp_path, "cfg.json", {"snapshot": str(snap)})
+            argv = ["rigidity", "--config", cfg, "--out", str(tmp_path / "out")]
         else:
             argv = ["snapshot", "read", str(snap)]
         with np.errstate(all="raise"):
-            assert main(argv + ["--out", str(tmp_path / "out")]) == code
+            assert main(argv) == code
         captured = capsys.readouterr()
         if code == 3:
             assert captured.err.startswith("degenerate scenario: ")
@@ -883,7 +884,7 @@ def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command, key):
     cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario, **extra, key: 1e300})
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: unknown {argv[0]} config keys: ['{key}']\n"
+    assert captured.err == f"error: unknown {' '.join(argv)} config keys: ['{key}']\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -1012,11 +1013,11 @@ class TestSnapshotAndPlumbing:
         writer = ["snapshot", "write", "--config", write_config(tmp_path, "snap.json", snap)]
         assert main(writer + ["--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        run = argv + ([str(tmp_path / "snapshot.json")] if argv[-1] == "read" else ["--config", cfg])
         out = tmp_path / "out"
+        run = argv + ([str(tmp_path / "snapshot.json")] if argv[-1] == "read" else ["--config", cfg, "--out", str(out)])
         outputs = []
         for extra in ([], flag):
-            assert main(run + ["--out", str(out)] + extra) == 0
+            assert main(run + extra) == 0
             written = sorted((p.name, p.read_bytes()) for p in out.iterdir()) if out.exists() else []
             outputs.append((capsys.readouterr(), written))
         (plain, plain_files), (flagged, flagged_files) = outputs
@@ -1025,8 +1026,36 @@ class TestSnapshotAndPlumbing:
         assert flagged.out == plain.out and flagged_files == plain_files
         # the flags a subcommand reads draw no warning
         if argv[-1] != "read":
-            assert main(run + ["--out", str(out), "--n", "8", "--seed", "4"]) == 0
+            assert main(run + ["--n", "8", "--seed", "4"]) == 0
             assert capsys.readouterr().err == ""
+
+    def test_snapshot_read_takes_no_config_and_names_out(self, tmp_path, capsys, monkeypatch):
+        curve = write_config(tmp_path, "curve.json", {"scenario": {"family": "curve", "resolution": 16}})
+        assert main(["snapshot", "write", "--config", curve, "--out", str(tmp_path)]) == 0
+        snap = str(tmp_path / "snapshot.json")
+        capsys.readouterr()
+        assert main(["snapshot", "read", snap]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == "" and "degenerate cells: 0" in plain.out
+        # a config it would only key-check is a config error, before any output
+        graph = write_config(tmp_path, "graph.json", {"scenario": {"family": "graph", "dim": 2, "resolution": 64}})
+        elsewhere = tmp_path / "elsewhere"
+        assert main(["snapshot", "read", snap, "--config", graph, "--out", str(elsewhere)]) == 2
+        assert capsys.readouterr() == ("", "error: unknown snapshot read config keys: ['scenario']\n")
+        assert not elsewhere.exists()
+        # --out is named, and changes nothing else
+        assert main(["snapshot", "read", snap, "--out", str(elsewhere)]) == 0
+        assert capsys.readouterr() == (plain.out, "warning: --out has no effect on snapshot read\n")
+        assert not elsewhere.exists()
+        # `snapshot write` reads the same config as before, into --out or the current directory
+        for out, argv in ((elsewhere, ["--out", str(elsewhere)]), (tmp_path / "here", [])):
+            out.mkdir(exist_ok=True)
+            monkeypatch.chdir(out)
+            assert main(["snapshot", "write", "--config", graph, *argv]) == 0
+            printed = f"wrote {Path(*argv[1:]) / 'snapshot.json'}\n"
+            assert capsys.readouterr() == (printed, "")
+            assert sorted(p.name for p in out.iterdir()) == ["snapshot.json", "snapshot_report.json"]
+        assert (elsewhere / "snapshot.json").read_bytes() == (tmp_path / "here" / "snapshot.json").read_bytes()
 
     def test_snapshot_read_missing_path(self, tmp_path):
         assert main(["snapshot", "read"]) == 2

@@ -125,3 +125,27 @@ def test_metric_algebra_holds_the_only_matrix_norm():
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             assert not any(NORM_HELPER.search(name) for name in names), (where, names)
             assert not _two_axis_reduction(node), where
+
+
+# The rank test's kernels and threshold, by the words their names are made
+# of.  `metric_algebra` holds the one copy of each.
+RANK_HELPER = re.compile(r"extremes|full_rank|rank_tol", re.IGNORECASE)
+RANK_KERNELS = ["spd_extremes", "_square_extremes", "_full_rank"]
+
+
+def test_metric_algebra_holds_the_only_rank_test():
+    """No other module defines a function or class named for extreme
+    singular values or eigenvalues or for the rank test, or a top-level
+    name for its threshold: each would state the one rank rule a second
+    time."""
+    assert all(callable(getattr(metric_algebra, name)) for name in RANK_KERNELS)
+    assert metric_algebra._RANK_TOL == 1e-12
+    for path in sorted(Path(rigidkit.__file__).parent.glob("*.py")):
+        if path.name == "metric_algebra.py":
+            continue
+        tree = ast.parse(path.read_text())
+        top = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+        defined = [(n.lineno, n.name) for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        defined += [(t.lineno, t.id) for t in top if isinstance(t, ast.Name)]
+        for line, name in defined:
+            assert not RANK_HELPER.search(name), f"{path.name}:{line} {name}"

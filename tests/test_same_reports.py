@@ -76,7 +76,7 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     ops = same_reports.untimed_ops(3)
     fits, lemmas, large, lengths, below = ops[:30], ops[30:33], ops[33:35], ops[35:37], ops[37:39]
-    flat, ragged = ops[39:45], ops[45:]
+    flat, ragged, central = ops[39:45], ops[45:47], ops[47:]
     runs = [(op.command, op.config["scenario"]["metric_kind"], len(op.config.get("epsilons", ()))) for op in fits]
     assert runs == [
         *(("multiscale", kind, 0) for kind in ("random", "linear") for _ in range(10)),
@@ -136,7 +136,24 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     # and so are the degenerate-cell ops: ops 0-44 keep theirs from before them
     earlier = json.dumps([[op.command, op.config] for op in ops[:45]], sort_keys=True).encode()
     assert hashlib.sha256(earlier).hexdigest() == "da67fe173e646d35d552a07f2a267a50af5d854c622abd44d597826ad65703b0"
-    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 47
+    # last, central differences: a graph fit, a latitude sweep and the metric route
+    shapes = [
+        (op.command, scenario["family"], op.grid_cells, scenario["p"], scenario["metric_kind"])
+        for op in central
+        for scenario in [op.config["scenario"]]
+    ]
+    assert shapes == [
+        ("rigidity", "graph", 32**2, 3.0, "random"),
+        ("multiscale", "latitude", 512, 2.0, "flat"),
+        ("rigidity", "perturbed_identity", 32**2, 2.0, "linear"),
+    ]
+    assert central[1].config["t_values"] == [4, 16, 64]
+    assert all(op.config["scenario"]["mode"] == "central" for op in central)
+    assert not any("mode" in op.config.get("scenario", {}) for op in ops[:47])
+    # and ops 0-46 keep theirs from before them
+    earlier = json.dumps([[op.command, op.config] for op in ops[:47]], sort_keys=True).encode()
+    assert hashlib.sha256(earlier).hexdigest() == "23c81dd60a4a70b3e2d7cf20518b0f7f6d17bcd169e403683ba4000a819649d0"
+    assert [op.index for op in ops] == list(range(len(ops))) and len(ops) == 50
 
     ops_path = tmp_path / "ops.json"
     ops_path.write_text(json.dumps([[op.command, op.config] for op in ops]))
@@ -151,7 +168,9 @@ def test_untimed_runs_every_unbenchmarked_path(tmp_path):
             t_values = op.config["t_values"]
             dim = op.config["scenario"]["dim"]
             assert [len(reports) for reports in subcubes] == [t**dim for t in t_values]
-            assert max(report["osc_term"] for reports in subcubes for report in reports) > 0.0
+            # a flat metric has no oscillation; every other one some
+            flat_metric = op.config["scenario"]["metric_kind"] == "flat"
+            assert (max(report["osc_term"] for reports in subcubes for report in reports) > 0.0) != flat_metric
         else:
             assert subcubes == []
 

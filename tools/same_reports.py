@@ -10,7 +10,7 @@ hold only sums over subcubes, so for those ops every subcube report that
 
     python3 tools/same_reports.py TREE_A TREE_B --workload fit_mix --seed 5 --ops 96
 
-The workload is one of the benchmark's, or `untimed`: a fixed list of 47
+The workload is one of the benchmark's, or `untimed`: a fixed list of 50
 ops, seeded by `--seed`, for the runs no benchmark workload times.  Its
 first 20 are one block of `multiscale_flat` ops, once with a random and
 once with a linear metric, so the per-subcube oscillation search runs; then
@@ -37,7 +37,13 @@ and d = 3, p = 3), a d = 2 `scaling` sweep and a three-member d = 1
 `asymptotic` run at p = 3, both on `perturbed`; last, two runs on a 32 x 32
 `graph` at epsilon 3.4e11, whose rank test flags some cells as degenerate,
 so the base-cell choice drops them: a p = 3 `rigidity` fit on a random
-metric and a p = 2 `multiscale` sweep on a linear metric.
+metric and a p = 2 `multiscale` sweep on a linear metric; last, three runs
+with central differences, whose differentials and window rank tests no
+other op builds: a p = 3 `rigidity` fit of a 32 x 32 `graph` on a random
+metric, a `multiscale` sweep (`t_values` [4, 16, 64]) of a 512-cell
+`latitude` arc on a flat metric, whose windows are 3 x 2, and a p = 2
+`rigidity` fit of a 32 x 32 `perturbed_identity` on a linear metric, which
+takes the metric route.
 
 With `--rtol X` (and optionally `--atol Y`) floats x, y match when
 |x - y| <= X max(|x|, |y|) + Y: JSON report floats, and the decimal numbers
@@ -330,6 +336,29 @@ def untimed_ops(seed: int) -> list:
         scenario = {
             "family": "graph", "dim": 2, "resolution": 32, "epsilon": 3.4e11, "metric_kind": kind, "p": p,
             "seed": draw.randrange(2**31 - 1),
+        }
+        runs.append((command, {"scenario": scenario, **extra}))
+    # Last, three runs with central differences, which no earlier op takes:
+    # a p = 3 `rigidity` fit of a graph on a random metric, a `multiscale`
+    # sweep of a latitude arc on a flat metric, whose windows are 3 x 2, and
+    # a p = 2 `perturbed_identity` fit on a linear metric (the metric route).
+    for command, family, dim, n, kind, p, shape, extra in (
+        (
+            "rigidity", "graph", 2, 32, "random", 3.0,
+            {"epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1)))}, {},
+        ),
+        (
+            "multiscale", "latitude", 1, 512, "flat", 2.0,
+            {"polar": draw.uniform(math.pi / 4, 3 * math.pi / 4)}, {"t_values": [4, 16, 64]},
+        ),
+        (
+            "rigidity", "perturbed_identity", 2, 32, "linear", 2.0,
+            {"epsilon": math.exp(draw.uniform(math.log(0.02), math.log(0.1)))}, {},
+        ),
+    ):
+        scenario = {
+            "family": family, "dim": dim, "resolution": n, "metric_kind": kind, "p": p, "mode": "central",
+            "seed": draw.randrange(2**31 - 1), **shape,
         }
         runs.append((command, {"scenario": scenario, **extra}))
 
