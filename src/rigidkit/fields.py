@@ -11,6 +11,7 @@ the target.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .metric_algebra import (
     _repeats_one,
     _square_extremes,
     _times_inv_sqrt,
+    determinant,
     frobenius,
     isometry_defect,
     metric_norm,
@@ -382,7 +384,7 @@ def oscillation_and_diameter(
         widths.append((hi - lo) * grid.spacing)
         slices.append(slice(lo, hi + 1))
     grams = g.gram[tuple(slices)].reshape(-1, grid.dim * grid.dim)
-    return _max_pairwise_distance(grams), float(np.linalg.norm(widths))
+    return _max_pairwise_distance(grams), math.hypot(*widths)
 
 
 @dataclass(frozen=True)
@@ -474,8 +476,9 @@ class ImmersionField:
     and then kept: the cell points, the rank test and oriented unit normal
     (from one complete QR per cell, which for the 2 x 1 and 3 x 2 windows
     of d <= 2 is the full SVD's normal bit for bit, by the LAPACK path
-    argument in `_degenerate_and_normal`; no SVD and no determinant runs
-    there), the oriented complements (in closed form from the normal), the tangent
+    argument in `_degenerate_and_normal`, and whose sign is det Q times the
+    signs of R's diagonal; no SVD and no LU determinant runs there), the
+    oriented complements (in closed form from the normal), the tangent
     frames, the normal's difference field, and the shape operator solving
     differential @ S = P (normal differential)  in least squares.  The
     rigidity pipelines read no per-cell frame: they factor the differential
@@ -547,21 +550,20 @@ class ImmersionField:
         Sign convention: the normal completes the differential's columns to
         a positively oriented frame of the target's tangent space, the sign
         of det [du | n], or of det [r | du | n] on spheres (outward radial
-        first).  For D <= 3 that determinant is a closed form: du x n for
-        curves in R^2, n . (du0 x du1) for surfaces in R^3 and n . (r x du)
-        for arcs on S^2.  On every non-degenerate cell it has det's sign, so
-        every flip is the one a `det` pass makes.  With k <= 2 window
-        columns and u = 2^-53: the computed n is a unit vector orthogonal to
-        the columns up to O(u) |window|, so its part inside their span, which
-        adds nothing to det, has length O(u s_max / s_min), and the rank test
-        gives s_min > 1e-12 max(s_max, 1), so s_max / s_min < 1e12.  Hence
-        |det| >= (1 - 1e-3) s_min s_max^(k - 1).  A closed form errs by at
-        most about 5u s_max^k (r is a unit vector, and du0 enters scaled by a
-        power of two, which is exact and keeps du0 x du1 from overflowing),
-        below 5u 1e12 |det| < 1e-3 |det|.  LU's det errs by O(u) times the
-        condition number of [window | n] with unit columns, which the same
-        ratio keeps below about 1e12.  Both signs are therefore exact.
-        D >= 4 keeps det.
+        first).  The QR gives it with no second formula: with n = Q e_D,
+        [window | n] = Q [R | e_D], and [R | e_D] is upper triangular, so
+        det [window | n] = det Q * prod r_ii over R's square block.  Q is
+        orthogonal, so det Q is +-1 up to O(u), u = 2^-53, and its sign is
+        exact at any scale; so are the signs of the r_ii.  On spheres the
+        window holds r last, and moving it first is d transpositions.
+
+        On every non-degenerate cell that is the sign of det [window | n]
+        for the input window and the computed n.  Householder QR is backward
+        stable: the computed R and n are exact for some window + E and unit
+        n' with |E| = O(u) |window| and |n - n'| = O(u).  The rank test gives
+        s_max / s_min < 1e12, so between the two pairs each singular value of
+        the window moves by O(u) s_max < 1e-3 s_min and n keeps a part of
+        length near 1 orthogonal to its columns: det never reaches zero.
         """
         du = self.differential
         big = self.target.ambient_dim
@@ -569,19 +571,10 @@ class ImmersionField:
         window = np.concatenate([du, self.radial[..., :, None]], axis=-1) if sphere else du
         q, r = np.linalg.qr(window, mode="complete")
         normal = q[..., -1].copy()
+        turns = self.grid.dim if sphere else 0
+        orient = (-1) ** turns * determinant(q) * np.prod(np.sign(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
         del q
         degenerate = ~_full_rank(_square_extremes(r[..., : big - 1, :]))
-        if big == 2:
-            orient = du[..., 0, 0] * normal[..., 1] - du[..., 1, 0] * normal[..., 0]
-        elif big == 3:
-            if sphere:
-                first, second = self.radial, du[..., 0]
-            else:
-                first, second = np.ldexp(du[..., 0], -np.frexp(r[..., 0, 0])[1][..., None]), du[..., 1]
-            orient = np.einsum("...i,...i->...", normal, np.cross(first, second))
-        else:
-            radial = [self.radial[..., :, None]] if sphere else []
-            orient = np.linalg.det(np.concatenate([*radial, du, normal[..., :, None]], axis=-1))
         del r
         if sphere:
             degenerate |= ~self.radial.any(axis=-1)

@@ -370,9 +370,32 @@ def _metric_frame_fit(du: np.ndarray, gram: np.ndarray, p: float) -> np.ndarray:
     return _fit_rotations(flat, p) @ spd_sqrt(gram)
 
 
-def _oscillation_term(grid: GridDomain, oscillation: float, p: float) -> float:
-    """Domain volume times the p-th power of the metric oscillation over the grid."""
-    return grid.volume * oscillation**p
+def _report(
+    grid: GridDomain,
+    osc: float,
+    p: float,
+    base_index: tuple[int, ...],
+    rotation: np.ndarray,
+    lhs: float,
+    stretch: float,
+    bend_scale: float = 0.0,
+    plane_variation: float = 0.0,
+) -> RigidityReport:
+    """The report of one fit on `grid`: its oscillation term is the domain
+    volume times the p-th power of the metric oscillation `osc`, and its
+    constant is lhs over the sum of the right-hand terms, guarded."""
+    osc_term = grid.volume * osc**p
+    return RigidityReport(
+        p=p,
+        base_index=base_index,
+        rotation=rotation,
+        lhs=lhs,
+        osc_term=osc_term,
+        stretch=stretch,
+        bend_scale=bend_scale,
+        plane_variation=plane_variation,
+        constant=_guarded_ratio(lhs, osc_term + stretch + bend_scale),
+    )
 
 
 def metric_rigidity(u: GridMap, g: MetricField, p: float = 2.0) -> RigidityReport:
@@ -397,19 +420,7 @@ def metric_rigidity(u: GridMap, g: MetricField, p: float = 2.0) -> RigidityRepor
     lhs = float(grid.cell_volume * np.sum(metric_norm(du - rotation, inv_sqrt) ** p))
     defect = isometry_defect(_times_inv_sqrt(du, inv_sqrt), oriented=True)
     stretch = float(grid.cell_volume * np.sum(defect**p))
-    osc_term = _oscillation_term(grid, g._oscillation, p)
-    constant = _guarded_ratio(lhs, osc_term + stretch)
-    return RigidityReport(
-        p=p,
-        base_index=base_index,
-        rotation=rotation,
-        lhs=lhs,
-        osc_term=osc_term,
-        stretch=stretch,
-        bend_scale=0.0,
-        plane_variation=0.0,
-        constant=constant,
-    )
+    return _report(grid, g._oscillation, p, base_index, rotation, lhs, stretch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,32 +742,9 @@ class _LocalFits:
     def reports(self, grid: GridDomain, osc, p: float) -> list[RigidityReport]:
         """One report per row, on the patch grid `grid`, `osc` holding each
         patch's metric oscillation."""
-        rows = zip(
-            self.base_index.tolist(),
-            self.rotation,
-            self.lhs.tolist(),
-            self.stretch.tolist(),
-            self.bend_scale.tolist(),
-            self.plane_variation.tolist(),
-            osc,
-        )
-        reports = []
-        for base_index, rotation, lhs, stretch, bend_scale, plane_variation, patch_osc in rows:
-            osc_term = _oscillation_term(grid, patch_osc, p)
-            reports.append(
-                RigidityReport(
-                    p=p,
-                    base_index=tuple(base_index),
-                    rotation=rotation,
-                    lhs=lhs,
-                    osc_term=osc_term,
-                    stretch=stretch,
-                    bend_scale=bend_scale,
-                    plane_variation=plane_variation,
-                    constant=_guarded_ratio(lhs, osc_term + stretch + bend_scale),
-                )
-            )
-        return reports
+        terms = (self.lhs, self.stretch, self.bend_scale, self.plane_variation)
+        rows = zip(osc, self.base_index.tolist(), self.rotation, *(term.tolist() for term in terms))
+        return [_report(grid, patch_osc, p, tuple(base), rotation, *row) for patch_osc, base, rotation, *row in rows]
 
 
 def _local_fits(patches: _Patches, p: float) -> _LocalFits:
@@ -847,7 +835,9 @@ def _local_fits(patches: _Patches, p: float) -> _LocalFits:
         stretch, bending, dirichlet = _energy_sums(du, cells(normal_diff), inv_sqrt, weights, p)
         # The base cell's own score in the criterion that chose it.
         plane_variation = grid.cell_volume * _gap_scores(comps[np.arange(count), chosen][:, None], comps, p)[:, 0]
-        return stretch, grid.diameter**p * (bending + dirichlet), plane_variation
+        with np.errstate(over="ignore"):
+            scale = grid.diameter**p
+        return stretch, scale * (bending + dirichlet), plane_variation
 
     return _LocalFits(base_index, rotation, lhs, terms)
 
@@ -969,12 +959,12 @@ def admissible_subcubes(length: float, t: int, zeta) -> list[range] | None:
     shift is shorter than the domain side.  Each condition bounds the index
     on one axis from one side, so each axis holds one index interval.
     """
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    if np.linalg.norm(zeta) >= length:
+    zeta = np.asarray(zeta, dtype=float).reshape(-1).tolist()
+    if math.hypot(*zeta) >= length:
         return None
     side, tol = length / t, 1e-9 * length
     axes = []
-    for s in zeta.tolist():
+    for s in zeta:
         inside = [j for j in range(1, t - 1) if (j - 1) * side + s >= -tol and (j + 2) * side + s <= length + tol]
         if not inside:
             return None

@@ -69,6 +69,7 @@ DELETED = [
     (rigidity.PlaneField, "complement"),
     (rigidity, "_as_cell_index"),
     (rigidity, "_base_cell"),
+    (rigidity, "_oscillation_term"),
 ]
 
 
@@ -149,3 +150,12 @@ def test_metric_algebra_holds_the_only_rank_test():
         defined += [(t.lineno, t.id) for t in top if isinstance(t, ast.Name)]
         for line, name in defined:
             assert not RANK_HELPER.search(name), f"{path.name}:{line} {name}"
+
+
+def test_fields_takes_the_normal_sign_off_the_qr():
+    """`fields` calls no LU determinant and no cross product: the normal's
+    sign is det Q times the signs of R's diagonal, with Q and R the window's
+    one QR (`ImmersionField._degenerate_and_normal`)."""
+    tree = ast.parse(Path(fields.__file__).read_text())
+    called = [(n.lineno, ast.unparse(n.func)) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert [(line, name) for line, name in called if name in ("np.linalg.det", "np.cross")] == []

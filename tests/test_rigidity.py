@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -148,7 +149,8 @@ def family_planes(family):
 def pinned_fields(name):
     """The immersions the plane and rank-test formulas are pinned on: a
     `family_field` family, the Clifford patch, a graph over a 3-cube into
-    R^4 ("graph_3d"), or (for "rank_deficient") a
+    R^4 ("graph_3d"), a random 3-cube in R^4 scaled by 1e150, where no cell
+    is degenerate ("large_cube"), or (for "rank_deficient") a
     sheet whose row of cells at 3 loses a column, a latitude arc with a
     zero-length cell, and three fields whose cells 2 and 5 sit either side of
     the rank tolerance, at 0.75e-12 and 1.5e-12: a segment with differentials
@@ -159,6 +161,10 @@ def pinned_fields(name):
     comes last once more scaled by 1e-150 and once by 1e160."""
     if name == "clifford":
         return [clifford_patch(12)]
+    if name == "large_cube":
+        grid = GridDomain(3, 1.0, 4)
+        values = 1e150 * np.random.default_rng(11).normal(size=grid.node_shape + (4,))
+        return [ImmersionField(grid, TargetSpace.euclidean(3), values)]
     if name == "graph_3d":
         grid = GridDomain(3, 1.0, 6)
         x = grid.node_coordinates()
@@ -240,32 +246,45 @@ def singular_value_degenerate(u):
 
 def svd_degenerate_and_normal(u):
     """The rank test and oriented normal as the full SVD of the window and a
-    determinant sign pass: the path `_degenerate_and_normal` replaced."""
-    du = u.differential
+    determinant sign pass: the path `_degenerate_and_normal` replaced.
+
+    Each window is first scaled by 2^-e, e the `frexp` exponent of its
+    largest |entry|, so LAPACK's dgesdd never rescales it and every scale
+    takes the path of a window near 1; the singular values are scaled back.
+    Both scalings are exact, and the determinant taken with the scaled window
+    has the sign of the unscaled one and cannot overflow."""
+    d = u.grid.dim
     radial = [] if u.target.kind == "euclidean" else [u.radial[..., :, None]]
-    left, sing, _ = np.linalg.svd(np.concatenate([du, *radial], axis=-1), full_matrices=True)
+    window = np.concatenate([u.differential, *radial], axis=-1)
+    exponent = np.frexp(np.abs(window).max(axis=(-2, -1)))[1]
+    window = np.ldexp(window, -exponent[..., None, None])
+    left, sing, _ = np.linalg.svd(window, full_matrices=True)
+    sing = np.ldexp(sing, exponent[..., None])
     degenerate = sing[..., -1] <= 1e-12 * np.maximum(sing[..., 0], 1.0)
     normal = left[..., :, -1].copy()
-    flip = np.linalg.det(np.concatenate([*radial, du, normal[..., :, None]], axis=-1)) < 0
+    flip = np.linalg.det(np.concatenate([window[..., d:], window[..., :d], normal[..., :, None]], axis=-1)) < 0
     normal[flip] = -normal[flip]
     normal[degenerate] = 0.0
     return degenerate, normal
 
 
-def random_window_field(dim, seed, n=64):
+def random_window_field(dim, seed, n=64, scales=(1.0,)):
     """A Euclidean field on a unit-spacing grid whose cells carry seeded random
     windows exactly.  Node values vanish on every other node (a checkerboard
     for dim 2), so each forward difference is one node's value or its
     negative: entries of random sign and magnitude log-uniform in
     [1e-100, 1e100].  For dim 2 a cell whose lower corner is a nonzero node
-    gets that node's negative in both columns, so it is rank-deficient."""
+    gets that node's negative in both columns, so it is rank-deficient.
+    The node rows along the first axis fall into len(`scales`) bands, the
+    k-th multiplied by scales[k]."""
     rng = np.random.default_rng(seed)
     grid = GridDomain(dim, float(n), n)
     shape = grid.node_shape + (dim + 1,)
     values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-100.0, 100.0, size=shape)
     parity = np.indices(grid.node_shape).sum(axis=0) % 2
     values[parity == 0] = 0.0
-    return ImmersionField(grid, TargetSpace.euclidean(dim), values)
+    band = np.repeat(scales, -(-(n + 1) // len(scales)))[: n + 1]
+    return ImmersionField(grid, TargetSpace.euclidean(dim), values * band.reshape((-1,) + (1,) * dim))
 
 
 def qr_tangent_planes(u):
@@ -719,24 +738,36 @@ class TestNormalsMatchTheSvdPath:
     )
     def test_equal_bit_for_bit_on_every_family(self, family, mode):
         base = family_field(family)
-        u = ImmersionField(base.grid, base.target, base.values, mode)
-        degenerate, normal = svd_degenerate_and_normal(u)
-        np.testing.assert_array_equal(u.degenerate, degenerate)
-        np.testing.assert_array_equal(u.normal, normal)
+        for scale in (1.0, 1e-150, 1e150):
+            target = base.target
+            if target.kind == "sphere":
+                target = TargetSpace.sphere(base.grid.dim, scale * target.radius)
+            u = ImmersionField(base.grid, target, scale * base.values, mode)
+            degenerate, normal = svd_degenerate_and_normal(u)
+            np.testing.assert_array_equal(u.degenerate, degenerate)
+            np.testing.assert_array_equal(u.normal, normal)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equal_bit_for_bit_on_random_windows(self, dim, seed):
-        u = random_window_field(dim, seed)
-        degenerate, normal = svd_degenerate_and_normal(u)
-        np.testing.assert_array_equal(u.degenerate, degenerate)
-        np.testing.assert_array_equal(u.normal, normal)
-        assert 0 < u.degenerate_count < u.grid.cell_count
+        # each field once as drawn, once with its node rows in bands scaled
+        # by 1e-150, 1 and 1e150
+        for scales in ((1.0,), (1e-150, 1.0, 1e150)):
+            u = random_window_field(dim, seed, scales=scales)
+            degenerate, normal = svd_degenerate_and_normal(u)
+            np.testing.assert_array_equal(u.degenerate, degenerate)
+            np.testing.assert_array_equal(u.normal, normal)
+            assert 0 < u.degenerate_count < u.grid.cell_count
 
-    @pytest.mark.parametrize("name", ["clifford", "graph_3d"])
+    @pytest.mark.parametrize("name", ["clifford", "graph_3d", "large_cube"])
     def test_four_by_three_windows_agree_to_round_off(self, name):
         (u,) = pinned_fields(name)
+        # at 1e150 a determinant of the window's columns would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u.normal
         degenerate, normal = svd_degenerate_and_normal(u)
+        assert not degenerate.any()
         np.testing.assert_array_equal(u.degenerate, degenerate)
         np.testing.assert_allclose(u.normal, normal, rtol=0.0, atol=1e-14)
         assert (np.einsum("...i,...i->...", u.normal, normal)[~degenerate] > 0.5).all()
@@ -1492,6 +1523,17 @@ class TestTranslationModulus:
                     assert covered == math.prod(len(a) for a in axes) / t**dim
                 outcomes.add(axes is not None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("t", [4, 8, 16])
+    def test_admissible_rule_is_scale_free_on_a_large_domain(self, t):
+        # The default shifts, a quarter, an eighth and a sixteenth of the
+        # side: past |zeta| ~ 1.3e154 its squared norm overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for zeta in ([0.25], [0.125], [0.0625], [0.25, 0.0]):
+                axes = admissible_subcubes(1.0, t, zeta)
+                assert axes is not None
+                assert admissible_subcubes(1e200, t, [1e200 * z for z in zeta]) == axes
 
     def test_zero_shift_is_exactly_zero(self):
         field = self.circle_field()

@@ -72,6 +72,28 @@ def test_untimed_catches_a_subcube_oscillation_that_multiscale_flat_never_measur
     assert out.count("): differs in subcube reports\n") == 2
 
 
+def test_fit_mix_catches_a_normal_sign_flipped_on_every_other_cell(tmp_path, capsys):
+    # Every gap score and bending term is even in a global sign of the
+    # normals, so flipping every cell changes no byte; flipping every other
+    # cell in C order must.  Ops 0 and 5 take the metric route, which reads
+    # no normal.
+    argv = ["--workload", "fit_mix", "--seed", "3", "--ops", "6"]
+    reversed_ = _patched_tree(tmp_path / "reversed", "flip = orient < 0", "flip = orient >= 0", "fields.py")
+    assert same_reports.main([str(ROOT), str(reversed_), *argv]) == 0
+    assert "fit_mix seed 3: 0 of 6 ops differ" in capsys.readouterr().out
+    changed = _patched_tree(
+        tmp_path / "changed",
+        "flip = orient < 0",
+        "flip = (orient < 0) ^ (np.arange(orient.size).reshape(orient.shape) % 2 == 1)",
+        "fields.py",
+    )
+    assert same_reports.main([str(ROOT), str(changed), *argv]) == 1
+    out = capsys.readouterr().out
+    assert "fit_mix seed 3: 4 of 6 ops differ" in out
+    differing = [line.split(" (")[0] for line in out.splitlines() if "): differs in " in line]
+    assert differing == ["op 1", "op 2", "op 3", "op 4"]
+
+
 def test_untimed_runs_every_unbenchmarked_path(tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     ops = same_reports.untimed_ops(3)
